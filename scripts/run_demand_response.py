@@ -3,33 +3,29 @@
 
 Reproduces the headline desk-scale result: with a binding RB budget, the
 hybrid policy cuts mean dispatch cost by >20% relative to channel-only
-selection.
+selection. Rounds, seed and budget come from configs/demand_response.yaml.
 """
 
 import argparse
+import dataclasses
 import time
+from pathlib import Path
 
 import numpy as np
 
-from goalrba.harness import ChannelConfig, ScenarioConfig, run_scenario
+from goalrba.harness import POLICIES, load_config, run_scenario
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--rounds", type=int, default=100)
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--capacity", type=int, default=1000)
-    args = ap.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
+    config = load_config(CONFIGS / "demand_response.yaml")
     means = {}
     started = time.perf_counter()
-    for policy in ("channel", "utility", "hybrid"):
-        cfg = ScenarioConfig(
-            workload="demand_response", policy=policy, rounds=args.rounds,
-            seed=args.seed, utility_mode="exact",
-            channel=ChannelConfig(capacity=args.capacity),
-        )
-        costs = [m.goal_value for m in run_scenario(cfg)]
+    for policy in POLICIES:
+        costs = [m.goal_value for m in run_scenario(dataclasses.replace(config, policy=policy))]
         means[policy] = float(np.mean(costs))
         print(f"{policy:>8}: mean dispatch cost {means[policy]:.3f}")
     reduction = 1.0 - means["hybrid"] / means["channel"]

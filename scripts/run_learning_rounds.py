@@ -1,73 +1,44 @@
 #!/usr/bin/env python3
 """Rounds-to-target comparison for the learning workloads.
 
-For each seed, runs channel-only and hybrid selection until the workload
-reaches its goal threshold (test accuracy for the learning tasks, relative
-objective gap for consensus lasso) and reports the per-seed round counts and
-medians.
+For each seed, runs channel-only and hybrid selection on the workload's
+configs/ preset until it reaches its goal threshold (test accuracy for the
+learning tasks, relative objective gap for consensus lasso) and reports the
+per-seed round counts and medians.
 """
 
 import argparse
+import dataclasses
 import time
+from pathlib import Path
 
 import numpy as np
 
-from goalrba.harness import ChannelConfig, ScenarioConfig, run_scenario
+from goalrba.harness import load_config, rounds_to_target
 
-PRESETS = {
-    "edge_learning": dict(
-        capacity=3000, rounds=150, target=0.90,
-        params={"num_eds": 25, "concentrated_classes": [1, 3, 6, 9],
-                "concentration": 1.0},
-    ),
-    "federated": dict(
-        capacity=30000, rounds=150, target=0.95,
-        params={"num_eds": 20, "concentrated_classes": [], "lr": 0.5,
-                "data_poor_fraction": 0.6, "data_poor_keep": 0.02},
-    ),
-    "admm": dict(
-        capacity=1200, rounds=200, target=1e-3,
-        params={"noise_variance_slope": 1e-7, "varrho": 1e-4, "rho": 1.0,
-                "solver_cap": 3000},
-    ),
-}
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-
-def rounds_to_target(workload: str, policy: str, seed: int, preset: dict) -> int:
-    cfg = ScenarioConfig(
-        workload=workload, policy=policy, rounds=preset["rounds"], seed=seed,
-        utility_mode="exact", channel=ChannelConfig(capacity=preset["capacity"]),
-        params=preset["params"],
-    )
-    target = preset["target"]
-    if workload == "admm":
-        reached = lambda wl: wl.relative_gap() <= target
-    else:
-        reached = lambda wl: wl.test_accuracy() >= target
-    hit = []
-
-    def hook(rnd, wl):
-        if not hit and reached(wl):
-            hit.append(rnd)
-
-    run_scenario(cfg, round_hook=hook)
-    return hit[0] + 1 if hit else preset["rounds"] + 1
+TARGETS = {"edge_learning": 0.90, "federated": 0.95, "admm": 1e-3}
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("workload", choices=sorted(PRESETS))
+    ap.add_argument("workload", choices=sorted(TARGETS))
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
     args = ap.parse_args()
 
-    preset = PRESETS[args.workload]
-    print(f"{args.workload}: target {preset['target']}, "
-          f"capacity {preset['capacity']} RB/s")
+    config = load_config(CONFIGS / f"{args.workload}.yaml")
+    target = TARGETS[args.workload]
+    if args.workload == "admm":
+        reached = lambda wl: wl.relative_gap() <= target
+    else:
+        reached = lambda wl: wl.test_accuracy() >= target
+    print(f"{args.workload}: target {target}, capacity {config.channel.capacity} RB/s")
     started = time.perf_counter()
     pairs = []
     for seed in args.seeds:
-        rc = rounds_to_target(args.workload, "channel", seed, preset)
-        rh = rounds_to_target(args.workload, "hybrid", seed, preset)
+        rc = rounds_to_target(dataclasses.replace(config, policy="channel", seed=seed), reached)
+        rh = rounds_to_target(dataclasses.replace(config, policy="hybrid", seed=seed), reached)
         pairs.append((rc, rh))
         print(f"  seed {seed}: channel {rc}, hybrid {rh}")
     med_c = float(np.median([c for c, _ in pairs]))

@@ -15,15 +15,7 @@ from .allocator import (
     suboptimality_ratio,
     utility_policy,
 )
-from .channel import (
-    ChannelRealization,
-    EdRadio,
-    RbParams,
-    cumulative_bits,
-    rb_bits,
-    rb_demand,
-    sample_gains,
-)
+from .channel import EdRadio, RbParams, rb_bits, rb_demand, sample_gains
 from .harness import (
     RoundMetrics,
     ScenarioConfig,

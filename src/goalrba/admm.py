@@ -286,6 +286,10 @@ class AdmmParams:
     solver_cap: int = 500
     bits_per_entry: float = 32.0
 
+    def __post_init__(self):
+        if self.num_eds < 1:
+            raise ValueError(f"num_eds must be at least 1, got {self.num_eds}")
+
 
 class AdmmWorkload(Workload):
     """Distributed system identification under RB-budgeted participation.
@@ -293,6 +297,12 @@ class AdmmWorkload(Workload):
     Delta for an ED is the squared change of its local copy in its last
     participating round; it is retained (not zeroed) while the ED sits out,
     so frozen EDs stay eligible for selection.
+
+    The goal is the augmented Lagrangian. A round is guaranteed not to raise
+    it only in the certificate regime rho/2 > kappa_j/rho for every selected
+    ED (see descent_certificate). Outside it the goal can rise as data is
+    added: the admm preset (rho = 1, kappa_j between 70 and 96) raises it
+    in 196 of its 200 rounds at seed 3.
     """
 
     def __init__(self, params: AdmmParams, seed):

@@ -51,22 +51,6 @@ class EdRadio:
             raise ValueError(f"r_min must be non-negative, got {self.r_min}")
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Per-ED power gains plus the RB budget of one scheduling interval."""
-
-    gains: np.ndarray
-    interval_rb_capacity: int = DEFAULT_INTERVAL_RB_CAPACITY
-
-    def __post_init__(self):
-        gains = np.asarray(self.gains, dtype=float)
-        if np.any(gains < 0):
-            raise ValueError("channel power gains must be non-negative")
-        if self.interval_rb_capacity < 1:
-            raise ValueError("interval RB capacity must be at least 1")
-        object.__setattr__(self, "gains", gains)
-
-
 def rb_bits(gain: float, ed: EdRadio, rb: RbParams) -> float:
     """Bits one RB delivers to an ED at the given power gain.
 
@@ -75,13 +59,6 @@ def rb_bits(gain: float, ed: EdRadio, rb: RbParams) -> float:
     if gain < 0:
         raise ValueError(f"gain must be non-negative, got {gain}")
     return rb.t * rb.B * np.log2(1.0 + gain * ed.p / rb.noise_power)
-
-
-def cumulative_bits(rb_count: int, per_rb: float) -> float:
-    """Total bits over rb_count RBs sharing one gain within the interval."""
-    if rb_count < 0:
-        raise ValueError(f"rb_count must be non-negative, got {rb_count}")
-    return rb_count * per_rb
 
 
 def rb_demand(ed: EdRadio, per_rb: float) -> int:

@@ -10,7 +10,14 @@ import argparse
 import dataclasses
 import sys
 
-from .harness import ConfigError, emit_metrics, load_config, run_compare, run_scenario
+from .harness import (
+    POLICIES,
+    ConfigError,
+    emit_metrics,
+    load_config,
+    run_compare,
+    run_scenario,
+)
 from .verification import run_all_checks
 
 
@@ -24,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one scenario and emit a metrics CSV")
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--policy", choices=("channel", "utility", "hybrid"), default=None)
+    run_p.add_argument("--policy", choices=POLICIES, default=None)
     run_p.add_argument("--rounds", type=int, default=None)
     run_p.add_argument("--out", required=True)
 

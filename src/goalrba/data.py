@@ -1,14 +1,10 @@
-"""Dataset plumbing: synthetic class mixtures, non-iid splits, IDX files."""
+"""Dataset plumbing: synthetic class mixtures and non-iid splits."""
 
 from __future__ import annotations
 
-import struct
 from typing import List, Sequence, Tuple
 
 import numpy as np
-
-IDX_IMAGES_MAGIC = 0x00000803
-IDX_LABELS_MAGIC = 0x00000801
 
 
 def make_gaussian_mixture(
@@ -61,28 +57,3 @@ def split_non_iid(
             shards[i % num_eds].append(sample)
     return [rng.permutation(np.array(s, dtype=int)) for s in shards]
 
-
-def read_idx_images(path) -> np.ndarray:
-    """Parse a big-endian IDX image file into a (n, rows*cols) uint8 array."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != IDX_IMAGES_MAGIC:
-        raise ValueError(f"bad IDX image magic 0x{magic:08x} in {path}")
-    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16)
-    if len(pixels) != count * rows * cols:
-        raise ValueError(f"IDX image payload size mismatch in {path}")
-    return pixels.reshape(count, rows * cols)
-
-
-def read_idx_labels(path) -> np.ndarray:
-    """Parse a big-endian IDX label file into a (n,) uint8 array."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    magic, count = struct.unpack(">II", raw[:8])
-    if magic != IDX_LABELS_MAGIC:
-        raise ValueError(f"bad IDX label magic 0x{magic:08x} in {path}")
-    labels = np.frombuffer(raw, dtype=np.uint8, offset=8)
-    if len(labels) != count:
-        raise ValueError(f"IDX label payload size mismatch in {path}")
-    return labels.copy()

@@ -248,6 +248,10 @@ class DrParams:
     history_len: int = 64
     payload_bits: float = 512.0  # one 64-byte sensor packet
 
+    def __post_init__(self):
+        if self.num_eds < 1:
+            raise ValueError(f"num_eds must be at least 1, got {self.num_eds}")
+
     def resolved_pi_min(self) -> float:
         if self.pi_min is not None:
             return self.pi_min
@@ -351,6 +355,10 @@ class RoutingParams:
     tau_range: Tuple[float, float] = (1.0, 10.0)
     history_len: int = 64
     payload_bits: float = 512.0
+
+    def __post_init__(self):
+        if self.num_nodes < 2:
+            raise ValueError(f"num_nodes must be at least 2, got {self.num_nodes}")
 
 
 class RoutingWorkload(Workload):

@@ -64,6 +64,9 @@ class ChannelConfig:
     def __post_init__(self):
         if self.capacity < 0:
             raise ConfigError(f"capacity must be non-negative, got {self.capacity}")
+        for key in ("rb_time_s", "rb_bandwidth_hz", "noise_power_w", "tx_power_w"):
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
 
     def rb_params(self) -> RbParams:
         return RbParams(t=self.rb_time_s, B=self.rb_bandwidth_hz,
@@ -82,7 +85,6 @@ class ScenarioConfig:
     utility_samples: int = 256
     gain_normalization: str = "raw"
     measure_wall_time: bool = False
-    output: Optional[str] = None
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     params: Dict = field(default_factory=dict)
 
@@ -95,6 +97,8 @@ class ScenarioConfig:
             raise ConfigError(f"unknown policy {self.policy!r}; expected one of {POLICIES}")
         if self.rounds < 1:
             raise ConfigError(f"rounds must be at least 1, got {self.rounds}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.utility_mode not in ("exact", "expected"):
             raise ConfigError(f"unknown utility mode {self.utility_mode!r}")
         if self.utility_samples < 1:
@@ -118,6 +122,26 @@ class RoundMetrics:
     wall_ms: int = 0
 
 
+# YAML scalars accepted for each scalar field annotation; an int is a valid
+# float, a bool is not a number.
+_SCALAR_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
+def _check_scalar(f, value, context: str) -> None:
+    annotation = f.type
+    if annotation.startswith("Optional["):
+        if value is None:
+            return
+        annotation = annotation[len("Optional["):-1]
+    expected = _SCALAR_TYPES.get(annotation)
+    if expected is None:
+        return
+    if not isinstance(value, expected) or (isinstance(value, bool) and bool not in expected):
+        raise ConfigError(
+            f"key {f.name!r} in {context} block must be {annotation}, got {value!r}"
+        )
+
+
 def _strict_dataclass(cls, raw: Dict, context: str):
     if not isinstance(raw, dict):
         raise ConfigError(f"{context} block must be a mapping")
@@ -127,13 +151,14 @@ def _strict_dataclass(cls, raw: Dict, context: str):
         raise ConfigError(f"unknown key {unknown[0]!r} in {context} block")
     coerced = {}
     for key, value in raw.items():
+        _check_scalar(known[key], value, context)
         default = known[key].default
         if isinstance(default, tuple) and isinstance(value, list):
             value = tuple(value)
         coerced[key] = value
     try:
         return cls(**coerced)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {context} block: {exc}") from exc
 
 
@@ -155,10 +180,6 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
-    top_fields = {f.name for f in fields(ScenarioConfig)}
-    unknown = sorted(set(raw) - top_fields)
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in config")
     if "workload" not in raw:
         raise ConfigError("config is missing the required 'workload' key")
     kwargs = dict(raw)
@@ -166,7 +187,7 @@ def load_config(path) -> ScenarioConfig:
     kwargs["params"] = raw.get("params", {}) or {}
     if not isinstance(kwargs["params"], dict):
         raise ConfigError("params block must be a mapping")
-    config = ScenarioConfig(**kwargs)
+    config = _strict_dataclass(ScenarioConfig, kwargs, "config")
     # Validate the workload parameter block eagerly so bad keys fail at load.
     params_cls, _ = WORKLOADS[config.workload]
     _strict_dataclass(params_cls, config.params, config.workload)
@@ -196,13 +217,14 @@ def run_scenario(
     config: ScenarioConfig,
     *,
     workload: Optional[Workload] = None,
-    round_hook: Optional[Callable[[int, Workload], None]] = None,
+    round_hook: Optional[Callable[[int, Workload], object]] = None,
 ) -> List[RoundMetrics]:
     """Run the per-round loop and return one metrics row per round.
 
     round_hook, when given, is called after each round's ingest with
     (round_idx, workload); it exists for per-round probes such as test
-    accuracy and does not affect the metrics.
+    accuracy and does not affect the metrics. A truthy return value ends
+    the run after that round, and the rows so far are returned.
     """
     seq = np.random.SeedSequence(config.seed)
     workload_seed, gains_seed, mc_seed = seq.spawn(3)
@@ -251,9 +273,26 @@ def run_scenario(
                 wall_ms=wall_ms,
             )
         )
-        if round_hook is not None:
-            round_hook(k, workload)
+        if round_hook is not None and round_hook(k, workload):
+            break
     return metrics
+
+
+def rounds_to_target(config: ScenarioConfig, reached: Callable[[Workload], bool]) -> int:
+    """First 1-based round after which `reached(workload)` holds, rounds+1 if none.
+
+    The run stops at that round, so the rounds after it cost nothing.
+    """
+    hit: List[int] = []
+
+    def hook(k: int, workload: Workload) -> bool:
+        if reached(workload):
+            hit.append(k + 1)
+            return True
+        return False
+
+    run_scenario(config, round_hook=hook)
+    return hit[0] if hit else config.rounds + 1
 
 
 def emit_metrics(metrics: Sequence[RoundMetrics], path) -> None:

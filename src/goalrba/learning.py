@@ -239,6 +239,10 @@ class EdgeLearningParams:
     concentration: float = 0.95
     bits_per_sample: float = (784 + 1) * 8.0
 
+    def __post_init__(self):
+        if self.num_eds < 1:
+            raise ValueError(f"num_eds must be at least 1, got {self.num_eds}")
+
 
 class EdgeLearningWorkload(Workload):
     """Raw-sample selection: EDs offer batches priced by current model loss."""
@@ -342,6 +346,10 @@ class FederatedParams:
     data_poor_fraction: float = 0.0
     data_poor_keep: float = 1.0
 
+    def __post_init__(self):
+        if self.num_eds < 1:
+            raise ValueError(f"num_eds must be at least 1, got {self.num_eds}")
+
 
 class FederatedWorkload(Workload):
     """Gradient-norm client selection with partial aggregation per round."""
@@ -387,7 +395,6 @@ class FederatedWorkload(Workload):
         self.model = Mlp(params.dim, params.hidden_dim, params.num_classes, seed=model_seed)
         self._batch_rng = np.random.default_rng(batch_seed)
         self._round_grads: Optional[List[np.ndarray]] = None
-        self.inner_products: List[float] = []
 
     def begin_round(self, round_idx: int) -> None:
         self._round_grads = [
@@ -419,18 +426,10 @@ class FederatedWorkload(Workload):
         selected = sorted(selected)
         if self._round_grads is None:
             self.begin_round(0)
-        theta = self.model.get_params()
         if selected:
             grads = [self._round_grads[j] for j in selected]
             counts = [self.counts[j] for j in selected]
-            g_tilde = (
-                np.asarray(counts)[:, None] * np.stack(grads)
-            ).sum(axis=0) / np.sum(counts)
-            g_full = (
-                self.counts[:, None] * np.stack(self._round_grads)
-            ).sum(axis=0) / self.counts.sum()
-            self.inner_products.append(float(np.dot(g_full - g_tilde, g_tilde)))
-            theta = aggregate_step(theta, grads, counts, self.params.lr)
+            theta = aggregate_step(self.model.get_params(), grads, counts, self.params.lr)
             self.model.set_params(theta)
 
     def goal_value(self) -> float:

@@ -1,17 +1,20 @@
 """Workload contract and divide-and-conquer machinery.
 
 Every application workload exposes per-ED marginal utility gains against its
-current dataset, ingests the data of selected EDs, and reports a goal value
-that never increases when data is added. The helpers here pair those gains
-with RB demands, estimate gains by Monte Carlo when exact values would be
-non-causal, and enumerate the diminishing-returns bound on small subsets.
+current dataset, ingests the data of selected EDs, and reports a goal value,
+lower is better. Adding data is not guaranteed to lower the goal: revealed
+loads or travel times never raise the robust decision cost, but the ADMM
+augmented Lagrangian is non-increasing only in the certificate regime
+rho/2 > kappa_j/rho (see AdmmWorkload), and the admm preset lies outside it.
+The helpers here pair those gains with RB demands, estimate gains by Monte
+Carlo when exact values would be non-causal, and enumerate the
+diminishing-returns bound on small subsets.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -70,19 +73,6 @@ class Workload(abc.ABC):
         )
 
 
-@dataclass
-class GainLedger:
-    """Per-round record of reported deltas and the realized total gain."""
-
-    round_idx: int
-    deltas: Dict[int, float]
-    realized_gain: float
-
-    def __post_init__(self):
-        if self.realized_gain < -1e-9:
-            raise ValueError(f"realized gain must be non-negative, got {self.realized_gain}")
-
-
 def expected_marginal_utility(
     workload: Workload,
     ed_id: int,
@@ -123,9 +113,7 @@ def collect_reports(
             deltas = dict(expected(num_samples, rng))
         else:
             deltas = {
-                ed_id: float(
-                    np.mean([workload.sample_marginal(ed_id, rng) for _ in range(num_samples)])
-                )
+                ed_id: expected_marginal_utility(workload, ed_id, num_samples, rng)
                 for ed_id in range(workload.num_eds)
             }
     reports = []

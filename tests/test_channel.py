@@ -6,11 +6,9 @@ from hypothesis import given, strategies as st
 
 from goalrba.channel import (
     DEFAULT_INTERVAL_RB_CAPACITY,
-    ChannelRealization,
     EdRadio,
     RbParams,
     UnreachableEdError,
-    cumulative_bits,
     rb_bits,
     rb_demand,
     sample_gains,
@@ -43,13 +41,6 @@ def test_rb_bits_scales_with_power():
     low = rb_bits(1.0, EdRadio(ed_id=0, p=1.0), rb)
     high = rb_bits(1.0, EdRadio(ed_id=0, p=3.0), rb)
     assert high == pytest.approx(2 * low, rel=1e-12)
-
-
-def test_cumulative_bits():
-    assert cumulative_bits(6, 90.0) == 540.0
-    assert cumulative_bits(0, 90.0) == 0.0
-    with pytest.raises(ValueError):
-        cumulative_bits(-1, 90.0)
 
 
 def test_rb_demand_hand_value():
@@ -113,7 +104,3 @@ def test_param_validation():
         EdRadio(ed_id=0, p=0.0)
     with pytest.raises(ValueError):
         EdRadio(ed_id=0, r_min=-1.0)
-    with pytest.raises(ValueError):
-        ChannelRealization(gains=np.array([-0.5]))
-    with pytest.raises(ValueError):
-        ChannelRealization(gains=np.array([1.0]), interval_rb_capacity=0)

@@ -1,7 +1,9 @@
 """Scenario harness: config schema, CSV plumbing, determinism, CLI exit codes."""
 
+import dataclasses
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +20,13 @@ from goalrba.harness import (
     emit_metrics,
     load_config,
     parse_metrics,
+    rounds_to_target,
     run_compare,
     run_scenario,
     save_config,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 DR_SMALL = dict(workload="demand_response", rounds=3, seed=5,
                 params={"num_eds": 30, "pi_min": 20.0})
@@ -153,6 +158,52 @@ def test_realized_gain_is_bounded_by_summed_marginals():
         assert m.utility_gain >= -1e-12
 
 
+def test_truthy_round_hook_ends_the_run():
+    cfg = small_config(rounds=5)
+    seen = []
+
+    def hook(k, workload):
+        seen.append(k)
+        return k == 1
+
+    rows = run_scenario(cfg, round_hook=hook)
+    assert seen == [0, 1]
+    assert rows == run_scenario(cfg)[:2]
+
+
+# A small edge-learning scenario whose test accuracy first reaches 0.5 after
+# a few rounds, well inside its round cap.
+EDGE_SMALL = dict(
+    workload="edge_learning", rounds=12, seed=1, channel=ChannelConfig(capacity=10),
+    params=dict(num_eds=4, num_classes=4, dim=16, hidden_dim=8, train_per_class=30,
+                test_per_class=10, batch_per_round=8, epochs_per_round=1,
+                concentrated_classes=[2, 3], bits_per_sample=136.0, lr=0.1),
+)
+
+
+def test_rounds_to_target_matches_the_full_run():
+    cfg = ScenarioConfig(**EDGE_SMALL)
+    accuracy = []
+    run_scenario(cfg, round_hook=lambda k, wl: accuracy.append(wl.test_accuracy()))
+    first_hit = next(k + 1 for k, acc in enumerate(accuracy) if acc >= 0.5)
+    assert 1 < first_hit < cfg.rounds
+    assert rounds_to_target(cfg, lambda wl: wl.test_accuracy() >= 0.5) == first_hit
+
+
+def test_rounds_to_target_is_rounds_plus_one_when_never_reached():
+    cfg = ScenarioConfig(**EDGE_SMALL)
+    assert rounds_to_target(cfg, lambda wl: False) == cfg.rounds + 1
+
+
+@pytest.mark.parametrize("preset", sorted(p.stem for p in CONFIGS.glob("*.yaml")))
+def test_presets_load_and_run(preset):
+    cfg = load_config(CONFIGS / f"{preset}.yaml")
+    assert cfg.workload == preset
+    rows = run_scenario(dataclasses.replace(cfg, rounds=2))
+    assert [m.round_idx for m in rows] == [0, 1]
+    assert all(np.isfinite(m.goal_value) for m in rows)
+
+
 def test_expected_mode_runs_and_stays_deterministic():
     cfg = small_config(utility_mode="expected", utility_samples=16)
     a = run_scenario(cfg)
@@ -248,6 +299,28 @@ def test_cli_exit_code_1_on_config_error(tmp_path):
     res = cli("run", "--config", str(path), "--out", str(tmp_path / "o.csv"))
     assert res.returncode == 1
     assert "config error" in res.stderr
+
+
+@pytest.mark.parametrize("key, value, block", [
+    ("rounds", "abc", None),
+    ("seed", 1.5, None),
+    ("seed", -1, None),
+    ("measure_wall_time", "yes", None),
+    ("capacity", "lots", "channel"),
+    ("tx_power_w", -1.0, "channel"),
+    ("rb_time_s", 0.0, "channel"),
+    ("num_eds", -3, "params"),
+    ("num_eds", True, "params"),
+])
+def test_cli_exit_code_1_names_the_bad_key(tmp_path, key, value, block):
+    raw = config_to_dict(small_config())
+    (raw[block] if block else raw)[key] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    res = cli("run", "--config", str(path), "--out", str(tmp_path / "o.csv"))
+    assert res.returncode == 1, res.stderr
+    assert "config error" in res.stderr and key in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_cli_exit_code_2_on_runtime_error(tmp_path):

@@ -1,17 +1,10 @@
 """MLP training stack: gradients, SGD, aggregation, and the two learning workloads."""
 
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from goalrba.data import (
-    make_gaussian_mixture,
-    read_idx_images,
-    read_idx_labels,
-    split_non_iid,
-)
+from goalrba.data import make_gaussian_mixture, split_non_iid
 from goalrba.learning import (
     EdgeLearningParams,
     EdgeLearningWorkload,
@@ -176,27 +169,6 @@ def test_split_non_iid_is_a_partition_with_holders():
     assert np.all(np.isin(np.flatnonzero(y == 9), holder9))
 
 
-def test_idx_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    images = rng.integers(0, 256, size=(7, 5, 4), dtype=np.uint8)
-    labels = rng.integers(0, 10, size=7, dtype=np.uint8)
-    img_path = tmp_path / "img.idx"
-    lbl_path = tmp_path / "lbl.idx"
-    img_path.write_bytes(struct.pack(">IIII", 2051, 7, 5, 4) + images.tobytes())
-    lbl_path.write_bytes(struct.pack(">II", 2049, 7) + labels.tobytes())
-    np.testing.assert_array_equal(read_idx_images(img_path), images.reshape(7, 20))
-    np.testing.assert_array_equal(read_idx_labels(lbl_path), labels)
-
-
-def test_idx_magic_check(tmp_path):
-    bad = tmp_path / "bad.idx"
-    bad.write_bytes(struct.pack(">IIII", 1234, 1, 1, 1) + b"\x00")
-    with pytest.raises(ValueError):
-        read_idx_images(bad)
-    with pytest.raises(ValueError):
-        read_idx_labels(bad)
-
-
 def small_edge_params(**overrides):
     base = dict(
         num_eds=4, num_classes=4, dim=16, hidden_dim=8,
@@ -244,7 +216,6 @@ def test_federated_workload_descent_logging():
     wl.ingest([0, 1, 2, 3])
     after = wl.goal_value()
     assert after < before  # full participation at a sane step descends
-    assert len(wl.inner_products) == 1
 
 
 def test_federated_data_poor_thinning():
