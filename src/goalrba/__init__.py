@@ -8,14 +8,14 @@ making, edge learning, federated learning, and consensus ADMM.
 
 from .allocator import (
     Allocation,
-    UtilityReport,
     channel_policy,
     exact_knapsack,
     greedy_allocate,
+    make_reports,
     suboptimality_ratio,
     utility_policy,
 )
-from .channel import EdRadio, RbParams, rb_bits, rb_demand, sample_gains
+from .channel import RbParams, rb_bits, rb_demand, sample_gains
 from .harness import (
     RoundMetrics,
     ScenarioConfig,
@@ -24,6 +24,6 @@ from .harness import (
     run_compare,
     run_scenario,
 )
-from .workload import Workload, collect_reports, expected_marginal_utility, submodular_bound_check
+from .workload import Workload, collect_reports, submodular_bound_check
 
 __version__ = "0.1.0"

@@ -289,6 +289,8 @@ class AdmmParams:
     def __post_init__(self):
         if self.num_eds < 1:
             raise ValueError(f"num_eds must be at least 1, got {self.num_eds}")
+        if self.bits_per_entry < 0:
+            raise ValueError(f"bits_per_entry must be non-negative, got {self.bits_per_entry}")
 
 
 class AdmmWorkload(Workload):
@@ -322,8 +324,8 @@ class AdmmWorkload(Workload):
         # selection be driven by the budget and channel alone.
         self._deltas = np.ones(params.num_eds)
 
-    def marginal_utilities(self) -> List[Tuple[int, float]]:
-        return list(enumerate(self._deltas.tolist()))
+    def marginal_utilities(self) -> np.ndarray:
+        return self._deltas.copy()
 
     def ingest(self, selected: Iterable[int]) -> None:
         selected = sorted(set(selected))
@@ -339,9 +341,9 @@ class AdmmWorkload(Workload):
     def goal_value(self) -> float:
         return augmented_lagrangian(self.state)
 
-    def payload_bits(self, ed_id: int) -> float:
+    def payload_bits(self) -> np.ndarray:
         # Primal and dual copies are both transmitted.
-        return 2 * self.state.theta0.size * self.params.bits_per_entry
+        return np.full(self.num_eds, 2 * self.state.theta0.size * self.params.bits_per_entry)
 
     def consensus_residual(self) -> float:
         return max(

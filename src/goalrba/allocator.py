@@ -1,6 +1,7 @@
 """RB allocation policies over per-ED utility reports, plus a DP oracle.
 
-The hybrid rule sorts by utility-per-RB and fills the budget greedily; the two
+Reports are a record array with one row per ED (see make_reports). The
+hybrid rule sorts by utility-per-RB and fills the budget greedily; the two
 benchmark policies order by channel gain and by raw utility. The exact DP
 solver certifies the greedy suboptimality gap.
 """
@@ -8,7 +9,7 @@ solver certifies the greedy suboptimality gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence
+from typing import FrozenSet
 
 import numpy as np
 
@@ -23,69 +24,74 @@ class OracleViolationError(ValueError):
     """A heuristic value exceeded the certified optimum: allocator bug."""
 
 
-@dataclass(frozen=True)
-class UtilityReport:
-    """One knapsack item: marginal utility gain delta and RB demand w."""
+def make_reports(ed_id, delta, w) -> np.recarray:
+    """Knapsack items, one per ED: marginal utility gain delta and RB demand w.
 
-    ed_id: int
-    delta: float
-    w: int
-
-    def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError(f"delta must be non-negative, got {self.delta}")
-        if self.w < 0:
-            raise ValueError(f"w must be non-negative, got {self.w}")
+    A record array with the columns ed_id, delta and w; both delta and w
+    must be non-negative.
+    """
+    reports = np.rec.fromarrays(
+        [np.asarray(ed_id, dtype=np.int64), np.asarray(delta, dtype=float),
+         np.asarray(w, dtype=np.int64)],
+        names=("ed_id", "delta", "w"),
+    )
+    if np.any(reports.delta < 0):
+        raise ValueError(f"delta must be non-negative, got {reports.delta.min()}")
+    if np.any(reports.w < 0):
+        raise ValueError(f"w must be non-negative, got {reports.w.min()}")
+    return reports
 
 
 @dataclass(frozen=True)
 class Allocation:
-    """Selected EDs with their granted RB counts."""
+    """Selected EDs and the RBs they use in total."""
 
     selected: FrozenSet[int]
-    rb_counts: Dict[int, int]
     capacity_used: int
 
-    def __contains__(self, ed_id: int) -> bool:
-        return ed_id in self.selected
 
-
-def _make_allocation(picked: Iterable[UtilityReport]) -> Allocation:
-    picked = list(picked)
-    counts = {r.ed_id: r.w for r in picked}
-    return Allocation(
-        selected=frozenset(r.ed_id for r in picked),
-        rb_counts=counts,
-        capacity_used=sum(counts.values()),
-    )
-
-
-def allocation_value(allocation: Allocation, reports: Sequence[UtilityReport]) -> float:
+def allocation_value(allocation: Allocation, reports: np.recarray) -> float:
     """Total utility gain an allocation collects from the given reports."""
-    return sum(r.delta for r in reports if r.ed_id in allocation.selected)
+    taken = np.isin(reports.ed_id, list(allocation.selected))
+    return sum(reports.delta[taken].tolist())
 
 
-def _sorted_candidates(reports, key) -> List[UtilityReport]:
-    # Zero-delta EDs consume budget for no gain and are never selected.
-    candidates = [r for r in reports if r.delta > 0]
-    return sorted(candidates, key=key)
+def _check_capacity(capacity: int) -> None:
+    if capacity < 0:
+        raise ValueError(f"capacity must be non-negative, got {capacity}")
 
 
-def _fill_budget(ordered, capacity, halt_on_overflow) -> Allocation:
-    picked = [r for r in ordered if r.w == 0]
-    remaining = capacity
-    for report in (r for r in ordered if r.w > 0):
-        if report.w > remaining:
-            if halt_on_overflow:
-                break
-            continue
-        picked.append(report)
-        remaining -= report.w
-    return _make_allocation(picked)
+def _fill_budget(reports: np.recarray, capacity: int, key, *, halt_on_overflow) -> Allocation:
+    """Take EDs in ascending (key, ed_id) order while their demands fit.
+
+    key maps the (ed_id, delta, w) columns of the positive-demand candidates
+    to sort keys. Zero-delta EDs consume budget for no gain and are never
+    selected; zero-demand EDs with a gain ride free. At the first ED that
+    does not fit, halting mode stops; otherwise later EDs that still fit are
+    taken.
+    """
+    _check_capacity(capacity)
+    ed_id, delta, w = reports.ed_id, reports.delta, reports.w
+    live = delta > 0
+    paid = live & (w > 0)
+    ed_id_p, w_p = ed_id[paid], w[paid]
+    order = np.lexsort((ed_id_p, key(ed_id_p, delta[paid], w_p)))
+    ids, ws = ed_id_p[order], w_p[order]
+    fits = int(np.searchsorted(np.cumsum(ws), capacity, side="right"))
+    picked = ed_id[live & (w == 0)].tolist() + ids[:fits].tolist()
+    remaining = capacity - int(ws[:fits].sum())
+    if not halt_on_overflow:
+        # Demands after the first overflow only ever meet a smaller budget.
+        later = fits + 1 + np.flatnonzero(ws[fits + 1 :] <= remaining)
+        for j, w_j in zip(ids[later].tolist(), ws[later].tolist()):
+            if w_j <= remaining:
+                picked.append(j)
+                remaining -= w_j
+    return Allocation(selected=frozenset(picked), capacity_used=capacity - remaining)
 
 
 def greedy_allocate(
-    reports: Sequence[UtilityReport],
+    reports: np.recarray,
     capacity: int,
     *,
     skip_mode: bool = False,
@@ -95,40 +101,30 @@ def greedy_allocate(
     Default halts at the first ED that does not fit; skip_mode continues past
     non-fitting EDs instead. Ties broken by ascending ed_id.
     """
-    if capacity < 0:
-        raise ValueError(f"capacity must be non-negative, got {capacity}")
-    ordered = _sorted_candidates(
-        reports, key=lambda r: (-(r.delta / r.w) if r.w > 0 else -np.inf, r.ed_id)
+    return _fill_budget(
+        reports, capacity, lambda ed_id, delta, w: -(delta / w), halt_on_overflow=not skip_mode
     )
-    return _fill_budget(ordered, capacity, halt_on_overflow=not skip_mode)
 
 
-def channel_policy(
-    gains: Sequence[float],
-    reports: Sequence[UtilityReport],
-    capacity: int,
-) -> Allocation:
+def channel_policy(gains, reports: np.recarray, capacity: int) -> Allocation:
     """Throughput benchmark: grant w_j RBs in descending channel-gain order.
 
     gains is indexable by ed_id. Non-fitting EDs are skipped so the budget
     serves as many EDs as the ordering allows.
     """
-    if capacity < 0:
-        raise ValueError(f"capacity must be non-negative, got {capacity}")
-    ordered = _sorted_candidates(reports, key=lambda r: (-gains[r.ed_id], r.ed_id))
-    return _fill_budget(ordered, capacity, halt_on_overflow=False)
+    gains = np.asarray(gains, dtype=float)
+    return _fill_budget(
+        reports, capacity, lambda ed_id, delta, w: -gains[ed_id], halt_on_overflow=False
+    )
 
 
-def utility_policy(reports: Sequence[UtilityReport], capacity: int) -> Allocation:
+def utility_policy(reports: np.recarray, capacity: int) -> Allocation:
     """Utility benchmark: grant w_j RBs in descending raw-delta order."""
-    if capacity < 0:
-        raise ValueError(f"capacity must be non-negative, got {capacity}")
-    ordered = _sorted_candidates(reports, key=lambda r: (-r.delta, r.ed_id))
-    return _fill_budget(ordered, capacity, halt_on_overflow=False)
+    return _fill_budget(reports, capacity, lambda ed_id, delta, w: -delta, halt_on_overflow=False)
 
 
 def exact_knapsack(
-    reports: Sequence[UtilityReport],
+    reports: np.recarray,
     capacity: int,
     *,
     oracle_bound: int = DEFAULT_ORACLE_BOUND,
@@ -138,32 +134,33 @@ def exact_knapsack(
     Tractability guard: the item*capacity product must stay within
     oracle_bound. Zero-weight items with positive delta are always taken.
     """
-    if capacity < 0:
-        raise ValueError(f"capacity must be non-negative, got {capacity}")
-    free = [r for r in reports if r.w == 0 and r.delta > 0]
-    items = [r for r in reports if r.w > 0 and r.delta > 0 and r.w <= capacity]
-    if len(items) * (capacity + 1) > oracle_bound:
+    _check_capacity(capacity)
+    ed_id, delta, w = reports.ed_id, reports.delta, reports.w
+    live = delta > 0
+    items = live & (w > 0) & (w <= capacity)
+    item_ids, item_ws = ed_id[items].tolist(), w[items].tolist()
+    if len(item_ids) * (capacity + 1) > oracle_bound:
         raise OracleScaleError(
-            f"oracle scale: {len(items)} items x capacity {capacity} exceeds "
+            f"oracle scale: {len(item_ids)} items x capacity {capacity} exceeds "
             f"bound {oracle_bound}"
         )
     value = np.zeros(capacity + 1)
-    take = np.zeros((len(items), capacity + 1), dtype=bool)
-    for idx, item in enumerate(items):
+    take = np.zeros((len(item_ids), capacity + 1), dtype=bool)
+    for idx, (item_delta, item_w) in enumerate(zip(delta[items].tolist(), item_ws)):
         improved = value.copy()
-        gain = value[: capacity + 1 - item.w] + item.delta
-        window = improved[item.w :]
+        gain = value[: capacity + 1 - item_w] + item_delta
+        window = improved[item_w:]
         better = gain > window
         window[better] = gain[better]
-        take[idx, item.w :] = better
+        take[idx, item_w:] = better
         value = improved
-    picked = list(free)
+    picked = ed_id[live & (w == 0)].tolist()
     c = capacity
-    for idx in range(len(items) - 1, -1, -1):
+    for idx in range(len(item_ids) - 1, -1, -1):
         if take[idx, c]:
-            picked.append(items[idx])
-            c -= items[idx].w
-    return _make_allocation(picked)
+            picked.append(item_ids[idx])
+            c -= item_ws[idx]
+    return Allocation(selected=frozenset(picked), capacity_used=capacity - c)
 
 
 def suboptimality_ratio(greedy_value: float, opt_value: float) -> float:

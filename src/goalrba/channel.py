@@ -36,41 +36,36 @@ class RbParams:
             raise ValueError(f"noise power must be positive, got {self.noise_power}")
 
 
-@dataclass(frozen=True)
-class EdRadio:
-    """Per-ED radio parameters: transmit power and minimum reliable payload."""
+def rb_bits(gain, p: float, rb: RbParams):
+    """Bits one RB delivers at power gain(s) `gain` and transmit power p.
 
-    ed_id: int
-    p: float = 1.0
-    r_min: float = 512.0
-
-    def __post_init__(self):
-        if self.p <= 0:
-            raise ValueError(f"transmit power must be positive, got {self.p}")
-        if self.r_min < 0:
-            raise ValueError(f"r_min must be non-negative, got {self.r_min}")
-
-
-def rb_bits(gain: float, ed: EdRadio, rb: RbParams) -> float:
-    """Bits one RB delivers to an ED at the given power gain.
-
-    t*B*log2(1 + g*p / (B*sigma^2)); zero at zero gain.
+    t*B*log2(1 + g*p / (B*sigma^2)); zero at zero gain. `gain` may be a
+    scalar or an array, and the result has its shape.
     """
-    if gain < 0:
-        raise ValueError(f"gain must be non-negative, got {gain}")
-    return rb.t * rb.B * np.log2(1.0 + gain * ed.p / rb.noise_power)
+    gain = np.asarray(gain, dtype=float)
+    if np.any(gain < 0):
+        raise ValueError(f"gain must be non-negative, got {gain.min()}")
+    if p <= 0:
+        raise ValueError(f"transmit power must be positive, got {p}")
+    return rb.t * rb.B * np.log2(1.0 + gain * p / rb.noise_power)
 
 
-def rb_demand(ed: EdRadio, per_rb: float) -> int:
-    """Minimum RB count granting the ED its reliable payload r_min.
+def rb_demand(r_min, per_rb):
+    """Minimum RB count granting a reliable payload of r_min bits.
 
-    Ceiling so that w RBs always cover r_min exactly or with slack.
+    Ceiling so that w RBs always cover r_min exactly or with slack; a zero
+    payload needs no RB even at zero rate. Scalars or arrays (broadcast).
     """
-    if ed.r_min == 0:
-        return 0
-    if per_rb <= 0:
-        raise UnreachableEdError(f"ED {ed.ed_id} unreachable: zero per-RB rate")
-    return int(np.ceil(ed.r_min / per_rb))
+    r_min, per_rb = np.broadcast_arrays(np.asarray(r_min, dtype=float),
+                                        np.asarray(per_rb, dtype=float))
+    if np.any(r_min < 0):
+        raise ValueError(f"r_min must be non-negative, got {r_min.min()}")
+    sending = r_min > 0
+    if np.any(sending & (per_rb <= 0)):
+        raise UnreachableEdError("ED unreachable: zero per-RB rate")
+    w = np.zeros(r_min.shape, dtype=np.int64)
+    w[sending] = np.ceil(r_min[sending] / per_rb[sending])
+    return w[()]
 
 
 def sample_gains(seed, num_eds: int) -> np.ndarray:

@@ -251,6 +251,10 @@ class DrParams:
     def __post_init__(self):
         if self.num_eds < 1:
             raise ValueError(f"num_eds must be at least 1, got {self.num_eds}")
+        if self.history_len < 1:
+            raise ValueError(f"history_len must be at least 1, got {self.history_len}")
+        if self.payload_bits < 0:
+            raise ValueError(f"payload_bits must be non-negative, got {self.payload_bits}")
 
     def resolved_pi_min(self) -> float:
         if self.pi_min is not None:
@@ -297,31 +301,19 @@ class DemandResponseWorkload(Workload):
         self.true_xi = self._draw_loads()
         self.known = {}
 
-    def marginal_utilities(self) -> List[Tuple[int, float]]:
-        gains = dr_marginal_utilities(self._instance({}), self.true_xi)
-        return list(enumerate(gains.tolist()))
+    def marginal_utilities(self) -> np.ndarray:
+        return dr_marginal_utilities(self._instance({}), self.true_xi)
 
     def expected_marginal_utilities(
         self, num_samples: int, rng: np.random.Generator
-    ) -> List[Tuple[int, float]]:
+    ) -> np.ndarray:
         """Mean delta over per-ED history draws, vectorized across samples."""
-        if len(self.history) == 0:
-            raise EmptyHistoryError(f"no empirical distribution: {type(self).__name__} history is empty")
         idx = rng.integers(0, len(self.history), size=(num_samples, self.num_eds))
         draws = np.take_along_axis(self.history, idx, axis=0)
         inst = self._instance({})
-        gains = np.mean(
+        return np.mean(
             [dr_marginal_utilities(inst, draws[s]) for s in range(num_samples)], axis=0
         )
-        return list(enumerate(gains.tolist()))
-
-    def sample_marginal(self, ed_id: int, rng: np.random.Generator) -> float:
-        if len(self.history) == 0:
-            raise EmptyHistoryError(f"no empirical distribution: {type(self).__name__} history is empty")
-        value = self.history[rng.integers(0, len(self.history)), ed_id]
-        values = self.xi_lo.copy()
-        values[ed_id] = value
-        return float(dr_marginal_utilities(self._instance({}), values)[ed_id])
 
     def ingest(self, selected: Iterable[int]) -> None:
         revealed = {j: float(self.true_xi[j]) for j in selected}
@@ -336,8 +328,8 @@ class DemandResponseWorkload(Workload):
         cost, _ = solve_dr(self._instance(self.known))
         return cost
 
-    def payload_bits(self, ed_id: int) -> float:
-        return self.params.payload_bits
+    def payload_bits(self) -> np.ndarray:
+        return np.full(self.num_eds, self.params.payload_bits)
 
     def joint_gain(self, subset: Sequence[int]) -> float:
         base_cost, _ = solve_dr(self._instance({}))
@@ -359,6 +351,8 @@ class RoutingParams:
     def __post_init__(self):
         if self.num_nodes < 2:
             raise ValueError(f"num_nodes must be at least 2, got {self.num_nodes}")
+        if self.payload_bits < 0:
+            raise ValueError(f"payload_bits must be non-negative, got {self.payload_bits}")
 
 
 class RoutingWorkload(Workload):
@@ -405,12 +399,12 @@ class RoutingWorkload(Workload):
         self.true_tau = self._rng.uniform(self._lo, self._hi)
         self.known = {}
 
-    def marginal_utilities(self) -> List[Tuple[int, float]]:
+    def marginal_utilities(self) -> np.ndarray:
         base, _ = solve_routing(self._instance({}))
-        out = []
+        out = np.zeros(self.num_eds)
         for ed_id, road in enumerate(self.road_list):
             revealed, _ = solve_routing(self._instance({road: float(self.true_tau[ed_id])}))
-            out.append((ed_id, max(base - revealed, 0.0)))
+            out[ed_id] = max(base - revealed, 0.0)
         return out
 
     def sample_marginal(self, ed_id: int, rng: np.random.Generator) -> float:
@@ -430,8 +424,8 @@ class RoutingWorkload(Workload):
         time, _ = solve_routing(self._instance(self.known))
         return time
 
-    def payload_bits(self, ed_id: int) -> float:
-        return self.params.payload_bits
+    def payload_bits(self) -> np.ndarray:
+        return np.full(self.num_eds, self.params.payload_bits)
 
     def joint_gain(self, subset: Sequence[int]) -> float:
         base, _ = solve_routing(self._instance({}))

@@ -242,6 +242,8 @@ class EdgeLearningParams:
     def __post_init__(self):
         if self.num_eds < 1:
             raise ValueError(f"num_eds must be at least 1, got {self.num_eds}")
+        if self.bits_per_sample < 0:
+            raise ValueError(f"bits_per_sample must be non-negative, got {self.bits_per_sample}")
 
 
 class EdgeLearningWorkload(Workload):
@@ -279,15 +281,13 @@ class EdgeLearningWorkload(Workload):
         start = self._offsets[ed_id]
         return self.shards[ed_id][start : start + self.params.batch_per_round]
 
-    def marginal_utilities(self) -> List[Tuple[int, float]]:
-        out = []
+    def marginal_utilities(self) -> np.ndarray:
+        out = np.zeros(self.num_eds)
         for ed_id in range(self.num_eds):
             idx = self._offered(ed_id)
-            if len(idx) == 0:
-                out.append((ed_id, 0.0))
-                continue
-            losses = per_sample_loss(self.model, self.X_train[idx], self.y_train[idx])
-            out.append((ed_id, float(losses.sum())))
+            if len(idx):
+                losses = per_sample_loss(self.model, self.X_train[idx], self.y_train[idx])
+                out[ed_id] = losses.sum()
         return out
 
     def ingest(self, selected: Iterable[int]) -> None:
@@ -315,8 +315,9 @@ class EdgeLearningWorkload(Workload):
     def test_accuracy(self) -> float:
         return float((self.model.predict(self.X_test) == self.y_test).mean())
 
-    def payload_bits(self, ed_id: int) -> float:
-        return len(self._offered(ed_id)) * self.params.bits_per_sample
+    def payload_bits(self) -> np.ndarray:
+        offered = [len(self._offered(ed_id)) for ed_id in range(self.num_eds)]
+        return np.array(offered, dtype=float) * self.params.bits_per_sample
 
     def throughput(self, selected: Iterable[int]) -> int:
         return int(sum(len(self._offered(ed_id)) for ed_id in selected))
@@ -349,6 +350,8 @@ class FederatedParams:
     def __post_init__(self):
         if self.num_eds < 1:
             raise ValueError(f"num_eds must be at least 1, got {self.num_eds}")
+        if self.bits_per_weight < 0:
+            raise ValueError(f"bits_per_weight must be non-negative, got {self.bits_per_weight}")
 
 
 class FederatedWorkload(Workload):
@@ -408,19 +411,14 @@ class FederatedWorkload(Workload):
             for shard in self.shards
         ]
 
-    def marginal_utilities(self) -> List[Tuple[int, float]]:
+    def marginal_utilities(self) -> np.ndarray:
         if self._round_grads is None:
             self.begin_round(0)
         total = self.counts.sum()
-        return [
-            (
-                j,
-                federated_marginal_utility(
-                    g, self.counts[j], total, self.params.lr, self.params.kappa
-                ),
-            )
+        return np.array([
+            federated_marginal_utility(g, self.counts[j], total, self.params.lr, self.params.kappa)
             for j, g in enumerate(self._round_grads)
-        ]
+        ])
 
     def ingest(self, selected: Iterable[int]) -> None:
         selected = sorted(selected)
@@ -438,5 +436,5 @@ class FederatedWorkload(Workload):
     def test_accuracy(self) -> float:
         return float((self.model.predict(self.X_test) == self.y_test).mean())
 
-    def payload_bits(self, ed_id: int) -> float:
-        return self.model.num_params * self.params.bits_per_weight
+    def payload_bits(self) -> np.ndarray:
+        return np.full(self.num_eds, self.model.num_params * self.params.bits_per_weight)

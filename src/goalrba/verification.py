@@ -19,10 +19,10 @@ from .admm import (
     run_round,
 )
 from .allocator import (
-    UtilityReport,
     allocation_value,
     exact_knapsack,
     greedy_allocate,
+    make_reports,
     suboptimality_ratio,
 )
 from .decision import DemandResponseWorkload, DrParams
@@ -33,14 +33,12 @@ from .workload import submodular_bound_check
 def random_knapsack_instance(rng, capacity: int, eta: float = 0.25):
     num_items = int(rng.integers(5, 26))
     max_w = max(int(eta * capacity), 1)
-    return [
-        UtilityReport(
-            ed_id=j,
-            delta=float(rng.uniform(0.1, 10.0)),
-            w=int(rng.integers(1, max_w + 1)),
-        )
-        for j in range(num_items)
+    items = [
+        (float(rng.uniform(0.1, 10.0)), int(rng.integers(1, max_w + 1)))
+        for _ in range(num_items)
     ]
+    delta, w = zip(*items)
+    return make_reports(range(num_items), delta, w)
 
 
 def verify_greedy_guarantee(

@@ -14,12 +14,12 @@ diminishing-returns bound on small subsets.
 from __future__ import annotations
 
 import abc
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .allocator import UtilityReport
-from .channel import EdRadio, RbParams, UnreachableEdError, rb_bits, rb_demand
+from .allocator import make_reports
+from .channel import RbParams, rb_bits, rb_demand
 
 MAX_ENUMERATION_EDS = 12
 
@@ -33,7 +33,12 @@ class EmptyHistoryError(ValueError):
 
 
 class Workload(abc.ABC):
-    """Pluggable CPS goal: produces per-ED gains, ingests data, reports C(z)."""
+    """Pluggable CPS goal: produces per-ED gains, ingests data, reports C(z).
+
+    Per-ED quantities (marginal_utilities, expected_marginal_utilities,
+    payload_bits) are float arrays of length num_eds indexed by ED id. Each
+    call returns a fresh array that the caller may keep and modify.
+    """
 
     num_eds: int
 
@@ -41,8 +46,8 @@ class Workload(abc.ABC):
         """Advance to a new scheduling round (draw fresh data if applicable)."""
 
     @abc.abstractmethod
-    def marginal_utilities(self) -> List[Tuple[int, float]]:
-        """Per-ED (ed_id, delta) against the current dataset. Side-effect free."""
+    def marginal_utilities(self) -> np.ndarray:
+        """Per-ED delta against the current dataset. Side-effect free."""
 
     @abc.abstractmethod
     def ingest(self, selected: Iterable[int]) -> None:
@@ -53,8 +58,8 @@ class Workload(abc.ABC):
         """Current goal function value; lower is better."""
 
     @abc.abstractmethod
-    def payload_bits(self, ed_id: int) -> float:
-        """Bits ED ed_id must deliver this round (its r_min contribution)."""
+    def payload_bits(self) -> np.ndarray:
+        """Bits each ED must deliver this round (its r_min contribution)."""
 
     def throughput(self, selected: Iterable[int]) -> int:
         """Transmitted units for the metrics row; default is ED count."""
@@ -66,6 +71,21 @@ class Workload(abc.ABC):
             f"{type(self).__name__} does not support sampled marginal utilities"
         )
 
+    def expected_marginal_utilities(
+        self, num_samples: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Per-ED Monte Carlo mean of delta over payload draws from history.
+
+        Draws num_samples sample_marginal values for ED 0, then ED 1, and so
+        on, all from rng.
+        """
+        if num_samples < 1:
+            raise ValueError(f"num_samples must be at least 1, got {num_samples}")
+        return np.array([
+            np.mean([self.sample_marginal(ed_id, rng) for _ in range(num_samples)])
+            for ed_id in range(self.num_eds)
+        ])
+
     def joint_gain(self, subset: Sequence[int]) -> float:
         """C(z_old) - C(z_old with the subset's data added), without ingesting."""
         raise NotImplementedError(
@@ -73,59 +93,37 @@ class Workload(abc.ABC):
         )
 
 
-def expected_marginal_utility(
-    workload: Workload,
-    ed_id: int,
-    num_samples: int,
-    seed,
-) -> float:
-    """Monte Carlo mean of delta over payload draws from the workload history."""
-    if num_samples < 1:
-        raise ValueError(f"num_samples must be at least 1, got {num_samples}")
-    rng = np.random.default_rng(seed)
-    draws = [workload.sample_marginal(ed_id, rng) for _ in range(num_samples)]
-    return float(np.mean(draws))
-
-
 def collect_reports(
     workload: Workload,
-    gains: Sequence[float],
+    gains,
     rb: RbParams,
     *,
     tx_power: float = 1.0,
     mode: str = "exact",
     num_samples: int = 256,
     seed=None,
-) -> List[UtilityReport]:
+) -> np.recarray:
     """Pair each ED's delta with its RB demand; unreachable EDs are excluded.
 
     mode "exact" queries the workload directly; "expected" averages
-    num_samples history draws per ED (deterministic given seed).
+    num_samples history draws per ED (deterministic given seed). Returns
+    the reports of make_reports in ascending ed_id order, negative deltas
+    clamped to zero.
     """
     if mode not in ("exact", "expected"):
         raise ValueError(f"unknown utility mode {mode!r}")
     if mode == "exact":
-        deltas = dict(workload.marginal_utilities())
+        deltas = workload.marginal_utilities()
     else:
-        rng = np.random.default_rng(seed)
-        expected = getattr(workload, "expected_marginal_utilities", None)
-        if expected is not None:
-            deltas = dict(expected(num_samples, rng))
-        else:
-            deltas = {
-                ed_id: expected_marginal_utility(workload, ed_id, num_samples, rng)
-                for ed_id in range(workload.num_eds)
-            }
-    reports = []
-    for ed_id, delta in sorted(deltas.items()):
-        ed = EdRadio(ed_id=ed_id, p=tx_power, r_min=workload.payload_bits(ed_id))
-        per_rb = rb_bits(gains[ed_id], ed, rb)
-        try:
-            w = rb_demand(ed, per_rb)
-        except UnreachableEdError:
-            continue
-        reports.append(UtilityReport(ed_id=ed_id, delta=max(delta, 0.0), w=w))
-    return reports
+        deltas = workload.expected_marginal_utilities(num_samples, np.random.default_rng(seed))
+    r_min = workload.payload_bits()
+    per_rb = rb_bits(gains, tx_power, rb)
+    reachable = (r_min == 0) | (per_rb > 0)
+    return make_reports(
+        np.flatnonzero(reachable),
+        np.maximum(deltas[reachable], 0.0),
+        rb_demand(r_min[reachable], per_rb[reachable]),
+    )
 
 
 def submodular_bound_check(
@@ -147,6 +145,6 @@ def submodular_bound_check(
     if not subset:
         return 0.0, 0.0, True
     lhs = workload.joint_gain(subset)
-    deltas = dict(workload.marginal_utilities())
+    deltas = workload.marginal_utilities()
     rhs = float(sum(deltas[j] for j in subset))
     return lhs, rhs, lhs <= rhs + tolerance

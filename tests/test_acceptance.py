@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linprog
 
-from goalrba.allocator import UtilityReport, greedy_allocate
-from goalrba.channel import EdRadio, RbParams, rb_bits
+from goalrba.channel import RbParams, rb_bits
 from goalrba.decision import DrInstance
 from goalrba.harness import (
     ChannelConfig,
@@ -64,8 +63,8 @@ def test_acceptance_1_greedy_guarantee():
 
 def test_acceptance_2_rate_model():
     rb = RbParams()
-    ninety = rb_bits(1.0, EdRadio(ed_id=0), rb)
-    one_eighty = rb_bits(3.0, EdRadio(ed_id=0), rb)
+    ninety = rb_bits(1.0, 1.0, rb)
+    one_eighty = rb_bits(3.0, 1.0, rb)
     err = max(abs(ninety - 90.0) / 90.0, abs(one_eighty - 180.0) / 180.0)
     report(
         "acceptance-2 rate model",

@@ -190,10 +190,10 @@ def test_relative_gap_definition():
 
 def test_workload_retains_deltas_for_frozen_eds():
     wl = AdmmWorkload(AdmmParams(num_eds=4, dim=6, samples_per_ed=8), seed=0)
-    first = dict(wl.marginal_utilities())
-    assert all(v == 1.0 for v in first.values())  # uniform bootstrap
+    first = wl.marginal_utilities()
+    assert all(v == 1.0 for v in first)  # uniform bootstrap
     wl.ingest([0, 2])
-    second = dict(wl.marginal_utilities())
+    second = wl.marginal_utilities()
     assert second[1] == 1.0 and second[3] == 1.0
     assert second[0] != 1.0 and second[2] != 1.0
     # below the certificate regime descent is not guaranteed; the goal just

@@ -7,39 +7,38 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goalrba.allocator import (
-    Allocation,
     OracleScaleError,
     OracleViolationError,
-    UtilityReport,
     allocation_value,
     channel_policy,
     exact_knapsack,
     greedy_allocate,
+    make_reports,
     suboptimality_ratio,
     utility_policy,
 )
 
+
+def reports_of(items):
+    """Reports for (delta, w) pairs, ED ids 0, 1, ... in order."""
+    return make_reports(range(len(items)), [d for d, _ in items], [w for _, w in items])
+
+
 # Fixed instance with a hand-checked brute-force optimum. Ratios are
 # 2.33, 2.25, 1.25, 1.0, 1.2, 1.25; the 2-vs-5 tie breaks toward the lower
 # id, so halting greedy stops at item 2 (w=4 exceeds the 3 RBs left).
-FIXED = [
-    UtilityReport(0, delta=7.0, w=3),
-    UtilityReport(1, delta=4.5, w=2),
-    UtilityReport(2, delta=5.0, w=4),
-    UtilityReport(3, delta=1.0, w=1),
-    UtilityReport(4, delta=6.0, w=5),
-    UtilityReport(5, delta=2.5, w=2),
-]
+FIXED = reports_of([(7.0, 3), (4.5, 2), (5.0, 4), (1.0, 1), (6.0, 5), (2.5, 2)])
 FIXED_CAP = 8
 FIXED_OPT = 15.0  # brute force over all 64 subsets
 
 
 def brute_force(reports, capacity):
+    items = list(zip(reports.delta.tolist(), reports.w.tolist()))
     best = 0.0
-    for r in range(len(reports) + 1):
-        for comb in combinations(reports, r):
-            if sum(x.w for x in comb) <= capacity:
-                best = max(best, sum(x.delta for x in comb))
+    for r in range(len(items) + 1):
+        for comb in combinations(items, r):
+            if sum(w for _, w in comb) <= capacity:
+                best = max(best, sum(d for d, _ in comb))
     return best
 
 
@@ -74,7 +73,7 @@ report_lists = st.lists(
 @given(items=report_lists, capacity=st.integers(min_value=0, max_value=30))
 @settings(max_examples=200, deadline=None)
 def test_dp_matches_brute_force(items, capacity):
-    reports = [UtilityReport(i, delta=d, w=w) for i, (d, w) in enumerate(items)]
+    reports = reports_of(items)
     alloc = exact_knapsack(reports, capacity)
     assert allocation_value(alloc, reports) == pytest.approx(
         brute_force(reports, capacity), abs=1e-9
@@ -85,7 +84,7 @@ def test_dp_matches_brute_force(items, capacity):
 @given(items=report_lists, capacity=st.integers(min_value=0, max_value=30))
 @settings(max_examples=200, deadline=None)
 def test_greedy_never_beats_or_overruns_the_oracle(items, capacity):
-    reports = [UtilityReport(i, delta=d, w=w) for i, (d, w) in enumerate(items)]
+    reports = reports_of(items)
     opt = brute_force(reports, capacity)
     for skip in (False, True):
         alloc = greedy_allocate(reports, capacity, skip_mode=skip)
@@ -102,10 +101,9 @@ def test_small_weight_regime_guarantee(seed, n):
     # every w_j <= eta * capacity with eta = 1/4 gives greedy >= 3/4 of OPT
     rng = np.random.default_rng(seed)
     capacity = 40
-    reports = [
-        UtilityReport(i, delta=float(rng.uniform(0, 10)), w=int(rng.integers(1, 11)))
-        for i in range(n)
-    ]
+    reports = reports_of(
+        [(float(rng.uniform(0, 10)), int(rng.integers(1, 11))) for _ in range(n)]
+    )
     greedy_val = allocation_value(greedy_allocate(reports, capacity), reports)
     opt = brute_force(reports, capacity)
     assert suboptimality_ratio(greedy_val, opt) >= 0.75 - 1e-12
@@ -113,25 +111,24 @@ def test_small_weight_regime_guarantee(seed, n):
 
 def test_greedy_is_input_order_invariant():
     rng = np.random.default_rng(5)
-    reports = [
-        UtilityReport(i, delta=float(rng.uniform(0, 5)), w=int(rng.integers(1, 6)))
-        for i in range(9)
-    ]
+    reports = reports_of(
+        [(float(rng.uniform(0, 5)), int(rng.integers(1, 6))) for _ in range(9)]
+    )
     base = greedy_allocate(reports, 10)
     for _ in range(10):
-        shuffled = list(reports)
+        shuffled = reports.copy()
         rng.shuffle(shuffled)
         assert greedy_allocate(shuffled, 10).selected == base.selected
 
 
 def test_zero_delta_items_are_dropped():
-    reports = [UtilityReport(0, delta=0.0, w=1), UtilityReport(1, delta=1.0, w=1)]
+    reports = reports_of([(0.0, 1), (1.0, 1)])
     assert greedy_allocate(reports, 10).selected == frozenset({1})
     assert exact_knapsack(reports, 10).selected == frozenset({1})
 
 
 def test_zero_weight_items_ride_free():
-    reports = [UtilityReport(0, delta=2.0, w=0), UtilityReport(1, delta=1.0, w=5)]
+    reports = reports_of([(2.0, 0), (1.0, 5)])
     alloc = greedy_allocate(reports, 0)
     assert alloc.selected == frozenset({0})
     assert alloc.capacity_used == 0
@@ -139,29 +136,21 @@ def test_zero_weight_items_ride_free():
 
 def test_channel_policy_orders_by_gain():
     gains = np.array([0.1, 5.0, 2.0, 9.0])
-    reports = [UtilityReport(i, delta=1.0, w=2) for i in range(4)]
+    reports = reports_of([(1.0, 2)] * 4)
     alloc = channel_policy(gains, reports, capacity=4)
     assert alloc.selected == frozenset({3, 1})
 
 
 def test_channel_policy_skips_non_fitting():
     gains = np.array([9.0, 5.0, 2.0])
-    reports = [
-        UtilityReport(0, delta=1.0, w=6),
-        UtilityReport(1, delta=1.0, w=3),
-        UtilityReport(2, delta=1.0, w=2),
-    ]
+    reports = reports_of([(1.0, 6), (1.0, 3), (1.0, 2)])
     # best-gain ED does not fit; the benchmark keeps going
     alloc = channel_policy(gains, reports, capacity=5)
     assert alloc.selected == frozenset({1, 2})
 
 
 def test_utility_policy_orders_by_delta():
-    reports = [
-        UtilityReport(0, delta=1.0, w=1),
-        UtilityReport(1, delta=9.0, w=4),
-        UtilityReport(2, delta=5.0, w=1),
-    ]
+    reports = reports_of([(1.0, 1), (9.0, 4), (5.0, 1)])
     alloc = utility_policy(reports, capacity=5)
     assert alloc.selected == frozenset({1, 2})
 
@@ -174,25 +163,68 @@ def test_suboptimality_ratio_edges():
 
 
 def test_dp_scale_guard():
-    reports = [UtilityReport(i, delta=1.0, w=1) for i in range(200)]
+    reports = reports_of([(1.0, 1)] * 200)
     with pytest.raises(OracleScaleError):
         exact_knapsack(reports, capacity=10_000)
 
 
 def test_negative_capacity_rejected():
     with pytest.raises(ValueError):
-        greedy_allocate([], -1)
+        greedy_allocate(reports_of([]), -1)
     with pytest.raises(ValueError):
-        exact_knapsack([], -1)
+        exact_knapsack(reports_of([]), -1)
 
 
 def test_report_validation():
     with pytest.raises(ValueError):
-        UtilityReport(0, delta=-1.0, w=1)
+        make_reports([0], [-1.0], [1])
     with pytest.raises(ValueError):
-        UtilityReport(0, delta=1.0, w=-1)
+        make_reports([0], [1.0], [-1])
 
 
-def test_allocation_membership():
-    alloc = Allocation(selected=frozenset({1, 2}), rb_counts={1: 3, 2: 1}, capacity_used=4)
-    assert 1 in alloc and 0 not in alloc
+def reference_fill(items, capacity, key, halt_on_overflow):
+    """List-based sort-and-fill over (ed_id, delta, w) tuples: the oracle for
+    the array policies. Returns (selected, capacity_used)."""
+    ordered = sorted((r for r in items if r[1] > 0), key=key)
+    picked = [r for r in ordered if r[2] == 0]
+    remaining = capacity
+    for r in (r for r in ordered if r[2] > 0):
+        if r[2] > remaining:
+            if halt_on_overflow:
+                break
+            continue
+        picked.append(r)
+        remaining -= r[2]
+    return frozenset(r[0] for r in picked), sum(r[2] for r in picked)
+
+
+# Small integer deltas, demands and gains make ratio, delta and gain ties
+# common; zero deltas and zero demands are drawn too.
+policy_instances = st.integers(min_value=0, max_value=12).flatmap(
+    lambda n: st.tuples(
+        st.permutations(range(n)),
+        st.lists(st.integers(0, 6).map(float), min_size=n, max_size=n),
+        st.lists(st.integers(0, 4), min_size=n, max_size=n),
+        st.lists(st.integers(0, 3).map(float), min_size=n, max_size=n),
+    )
+)
+
+
+@given(instance=policy_instances, capacity=st.integers(min_value=0, max_value=15))
+@settings(max_examples=300, deadline=None)
+def test_array_policies_match_the_list_reference(instance, capacity):
+    ids, deltas, ws, gains = instance
+    reports = make_reports(ids, deltas, ws)
+    items = list(zip(ids, deltas, ws))
+
+    def ratio_key(r):
+        return (-(r[1] / r[2]) if r[2] > 0 else -np.inf, r[0])
+
+    cases = [
+        (greedy_allocate(reports, capacity), ratio_key, True),
+        (greedy_allocate(reports, capacity, skip_mode=True), ratio_key, False),
+        (channel_policy(gains, reports, capacity), lambda r: (-gains[r[0]], r[0]), False),
+        (utility_policy(reports, capacity), lambda r: (-r[1], r[0]), False),
+    ]
+    for alloc, key, halt in cases:
+        assert (alloc.selected, alloc.capacity_used) == reference_fill(items, capacity, key, halt)

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from goalrba.channel import (
     DEFAULT_INTERVAL_RB_CAPACITY,
-    EdRadio,
     RbParams,
     UnreachableEdError,
     rb_bits,
@@ -21,43 +20,49 @@ def test_interval_capacity_is_15_rbs_times_2000_slots():
 
 def test_rb_bits_hand_values():
     # 0.5 ms * 180 kHz * log2(1 + snr): 90 bits at snr 1, 180 at snr 3.
-    ed = EdRadio(ed_id=0, p=1.0)
     rb = RbParams()
-    assert rb_bits(1.0, ed, rb) == pytest.approx(90.0, rel=1e-12)
-    assert rb_bits(3.0, ed, rb) == pytest.approx(180.0, rel=1e-12)
+    assert rb_bits(1.0, 1.0, rb) == pytest.approx(90.0, rel=1e-12)
+    assert rb_bits(3.0, 1.0, rb) == pytest.approx(180.0, rel=1e-12)
+    # the array form gives the scalar values elementwise
+    np.testing.assert_allclose(rb_bits([1.0, 3.0], 1.0, rb), [90.0, 180.0], rtol=1e-12)
 
 
 def test_rb_bits_zero_gain_and_negative_gain():
-    ed = EdRadio(ed_id=0)
     rb = RbParams()
-    assert rb_bits(0.0, ed, rb) == 0.0
+    assert rb_bits(0.0, 1.0, rb) == 0.0
     with pytest.raises(ValueError):
-        rb_bits(-0.1, ed, rb)
+        rb_bits(-0.1, 1.0, rb)
+    with pytest.raises(ValueError):
+        rb_bits([1.0, -0.1], 1.0, rb)
 
 
 def test_rb_bits_scales_with_power():
     # doubling tx power at fixed gain raises the log argument, not linearly
     rb = RbParams()
-    low = rb_bits(1.0, EdRadio(ed_id=0, p=1.0), rb)
-    high = rb_bits(1.0, EdRadio(ed_id=0, p=3.0), rb)
+    low = rb_bits(1.0, 1.0, rb)
+    high = rb_bits(1.0, 3.0, rb)
     assert high == pytest.approx(2 * low, rel=1e-12)
 
 
 def test_rb_demand_hand_value():
     # 512 bits at 90 bits per RB: ceil(5.688) = 6
-    ed = EdRadio(ed_id=0, r_min=512.0)
-    assert rb_demand(ed, 90.0) == 6
+    assert rb_demand(512.0, 90.0) == 6
+    # the array form gives the scalar values elementwise
+    np.testing.assert_array_equal(rb_demand(512.0, [90.0, 180.0, 512.0]), [6, 3, 1])
 
 
 def test_rb_demand_zero_payload_needs_nothing():
-    assert rb_demand(EdRadio(ed_id=0, r_min=0.0), 90.0) == 0
+    assert rb_demand(0.0, 90.0) == 0
     # even an unreachable ED with nothing to send costs nothing
-    assert rb_demand(EdRadio(ed_id=0, r_min=0.0), 0.0) == 0
+    assert rb_demand(0.0, 0.0) == 0
+    np.testing.assert_array_equal(rb_demand([0.0, 512.0], [0.0, 90.0]), [0, 6])
 
 
 def test_rb_demand_unreachable():
     with pytest.raises(UnreachableEdError):
-        rb_demand(EdRadio(ed_id=3, r_min=512.0), 0.0)
+        rb_demand(512.0, 0.0)
+    with pytest.raises(UnreachableEdError):
+        rb_demand([0.0, 512.0], [90.0, 0.0])
 
 
 @given(
@@ -65,7 +70,7 @@ def test_rb_demand_unreachable():
     per_rb=st.floats(min_value=1e-3, max_value=1e5),
 )
 def test_rb_demand_is_the_minimal_sufficient_count(r_min, per_rb):
-    w = rb_demand(EdRadio(ed_id=0, r_min=r_min), per_rb)
+    w = rb_demand(r_min, per_rb)
     assert w * per_rb >= r_min * (1 - 1e-12)
     if w > 0:
         assert (w - 1) * per_rb < r_min
@@ -101,6 +106,6 @@ def test_param_validation():
     with pytest.raises(ValueError):
         RbParams(noise_power=0.0)
     with pytest.raises(ValueError):
-        EdRadio(ed_id=0, p=0.0)
+        rb_bits(1.0, 0.0, RbParams())
     with pytest.raises(ValueError):
-        EdRadio(ed_id=0, r_min=-1.0)
+        rb_demand(-1.0, 90.0)

@@ -11,6 +11,8 @@ import yaml
 
 from goalrba.harness import (
     CSV_HEADER,
+    POLICIES,
+    WORKLOADS,
     ChannelConfig,
     ConfigError,
     RoundMetrics,
@@ -146,16 +148,22 @@ def test_channel_policy_maximizes_throughput_at_uniform_payload():
 
 
 def test_realized_gain_is_bounded_by_summed_marginals():
-    cfg = small_config(rounds=6)
-    wl = build_workload(cfg, seed=np.random.SeedSequence(cfg.seed))
-    caps = []
+    for policy in POLICIES:
+        cfg = small_config(rounds=6, policy=policy)
+        wl = build_workload(cfg, seed=np.random.SeedSequence(cfg.seed))
+        caps = []
 
-    def hook(k, workload):
-        caps.append(sum(v for _, v in workload.marginal_utilities()))
+        def hook(k, workload):
+            # The deltas are against the round's unrevealed base instance,
+            # so reading them after the ingest gives the round's values.
+            deltas = workload.marginal_utilities()
+            caps.append(sum(deltas[j] for j in workload.known))
 
-    rows = run_scenario(cfg, workload=wl, round_hook=hook)
-    for m in rows:
-        assert m.utility_gain >= -1e-12
+        rows = run_scenario(cfg, workload=wl, round_hook=hook)
+        assert len(caps) == len(rows) == 6
+        for m, cap in zip(rows, caps):
+            assert m.utility_gain >= -1e-12
+            assert m.utility_gain <= cap + 1e-9
 
 
 def test_truthy_round_hook_ends_the_run():
@@ -311,9 +319,18 @@ def test_cli_exit_code_1_on_config_error(tmp_path):
     ("rb_time_s", 0.0, "channel"),
     ("num_eds", -3, "params"),
     ("num_eds", True, "params"),
+    ("payload_bits", -1.0, "params"),
+    ("history_len", 0, "params"),
+    # A workload name as the block: the key goes in that workload's params.
+    ("payload_bits", -1.0, "routing"),
+    ("bits_per_sample", -1.0, "edge_learning"),
+    ("bits_per_weight", -1.0, "federated"),
+    ("bits_per_entry", -1.0, "admm"),
 ])
 def test_cli_exit_code_1_names_the_bad_key(tmp_path, key, value, block):
     raw = config_to_dict(small_config())
+    if block in WORKLOADS:
+        raw["workload"], raw["params"], block = block, {}, "params"
     (raw[block] if block else raw)[key] = value
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(raw))

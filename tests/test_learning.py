@@ -181,10 +181,10 @@ def small_edge_params(**overrides):
 
 def test_edge_workload_round_flow():
     wl = EdgeLearningWorkload(small_edge_params(), seed=0)
-    deltas = dict(wl.marginal_utilities())
-    assert set(deltas) == {0, 1, 2, 3}
-    assert all(d >= 0 for d in deltas.values())
-    assert wl.payload_bits(0) == wl.params.batch_per_round * wl.params.bits_per_sample
+    deltas = wl.marginal_utilities()
+    assert len(deltas) == 4
+    assert all(d >= 0 for d in deltas)
+    assert wl.payload_bits()[0] == wl.params.batch_per_round * wl.params.bits_per_sample
     assert wl.throughput([0, 2]) == 2 * wl.params.batch_per_round
     before = wl.goal_value()
     wl.ingest([0, 2])
@@ -193,15 +193,15 @@ def test_edge_workload_round_flow():
 
 def test_edge_workload_offers_advance_only_for_selected():
     wl = EdgeLearningWorkload(small_edge_params(), seed=0)
-    first = dict(wl.marginal_utilities())
+    first = wl.marginal_utilities()
     wl.ingest([0])
-    second = dict(wl.marginal_utilities())
+    second = wl.marginal_utilities()
     # ED 0 moved to a new batch and the model changed, so its delta moves;
     # unselected EDs keep the same offered batch (delta still changes with
     # the model, so compare offer indices instead)
     assert wl._offsets[0] == wl.params.batch_per_round
     assert all(wl._offsets[j] == 0 for j in (1, 2, 3))
-    assert set(second) == set(first)
+    assert len(second) == len(first)
 
 
 def test_federated_workload_descent_logging():

@@ -9,7 +9,6 @@ from goalrba.workload import (
     EnumerationScaleError,
     Workload,
     collect_reports,
-    expected_marginal_utility,
     submodular_bound_check,
 )
 
@@ -19,12 +18,12 @@ class StubWorkload(Workload):
 
     def __init__(self, deltas, payloads):
         self.num_eds = len(deltas)
-        self.deltas = list(deltas)
-        self.payloads = list(payloads)
+        self.deltas = np.array(deltas, dtype=float)
+        self.payloads = np.array(payloads, dtype=float)
         self.ingested = []
 
     def marginal_utilities(self):
-        return list(enumerate(self.deltas))
+        return self.deltas.copy()
 
     def ingest(self, selected):
         self.ingested.append(sorted(selected))
@@ -32,8 +31,8 @@ class StubWorkload(Workload):
     def goal_value(self):
         return 0.0
 
-    def payload_bits(self, ed_id):
-        return self.payloads[ed_id]
+    def payload_bits(self):
+        return self.payloads.copy()
 
     def sample_marginal(self, ed_id, rng):
         return self.deltas[ed_id] + rng.normal(scale=0.1)
@@ -75,10 +74,10 @@ def test_expected_mode_is_deterministic_given_seed():
 
 def test_expected_marginal_utility_converges_to_the_mean():
     wl = StubWorkload(deltas=[5.0], payloads=[512.0])
-    est = expected_marginal_utility(wl, 0, num_samples=4000, seed=3)
+    est = wl.expected_marginal_utilities(4000, np.random.default_rng(3))[0]
     assert est == pytest.approx(5.0, abs=0.02)
     with pytest.raises(ValueError):
-        expected_marginal_utility(wl, 0, num_samples=0, seed=3)
+        wl.expected_marginal_utilities(0, np.random.default_rng(3))
 
 
 def test_throughput_default_counts_selected():
@@ -92,7 +91,7 @@ def test_sample_marginal_unimplemented_by_default():
         num_eds = 1
 
         def marginal_utilities(self):
-            return [(0, 1.0)]
+            return np.ones(1)
 
         def ingest(self, selected):
             pass
@@ -100,8 +99,8 @@ def test_sample_marginal_unimplemented_by_default():
         def goal_value(self):
             return 0.0
 
-        def payload_bits(self, ed_id):
-            return 1.0
+        def payload_bits(self):
+            return np.ones(1)
 
     with pytest.raises(NotImplementedError):
         Bare().sample_marginal(0, np.random.default_rng(0))
