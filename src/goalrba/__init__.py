@@ -17,6 +17,7 @@ from .allocator import (
 )
 from .channel import RbParams, rb_bits, rb_demand, sample_gains
 from .harness import (
+    RoundError,
     RoundMetrics,
     ScenarioConfig,
     emit_metrics,

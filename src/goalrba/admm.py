@@ -4,6 +4,10 @@ Each ED holds observations Y_j = theta X_j + noise and a local lasso-style
 objective; the server keeps the consensus copy. Rounds run the three-step
 update with partial participation, and a descent certificate with explicit
 constants is available in the smooth (no-l1) regime.
+
+The selected EDs' local ISTA solves run batched on stacked (K, d, d) arrays
+with one gradient per iteration. Each ED stops at its own iteration, and its
+iterates are the same floats as those of a solve on its own.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ class PenaltyRegimeError(ValueError):
     """Penalty below certificate regime: rho/2 - kappa_j/rho not positive."""
 
 
-def soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
-    """Elementwise sign(v) * max(|v| - tau, 0)."""
-    if tau < 0:
+def soft_threshold(v: np.ndarray, tau) -> np.ndarray:
+    """Elementwise sign(v) * max(|v| - tau, 0); tau broadcasts against v."""
+    if np.any(tau < 0):
         raise ValueError(f"threshold must be non-negative, got {tau}")
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
@@ -138,50 +142,77 @@ def update_consensus(state: AdmmState) -> np.ndarray:
     return stacked.mean(axis=0)
 
 
+def _local_grad(theta, X, Y, lam, rho, theta0):
+    """Gradient of the smooth subproblem part on (K, d, d) stacks.
+
+    Row by row this is EdLocalProblem.smooth_grad + lam + rho*(theta - theta0)
+    with the same operations in the same order, so the same floats.
+    """
+    return (theta @ X - Y) @ X.transpose(0, 2, 1) + lam + rho * (theta - theta0)
+
+
 def update_local(
     state: AdmmState,
-    ed_id: int,
+    ed_ids: Sequence[int],
     theta0: Optional[np.ndarray] = None,
     tol: float = 1e-8,
     max_iter: int = 500,
 ) -> np.ndarray:
-    """Proximal-gradient (ISTA) solve of the ED subproblem, warm-started.
+    """Proximal-gradient (ISTA) solves of the given EDs' subproblems, batched.
 
-    Minimizes smooth_loss + varrho*||.||_1 + <lambda, theta - theta0>
-    + (rho/2)*||theta - theta0||^2 with step 1/(kappa_j + rho). Stops at the
-    minimum-norm subgradient residual tol or the iteration cap; hitting the
-    cap is logged, not fatal.
+    ED j minimizes smooth_loss_j + varrho*||.||_1 + <lambda_j, theta - theta0>
+    + (rho/2)*||theta - theta0||^2 with step 1/(kappa_j + rho), warm-started
+    at theta_j. All EDs iterate together on stacked (K, d, d) arrays, with
+    one gradient per iteration; each ED stops at its own iteration, when its
+    minimum-norm subgradient residual reaches tol, and then leaves the stack.
+    An ED that reaches the iteration cap instead is logged, not fatal. Each
+    ED's iterates are those of a solve on its own. ed_ids must not be empty;
+    the K solutions come back stacked in its order. All EDs must share one
+    sample count.
     """
-    problem = state.problems[ed_id]
+    ids = list(ed_ids)
     theta0 = state.theta0 if theta0 is None else theta0
-    lam = state.lambdas[ed_id]
     rho, varrho = state.rho, state.varrho
-    step = 1.0 / (problem.kappa + rho)
-    theta = state.thetas[ed_id].copy()
-    residual = np.inf
+    problems = [state.problems[j] for j in ids]
+    X = np.stack([p.X for p in problems])
+    Y = np.stack([p.Y for p in problems])
+    lam = np.stack([state.lambdas[j] for j in ids])
+    theta = np.stack([state.thetas[j] for j in ids])
+    step = 1.0 / (np.array([p.kappa for p in problems]) + rho)[:, None, None]
+    out = np.empty_like(theta)
+    active = np.arange(len(ids))
+    residual = np.full(len(ids), np.inf)
+    grad = _local_grad(theta, X, Y, lam, rho, theta0)
     for _ in range(max_iter):
-        grad = problem.smooth_grad(theta) + lam + rho * (theta - theta0)
         theta = soft_threshold(theta - step * grad, step * varrho)
-        grad = problem.smooth_grad(theta) + lam + rho * (theta - theta0)
+        grad = _local_grad(theta, X, Y, lam, rho, theta0)
         if varrho > 0:
+            # minimum-norm subgradient of the l1 term
             sub = np.where(
                 theta != 0,
                 grad + varrho * np.sign(theta),
-                np.sign(grad) * np.maximum(np.abs(grad) - varrho, 0.0),
+                soft_threshold(grad, varrho),
             )
         else:
             sub = grad
-        residual = float(np.linalg.norm(sub, "fro"))
-        if residual <= tol:
-            break
-    else:
+        # np.linalg.norm(row, "fro") per row, in its summation order; a norm
+        # over axes (1, 2) sums in another order and can flip a stop.
+        residual = np.sqrt([r.dot(r) for r in sub.reshape(len(active), -1)])
+        done = residual <= tol
+        if done.any():
+            out[active[done]] = theta[done]
+            keep = ~done
+            active, residual, theta, grad, X, Y, lam, step = (
+                a[keep] for a in (active, residual, theta, grad, X, Y, lam, step)
+            )
+            if not active.size:
+                break
+    out[active] = theta
+    for ed_id, res in sorted(zip((ids[i] for i in active), residual)):
         logger.warning(
-            "ED %d local solve hit the %d-iteration cap (residual %.3e)",
-            ed_id,
-            max_iter,
-            residual,
+            "ED %d local solve hit the %d-iteration cap (residual %.3e)", ed_id, max_iter, res
         )
-    return theta
+    return out
 
 
 def update_dual(
@@ -222,14 +253,15 @@ def run_round(
 
     Unselected EDs keep their primal and dual variables unchanged.
     """
-    selected = set(selected)
+    selected = sorted(set(selected))
     out = state.clone()
     theta0_new = update_consensus(state)
     out.theta0 = theta0_new
-    for j in selected:
-        theta_new = update_local(state, j, theta0=theta0_new, tol=tol, max_iter=max_iter)
-        out.thetas[j] = theta_new
-        out.lambdas[j] = update_dual(state, j, theta_new, theta0_new)
+    if selected:
+        thetas_new = update_local(state, selected, theta0=theta0_new, tol=tol, max_iter=max_iter)
+        for j, theta_new in zip(selected, thetas_new):
+            out.thetas[j] = theta_new
+            out.lambdas[j] = update_dual(state, j, theta_new, theta0_new)
     out.round_idx = state.round_idx + 1
     return out
 

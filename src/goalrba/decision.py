@@ -316,6 +316,14 @@ class DemandResponseWorkload(Workload):
         )
 
     def ingest(self, selected: Iterable[int]) -> None:
+        """Reveal the selected EDs' loads and append one history row.
+
+        The new row holds each revealed ED's true load of this round; every
+        unrevealed ED carries its value from the previous row forward. The
+        empirical distribution that utility_mode: expected samples therefore
+        repeats an ED's last value once per round it sits out. No row is
+        appended when nothing is revealed.
+        """
         revealed = {j: float(self.true_xi[j]) for j in selected}
         self.known.update(revealed)
         if revealed:

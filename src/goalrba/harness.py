@@ -51,6 +51,15 @@ class ConfigError(ValueError):
     """Malformed scenario configuration."""
 
 
+class RoundError(RuntimeError):
+    """A round of a scenario failed; the original exception is its cause."""
+
+    def __init__(self, round_idx: int, workload: str, cause: BaseException):
+        super().__init__(f"round {round_idx} of {workload} failed: {cause}")
+        self.round_idx = round_idx
+        self.workload = workload
+
+
 @dataclass
 class ChannelConfig:
     """RB grid and budget for the scheduling interval."""
@@ -256,7 +265,7 @@ def run_scenario(
             workload.ingest(selected)
             goal_after = workload.goal_value()
         except Exception as exc:
-            raise RuntimeError(f"round {k} of {config.workload} failed: {exc}") from exc
+            raise RoundError(k, config.workload, exc) from exc
         wall_ms = (
             int(round((time.perf_counter() - started) * 1000))
             if config.measure_wall_time

@@ -1,5 +1,8 @@
 """Consensus updates for distributed sparse identification."""
 
+import logging
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,9 @@ from goalrba.admm import (
     update_dual,
     update_local,
 )
+from goalrba.harness import build_workload, load_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_soft_threshold_cases():
@@ -28,6 +34,15 @@ def test_soft_threshold_cases():
     np.testing.assert_allclose(soft_threshold(v, 0.0), v)
     with pytest.raises(ValueError):
         soft_threshold(v, -0.1)
+
+
+def test_soft_threshold_takes_a_threshold_per_row():
+    v = np.array([[-3.0, 0.5], [3.0, -0.5]])
+    np.testing.assert_allclose(
+        soft_threshold(v, np.array([[1.0], [0.0]])), [[-2.0, 0.0], [3.0, -0.5]]
+    )
+    with pytest.raises(ValueError):
+        soft_threshold(v, np.array([[1.0], [-0.1]]))
 
 
 def test_kappa_is_the_gram_spectral_norm():
@@ -85,7 +100,7 @@ def test_local_update_matches_the_ridge_solution_in_smooth_mode():
         A = p.X @ p.X.T + state.rho * np.eye(6)
         rhs = p.Y @ p.X.T - state.lambdas[j] + state.rho * state.theta0
         closed_form = np.linalg.solve(A.T, rhs.T).T
-        ista = update_local(state, j, tol=1e-12, max_iter=200_000)
+        ista = update_local(state, [j], tol=1e-12, max_iter=200_000)[0]
         np.testing.assert_allclose(ista, closed_form, atol=1e-8)
 
 
@@ -93,8 +108,149 @@ def test_local_update_produces_sparse_copies_under_l1():
     state, _ = make_admm_state(
         num_eds=2, dim=8, samples_per_ed=10, varrho=5.0, rho=0.5, seed=2
     )
-    theta = update_local(state, 0, tol=1e-10, max_iter=50_000)
+    theta = update_local(state, [0], tol=1e-10, max_iter=50_000)[0]
     assert np.mean(theta == 0.0) > 0.2
+
+
+# --- batched local solves against the per-ED reference ---------------------
+
+
+def reference_update_local(state, ed_id, theta0=None, tol=1e-8, max_iter=500):
+    """The per-ED ISTA loop the batched kernel replaced, two gradients per step.
+
+    Returns (theta, the residual of each iteration run, whether the cap was hit).
+    """
+    problem = state.problems[ed_id]
+    theta0 = state.theta0 if theta0 is None else theta0
+    lam = state.lambdas[ed_id]
+    rho, varrho = state.rho, state.varrho
+    step = 1.0 / (problem.kappa + rho)
+    theta = state.thetas[ed_id].copy()
+    residuals = []
+    for _ in range(max_iter):
+        grad = problem.smooth_grad(theta) + lam + rho * (theta - theta0)
+        theta = soft_threshold(theta - step * grad, step * varrho)
+        grad = problem.smooth_grad(theta) + lam + rho * (theta - theta0)
+        if varrho > 0:
+            sub = np.where(
+                theta != 0,
+                grad + varrho * np.sign(theta),
+                np.sign(grad) * np.maximum(np.abs(grad) - varrho, 0.0),
+            )
+        else:
+            sub = grad
+        residuals.append(float(np.linalg.norm(sub, "fro")))
+        if residuals[-1] <= tol:
+            return theta, residuals, False
+    return theta, residuals, True
+
+
+def reference_run_round(state, selected, tol=1e-8, max_iter=500):
+    selected = set(selected)
+    out = state.clone()
+    theta0_new = update_consensus(state)
+    out.theta0 = theta0_new
+    for j in selected:
+        theta_new, _, _ = reference_update_local(
+            state, j, theta0=theta0_new, tol=tol, max_iter=max_iter
+        )
+        out.thetas[j] = theta_new
+        out.lambdas[j] = update_dual(state, j, theta_new, theta0_new)
+    out.round_idx = state.round_idx + 1
+    return out
+
+
+def solve_instance(varrho):
+    state, _ = make_admm_state(
+        num_eds=4, dim=6, samples_per_ed=9, varrho=varrho, rho=0.5, seed=8
+    )
+    rng = np.random.default_rng(9)
+    state.theta0 = rng.normal(size=(6, 6))
+    state.thetas = [rng.normal(size=(6, 6)) for _ in range(4)]
+    state.lambdas = [rng.normal(size=(6, 6)) * 0.1 for _ in range(4)]
+    return state
+
+
+@pytest.mark.parametrize("varrho", [0.2, 0.0])
+def test_batched_solve_of_one_ed_matches_the_reference(varrho):
+    state = solve_instance(varrho)
+    for j in range(4):
+        expected, _, capped = reference_update_local(state, j, tol=1e-9, max_iter=20_000)
+        assert not capped
+        got = update_local(state, [j], tol=1e-9, max_iter=20_000)
+        assert got.shape == (1, 6, 6)
+        np.testing.assert_array_equal(got[0], expected)
+
+
+@pytest.mark.parametrize("varrho", [0.2, 0.0])
+def test_batched_solve_stops_each_ed_at_its_own_iteration(varrho, caplog):
+    state = solve_instance(varrho)
+    ids = [3, 0, 2, 1]
+    iters = {j: len(reference_update_local(state, j, tol=1e-9, max_iter=20_000)[1])
+             for j in ids}
+    assert len(set(iters.values())) == len(ids)
+    # the slowest ED hits the cap, every other one converges below it
+    cap = max(iters.values()) - 1
+    slowest = max(iters, key=iters.get)
+    expected = [reference_update_local(state, j, tol=1e-9, max_iter=cap) for j in ids]
+    assert [capped for _, _, capped in expected] == [j == slowest for j in ids]
+    with caplog.at_level(logging.WARNING, logger="goalrba.admm"):
+        got = update_local(state, ids, tol=1e-9, max_iter=cap)
+    for row, (theta, _, _) in zip(got, expected):
+        np.testing.assert_array_equal(row, theta)
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 1
+    assert messages[0].startswith(f"ED {slowest} local solve hit the {cap}-iteration cap")
+
+
+@pytest.mark.parametrize("varrho", [0.2, 0.0])
+def test_batched_residuals_are_the_reference_residuals(varrho):
+    # tol equal to a reference residual stops that ED exactly there, so a
+    # residual off by one ulp changes the iterate returned
+    state, _ = make_admm_state(
+        num_eds=4, dim=20, samples_per_ed=30, varrho=varrho, rho=1.0, seed=4
+    )
+    rng = np.random.default_rng(5)
+    state.theta0 = rng.normal(size=(20, 20))
+    ids = list(range(4))
+    _, residuals, _ = reference_update_local(state, 0, max_iter=40)
+    for tol in residuals:
+        expected = [reference_update_local(state, j, tol=tol, max_iter=40)[0] for j in ids]
+        np.testing.assert_array_equal(update_local(state, ids, tol=tol, max_iter=40),
+                                      np.stack(expected))
+
+
+@pytest.mark.parametrize("varrho", [0.2, 0.0])
+def test_batched_solve_with_no_iterations_returns_the_warm_start(varrho, caplog):
+    state = solve_instance(varrho)
+    with caplog.at_level(logging.WARNING, logger="goalrba.admm"):
+        got = update_local(state, [2, 0], max_iter=0)
+    expected = [reference_update_local(state, j, max_iter=0)[0] for j in (2, 0)]
+    np.testing.assert_array_equal(got, np.stack(expected))
+    np.testing.assert_array_equal(got, np.stack([state.thetas[2], state.thetas[0]]))
+    # one warning per capped ED, in ascending id order
+    assert [r.getMessage().split(" local")[0] for r in caplog.records] == ["ED 0", "ED 2"]
+
+
+def test_batched_rounds_match_the_reference_on_the_admm_preset():
+    config = load_config(CONFIGS / "admm.yaml")
+    workload = build_workload(config)
+    params = workload.params
+    batched = workload.state
+    reference = batched.clone()
+    rng = np.random.default_rng(0)
+    for k in range(20):
+        selected = [] if k == 5 else sorted(
+            rng.choice(params.num_eds, size=int(rng.integers(1, params.num_eds + 1)),
+                       replace=False).tolist())
+        batched = run_round(batched, selected, tol=params.solver_tol,
+                            max_iter=params.solver_cap)
+        reference = reference_run_round(reference, selected, tol=params.solver_tol,
+                                        max_iter=params.solver_cap)
+        np.testing.assert_array_equal(batched.theta0, reference.theta0)
+        for j in range(params.num_eds):
+            np.testing.assert_array_equal(batched.thetas[j], reference.thetas[j])
+            np.testing.assert_array_equal(batched.lambdas[j], reference.lambdas[j])
 
 
 def test_dual_update_law():

@@ -145,6 +145,31 @@ def test_workload_redraws_each_round():
     assert not np.array_equal(first, wl.true_xi)
 
 
+def test_history_rows_carry_unrevealed_eds_forward():
+    wl = DemandResponseWorkload(DrParams(num_eds=6, pi_min=3.0, history_len=4), seed=3)
+    initial = wl.history.copy()
+    wl.begin_round(0)
+    first_xi = wl.true_xi.copy()
+    wl.ingest([1, 4])
+    wl.begin_round(1)
+    second_xi = wl.true_xi.copy()
+    wl.ingest([0, 2])
+    assert wl.history.shape == (6, 6)
+    np.testing.assert_array_equal(wl.history[:4], initial)
+    row1, row2 = wl.history[4], wl.history[5]
+    # revealed EDs take this round's true load
+    np.testing.assert_array_equal(row1[[1, 4]], first_xi[[1, 4]])
+    np.testing.assert_array_equal(row2[[0, 2]], second_xi[[0, 2]])
+    # unrevealed EDs repeat their previous row's value
+    np.testing.assert_array_equal(row1[[0, 2, 3, 5]], initial[-1, [0, 2, 3, 5]])
+    np.testing.assert_array_equal(row2[[1, 4]], first_xi[[1, 4]])
+    np.testing.assert_array_equal(row2[[3, 5]], initial[-1, [3, 5]])
+    # a round that reveals nothing appends no row
+    wl.begin_round(2)
+    wl.ingest([])
+    assert len(wl.history) == 6
+
+
 def test_workload_expected_marginals_deterministic():
     wl = DemandResponseWorkload(DrParams(num_eds=15, pi_min=10.0), seed=4)
     a = wl.expected_marginal_utilities(32, np.random.default_rng(1))

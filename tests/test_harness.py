@@ -15,6 +15,7 @@ from goalrba.harness import (
     WORKLOADS,
     ChannelConfig,
     ConfigError,
+    RoundError,
     RoundMetrics,
     ScenarioConfig,
     build_workload,
@@ -261,8 +262,22 @@ def test_round_failures_carry_round_context():
         raise ValueError("probe boom")
 
     wl.ingest = explode
-    with pytest.raises(RuntimeError, match="round 0 of demand_response"):
+    with pytest.raises(RoundError, match="round 0 of demand_response failed: probe boom") as info:
         run_scenario(cfg, workload=wl)
+    assert info.value.round_idx == 0
+    assert info.value.workload == "demand_response"
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_round_failures_keep_an_index_error_as_the_cause():
+    # an emptied demand-response history makes ingest's history[-1] fail
+    cfg = small_config(rounds=3)
+    wl = build_workload(cfg, seed=np.random.SeedSequence(cfg.seed))
+    wl.history = wl.history[:0]
+    with pytest.raises(RoundError, match="round 0 of demand_response failed") as info:
+        run_scenario(cfg, workload=wl)
+    assert (info.value.round_idx, info.value.workload) == (0, "demand_response")
+    assert isinstance(info.value.__cause__, IndexError)
 
 
 # --- CLI ---------------------------------------------------------------
