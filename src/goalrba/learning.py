@@ -4,11 +4,20 @@ The network is input -> hidden (ReLU) -> softmax, trained with mini-batch SGD
 and momentum. Edge learning prices raw samples by their loss under the
 current model; federated learning prices clients by their weighted gradient
 norm and checks the smooth-descent bound each round.
+
+The MLP keeps its weights in one flat float64 buffer, ``Mlp.params``, and
+``W1``, ``b1``, ``W2`` and ``b2`` are reshaped views into it, so SGD and
+aggregation update the network in place without concatenating or copying.
+Both learning workloads share one goal, the mean training loss, memoised per
+model state: ``ingest`` is the only method that changes the model, and it
+drops the memo before it trains, so each round's goal before ingest reuses
+the previous round's goal after it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import abc
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,7 +33,12 @@ class DivergenceError(RuntimeError):
 
 
 class Mlp:
-    """Two-layer perceptron with ReLU hidden units and softmax outputs."""
+    """Two-layer perceptron with ReLU hidden units and softmax outputs.
+
+    ``params`` is the flat buffer (W1, b1, W2, b2 in that order) and the four
+    weight attributes are views into it. Write into the buffer, never rebind
+    it or the views.
+    """
 
     def __init__(self, input_dim: int = 784, hidden_dim: int = 64,
                  output_dim: int = 10, seed=0):
@@ -32,35 +46,32 @@ class Mlp:
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.output_dim = output_dim
-        self.W1 = rng.normal(scale=np.sqrt(2.0 / input_dim), size=(input_dim, hidden_dim))
-        self.b1 = np.zeros(hidden_dim)
-        self.W2 = rng.normal(scale=np.sqrt(2.0 / hidden_dim), size=(hidden_dim, output_dim))
-        self.b2 = np.zeros(output_dim)
+        shapes = ((input_dim, hidden_dim), (hidden_dim,), (hidden_dim, output_dim), (output_dim,))
+        sizes = [int(np.prod(shape)) for shape in shapes]
+        self.params = np.zeros(sum(sizes))
+        pieces = np.split(self.params, np.cumsum(sizes)[:-1])
+        self.W1, self.b1, self.W2, self.b2 = (
+            piece.reshape(shape) for piece, shape in zip(pieces, shapes)
+        )
+        self.W1[...] = rng.normal(scale=np.sqrt(2.0 / input_dim), size=(input_dim, hidden_dim))
+        self.W2[...] = rng.normal(scale=np.sqrt(2.0 / hidden_dim), size=(hidden_dim, output_dim))
 
     @property
     def num_params(self) -> int:
-        return self.W1.size + self.b1.size + self.W2.size + self.b2.size
+        return self.params.size
 
     def get_params(self) -> np.ndarray:
-        return np.concatenate(
-            [self.W1.ravel(), self.b1, self.W2.ravel(), self.b2]
-        )
+        return self.params.copy()
 
     def set_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=float)
         if flat.size != self.num_params:
             raise ValueError(f"expected {self.num_params} parameters, got {flat.size}")
-        s0 = self.W1.size
-        s1 = s0 + self.b1.size
-        s2 = s1 + self.W2.size
-        self.W1 = flat[:s0].reshape(self.W1.shape).copy()
-        self.b1 = flat[s0:s1].copy()
-        self.W2 = flat[s1:s2].reshape(self.W2.shape).copy()
-        self.b2 = flat[s2:].copy()
+        self.params[...] = flat.ravel()
 
     def copy(self) -> "Mlp":
         clone = Mlp(self.input_dim, self.hidden_dim, self.output_dim, seed=0)
-        clone.set_params(self.get_params())
+        clone.set_params(self.params)
         return clone
 
     def forward(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -153,8 +164,11 @@ def sgd_train(
         for start in range(0, len(y), batch_size):
             batch = order[start : start + batch_size]
             grad = gradient(model, X[batch], y[batch])
-            velocity = momentum * velocity - lr * grad
-            model.set_params(model.get_params() + velocity)
+            # velocity = momentum * velocity - lr * grad; params += velocity,
+            # in place: the same operations in the same order.
+            velocity *= momentum
+            velocity -= lr * grad
+            model.params += velocity
         epoch_loss = loss(model, X, y)
         if not np.isfinite(epoch_loss):
             raise DivergenceError(f"divergence: training loss is {epoch_loss}")
@@ -218,6 +232,14 @@ def descent_bound_check(
     return float(bound), (loss_after - loss_before) <= bound + tolerance
 
 
+def _check_at_least(params, bounds: Sequence[Tuple[str, int]]) -> None:
+    """Raise ValueError naming the first field of params below its minimum."""
+    for key, low in bounds:
+        value = getattr(params, key)
+        if value < low:
+            raise ValueError(f"{key} must be at least {low}, got {value}")
+
+
 @dataclass
 class EdgeLearningParams:
     """Desk-scale edge-learning scenario: synthetic mixture, non-iid shards."""
@@ -240,20 +262,28 @@ class EdgeLearningParams:
     bits_per_sample: float = (784 + 1) * 8.0
 
     def __post_init__(self):
-        if self.num_eds < 1:
-            raise ValueError(f"num_eds must be at least 1, got {self.num_eds}")
+        _check_at_least(self, (("num_eds", 1), ("hidden_dim", 1), ("sgd_batch", 1),
+                               ("epochs_per_round", 0), ("batch_per_round", 0)))
         if self.bits_per_sample < 0:
             raise ValueError(f"bits_per_sample must be non-negative, got {self.bits_per_sample}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
 
 
-class EdgeLearningWorkload(Workload):
-    """Raw-sample selection: EDs offer batches priced by current model loss."""
+class _LearningWorkload(Workload):
+    """What the two learning workloads share: data, goal and test accuracy.
 
-    def __init__(self, params: EdgeLearningParams, seed):
-        self.params = params
-        self.num_eds = params.num_eds
-        seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        data_seed, split_seed, model_seed, train_seed = seq.spawn(4)
+    The goal is the model's mean training loss, memoised per model state.
+    Only ``ingest`` changes the model, and it drops the memo before
+    ``_train`` runs, so a failed ingest leaves no stale value.
+    """
+
+    _goal: Optional[float] = None
+
+    def _make_data(self, params, data_seed, split_seed) -> None:
+        """Draw the class mixture, split train and test, shard the training set."""
         X, y = datasets.make_gaussian_mixture(
             params.num_classes,
             params.dim,
@@ -272,10 +302,40 @@ class EdgeLearningWorkload(Workload):
             params.concentration,
             seed=split_seed,
         )
+
+    @abc.abstractmethod
+    def _train(self, selected: Iterable[int]) -> None:
+        """Update the model with the data of the selected EDs."""
+
+    def ingest(self, selected: Iterable[int]) -> None:
+        self._goal = None
+        self._train(selected)
+
+    def goal_value(self) -> float:
+        if self._goal is None:
+            self._goal = loss(self.model, self.X_train, self.y_train)
+        return self._goal
+
+    def test_accuracy(self) -> float:
+        return float((self.model.predict(self.X_test) == self.y_test).mean())
+
+
+class EdgeLearningWorkload(_LearningWorkload):
+    """Raw-sample selection: EDs offer batches priced by current model loss."""
+
+    def __init__(self, params: EdgeLearningParams, seed):
+        self.params = params
+        self.num_eds = params.num_eds
+        seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        data_seed, split_seed, model_seed, train_seed = seq.spawn(4)
+        self._make_data(params, data_seed, split_seed)
         self._offsets = [0] * params.num_eds
         self.model = Mlp(params.dim, params.hidden_dim, params.num_classes, seed=model_seed)
         self._train_rng = np.random.default_rng(train_seed)
         self.collected: List[int] = []
+        # The collected rows in collection order; SGD trains on the filled prefix.
+        self._X_collected = np.empty_like(self.X_train)
+        self._y_collected = np.empty_like(self.y_train)
 
     def _offered(self, ed_id: int) -> np.ndarray:
         start = self._offsets[ed_id]
@@ -290,30 +350,28 @@ class EdgeLearningWorkload(Workload):
                 out[ed_id] = losses.sum()
         return out
 
-    def ingest(self, selected: Iterable[int]) -> None:
+    def _train(self, selected: Iterable[int]) -> None:
         added = []
         for ed_id in selected:
             idx = self._offered(ed_id)
             added.extend(idx.tolist())
             self._offsets[ed_id] += len(idx)
+        start = len(self.collected)
         self.collected.extend(added)
-        if self.collected:
+        n = len(self.collected)
+        self._X_collected[start:n] = self.X_train[added]
+        self._y_collected[start:n] = self.y_train[added]
+        if n:
             sgd_train(
                 self.model,
-                self.X_train[self.collected],
-                self.y_train[self.collected],
+                self._X_collected[:n],
+                self._y_collected[:n],
                 epochs=self.params.epochs_per_round,
                 batch_size=self.params.sgd_batch,
                 lr=self.params.lr,
                 momentum=self.params.momentum,
                 seed=self._train_rng.integers(2**32),
             )
-
-    def goal_value(self) -> float:
-        return loss(self.model, self.X_train, self.y_train)
-
-    def test_accuracy(self) -> float:
-        return float((self.model.predict(self.X_test) == self.y_test).mean())
 
     def payload_bits(self) -> np.ndarray:
         offered = [len(self._offered(ed_id)) for ed_id in range(self.num_eds)]
@@ -348,13 +406,22 @@ class FederatedParams:
     data_poor_keep: float = 1.0
 
     def __post_init__(self):
-        if self.num_eds < 1:
-            raise ValueError(f"num_eds must be at least 1, got {self.num_eds}")
+        _check_at_least(self, (("num_eds", 1), ("hidden_dim", 1), ("batch_size", 1)))
         if self.bits_per_weight < 0:
             raise ValueError(f"bits_per_weight must be non-negative, got {self.bits_per_weight}")
+        if not self.kappa > 0:
+            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        if not 0 < self.lr < 2 / self.kappa:
+            raise ValueError(f"lr must lie in (0, 2/kappa) = (0, {2 / self.kappa}), got {self.lr}")
+        if not 0 <= self.data_poor_fraction <= 1:
+            raise ValueError(
+                f"data_poor_fraction must lie in [0, 1], got {self.data_poor_fraction}"
+            )
+        if not 0 < self.data_poor_keep <= 1:
+            raise ValueError(f"data_poor_keep must lie in (0, 1], got {self.data_poor_keep}")
 
 
-class FederatedWorkload(Workload):
+class FederatedWorkload(_LearningWorkload):
     """Gradient-norm client selection with partial aggregation per round."""
 
     def __init__(self, params: FederatedParams, seed):
@@ -362,24 +429,7 @@ class FederatedWorkload(Workload):
         self.num_eds = params.num_eds
         seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         data_seed, split_seed, model_seed, batch_seed, poor_seed = seq.spawn(5)
-        X, y = datasets.make_gaussian_mixture(
-            params.num_classes,
-            params.dim,
-            params.train_per_class + params.test_per_class,
-            seed=data_seed,
-            mean_scale=params.mean_scale,
-            noise_scale=params.noise_scale,
-        )
-        n_train = params.num_classes * params.train_per_class
-        self.X_train, self.y_train = X[:n_train], y[:n_train]
-        self.X_test, self.y_test = X[n_train:], y[n_train:]
-        self.shards = datasets.split_non_iid(
-            self.y_train,
-            params.num_eds,
-            params.concentrated_classes,
-            params.concentration,
-            seed=split_seed,
-        )
+        self._make_data(params, data_seed, split_seed)
         if params.data_poor_fraction > 0.0:
             # Concentrated-class holders sit at the tail of the shard list;
             # thin out only the interchangeable common-class clients.
@@ -420,21 +470,16 @@ class FederatedWorkload(Workload):
             for j, g in enumerate(self._round_grads)
         ])
 
-    def ingest(self, selected: Iterable[int]) -> None:
+    def _train(self, selected: Iterable[int]) -> None:
         selected = sorted(selected)
         if self._round_grads is None:
             self.begin_round(0)
         if selected:
             grads = [self._round_grads[j] for j in selected]
             counts = [self.counts[j] for j in selected]
-            theta = aggregate_step(self.model.get_params(), grads, counts, self.params.lr)
-            self.model.set_params(theta)
-
-    def goal_value(self) -> float:
-        return loss(self.model, self.X_train, self.y_train)
-
-    def test_accuracy(self) -> float:
-        return float((self.model.predict(self.X_test) == self.y_test).mean())
+            self.model.set_params(
+                aggregate_step(self.model.params, grads, counts, self.params.lr)
+            )
 
     def payload_bits(self) -> np.ndarray:
         return np.full(self.num_eds, self.model.num_params * self.params.bits_per_weight)

@@ -341,6 +341,18 @@ def test_cli_exit_code_1_on_config_error(tmp_path):
     ("bits_per_sample", -1.0, "edge_learning"),
     ("bits_per_weight", -1.0, "federated"),
     ("bits_per_entry", -1.0, "admm"),
+    ("sgd_batch", 0, "edge_learning"),
+    ("hidden_dim", 0, "edge_learning"),
+    ("epochs_per_round", -1, "edge_learning"),
+    ("batch_per_round", -3, "edge_learning"),
+    ("lr", -0.1, "edge_learning"),
+    ("momentum", 1.0, "edge_learning"),
+    ("batch_size", 0, "federated"),
+    ("hidden_dim", 0, "federated"),
+    ("kappa", 0.0, "federated"),
+    ("lr", 5.0, "federated"),  # beyond 2/kappa at the default kappa 1
+    ("data_poor_fraction", 1.5, "federated"),
+    ("data_poor_keep", 0.0, "federated"),
 ])
 def test_cli_exit_code_1_names_the_bad_key(tmp_path, key, value, block):
     raw = config_to_dict(small_config())

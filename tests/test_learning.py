@@ -1,11 +1,17 @@
 """MLP training stack: gradients, SGD, aggregation, and the two learning workloads."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from goalrba import learning
 from goalrba.data import make_gaussian_mixture, split_non_iid
+from goalrba.harness import build_workload, load_config, run_scenario
 from goalrba.learning import (
+    DivergenceError,
     EdgeLearningParams,
     EdgeLearningWorkload,
     FederatedParams,
@@ -22,6 +28,8 @@ from goalrba.learning import (
     sgd_train,
 )
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def test_default_mlp_parameter_count():
     assert Mlp().num_params == 784 * 64 + 64 + 64 * 10 + 10  # 50890
@@ -34,8 +42,24 @@ def test_params_round_trip_and_copy():
     m.set_params(np.zeros(m.num_params))
     assert not np.array_equal(m.get_params(), flat)
     np.testing.assert_array_equal(clone.get_params(), flat)
+    # get_params hands out a copy, and a clone owns its own buffer
+    m.get_params()[:] = -1.0
+    clone.params[:] = 1.0
+    np.testing.assert_array_equal(m.params, 0.0)
     with pytest.raises(ValueError):
         m.set_params(np.zeros(3))
+
+
+def test_weights_are_views_of_the_flat_buffer():
+    m = Mlp(12, 7, 4, seed=3)
+    weights = (m.W1, m.b1, m.W2, m.b2)
+    assert all(np.shares_memory(w, m.params) for w in weights)
+    new = np.arange(m.num_params, dtype=float)
+    m.set_params(new)
+    # set_params writes through to the views and rebinds nothing
+    np.testing.assert_array_equal(m.W1, new[: 12 * 7].reshape(12, 7))
+    np.testing.assert_array_equal(m.b2, new[-4:])
+    assert all(a is b for a, b in zip((m.W1, m.b1, m.W2, m.b2), weights))
 
 
 def test_forward_outputs_are_probabilities():
@@ -98,6 +122,16 @@ def test_sgd_learns_a_separable_mixture():
     m = Mlp(30, 16, 4, seed=1)
     sgd_train(m, X, y, epochs=30, lr=0.05, seed=1)
     assert (m.predict(X) == y).mean() >= 0.95
+
+
+def test_sgd_divergence_raises():
+    X, y = make_gaussian_mixture(3, 20, 30, seed=0)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="training loss is nan"):
+        sgd_train(Mlp(20, 8, 3, seed=0), X, y, epochs=3, lr=1e300)
+    # the probability floor caps each per-sample loss, so a huge finite step
+    # that keeps the weights finite does not count as divergence
+    with np.errstate(all="ignore"):
+        sgd_train(Mlp(20, 8, 3, seed=0), X, y, epochs=3, lr=1e12)
 
 
 def test_edge_marginal_utility_is_the_sample_loss():
@@ -229,3 +263,142 @@ def test_federated_data_poor_thinning():
     assert int((wl.counts == 1).sum()) == 5
     # holders at the tail are never thinned
     assert np.all(wl.counts[-2:] > 1)
+
+
+# --- the flat buffer against the copy-per-step parameter path ---------------
+
+
+def reference_get_params(model):
+    """The concatenating get_params the flat buffer replaced."""
+    return np.concatenate([model.W1.ravel(), model.b1, model.W2.ravel(), model.b2])
+
+
+def reference_set_params(model, flat):
+    """The set_params the flat buffer replaced: it rebinds the four weights to copies.
+
+    The model then runs on those attributes alone; its ``params`` buffer is stale.
+    """
+    flat = np.asarray(flat, dtype=float)
+    s0 = model.W1.size
+    s1 = s0 + model.b1.size
+    s2 = s1 + model.W2.size
+    model.W1 = flat[:s0].reshape(model.W1.shape).copy()
+    model.b1 = flat[s0:s1].copy()
+    model.W2 = flat[s1:s2].reshape(model.W2.shape).copy()
+    model.b2 = flat[s2:].copy()
+
+
+def reference_sgd_train(model, X, y, epochs, batch_size=64, lr=0.01, momentum=0.9, seed=0):
+    """The SGD loop the in-place update replaced."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=int))
+    rng = np.random.default_rng(seed)
+    velocity = np.zeros(model.num_params)
+    for _ in range(epochs):
+        order = rng.permutation(len(y))
+        for start in range(0, len(y), batch_size):
+            batch = order[start : start + batch_size]
+            grad = gradient(model, X[batch], y[batch])
+            velocity = momentum * velocity - lr * grad
+            reference_set_params(model, reference_get_params(model) + velocity)
+        epoch_loss = loss(model, X, y)
+        if not np.isfinite(epoch_loss):
+            raise DivergenceError(f"divergence: training loss is {epoch_loss}")
+    return model
+
+
+def reference_edge_ingest(wl, selected):
+    """Edge-learning ingest that re-gathers every collected row each round."""
+    added = []
+    for ed_id in selected:
+        idx = wl._offered(ed_id)
+        added.extend(idx.tolist())
+        wl._offsets[ed_id] += len(idx)
+    wl.collected.extend(added)
+    if wl.collected:
+        p = wl.params
+        reference_sgd_train(
+            wl.model, wl.X_train[wl.collected], wl.y_train[wl.collected],
+            epochs=p.epochs_per_round, batch_size=p.sgd_batch, lr=p.lr,
+            momentum=p.momentum, seed=wl._train_rng.integers(2**32),
+        )
+
+
+def reference_federated_ingest(wl, selected):
+    selected = sorted(selected)
+    if selected:
+        theta = aggregate_step(reference_get_params(wl.model),
+                               [wl._round_grads[j] for j in selected],
+                               [wl.counts[j] for j in selected], wl.params.lr)
+        reference_set_params(wl.model, theta)
+
+
+def reference_goal(wl):
+    return loss(wl.model, wl.X_train, wl.y_train)
+
+
+@pytest.mark.parametrize("momentum", [0.9, 0.0])
+def test_in_place_sgd_matches_the_reference(momentum):
+    X, y = make_gaussian_mixture(4, 30, 80, seed=1)
+    m = Mlp(30, 16, 4, seed=1)
+    ref = Mlp(30, 16, 4, seed=1)
+    # 320 rows in batches of 50 leave a short last batch
+    sgd_train(m, X, y, epochs=3, batch_size=50, lr=0.05, momentum=momentum, seed=4)
+    reference_sgd_train(ref, X, y, epochs=3, batch_size=50, lr=0.05, momentum=momentum, seed=4)
+    np.testing.assert_array_equal(m.params, reference_get_params(ref))
+
+
+@pytest.mark.parametrize("preset, rounds, reference_ingest", [
+    ("edge_learning", 20, reference_edge_ingest),
+    ("federated", 10, reference_federated_ingest),
+])
+def test_learning_rounds_match_the_reference_on_the_preset(preset, rounds, reference_ingest):
+    config = load_config(CONFIGS / f"{preset}.yaml")
+    wl, ref = build_workload(config), build_workload(config)
+    rng = np.random.default_rng(0)
+    for k in range(rounds):
+        wl.begin_round(k)
+        ref.begin_round(k)
+        np.testing.assert_array_equal(wl.marginal_utilities(), ref.marginal_utilities())
+        selected = [] if k == 3 else sorted(
+            rng.choice(wl.num_eds, size=int(rng.integers(1, 8)), replace=False).tolist())
+        assert wl.goal_value() == reference_goal(ref)
+        wl.ingest(selected)
+        reference_ingest(ref, selected)
+        assert wl.goal_value() == reference_goal(ref)
+        np.testing.assert_array_equal(wl.model.params, reference_get_params(ref.model))
+
+
+def test_goal_is_evaluated_once_per_model_state(monkeypatch):
+    epochs = 3
+    config = load_config(CONFIGS / "edge_learning.yaml")
+    config = dataclasses.replace(
+        config, rounds=3, params={**config.params, "epochs_per_round": epochs})
+    real_loss = learning.loss
+    calls = []
+    monkeypatch.setattr(learning, "loss", lambda *a: calls.append(1) or real_loss(*a))
+    per_round, workloads = [], []
+
+    def hook(k, wl):
+        assert wl.collected  # every round trains
+        per_round.append(len(calls) - sum(per_round))
+        workloads.append(wl)
+
+    run_scenario(config, round_hook=hook)
+    # goal before ingest, one check per epoch, goal after ingest; from the
+    # second round on, the goal before ingest is the previous goal after it
+    assert per_round == [epochs + 2, epochs + 1, epochs + 1]
+    wl = workloads[-1]
+    assert wl.goal_value() == real_loss(wl.model, wl.X_train, wl.y_train)
+
+
+def test_failed_ingest_leaves_no_stale_goal():
+    wl = EdgeLearningWorkload(small_edge_params(), seed=0)
+    before = wl.goal_value()
+    wl.params.lr = 1e300
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+        wl.ingest([0, 1])
+    with np.errstate(all="ignore"):
+        after = wl.goal_value()
+        np.testing.assert_equal(after, loss(wl.model, wl.X_train, wl.y_train))
+    assert after != before
