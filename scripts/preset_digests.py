@@ -9,6 +9,12 @@ the output to check that a change keeps the metrics CSVs byte-identical:
 
     python3 scripts/preset_digests.py > digests.txt
     python3 scripts/preset_digests.py my_config.yaml
+
+`--set key=value` (repeatable) overrides one key of every config before the
+run; a dotted key reaches into a block and the value is read as YAML:
+
+    python3 scripts/preset_digests.py configs/demand_response.yaml \
+        --set rounds=25 --set params.num_eds=15000
 """
 
 import argparse
@@ -18,6 +24,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import yaml
+
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
@@ -26,15 +34,44 @@ from goalrba.cli import main as goalrba_main  # noqa: E402  (loads numpy)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
+def parse_override(text: str):
+    """`a.b=value` -> (["a", "b"], value read as YAML)."""
+    key, sep, value = text.partition("=")
+    if not sep or not all(key.split(".")):
+        raise argparse.ArgumentTypeError(f"expected key=value, got {text!r}")
+    return key.split("."), yaml.safe_load(value)
+
+
+def overridden(config: Path, overrides, out: str) -> Path:
+    """Write config with the overrides applied into out; return its path."""
+    raw = yaml.safe_load(config.read_text())
+    for keys, value in overrides:
+        block = raw
+        for key in keys[:-1]:
+            if not isinstance(block.get(key), dict):
+                block[key] = {}
+            block = block[key]
+        block[keys[-1]] = value
+    path = Path(out) / config.name
+    path.write_text(yaml.safe_dump(raw, sort_keys=False))
+    return path
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("configs", nargs="*", type=Path,
                     help="config files (default: every configs/*.yaml preset)")
+    ap.add_argument("--set", dest="overrides", action="append", default=[],
+                    type=parse_override, metavar="KEY=VALUE",
+                    help="override a config key in every config, e.g. "
+                         "params.num_eds=15000 (repeatable; value read as YAML)")
     args = ap.parse_args()
 
     for config in args.configs or sorted(CONFIGS.glob("*.yaml")):
-        with tempfile.TemporaryDirectory() as out:
+        with tempfile.TemporaryDirectory() as out, tempfile.TemporaryDirectory() as cfg_dir:
+            if args.overrides:
+                config = overridden(config, args.overrides, cfg_dir)
             code = goalrba_main(["compare", "--config", str(config), "--out", out])
             if code != 0:
                 print(f"{config}: goalrba compare exited {code}", file=sys.stderr)

@@ -323,6 +323,16 @@ class AdmmParams:
             raise ValueError(f"num_eds must be at least 1, got {self.num_eds}")
         if self.bits_per_entry < 0:
             raise ValueError(f"bits_per_entry must be non-negative, got {self.bits_per_entry}")
+        if not 0.0 <= self.sparsity <= 1.0:
+            raise ValueError(f"sparsity must lie in [0, 1], got {self.sparsity}")
+        if not self.solver_tol > 0:
+            raise ValueError(f"solver_tol must be positive, got {self.solver_tol}")
+        if self.solver_cap < 0:
+            raise ValueError(f"solver_cap must be non-negative, got {self.solver_cap}")
+        if not self.noise_variance_slope >= 0:
+            raise ValueError(
+                f"noise_variance_slope must be non-negative, got {self.noise_variance_slope}"
+            )
 
 
 class AdmmWorkload(Workload):

@@ -9,7 +9,7 @@ its real-time value alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -31,7 +31,7 @@ class DrInstance:
 
     costs: unit cost per ED in $/kW; xi_lo/xi_hi: support of each ED's
     reducible load in kW; pi_min: total required reduction; known: revealed
-    real-time loads by ed_id.
+    real-time loads by ed_id, read once at construction.
     """
 
     costs: np.ndarray
@@ -48,9 +48,14 @@ class DrInstance:
             raise ValueError("support bounds must satisfy 0 <= xi_lo <= xi_hi")
         if self.pi_min < 0:
             raise ValueError(f"pi_min must be non-negative, got {self.pi_min}")
-        for j, v in self.known.items():
-            if not (self.xi_lo[j] - 1e-9 <= v <= self.xi_hi[j] + 1e-9):
-                raise ValueError(f"revealed value {v} for ED {j} outside support")
+        n = len(self.known)
+        self._known_ids = np.fromiter(self.known.keys(), dtype=np.intp, count=n)
+        self._known_values = np.fromiter(self.known.values(), dtype=float, count=n)
+        ids, v = self._known_ids, self._known_values
+        inside = (self.xi_lo[ids] - 1e-9 <= v) & (v <= self.xi_hi[ids] + 1e-9)
+        if not np.all(inside):
+            k = int(np.argmin(inside))
+            raise ValueError(f"revealed value {v[k]} for ED {ids[k]} outside support")
 
     @property
     def num_eds(self) -> int:
@@ -59,45 +64,70 @@ class DrInstance:
     def effective_capacity(self) -> np.ndarray:
         """Worst-case reducible load: revealed value if known, else xi_lo."""
         cap = self.xi_lo.copy()
-        for j, v in self.known.items():
-            cap[j] = v
+        cap[self._known_ids] = self._known_values
         return cap
 
 
-def solve_dr(instance: DrInstance) -> Tuple[float, np.ndarray]:
+class DispatchTables(NamedTuple):
+    """Dispatch order and prefix sums of the base (all-unknown) dispatch.
+
+    They depend only on costs and xi_lo, so a workload whose costs are fixed
+    builds them once.
+    """
+
+    order: np.ndarray  # ED ids by ascending cost, ties by ed_id
+    rank: np.ndarray  # position of each ED in order
+    c: np.ndarray  # costs in dispatch order
+    P: np.ndarray  # prefix sums of xi_lo in dispatch order
+    CP: np.ndarray  # prefix sums of cost * xi_lo in dispatch order
+    lo_sum: float  # xi_lo.sum(), the base scenario's capacity
+
+
+def dispatch_tables(costs: np.ndarray, xi_lo: np.ndarray) -> DispatchTables:
+    """Sort the EDs by cost once and build the base dispatch's prefix tables."""
+    J = len(costs)
+    order = np.lexsort((np.arange(J), costs))
+    rank = np.empty(J, dtype=int)
+    rank[order] = np.arange(J)
+    c = costs[order]
+    u = xi_lo[order]
+    return DispatchTables(order, rank, c, np.cumsum(u), np.cumsum(c * u), float(xi_lo.sum()))
+
+
+def solve_dr(
+    instance: DrInstance, tables: Optional[DispatchTables] = None
+) -> Tuple[float, np.ndarray]:
     """Minimal-cost load shedding against worst-case capacities.
 
     Continuous covering problem: dispatch EDs by ascending cost (ties by
-    ed_id) until pi_min is met. Returns (cost, per-ED reductions).
+    ed_id) until pi_min is met. Returns (cost, per-ED reductions). tables,
+    when given, must come from dispatch_tables(instance.costs, instance.xi_lo).
+
+    The remaining requirement is a left fold of subtractions over the
+    capacities in dispatch order; the ED at which it first reaches zero
+    takes what was left, and every ED before it takes its full capacity.
     """
     cap = instance.effective_capacity()
+    J = instance.num_eds
     if instance.pi_min == 0:
-        return 0.0, np.zeros(instance.num_eds)
+        return 0.0, np.zeros(J)
     if cap.sum() < instance.pi_min - 1e-12:
         raise InfeasibleDrError(
             f"insufficient shedding capacity: {cap.sum():.6g} < {instance.pi_min:.6g}"
         )
-    order = np.lexsort((np.arange(instance.num_eds), instance.costs))
-    pi = np.zeros(instance.num_eds)
-    remaining = instance.pi_min
-    for j in order:
-        take = min(cap[j], remaining)
-        pi[j] = take
-        remaining -= take
-        if remaining <= 0:
-            break
+    if tables is None:
+        tables = dispatch_tables(instance.costs, instance.xi_lo)
+    order = tables.order
+    take = cap[order]
+    remaining = np.subtract.accumulate(np.concatenate(([instance.pi_min], take)))
+    met = remaining[1:] <= 0
+    T = int(np.argmax(met))
+    if met[T]:
+        take[T] = remaining[T]
+        take[T + 1:] = 0.0
+    pi = np.zeros(J)
+    pi[order] = take
     return float(instance.costs @ pi), pi
-
-
-def _sorted_dispatch_tables(instance: DrInstance):
-    """Prefix tables of the base (all-unknown) greedy dispatch."""
-    J = instance.num_eds
-    order = np.lexsort((np.arange(J), instance.costs))
-    c = instance.costs[order]
-    u = instance.xi_lo[order]
-    P = np.cumsum(u)
-    CP = np.cumsum(c * u)
-    return order, c, u, P, CP
 
 
 def _base_cost_from_tables(c, P, CP, need) -> Tuple[float, int]:
@@ -107,26 +137,29 @@ def _base_cost_from_tables(c, P, CP, need) -> Tuple[float, int]:
     return float(prev_CP + c[T] * (need - prev_P)), T
 
 
-def dr_marginal_utilities(instance: DrInstance, values: np.ndarray) -> np.ndarray:
+def dr_marginal_utilities(
+    instance: DrInstance, values: np.ndarray, tables: Optional[DispatchTables] = None
+) -> np.ndarray:
     """Delta for every ED at once, each revealed alone at values[j].
 
     Vectorized over the base dispatch's prefix sums; equivalent to J
-    independent re-solves of solve_dr.
+    independent re-solves of solve_dr. Each entry depends on values[j]
+    alone. tables, when given, must come from
+    dispatch_tables(instance.costs, instance.xi_lo).
     """
     values = np.asarray(values, dtype=float)
     J = instance.num_eds
     if instance.pi_min == 0:
         return np.zeros(J)
-    base = DrInstance(instance.costs, instance.xi_lo, instance.xi_hi, instance.pi_min)
-    if base.xi_lo.sum() < instance.pi_min - 1e-12:
+    if tables is None:
+        tables = dispatch_tables(instance.costs, instance.xi_lo)
+    if tables.lo_sum < instance.pi_min - 1e-12:
         raise InfeasibleDrError("insufficient shedding capacity in the base scenario")
-    order, c, u, P, CP = _sorted_dispatch_tables(base)
+    c, P, CP = tables.c, tables.P, tables.CP
     need = instance.pi_min
     base_cost, T = _base_cost_from_tables(c, P, CP, need)
 
-    pos_of = np.empty(J, dtype=int)
-    pos_of[order] = np.arange(J)
-    q = pos_of  # sorted position of each original ED
+    q = tables.rank  # sorted position of each original ED
     delta_cap = np.maximum(values - instance.xi_lo, 0.0)
 
     gains = np.zeros(J)
@@ -149,26 +182,6 @@ def dr_marginal_utilities(instance: DrInstance, values: np.ndarray) -> np.ndarra
     )
     gains[active] = np.maximum(base_cost - new_cost, 0.0)
     return gains
-
-
-def dr_marginal_utility(instance: DrInstance, ed_id: int) -> float:
-    """Cost with everything unknown minus cost with only ed_id revealed.
-
-    The ED's revealed value must be present in instance.known.
-    """
-    if ed_id not in instance.known:
-        raise KeyError(f"ED {ed_id} has no revealed value in this instance")
-    base = DrInstance(instance.costs, instance.xi_lo, instance.xi_hi, instance.pi_min)
-    revealed = DrInstance(
-        instance.costs,
-        instance.xi_lo,
-        instance.xi_hi,
-        instance.pi_min,
-        known={ed_id: instance.known[ed_id]},
-    )
-    cost_base, _ = solve_dr(base)
-    cost_rev, _ = solve_dr(revealed)
-    return max(cost_base - cost_rev, 0.0)
 
 
 @dataclass
@@ -218,22 +231,16 @@ def solve_routing(instance: RoutingInstance) -> Tuple[float, List[int]]:
     return float(time), path
 
 
-def routing_marginal_utility(
-    instance: RoutingInstance, road: Tuple[int, int]
-) -> float:
-    """Robust travel time without the revelation minus time with it."""
-    if road not in instance.known:
-        raise KeyError(f"road {road} has no revealed value in this instance")
-    base = RoutingInstance(instance.roads, instance.source, instance.destination)
-    revealed = RoutingInstance(
-        instance.roads,
-        instance.source,
-        instance.destination,
-        known={road: instance.known[road]},
+def _check_range(name: str, value, floor: Optional[float] = None) -> None:
+    """Reject a support range that is not two numbers [lo, hi], floor <= lo <= hi."""
+    numbers = isinstance(value, (tuple, list)) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
     )
-    time_base, _ = solve_routing(base)
-    time_rev, _ = solve_routing(revealed)
-    return max(time_base - time_rev, 0.0)
+    if not numbers or len(value) != 2 or not (
+        value[0] <= value[1] and (floor is None or floor <= value[0])
+    ):
+        bound = "lo <= hi" if floor is None else f"{floor:g} <= lo <= hi"
+        raise ValueError(f"{name} must be two numbers [lo, hi] with {bound}, got {value!r}")
 
 
 @dataclass
@@ -255,6 +262,12 @@ class DrParams:
             raise ValueError(f"history_len must be at least 1, got {self.history_len}")
         if self.payload_bits < 0:
             raise ValueError(f"payload_bits must be non-negative, got {self.payload_bits}")
+        _check_range("cost_range", self.cost_range, floor=0.0)
+        _check_range("xi_max_range", self.xi_max_range)
+        if not self.xi_lo >= 0:
+            raise ValueError(f"xi_lo must be non-negative, got {self.xi_lo}")
+        if self.pi_min is not None and not self.pi_min >= 0:
+            raise ValueError(f"pi_min must be non-negative, got {self.pi_min}")
 
     def resolved_pi_min(self) -> float:
         if self.pi_min is not None:
@@ -267,7 +280,9 @@ class DemandResponseWorkload(Workload):
 
     Costs and per-ED maximum reductions are fixed at construction; real-time
     reducible loads are redrawn each round, and a revealed load replaces the
-    worst-case lower bound in the robust dispatch.
+    worst-case lower bound in the robust dispatch. The dispatch order and
+    prefix tables, and in expected mode one gain row per history row, are
+    built on first use and reused, since none of them changes between rounds.
     """
 
     def __init__(self, params: DrParams, seed):
@@ -285,7 +300,11 @@ class DemandResponseWorkload(Workload):
                 "worst-case capacity below pi_min; the base scenario is infeasible"
             )
         # Old dataset: past real-time loads, same distribution as fresh ones.
-        self.history = self._draw_loads(size=params.history_len)
+        # One array per row; rows are only ever appended.
+        self.history_rows: List[np.ndarray] = list(self._draw_loads(size=params.history_len))
+        self._tables: Optional[DispatchTables] = None
+        # dr_marginal_utilities of history_rows[i] for every i cached so far.
+        self._gain_rows: List[np.ndarray] = []
         self.true_xi = None
         self.known: Dict[int, float] = {}
         self.begin_round(0)
@@ -294,26 +313,44 @@ class DemandResponseWorkload(Workload):
         shape = (size, self.num_eds) if size is not None else self.num_eds
         return self._rng.uniform(self.xi_lo, self.xi_max, size=shape)
 
+    @property
+    def history(self) -> np.ndarray:
+        """The history rows as one (rows, num_eds) array, freshly stacked."""
+        return np.array(self.history_rows, dtype=float).reshape(-1, self.num_eds)
+
     def _instance(self, known: Dict[int, float]) -> DrInstance:
         return DrInstance(self.costs, self.xi_lo, self.xi_max, self.pi_min, known=known)
+
+    def _dispatch_tables(self) -> DispatchTables:
+        if self._tables is None:
+            self._tables = dispatch_tables(self.costs, self.xi_lo)
+        return self._tables
 
     def begin_round(self, round_idx: int) -> None:
         self.true_xi = self._draw_loads()
         self.known = {}
 
     def marginal_utilities(self) -> np.ndarray:
-        return dr_marginal_utilities(self._instance({}), self.true_xi)
+        return dr_marginal_utilities(self._instance({}), self.true_xi, self._dispatch_tables())
 
     def expected_marginal_utilities(
         self, num_samples: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Mean delta over per-ED history draws, vectorized across samples."""
-        idx = rng.integers(0, len(self.history), size=(num_samples, self.num_eds))
-        draws = np.take_along_axis(self.history, idx, axis=0)
-        inst = self._instance({})
-        return np.mean(
-            [dr_marginal_utilities(inst, draws[s]) for s in range(num_samples)], axis=0
+        """Mean delta over per-ED history draws.
+
+        Delta of ED j depends only on its own value, so the delta of a draw
+        from history row i is entry j of that row's gain row; the gain rows
+        of rows added since the last call are computed, and the draws are
+        gathered from the table.
+        """
+        rows = self.history_rows
+        idx = rng.integers(0, len(rows), size=(num_samples, self.num_eds))
+        inst, tables = self._instance({}), self._dispatch_tables()
+        self._gain_rows.extend(
+            dr_marginal_utilities(inst, row, tables) for row in rows[len(self._gain_rows):]
         )
+        table = np.array(self._gain_rows)
+        return np.mean(np.take_along_axis(table, idx, axis=0), axis=0)
 
     def ingest(self, selected: Iterable[int]) -> None:
         """Reveal the selected EDs' loads and append one history row.
@@ -324,25 +361,27 @@ class DemandResponseWorkload(Workload):
         repeats an ED's last value once per round it sits out. No row is
         appended when nothing is revealed.
         """
-        revealed = {j: float(self.true_xi[j]) for j in selected}
-        self.known.update(revealed)
-        if revealed:
-            row = self.history[-1].copy()
-            for j, v in revealed.items():
-                row[j] = v
-            self.history = np.vstack([self.history, row])
+        ids = np.fromiter(selected, dtype=np.intp)
+        if len(ids) == 0:
+            return
+        values = self.true_xi[ids]
+        self.known.update(zip(ids.tolist(), values.tolist()))
+        row = self.history_rows[-1].copy()
+        row[ids] = values
+        self.history_rows.append(row)
 
     def goal_value(self) -> float:
-        cost, _ = solve_dr(self._instance(self.known))
+        cost, _ = solve_dr(self._instance(self.known), self._dispatch_tables())
         return cost
 
     def payload_bits(self) -> np.ndarray:
         return np.full(self.num_eds, self.params.payload_bits)
 
     def joint_gain(self, subset: Sequence[int]) -> float:
-        base_cost, _ = solve_dr(self._instance({}))
+        tables = self._dispatch_tables()
+        base_cost, _ = solve_dr(self._instance({}), tables)
         revealed = {j: float(self.true_xi[j]) for j in subset}
-        joint_cost, _ = solve_dr(self._instance(revealed))
+        joint_cost, _ = solve_dr(self._instance(revealed), tables)
         return base_cost - joint_cost
 
 
@@ -359,12 +398,21 @@ class RoutingParams:
     def __post_init__(self):
         if self.num_nodes < 2:
             raise ValueError(f"num_nodes must be at least 2, got {self.num_nodes}")
+        if not 0.0 <= self.edge_prob <= 1.0:
+            raise ValueError(f"edge_prob must lie in [0, 1], got {self.edge_prob}")
+        _check_range("tau_range", self.tau_range, floor=0.0)
+        if self.history_len < 1:
+            raise ValueError(f"history_len must be at least 1, got {self.history_len}")
         if self.payload_bits < 0:
             raise ValueError(f"payload_bits must be non-negative, got {self.payload_bits}")
 
 
 class RoutingWorkload(Workload):
-    """Robust routing: one ED measures one road; reveals shorten the path."""
+    """Robust routing: one ED measures one road; reveals shorten the path.
+
+    With nothing revealed every road sits at tau_hi, so the base path's time
+    is solved once, on first use.
+    """
 
     def __init__(self, params: RoutingParams, seed):
         self.params = params
@@ -381,6 +429,7 @@ class RoutingWorkload(Workload):
         self.history = self._rng.uniform(lo, hi, size=(params.history_len, self.num_eds))
         self.true_tau = None
         self.known: Dict[Tuple[int, int], float] = {}
+        self._base_time: Optional[float] = None
         self.begin_round(0)
 
     def _build_network(self) -> None:
@@ -403,12 +452,17 @@ class RoutingWorkload(Workload):
     def _instance(self, known) -> RoutingInstance:
         return RoutingInstance(self.roads, self.source, self.destination, known=known)
 
+    def _base(self) -> float:
+        if self._base_time is None:
+            self._base_time, _ = solve_routing(self._instance({}))
+        return self._base_time
+
     def begin_round(self, round_idx: int) -> None:
         self.true_tau = self._rng.uniform(self._lo, self._hi)
         self.known = {}
 
     def marginal_utilities(self) -> np.ndarray:
-        base, _ = solve_routing(self._instance({}))
+        base = self._base()
         out = np.zeros(self.num_eds)
         for ed_id, road in enumerate(self.road_list):
             revealed, _ = solve_routing(self._instance({road: float(self.true_tau[ed_id])}))
@@ -420,9 +474,8 @@ class RoutingWorkload(Workload):
             raise EmptyHistoryError(f"no empirical distribution: {type(self).__name__} history is empty")
         road = self.road_list[ed_id]
         value = float(self.history[rng.integers(0, len(self.history)), ed_id])
-        base, _ = solve_routing(self._instance({}))
         revealed, _ = solve_routing(self._instance({road: value}))
-        return max(base - revealed, 0.0)
+        return max(self._base() - revealed, 0.0)
 
     def ingest(self, selected: Iterable[int]) -> None:
         for ed_id in selected:
@@ -436,9 +489,8 @@ class RoutingWorkload(Workload):
         return np.full(self.num_eds, self.params.payload_bits)
 
     def joint_gain(self, subset: Sequence[int]) -> float:
-        base, _ = solve_routing(self._instance({}))
         revealed = {
             self.road_list[j]: float(self.true_tau[j]) for j in subset
         }
         joint, _ = solve_routing(self._instance(revealed))
-        return base - joint
+        return self._base() - joint

@@ -175,11 +175,6 @@ def sgd_train(
     return model
 
 
-def edge_marginal_utility(model: Mlp, x: np.ndarray, y) -> float:
-    """Loss of the existing model on one candidate sample."""
-    return float(per_sample_loss(model, np.atleast_2d(x), [int(y)])[0])
-
-
 def aggregate_step(
     theta: np.ndarray,
     gradients: Sequence[np.ndarray],

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
+from goalrba import decision
 from goalrba.decision import (
     DemandResponseWorkload,
     DrInstance,
@@ -14,12 +15,54 @@ from goalrba.decision import (
     RoutingInstance,
     RoutingWorkload,
     RoutingParams,
+    dispatch_tables,
     dr_marginal_utilities,
-    dr_marginal_utility,
-    routing_marginal_utility,
     solve_dr,
     solve_routing,
 )
+
+
+def reference_solve_dr(instance: DrInstance):
+    """The one-ED-at-a-time dispatch loop that the fold in solve_dr replaced."""
+    cap = instance.xi_lo.copy()
+    for j, v in instance.known.items():
+        cap[j] = v
+    if instance.pi_min == 0:
+        return 0.0, np.zeros(instance.num_eds)
+    if cap.sum() < instance.pi_min - 1e-12:
+        raise InfeasibleDrError("insufficient shedding capacity")
+    order = np.lexsort((np.arange(instance.num_eds), instance.costs))
+    pi = np.zeros(instance.num_eds)
+    remaining = instance.pi_min
+    for j in order:
+        take = min(cap[j], remaining)
+        pi[j] = take
+        remaining -= take
+        if remaining <= 0:
+            break
+    return float(instance.costs @ pi), pi
+
+
+def dr_marginal_utility(instance: DrInstance, ed_id: int) -> float:
+    """Reference re-solve: cost with everything unknown minus cost with only
+    ed_id revealed, at its value in instance.known."""
+    if ed_id not in instance.known:
+        raise KeyError(f"ED {ed_id} has no revealed value in this instance")
+    args = (instance.costs, instance.xi_lo, instance.xi_hi, instance.pi_min)
+    cost_base, _ = solve_dr(DrInstance(*args))
+    cost_rev, _ = solve_dr(DrInstance(*args, known={ed_id: instance.known[ed_id]}))
+    return max(cost_base - cost_rev, 0.0)
+
+
+def routing_marginal_utility(instance: RoutingInstance, road) -> float:
+    """Reference re-solve: robust travel time without the revelation minus
+    time with it."""
+    if road not in instance.known:
+        raise KeyError(f"road {road} has no revealed value in this instance")
+    args = (instance.roads, instance.source, instance.destination)
+    time_base, _ = solve_routing(RoutingInstance(*args))
+    time_rev, _ = solve_routing(RoutingInstance(*args, known={road: instance.known[road]}))
+    return max(time_base - time_rev, 0.0)
 
 
 def lp_reference(instance: DrInstance) -> float:
@@ -81,6 +124,70 @@ def test_greedy_dispatch_matches_the_lp(seed):
     cap = inst.effective_capacity()
     assert np.all(dispatch >= -1e-12) and np.all(dispatch <= cap + 1e-12)
     assert dispatch.sum() >= inst.pi_min - 1e-9
+
+
+@st.composite
+def dispatch_instances(draw):
+    """Instances at the fold's edges: cost ties, zero and below-floor
+    capacities, requirements at exact prefix sums, at the total plus less
+    than the 1e-12 tolerance, and zero."""
+    n = draw(st.integers(1, 12))
+    small = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
+    costs = np.array(draw(st.lists(small | st.floats(0.0, 5.0), min_size=n, max_size=n)))
+    xi_lo = np.array(draw(st.lists(small | st.floats(0.0, 3.0), min_size=n, max_size=n)))
+    xi_hi = xi_lo + np.array(draw(st.lists(small | st.floats(0.0, 10.0), min_size=n, max_size=n)))
+    known = {}
+    for j in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)):
+        known[j] = draw(st.sampled_from([
+            xi_lo[j] - 1e-9, xi_lo[j], xi_hi[j], 0.5 * (xi_lo[j] + xi_hi[j]),
+            *([0.0] if xi_lo[j] <= 1e-9 else []),
+        ]))
+    cap = xi_lo.copy()
+    for j, v in known.items():
+        cap[j] = v
+    order = np.lexsort((np.arange(n), costs))
+    prefix = np.cumsum(cap[order])
+    pi_min = draw(st.one_of(
+        st.just(0.0),
+        st.sampled_from(list(prefix)),
+        st.just(float(cap.sum()) + 5e-13),
+        st.floats(0.0, 1.0).map(lambda f: f * float(max(cap.sum(), 0.0))),
+    ))
+    return DrInstance(costs, xi_lo, xi_hi, max(pi_min, 0.0), known=known)
+
+
+@given(instance=dispatch_instances())
+@settings(max_examples=400, deadline=None)
+def test_fold_dispatch_is_the_loop_bit_for_bit(instance):
+    try:
+        expected = reference_solve_dr(instance)
+    except InfeasibleDrError:
+        with pytest.raises(InfeasibleDrError):
+            solve_dr(instance)
+        return
+    for tables in (None, dispatch_tables(instance.costs, instance.xi_lo)):
+        cost, pi = solve_dr(instance, tables)
+        assert cost == expected[0]
+        np.testing.assert_array_equal(pi, expected[1])
+
+
+def test_fold_dispatch_takes_every_ed_when_feasible_only_within_tolerance():
+    inst = DrInstance(np.array([2.0, 1.0]), np.array([1.0, 1.0]), np.array([2.0, 2.0]),
+                      pi_min=2.0 + 1e-13)
+    cost, pi = solve_dr(inst)
+    np.testing.assert_array_equal(pi, [1.0, 1.0])
+    assert cost == 3.0
+
+
+def test_known_values_outside_the_support_are_rejected():
+    args = (np.array([1.0, 2.0]), np.array([1.0, 1.0]), np.array([2.0, 2.0]), 1.0)
+    with pytest.raises(ValueError, match="revealed value 3.0 for ED 1 outside support"):
+        DrInstance(*args, known={0: 1.5, 1: 3.0})
+    with pytest.raises(ValueError, match="for ED 0 outside support"):
+        DrInstance(*args, known={0: 1.0 - 2e-9})
+    # the tolerance admits a value 1e-9 below the floor
+    cap = DrInstance(*args, known={1: 1.0 - 1e-9}).effective_capacity()
+    np.testing.assert_array_equal(cap, [1.0, 1.0 - 1e-9])
 
 
 def test_infeasible_instance_raises():
@@ -170,6 +277,56 @@ def test_history_rows_carry_unrevealed_eds_forward():
     assert len(wl.history) == 6
 
 
+def vstack_history(initial, rounds):
+    """History built as before: one np.vstack per revealing round."""
+    history = initial
+    for true_xi, selected in rounds:
+        revealed = {j: float(true_xi[j]) for j in selected}
+        if revealed:
+            row = history[-1].copy()
+            for j, v in revealed.items():
+                row[j] = v
+            history = np.vstack([history, row])
+    return history
+
+
+def test_history_rows_equal_the_vstack_construction():
+    wl = DemandResponseWorkload(DrParams(num_eds=9, pi_min=5.0, history_len=3), seed=8)
+    initial = wl.history.copy()
+    rng = np.random.default_rng(0)
+    rounds = []
+    for k in range(8):
+        wl.begin_round(k)
+        selected = [] if k == 3 else sorted(rng.choice(9, size=int(rng.integers(1, 9)), replace=False))
+        rounds.append((wl.true_xi.copy(), selected))
+        wl.ingest(selected)
+    expected = vstack_history(initial, rounds)
+    assert wl.history.shape == expected.shape == (3 + 7, 9)
+    np.testing.assert_array_equal(wl.history, expected)
+
+
+def reference_expected_marginals(wl, num_samples, rng):
+    """Per-sample re-solve: gather S draws from history, solve each."""
+    history = wl.history
+    idx = rng.integers(0, len(history), size=(num_samples, wl.num_eds))
+    draws = np.take_along_axis(history, idx, axis=0)
+    inst = DrInstance(wl.costs, wl.xi_lo, wl.xi_max, wl.pi_min)
+    return np.mean([dr_marginal_utilities(inst, draws[s]) for s in range(num_samples)], axis=0)
+
+
+def test_expected_marginals_from_the_gain_table_equal_per_sample_re_solves():
+    wl = DemandResponseWorkload(DrParams(num_eds=50, pi_min=30.0, history_len=2), seed=6)
+    rng = np.random.default_rng(1)
+    for k in range(24):
+        wl.begin_round(k)
+        fast = wl.expected_marginal_utilities(16, np.random.default_rng(k))
+        slow = reference_expected_marginals(wl, 16, np.random.default_rng(k))
+        np.testing.assert_array_equal(fast, slow)
+        assert np.any(fast > 0)
+        wl.ingest([] if k % 5 == 4 else rng.choice(50, size=7, replace=False))
+    assert len(wl.history_rows) == 2 + 24 - 4  # rounds 4, 9, 14 and 19 reveal nothing
+
+
 def test_workload_expected_marginals_deterministic():
     wl = DemandResponseWorkload(DrParams(num_eds=15, pi_min=10.0), seed=4)
     a = wl.expected_marginal_utilities(32, np.random.default_rng(1))
@@ -222,6 +379,30 @@ def test_routing_instance_validation():
         RoutingInstance({(0, 1): (3.0, 2.0)}, source=0, destination=1)
     with pytest.raises(ValueError):
         RoutingInstance({(0, 1): (1.0, 2.0)}, 0, 1, known={(0, 1): 5.0})
+
+
+def test_routing_workload_solves_its_base_path_once(monkeypatch):
+    wl = RoutingWorkload(RoutingParams(num_nodes=10), seed=3)
+    calls = []
+    solve = decision.solve_routing
+
+    def counting(instance):
+        calls.append(dict(instance.known))
+        return solve(instance)
+
+    monkeypatch.setattr(decision, "solve_routing", counting)
+    deltas = wl.marginal_utilities()
+    assert len(calls) == wl.num_eds + 1 and calls[0] == {}
+    assert wl.marginal_utilities().tolist() == deltas.tolist()
+    wl.sample_marginal(0, np.random.default_rng(0))
+    wl.joint_gain([0, 1])
+    assert len(calls) == 2 * wl.num_eds + 3
+    assert {} not in calls[1:]
+    # each delta is the per-ED re-solve of base and revealed paths
+    for j, road in enumerate(wl.road_list):
+        inst = RoutingInstance(wl.roads, wl.source, wl.destination,
+                               known={road: float(wl.true_tau[j])})
+        assert deltas[j] == routing_marginal_utility(inst, road)
 
 
 def test_routing_workload_rounds_are_consistent():

@@ -270,10 +270,10 @@ def test_round_failures_carry_round_context():
 
 
 def test_round_failures_keep_an_index_error_as_the_cause():
-    # an emptied demand-response history makes ingest's history[-1] fail
+    # an emptied demand-response history makes ingest's history_rows[-1] fail
     cfg = small_config(rounds=3)
     wl = build_workload(cfg, seed=np.random.SeedSequence(cfg.seed))
-    wl.history = wl.history[:0]
+    wl.history_rows.clear()
     with pytest.raises(RoundError, match="round 0 of demand_response failed") as info:
         run_scenario(cfg, workload=wl)
     assert (info.value.round_idx, info.value.workload) == (0, "demand_response")
@@ -353,6 +353,25 @@ def test_cli_exit_code_1_on_config_error(tmp_path):
     ("lr", 5.0, "federated"),  # beyond 2/kappa at the default kappa 1
     ("data_poor_fraction", 1.5, "federated"),
     ("data_poor_keep", 0.0, "federated"),
+    ("cost_range", [-1.0, 5.0], "params"),
+    ("cost_range", [0.0, 1.0, 5.0], "params"),
+    ("cost_range", [5.0, 1.0], "params"),
+    ("cost_range", 5.0, "params"),
+    ("xi_max_range", [30.0, 1.0], "params"),
+    ("xi_max_range", ["a", 1.0], "params"),
+    ("xi_lo", -1.0, "params"),
+    ("pi_min", -5.0, "params"),
+    ("tau_range", [-1.0, 10.0], "routing"),
+    ("tau_range", [10.0, 1.0], "routing"),
+    ("tau_range", [1.0], "routing"),
+    ("edge_prob", 1.5, "routing"),
+    ("edge_prob", -0.1, "routing"),
+    ("history_len", 0, "routing"),
+    ("sparsity", 1.5, "admm"),
+    ("sparsity", -0.5, "admm"),
+    ("solver_tol", 0.0, "admm"),
+    ("solver_cap", -1, "admm"),
+    ("noise_variance_slope", -0.01, "admm"),
 ])
 def test_cli_exit_code_1_names_the_bad_key(tmp_path, key, value, block):
     raw = config_to_dict(small_config())

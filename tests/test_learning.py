@@ -19,7 +19,6 @@ from goalrba.learning import (
     Mlp,
     aggregate_step,
     descent_bound_check,
-    edge_marginal_utility,
     federated_marginal_utility,
     gradient,
     local_gradient,
@@ -134,12 +133,25 @@ def test_sgd_divergence_raises():
         sgd_train(Mlp(20, 8, 3, seed=0), X, y, epochs=3, lr=1e12)
 
 
+def edge_marginal_utility(model: Mlp, x: np.ndarray, y) -> float:
+    """Reference: loss of the existing model on one candidate sample."""
+    return float(per_sample_loss(model, np.atleast_2d(x), [int(y)])[0])
+
+
 def test_edge_marginal_utility_is_the_sample_loss():
     m = Mlp(6, 4, 3, seed=0)
     x = np.ones(6)
     assert edge_marginal_utility(m, x, 1) == pytest.approx(
         float(per_sample_loss(m, x[None, :], [1])[0])
     )
+    # an ED's delta is the summed one-sample loss of the batch it offers
+    wl = EdgeLearningWorkload(small_edge_params(), seed=0)
+    deltas = wl.marginal_utilities()
+    for ed_id in range(wl.num_eds):
+        idx = wl._offered(ed_id)
+        assert deltas[ed_id] == pytest.approx(sum(
+            edge_marginal_utility(wl.model, wl.X_train[i], wl.y_train[i]) for i in idx
+        ), rel=1e-12)
 
 
 def test_aggregate_step_identities():
