@@ -12,7 +12,6 @@ iterates are the same floats as those of a solve on its own.
 
 from __future__ import annotations
 
-import copy
 import logging
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple

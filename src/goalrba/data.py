@@ -22,11 +22,14 @@ def make_gaussian_mixture(
     """
     rng = np.random.default_rng(seed)
     means = rng.normal(scale=mean_scale / np.sqrt(dim), size=(num_classes, dim))
-    X = np.repeat(means, samples_per_class, axis=0)
-    X = X + rng.normal(scale=noise_scale / np.sqrt(dim), size=X.shape)
+    X = rng.normal(scale=noise_scale / np.sqrt(dim), size=(num_classes * samples_per_class, dim))
+    # Means added and rows shuffled in place: no second array of the data's size.
+    X.reshape(num_classes, samples_per_class, dim)[...] += means[:, None, :]
     y = np.repeat(np.arange(num_classes), samples_per_class)
     perm = rng.permutation(len(y))
-    return X[perm], y[perm]
+    for c in range(0, dim, 256):
+        X[:, c:c + 256] = X[perm, c:c + 256]
+    return X, y[perm]
 
 
 def split_non_iid(

@@ -9,12 +9,11 @@ its real-time value alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-import networkx as nx
 import numpy as np
 
-from .workload import EmptyHistoryError, Workload
+from .workload import Workload
 
 
 class InfeasibleDrError(ValueError):
@@ -184,51 +183,57 @@ def dr_marginal_utilities(
     return gains
 
 
-@dataclass
 class RoutingInstance:
-    """Robust shortest-path instance over a directed road network.
+    """Robust shortest-path instance over a road network in node order.
 
-    roads: map (m, n) -> (tau_lo, tau_hi) travel-time support; known: revealed
-    real-time travel times by road.
+    roads: map (m, n) -> (tau_lo, tau_hi) travel-time support, each road
+    running from a lower node m to a higher node n. Read once into arrays in
+    sorted road order: road i runs tail[i] -> head[i] within [lo[i], hi[i]].
     """
 
-    roads: Dict[Tuple[int, int], Tuple[float, float]]
-    source: int
-    destination: int
-    known: Dict[Tuple[int, int], float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.source == self.destination:
+    def __init__(self, roads: Dict[Tuple[int, int], Tuple[float, float]], source, destination):
+        if source == destination:
             raise ValueError("source and destination must differ")
-        for road, (lo, hi) in self.roads.items():
-            if lo < 0 or lo > hi:
-                raise ValueError(f"road {road} support must satisfy 0 <= lo <= hi")
-        for road, v in self.known.items():
-            lo, hi = self.roads[road]
-            if not (lo - 1e-9 <= v <= hi + 1e-9):
-                raise ValueError(f"revealed time {v} for road {road} outside support")
+        keys = sorted(roads)
+        self.source, self.destination = source, destination
+        self.tail, self.head = np.array(keys, dtype=np.intp).reshape(-1, 2).T
+        self.lo, self.hi = np.array([roads[r] for r in keys], dtype=float).reshape(-1, 2).T
+        bad = (self.lo < 0) | (self.lo > self.hi)
+        if np.any(bad):
+            raise ValueError(f"road {keys[np.argmax(bad)]} support must satisfy 0 <= lo <= hi")
+        backward = (self.tail < 0) | (self.tail >= self.head)
+        if np.any(backward) or min(source, destination) < 0:
+            raise ValueError("every road must run from a node m >= 0 to a higher node")
+        self.num_nodes = max(source, destination, *self.head) + 1
+        # (node, its incoming roads, their tails) for each node after source
+        # up to destination that has incoming roads, in node order.
+        into = [(n, np.flatnonzero(self.head == n)) for n in range(source + 1, destination + 1)]
+        self.incoming = [(n, r, self.tail[r]) for n, r in into if len(r)]
 
-    def effective_times(self) -> Dict[Tuple[int, int], float]:
-        """Worst-case travel time: revealed value if known, else tau_hi."""
-        return {
-            road: self.known.get(road, hi) for road, (lo, hi) in self.roads.items()
-        }
 
+def solve_routing(instance: RoutingInstance, times) -> Union[float, np.ndarray]:
+    """Robust source->destination travel time at the given road times.
 
-def solve_routing(instance: RoutingInstance) -> Tuple[float, List[int]]:
-    """Robust shortest source->destination path under worst-case times."""
-    graph = nx.DiGraph()
-    for (m, n), w in instance.effective_times().items():
-        graph.add_edge(m, n, weight=w)
-    try:
-        time, path = nx.single_source_dijkstra(
-            graph, instance.source, instance.destination, weight="weight"
-        )
-    except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-        raise NoPathError(
-            f"no path from {instance.source} to {instance.destination}"
-        ) from exc
-    return float(time), path
+    times is one time per road within its support, shape (E,), or a batch
+    of such rows, (B, E); the result is a float or a (B,) array. One pass in
+    node order, a topological order here, settles every node (Cormen et al.,
+    Introduction to Algorithms, sec. 24.2) from the same sums and minima
+    that Dijkstra forms, so the result is the same float.
+    """
+    rows = np.atleast_2d(np.asarray(times, dtype=float))
+    inside = (instance.lo - 1e-9 <= rows) & (rows <= instance.hi + 1e-9)
+    if not np.all(inside):
+        b, i = np.unravel_index(np.argmin(inside), inside.shape)
+        road = (int(instance.tail[i]), int(instance.head[i]))
+        raise ValueError(f"time {rows[b, i]} for road {road} outside support")
+    dist = np.full((len(rows), instance.num_nodes), np.inf)
+    dist[:, instance.source] = 0.0
+    for n, into, tails in instance.incoming:
+        dist[:, n] = np.min(dist[:, tails] + rows[:, into], axis=1)
+    time = dist[:, instance.destination]
+    if np.any(np.isinf(time)):
+        raise NoPathError(f"no path from {instance.source} to {instance.destination}")
+    return time if np.ndim(times) == 2 else float(time[0])
 
 
 def _check_range(name: str, value, floor: Optional[float] = None) -> None:
@@ -410,6 +415,8 @@ class RoutingParams:
 class RoutingWorkload(Workload):
     """Robust routing: one ED measures one road; reveals shorten the path.
 
+    ED i measures road i of the network's sorted road order. Each round's
+    road times start at tau_hi and a reveal writes the road's true time in.
     With nothing revealed every road sits at tau_hi, so the base path's time
     is solved once, on first use.
     """
@@ -418,23 +425,18 @@ class RoutingWorkload(Workload):
         self.params = params
         self._rng = np.random.default_rng(seed)
         self.roads: Dict[Tuple[int, int], Tuple[float, float]] = {}
-        self.source = 0
-        self.destination = params.num_nodes - 1
+        self.source, self.destination = 0, params.num_nodes - 1
         self._build_network()
-        self.road_list = sorted(self.roads)
-        self.num_eds = len(self.road_list)
-        lo = np.array([self.roads[r][0] for r in self.road_list])
-        hi = np.array([self.roads[r][1] for r in self.road_list])
-        self._lo, self._hi = lo, hi
-        self.history = self._rng.uniform(lo, hi, size=(params.history_len, self.num_eds))
-        self.true_tau = None
-        self.known: Dict[Tuple[int, int], float] = {}
+        self.network = RoutingInstance(self.roads, self.source, self.destination)
+        self.num_eds = len(self.roads)
+        self.history = self._rng.uniform(
+            self.network.lo, self.network.hi, size=(params.history_len, self.num_eds)
+        )
         self._base_time: Optional[float] = None
         self.begin_round(0)
 
     def _build_network(self) -> None:
         n = self.params.num_nodes
-        lo_t, hi_t = self.params.tau_range
         # Backbone path guarantees reachability; extra edges add alternatives.
         for m in range(n - 1):
             self._add_road(m, m + 1)
@@ -449,48 +451,51 @@ class RoutingWorkload(Workload):
         hi = self._rng.uniform(lo, hi_t)
         self.roads[(m, n)] = (lo, max(hi, lo))
 
-    def _instance(self, known) -> RoutingInstance:
-        return RoutingInstance(self.roads, self.source, self.destination, known=known)
-
     def _base(self) -> float:
         if self._base_time is None:
-            self._base_time, _ = solve_routing(self._instance({}))
+            self._base_time = solve_routing(self.network, self.network.hi)
         return self._base_time
 
     def begin_round(self, round_idx: int) -> None:
-        self.true_tau = self._rng.uniform(self._lo, self._hi)
-        self.known = {}
+        self.true_tau = self._rng.uniform(self.network.lo, self.network.hi)
+        self.times = self.network.hi.copy()
 
     def marginal_utilities(self) -> np.ndarray:
-        base = self._base()
-        out = np.zeros(self.num_eds)
-        for ed_id, road in enumerate(self.road_list):
-            revealed, _ = solve_routing(self._instance({road: float(self.true_tau[ed_id])}))
-            out[ed_id] = max(base - revealed, 0.0)
+        """Each road revealed alone at its true time: one row per ED, one solve."""
+        rows = np.tile(self.network.hi, (self.num_eds, 1))
+        np.fill_diagonal(rows, self.true_tau)
+        return np.maximum(self._base() - solve_routing(self.network, rows), 0.0)
+
+    def expected_marginal_utilities(
+        self, num_samples: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Mean delta of each road revealed alone at times drawn from history.
+
+        Draws num_samples history rows for ED 0, then ED 1, and so on, one
+        rng.integers call per draw; each ED's draws are solved as one batch.
+        """
+        base, hi = self._base(), self.network.hi
+        rows = np.tile(hi, (num_samples, 1))
+        out = np.empty(self.num_eds)
+        for j in range(self.num_eds):
+            draws = [rng.integers(0, len(self.history)) for _ in range(num_samples)]
+            rows[:, j] = self.history[draws, j]
+            out[j] = np.mean(np.maximum(base - solve_routing(self.network, rows), 0.0))
+            rows[:, j] = hi[j]
         return out
 
-    def sample_marginal(self, ed_id: int, rng: np.random.Generator) -> float:
-        if len(self.history) == 0:
-            raise EmptyHistoryError(f"no empirical distribution: {type(self).__name__} history is empty")
-        road = self.road_list[ed_id]
-        value = float(self.history[rng.integers(0, len(self.history)), ed_id])
-        revealed, _ = solve_routing(self._instance({road: value}))
-        return max(self._base() - revealed, 0.0)
-
     def ingest(self, selected: Iterable[int]) -> None:
-        for ed_id in selected:
-            self.known[self.road_list[ed_id]] = float(self.true_tau[ed_id])
+        ids = np.fromiter(selected, dtype=np.intp)
+        self.times[ids] = self.true_tau[ids]
 
     def goal_value(self) -> float:
-        time, _ = solve_routing(self._instance(self.known))
-        return time
+        return solve_routing(self.network, self.times)
 
     def payload_bits(self) -> np.ndarray:
         return np.full(self.num_eds, self.params.payload_bits)
 
     def joint_gain(self, subset: Sequence[int]) -> float:
-        revealed = {
-            self.road_list[j]: float(self.true_tau[j]) for j in subset
-        }
-        joint, _ = solve_routing(self._instance(revealed))
-        return self._base() - joint
+        ids = np.fromiter(subset, dtype=np.intp)
+        times = self.network.hi.copy()
+        times[ids] = self.true_tau[ids]
+        return self._base() - solve_routing(self.network, times)

@@ -110,6 +110,10 @@ class ScenarioConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.utility_mode not in ("exact", "expected"):
             raise ConfigError(f"unknown utility mode {self.utility_mode!r}")
+        sampler = WORKLOADS[self.workload][1].expected_marginal_utilities
+        if self.utility_mode == "expected" and sampler is Workload.expected_marginal_utilities:
+            raise ConfigError(f"utility_mode 'expected' needs a history to draw from, "
+                              f"which {self.workload} does not keep")
         if self.utility_samples < 1:
             raise ConfigError("utility_samples must be at least 1")
         if self.gain_normalization not in ("raw", "per_round_max"):

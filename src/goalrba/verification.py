@@ -6,13 +6,12 @@ tests assert on, so the CLI and the test suite cannot drift apart.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .admm import (
     EdLocalProblem,
-    admm_marginal_utility,
     augmented_lagrangian,
     descent_certificate,
     make_admm_state,

@@ -28,10 +28,6 @@ class EnumerationScaleError(ValueError):
     """Subset enumeration requested beyond the tractable size."""
 
 
-class EmptyHistoryError(ValueError):
-    """No empirical distribution: the workload has no history to sample."""
-
-
 class Workload(abc.ABC):
     """Pluggable CPS goal: produces per-ED gains, ingests data, reports C(z).
 
@@ -65,26 +61,17 @@ class Workload(abc.ABC):
         """Transmitted units for the metrics row; default is ED count."""
         return len(list(selected))
 
-    def sample_marginal(self, ed_id: int, rng: np.random.Generator) -> float:
-        """One draw of delta with the ED's payload sampled from history."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support sampled marginal utilities"
-        )
-
     def expected_marginal_utilities(
         self, num_samples: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Per-ED Monte Carlo mean of delta over payload draws from history.
+        """Per-ED Monte Carlo mean of delta over num_samples history draws.
 
-        Draws num_samples sample_marginal values for ED 0, then ED 1, and so
-        on, all from rng.
+        All draws come from rng. A workload supports utility_mode: expected
+        by overriding this method.
         """
-        if num_samples < 1:
-            raise ValueError(f"num_samples must be at least 1, got {num_samples}")
-        return np.array([
-            np.mean([self.sample_marginal(ed_id, rng) for _ in range(num_samples)])
-            for ed_id in range(self.num_eds)
-        ])
+        raise NotImplementedError(
+            f"{type(self).__name__} does not support sampled marginal utilities"
+        )
 
     def joint_gain(self, subset: Sequence[int]) -> float:
         """C(z_old) - C(z_old with the subset's data added), without ingesting."""
@@ -112,6 +99,8 @@ def collect_reports(
     """
     if mode not in ("exact", "expected"):
         raise ValueError(f"unknown utility mode {mode!r}")
+    if mode == "expected" and num_samples < 1:
+        raise ValueError(f"num_samples must be at least 1, got {num_samples}")
     if mode == "exact":
         deltas = workload.marginal_utilities()
     else:

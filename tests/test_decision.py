@@ -1,5 +1,10 @@
 """Robust load shedding and routing: LP oracle agreement, marginal identities."""
 
+import heapq
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +25,7 @@ from goalrba.decision import (
     solve_dr,
     solve_routing,
 )
+from goalrba.harness import build_workload, load_config
 
 
 def reference_solve_dr(instance: DrInstance):
@@ -54,15 +60,34 @@ def dr_marginal_utility(instance: DrInstance, ed_id: int) -> float:
     return max(cost_base - cost_rev, 0.0)
 
 
-def routing_marginal_utility(instance: RoutingInstance, road) -> float:
-    """Reference re-solve: robust travel time without the revelation minus
-    time with it."""
-    if road not in instance.known:
-        raise KeyError(f"road {road} has no revealed value in this instance")
-    args = (instance.roads, instance.source, instance.destination)
-    time_base, _ = solve_routing(RoutingInstance(*args))
-    time_rev, _ = solve_routing(RoutingInstance(*args, known={road: instance.known[road]}))
-    return max(time_base - time_rev, 0.0)
+def reference_solve_routing(roads, source, destination, times) -> float:
+    """Dijkstra over the road dict, the algorithm the forward pass replaced;
+    times[i] is the time of the i-th road in sorted order."""
+    out = {}
+    for (m, n), t in zip(sorted(roads), times):
+        out.setdefault(m, []).append((n, float(t)))
+    dist, heap, done = {source: 0.0}, [(0.0, source)], set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u == destination:
+            return d
+        if u in done:
+            continue
+        done.add(u)
+        for v, w in out.get(u, ()):
+            if v not in dist or d + w < dist[v]:
+                dist[v] = d + w
+                heapq.heappush(heap, (dist[v], v))
+    raise NoPathError(f"no path from {source} to {destination}")
+
+
+def routing_marginal_utility(roads, source, destination, road, value) -> float:
+    """Reference re-solve: robust travel time with every road at tau_hi
+    minus the time with only road revealed at value."""
+    hi = [roads[r][1] for r in sorted(roads)]
+    revealed = [value if r == road else roads[r][1] for r in sorted(roads)]
+    base = reference_solve_routing(roads, source, destination, hi)
+    return max(base - reference_solve_routing(roads, source, destination, revealed), 0.0)
 
 
 def lp_reference(instance: DrInstance) -> float:
@@ -343,33 +368,30 @@ def test_routing_hand_graph():
     # detour 0 -> 1 -> 3 at revealed fast times beats the direct road, which
     # sits at its pessimistic 20 while unobserved
     roads = {(0, 1): (1.0, 4.0), (1, 3): (1.0, 4.0), (0, 3): (3.0, 20.0)}
-    inst = RoutingInstance(
-        roads, source=0, destination=3, known={(0, 1): 1.0, (1, 3): 1.0}
-    )
-    cost, path = solve_routing(inst)
-    assert cost == pytest.approx(2.0)
-    assert path == [0, 1, 3]
+    inst = RoutingInstance(roads, source=0, destination=3)
+    # sorted road order: (0, 1), (0, 3), (1, 3)
+    assert solve_routing(inst, [1.0, 20.0, 1.0]) == pytest.approx(2.0)
+    assert solve_routing(inst, inst.hi) == pytest.approx(8.0)
 
 
 def test_routing_marginal_utility_hand_values():
     roads = {(0, 1): (1.0, 9.0), (1, 2): (1.0, 9.0), (0, 2): (5.0, 5.0)}
-    base, path = solve_routing(RoutingInstance(roads, source=0, destination=2))
-    assert base == pytest.approx(5.0) and path == [0, 2]
+    assert solve_routing(RoutingInstance(roads, source=0, destination=2),
+                         [9.0, 5.0, 9.0]) == pytest.approx(5.0)
     # knowing (0,1)=1 alone does not beat the safe road: 1 + 9 > 5
-    one_leg = RoutingInstance(roads, 0, 2, known={(0, 1): 1.0})
-    assert routing_marginal_utility(one_leg, (0, 1)) == pytest.approx(0.0)
+    assert routing_marginal_utility(roads, 0, 2, (0, 1), 1.0) == pytest.approx(0.0)
     # a shortcut road drops the robust time from 5 to 2 on its own
     shortcut = {(0, 2): (2.0, 9.0), (0, 1): (1.0, 1.0), (1, 2): (4.0, 4.0)}
-    inst = RoutingInstance(shortcut, 0, 2, known={(0, 2): 2.0})
-    assert routing_marginal_utility(inst, (0, 2)) == pytest.approx(3.0)
-    with pytest.raises(KeyError):
-        routing_marginal_utility(inst, (0, 1))
+    assert routing_marginal_utility(shortcut, 0, 2, (0, 2), 2.0) == pytest.approx(3.0)
 
 
 def test_routing_no_path():
     inst = RoutingInstance({(0, 1): (1.0, 2.0)}, source=0, destination=2)
     with pytest.raises(NoPathError):
-        solve_routing(inst)
+        solve_routing(inst, [2.0])
+    backwards = RoutingInstance({(0, 1): (1.0, 2.0)}, source=1, destination=0)
+    with pytest.raises(NoPathError):
+        solve_routing(backwards, [[2.0], [1.0]])
 
 
 def test_routing_instance_validation():
@@ -377,8 +399,94 @@ def test_routing_instance_validation():
         RoutingInstance({(0, 1): (1.0, 2.0)}, source=0, destination=0)
     with pytest.raises(ValueError):
         RoutingInstance({(0, 1): (3.0, 2.0)}, source=0, destination=1)
-    with pytest.raises(ValueError):
-        RoutingInstance({(0, 1): (1.0, 2.0)}, 0, 1, known={(0, 1): 5.0})
+    for road in [(1, 0), (1, 1), (-1, 1)]:
+        with pytest.raises(ValueError, match="higher node"):
+            RoutingInstance({(0, 1): (1.0, 2.0), road: (1.0, 2.0)}, 0, 1)
+    inst = RoutingInstance({(0, 1): (1.0, 2.0), (1, 2): (0.0, 1.0)}, 0, 2)
+    with pytest.raises(ValueError, match=r"time 5.0 for road \(0, 1\) outside support"):
+        solve_routing(inst, [5.0, 1.0])
+    with pytest.raises(ValueError, match=r"for road \(1, 2\) outside support"):
+        solve_routing(inst, [[1.0, 1.0], [1.0, -2e-9]])
+    # the tolerance admits a time 1e-9 beyond either end
+    assert solve_routing(inst, [2.0 + 1e-9, -1e-9]) == 2.0
+
+
+TIMES = st.sampled_from([0.0, 0.1, 0.2, 0.3, 1 / 3, 0.7, 1.0]) | st.floats(0.0, 10.0)
+
+
+@st.composite
+def routing_cases(draw):
+    """Random node-ordered networks with zero-length roads, equal-time ties
+    (times from a small grid), a batch of time rows, and source and
+    destination in either order, so some destinations are unreachable."""
+    n = draw(st.integers(2, 7))
+    roads = {}
+    for road in [(m, k) for m in range(n) for k in range(m + 1, n)]:
+        if draw(st.booleans()):
+            roads[road] = tuple(sorted((draw(TIMES), draw(TIMES))))
+    source, destination = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                        unique=True))
+    if draw(st.integers(0, 3)):  # mostly forward, where a path can exist
+        source, destination = sorted((source, destination))
+    keys, rows = sorted(roads), draw(st.integers(1, 4))
+    times = np.array([
+        [draw(st.sampled_from([roads[r][0], roads[r][1], 0.5 * (roads[r][0] + roads[r][1])]))
+         for r in keys]
+        for _ in range(rows)
+    ]).reshape(rows, len(keys))
+    return roads, source, destination, times
+
+
+@given(case=routing_cases(), backward=st.sampled_from([None, (1, 0), (1, 1)]))
+@settings(max_examples=400, deadline=None)
+def test_forward_pass_is_dijkstra_bit_for_bit(case, backward):
+    roads, source, destination, times = case
+    if backward:
+        with pytest.raises(ValueError, match="higher node"):
+            RoutingInstance({**roads, backward: (0.0, 1.0)}, source, destination)
+    inst = RoutingInstance(roads, source, destination)
+    try:
+        expected = [reference_solve_routing(roads, source, destination, row) for row in times]
+    except NoPathError:
+        with pytest.raises(NoPathError):
+            solve_routing(inst, times)
+        with pytest.raises(NoPathError):
+            solve_routing(inst, times[0])
+        return
+    batch = solve_routing(inst, times)
+    assert batch.shape == (len(times),)
+    assert batch.tolist() == expected
+    assert [solve_routing(inst, row) for row in times] == expected
+
+
+ROUTING_PRESET = Path(__file__).resolve().parents[1] / "configs" / "routing.yaml"
+
+
+def test_routing_workload_marginals_are_the_reference_re_solves():
+    cfg = load_config(ROUTING_PRESET)
+    wl = build_workload(cfg, seed=cfg.seed)
+    args = (wl.roads, wl.source, wl.destination)
+    roads = sorted(wl.roads)
+    selection = np.random.default_rng(0)
+    for k in range(10):
+        wl.begin_round(k)
+        deltas = wl.marginal_utilities()
+        assert deltas.tolist() == [
+            routing_marginal_utility(*args, road, float(wl.true_tau[j]))
+            for j, road in enumerate(roads)
+        ]
+        sampled = wl.expected_marginal_utilities(16, np.random.default_rng(k))
+        rng = np.random.default_rng(k)
+        expected = []
+        for j, road in enumerate(roads):
+            draws = [float(wl.history[rng.integers(0, len(wl.history)), j]) for _ in range(16)]
+            expected.append(np.mean([routing_marginal_utility(*args, road, v) for v in draws]))
+        assert sampled.tolist() == expected
+        selected = sorted(selection.choice(wl.num_eds, size=k % 4, replace=False))
+        wl.ingest(selected)
+        times = [float(wl.true_tau[j]) if j in selected else wl.roads[r][1]
+                 for j, r in enumerate(roads)]
+        assert wl.goal_value() == reference_solve_routing(*args, times)
 
 
 def test_routing_workload_solves_its_base_path_once(monkeypatch):
@@ -386,23 +494,37 @@ def test_routing_workload_solves_its_base_path_once(monkeypatch):
     calls = []
     solve = decision.solve_routing
 
-    def counting(instance):
-        calls.append(dict(instance.known))
-        return solve(instance)
+    def counting(instance, times):
+        calls.append(np.array(times))
+        return solve(instance, times)
 
     monkeypatch.setattr(decision, "solve_routing", counting)
+    wl.ingest([0])  # the base stays all tau_hi whatever has been revealed
     deltas = wl.marginal_utilities()
-    assert len(calls) == wl.num_eds + 1 and calls[0] == {}
+    # one base solve, then every ED's single-reveal row in one batch
+    assert [c.shape for c in calls] == [(wl.num_eds,), (wl.num_eds, wl.num_eds)]
+    np.testing.assert_array_equal(calls[0], wl.network.hi)
     assert wl.marginal_utilities().tolist() == deltas.tolist()
-    wl.sample_marginal(0, np.random.default_rng(0))
+    wl.expected_marginal_utilities(3, np.random.default_rng(0))
     wl.joint_gain([0, 1])
-    assert len(calls) == 2 * wl.num_eds + 3
-    assert {} not in calls[1:]
+    assert [c.shape for c in calls[2:]] == (
+        [(wl.num_eds, wl.num_eds)] + [(3, wl.num_eds)] * wl.num_eds + [(wl.num_eds,)]
+    )
     # each delta is the per-ED re-solve of base and revealed paths
-    for j, road in enumerate(wl.road_list):
-        inst = RoutingInstance(wl.roads, wl.source, wl.destination,
-                               known={road: float(wl.true_tau[j])})
-        assert deltas[j] == routing_marginal_utility(inst, road)
+    args = (wl.roads, wl.source, wl.destination)
+    for j, road in enumerate(sorted(wl.roads)):
+        assert deltas[j] == routing_marginal_utility(*args, road, float(wl.true_tau[j]))
+
+
+def test_import_needs_no_package_beyond_numpy_and_yaml():
+    # routing's graph library was the one other runtime dependency
+    code = (
+        "import sys, numpy, yaml; before = set(sys.modules); import goalrba; "
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(new - set(sys.stdlib_module_names)))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "['goalrba']"
 
 
 def test_routing_workload_rounds_are_consistent():

@@ -372,11 +372,17 @@ def test_cli_exit_code_1_on_config_error(tmp_path):
     ("solver_tol", 0.0, "admm"),
     ("solver_cap", -1, "admm"),
     ("noise_variance_slope", -0.01, "admm"),
+    # A config key with a workload name as the block: that workload, the key
+    # at the top level.
+    ("utility_mode", "expected", "edge_learning"),
+    ("utility_mode", "expected", "federated"),
+    ("utility_mode", "expected", "admm"),
 ])
 def test_cli_exit_code_1_names_the_bad_key(tmp_path, key, value, block):
     raw = config_to_dict(small_config())
     if block in WORKLOADS:
-        raw["workload"], raw["params"], block = block, {}, "params"
+        raw["workload"], raw["params"] = block, {}
+        block = None if key in raw else "params"
     (raw[block] if block else raw)[key] = value
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(raw))

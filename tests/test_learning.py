@@ -202,6 +202,27 @@ def test_descent_bound_is_tight_on_quadratics(seed, eta_frac):
     assert after - before == pytest.approx(bound, rel=1e-9, abs=1e-12)
 
 
+def reference_gaussian_mixture(num_classes, dim, samples_per_class, seed):
+    """The mixture drawn with a repeated-means array and a permuted copy."""
+    rng = np.random.default_rng(seed)
+    means = rng.normal(scale=2.0 / np.sqrt(dim), size=(num_classes, dim))
+    X = np.repeat(means, samples_per_class, axis=0)
+    X = X + rng.normal(scale=1.0 / np.sqrt(dim), size=X.shape)
+    y = np.repeat(np.arange(num_classes), samples_per_class)
+    perm = rng.permutation(len(y))
+    return X[perm], y[perm]
+
+
+@pytest.mark.parametrize(
+    "shape", [(10, 784, 26), (3, 7, 4), (4, 130, 9), (1, 256, 1), (2, 300, 3)]
+)
+def test_in_place_mixture_is_the_reference_bit_for_bit(shape):
+    X, y = make_gaussian_mixture(*shape, seed=5)
+    X_ref, y_ref = reference_gaussian_mixture(*shape, seed=5)
+    np.testing.assert_array_equal(X, X_ref)
+    np.testing.assert_array_equal(y, y_ref)
+
+
 def test_split_non_iid_is_a_partition_with_holders():
     _, y = make_gaussian_mixture(10, 8, 50, seed=0)
     shards = split_non_iid(y, 12, concentrated_classes=(6, 9), concentration=1.0, seed=0)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from goalrba.channel import RbParams
-from goalrba.decision import DemandResponseWorkload, DrParams
+from goalrba.decision import (
+    DemandResponseWorkload,
+    DrParams,
+    RoutingParams,
+    RoutingWorkload,
+    solve_routing,
+)
 from goalrba.workload import (
     EnumerationScaleError,
     Workload,
@@ -14,7 +20,7 @@ from goalrba.workload import (
 
 
 class StubWorkload(Workload):
-    """Hand-set deltas and payloads; marginal samples count ingest calls."""
+    """Hand-set deltas and payloads; ingest calls are recorded."""
 
     def __init__(self, deltas, payloads):
         self.num_eds = len(deltas)
@@ -33,9 +39,6 @@ class StubWorkload(Workload):
 
     def payload_bits(self):
         return self.payloads.copy()
-
-    def sample_marginal(self, ed_id, rng):
-        return self.deltas[ed_id] + rng.normal(scale=0.1)
 
 
 def test_collect_reports_pairs_delta_with_demand():
@@ -63,8 +66,9 @@ def test_collect_reports_rejects_unknown_mode():
 
 
 def test_expected_mode_is_deterministic_given_seed():
-    wl = StubWorkload(deltas=[1.0, 2.0], payloads=[512.0, 512.0])
-    kwargs = dict(gains=[1.0, 1.0], rb=RbParams(), mode="expected", num_samples=64)
+    wl = RoutingWorkload(RoutingParams(num_nodes=8), seed=2)
+    gains = np.ones(wl.num_eds)
+    kwargs = dict(gains=gains, rb=RbParams(), mode="expected", num_samples=64)
     a = collect_reports(wl, seed=11, **kwargs)
     b = collect_reports(wl, seed=11, **kwargs)
     assert [(r.ed_id, r.delta) for r in a] == [(r.ed_id, r.delta) for r in b]
@@ -73,11 +77,36 @@ def test_expected_mode_is_deterministic_given_seed():
 
 
 def test_expected_marginal_utility_converges_to_the_mean():
-    wl = StubWorkload(deltas=[5.0], payloads=[512.0])
-    est = wl.expected_marginal_utilities(4000, np.random.default_rng(3))[0]
-    assert est == pytest.approx(5.0, abs=0.02)
-    with pytest.raises(ValueError):
-        wl.expected_marginal_utilities(0, np.random.default_rng(3))
+    # the Monte Carlo mean of one ED tends to the mean, over history rows,
+    # of its road revealed alone at that row's time
+    wl = RoutingWorkload(RoutingParams(num_nodes=6, history_len=32), seed=4)
+    hi = wl.network.hi
+    base = solve_routing(wl.network, hi)
+    rows = np.tile(hi, (len(wl.history), 1))
+    deltas = []
+    for j in range(wl.num_eds):
+        rows[:, j] = wl.history[:, j]
+        deltas.append(np.maximum(base - solve_routing(wl.network, rows), 0.0))
+        rows[:, j] = hi[j]
+    j = int(np.argmax([d.std() for d in deltas]))
+    assert deltas[j].std() > 0
+    est = wl.expected_marginal_utilities(4000, np.random.default_rng(3))
+    # within four standard errors for the most variable ED, exact for the rest
+    assert abs(est[j] - deltas[j].mean()) <= 4 * deltas[j].std() / np.sqrt(4000)
+    for k, d in enumerate(deltas):
+        if d.std() == 0:
+            assert est[k] == d[0]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DemandResponseWorkload(DrParams(num_eds=6, pi_min=3.0), seed=0),
+    lambda: RoutingWorkload(RoutingParams(num_nodes=5), seed=0),
+], ids=["demand_response", "routing"])
+def test_expected_mode_needs_at_least_one_sample(make):
+    workload = make()
+    gains = np.ones(workload.num_eds)
+    with pytest.raises(ValueError, match="num_samples must be at least 1"):
+        collect_reports(workload, gains, RbParams(), mode="expected", num_samples=0, seed=1)
 
 
 def test_throughput_default_counts_selected():
@@ -86,7 +115,7 @@ def test_throughput_default_counts_selected():
     assert wl.throughput([]) == 0
 
 
-def test_sample_marginal_unimplemented_by_default():
+def test_expected_marginals_unimplemented_by_default():
     class Bare(Workload):
         num_eds = 1
 
@@ -103,7 +132,7 @@ def test_sample_marginal_unimplemented_by_default():
             return np.ones(1)
 
     with pytest.raises(NotImplementedError):
-        Bare().sample_marginal(0, np.random.default_rng(0))
+        Bare().expected_marginal_utilities(4, np.random.default_rng(0))
     with pytest.raises(NotImplementedError):
         Bare().joint_gain([0])
 
