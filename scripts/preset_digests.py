@@ -29,9 +29,13 @@ import yaml
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+ROOT = Path(__file__).resolve().parents[1]
+# This checkout's package, ahead of any installed goalrba.
+sys.path.insert(0, str(ROOT / "src"))
+
 from goalrba.cli import main as goalrba_main  # noqa: E402  (loads numpy)
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+CONFIGS = ROOT / "configs"
 
 
 def parse_override(text: str):

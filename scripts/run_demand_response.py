@@ -8,14 +8,19 @@ selection. Rounds, seed and budget come from configs/demand_response.yaml.
 
 import argparse
 import dataclasses
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from goalrba.harness import POLICIES, load_config, run_scenario
+ROOT = Path(__file__).resolve().parents[1]
+# This checkout's package, ahead of any installed goalrba.
+sys.path.insert(0, str(ROOT / "src"))
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+from goalrba.harness import POLICIES, load_config, run_scenario  # noqa: E402
+
+CONFIGS = ROOT / "configs"
 
 
 def main() -> None:

@@ -9,14 +9,19 @@ per-seed round counts and medians.
 
 import argparse
 import dataclasses
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from goalrba.harness import load_config, rounds_to_target
+ROOT = Path(__file__).resolve().parents[1]
+# This checkout's package, ahead of any installed goalrba.
+sys.path.insert(0, str(ROOT / "src"))
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+from goalrba.harness import load_config, rounds_to_target  # noqa: E402
+
+CONFIGS = ROOT / "configs"
 
 TARGETS = {"edge_learning": 0.90, "federated": 0.95, "admm": 1e-3}
 

@@ -26,6 +26,9 @@ from . import data as datasets
 from .workload import Workload
 
 _PROB_FLOOR = 1e-12
+# A logit bound at or below this proves the loss finite: float64 overflows
+# above 1.7e308, and the rounding in the forward is about 1e-13 relative.
+_LOGIT_LIMIT = 1e300
 
 
 class DivergenceError(RuntimeError):
@@ -106,6 +109,30 @@ def loss(model: Mlp, X: np.ndarray, y: np.ndarray) -> float:
     return float(per_sample_loss(model, X, y).mean())
 
 
+def _abs_max(a: np.ndarray) -> float:
+    """max|a| without an |a| temporary; NaN if a holds a NaN."""
+    return float(np.maximum(a.max(), -a.min()))
+
+
+def input_scale(X: np.ndarray) -> float:
+    """Bound on the l1 norm of every row of X: columns times max|X|."""
+    return X.shape[1] * _abs_max(X)
+
+
+def logit_bound(model: Mlp, x_scale: float) -> float:
+    """Bound on |hidden pre-activation| and |logit| for rows of l1 norm <= x_scale.
+
+    |pre| <= x_scale * max|W1| + max|b1| = h, and
+    |logit| <= hidden_dim * max|W2| * h + max|b2|; the larger of the two is
+    returned, because a tiny W2 can keep the logit bound finite over a
+    hidden unit that overflows. It is NaN when any weight or x_scale is NaN,
+    and inf when one is infinite or the product overflows.
+    """
+    hidden = x_scale * _abs_max(model.W1) + _abs_max(model.b1)
+    logits = model.hidden_dim * _abs_max(model.W2) * hidden + _abs_max(model.b2)
+    return float(np.maximum(hidden, logits))
+
+
 def gradient(model: Mlp, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Flat gradient of the mean cross-entropy at the model's weights."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -152,26 +179,39 @@ def sgd_train(
     momentum: float = 0.9,
     seed=0,
 ) -> Mlp:
-    """Mini-batch SGD with momentum, in place; returns the model."""
+    """Mini-batch SGD with momentum, in place; returns the model.
+
+    After each epoch the training loss must be finite, or DivergenceError
+    names it. ``logit_bound`` settles that from the weights alone: a bound at
+    most ``_LOGIT_LIMIT`` keeps every logit, and so every per-sample loss,
+    finite. Only when the bound fails (a NaN or inf weight, or a huge one)
+    does the full-set ``loss`` forward run to decide.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=int))
     if len(y) == 0:
         raise ValueError("sgd_train requires a nonempty dataset")
+    if X.shape[0] != len(y):
+        raise ValueError("feature rows and labels disagree")
     rng = np.random.default_rng(seed)
     velocity = np.zeros(model.num_params)
+    x_scale = input_scale(X)
     for _ in range(epochs):
         order = rng.permutation(len(y))
         for start in range(0, len(y), batch_size):
             batch = order[start : start + batch_size]
             grad = gradient(model, X[batch], y[batch])
             # velocity = momentum * velocity - lr * grad; params += velocity,
-            # in place: the same operations in the same order.
+            # in place: the same operations in the same order (IEEE products
+            # commute, so grad * lr has the bits of lr * grad).
             velocity *= momentum
-            velocity -= lr * grad
+            grad *= lr
+            velocity -= grad
             model.params += velocity
-        epoch_loss = loss(model, X, y)
-        if not np.isfinite(epoch_loss):
-            raise DivergenceError(f"divergence: training loss is {epoch_loss}")
+        if not logit_bound(model, x_scale) <= _LOGIT_LIMIT:
+            epoch_loss = loss(model, X, y)
+            if not np.isfinite(epoch_loss):
+                raise DivergenceError(f"divergence: training loss is {epoch_loss}")
     return model
 
 

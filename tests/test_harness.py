@@ -1,6 +1,7 @@
 """Scenario harness: config schema, CSV plumbing, determinism, CLI exit codes."""
 
 import dataclasses
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -414,3 +415,19 @@ def test_cli_compare_writes_a_directory(tmp_path):
     assert res.returncode == 0, res.stderr
     for name in ("channel.csv", "utility.csv", "hybrid.csv", "summary.csv"):
         assert (out / name).exists()
+
+
+def test_preset_digests_imports_its_own_checkout(tmp_path):
+    # No PYTHONPATH and a working directory outside the repo: the script
+    # must still find this checkout's src/.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    script = CONFIGS.parent / "scripts" / "preset_digests.py"
+    res = subprocess.run(
+        [sys.executable, str(script), str(CONFIGS / "routing.yaml")],
+        capture_output=True, text=True, cwd=tmp_path, env=env,
+    )
+    assert res.returncode == 0, res.stderr
+    lines = [line.split() for line in res.stdout.splitlines()]
+    assert [name for _, name, _ in lines] == [
+        "channel.csv", "hybrid.csv", "summary.csv", "utility.csv"]
+    assert all(config == "routing.yaml" and len(digest) == 64 for config, _, digest in lines)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from goalrba import learning
 from goalrba.data import make_gaussian_mixture, split_non_iid
@@ -131,6 +131,79 @@ def test_sgd_divergence_raises():
     # that keeps the weights finite does not count as divergence
     with np.errstate(all="ignore"):
         sgd_train(Mlp(20, 8, 3, seed=0), X, y, epochs=3, lr=1e12)
+
+
+def test_sgd_rejects_rows_and_labels_that_disagree():
+    X, y = make_gaussian_mixture(3, 20, 30, seed=0)
+    with pytest.raises(ValueError, match="feature rows and labels disagree"):
+        sgd_train(Mlp(20, 8, 3, seed=0), X, y[:-1], epochs=1)
+
+
+# --- the logit bound that stands in for the epoch check's forward ----------
+
+
+def set_weights(model, **arrays):
+    for name, value in arrays.items():
+        getattr(model, name)[...] = value
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    target=st.floats(280, 310),
+    e_x=st.floats(0, 160),
+    e_w1=st.floats(0, 160),
+    e_b1=st.floats(-3, 3),
+    e_b2=st.floats(-3, 3),
+    inject=st.sampled_from([None, "W1", "b1", "W2", "b2", "X"]),
+    bad=st.sampled_from([np.inf, -np.inf, np.nan]),
+    seed=st.integers(0, 2**16),
+)
+def test_a_passing_logit_bound_keeps_the_loss_finite(
+        target, e_x, e_w1, e_b1, e_b2, inject, bad, seed):
+    # Scales put the logit bound log-uniform in 1e280-1e310, so draws fall on
+    # both sides of the limit; some push the hidden layer itself to overflow.
+    d, h, k, n = 12, 6, 3, 20
+    e_hidden = e_x + e_w1 + np.log10(d)
+    exponents = {"X": e_x, "W1": e_w1, "b1": e_hidden + e_b1,
+                 "W2": target - e_hidden - np.log10(h), "b2": target + e_b2}
+    rng = np.random.default_rng(seed)
+    model = Mlp(d, h, k, seed=seed)
+    shapes = {"X": (n, d), "W1": model.W1.shape, "b1": model.b1.shape,
+              "W2": model.W2.shape, "b2": model.b2.shape}
+    with np.errstate(all="ignore"):
+        arrays = {name: rng.normal(size=shape) * 10.0 ** min(exponents[name], 308)
+                  for name, shape in shapes.items()}
+        if inject is not None:
+            arrays[inject].flat[rng.integers(arrays[inject].size)] = bad
+        X = arrays.pop("X")
+        set_weights(model, **arrays)
+        y = rng.integers(0, k, size=n)
+        if learning.logit_bound(model, learning.input_scale(X)) <= learning._LOGIT_LIMIT:
+            assert np.isfinite(loss(model, X, y))
+
+
+MAGNITUDE = st.builds(lambda sign, e: sign * 10.0 ** e,
+                      st.sampled_from([-1.0, 1.0]), st.floats(-3, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=MAGNITUDE, w1=MAGNITUDE, b1=MAGNITUDE, w2=MAGNITUDE, b2=MAGNITUDE)
+@example(x=1.0, w1=1.0, b1=0.0, w2=1.0, b2=0.0)       # every hidden unit counts
+@example(x=-1.0, w1=-1.0, b1=0.0, w2=1.0, b2=0.0)     # negative inputs
+@example(x=1e-3, w1=1e-3, b1=1e3, w2=1.0, b2=0.0)     # b1 dominates
+@example(x=1e-3, w1=1e-3, b1=0.0, w2=1e-3, b2=1e3)    # b2 dominates
+def test_logit_bound_is_attained_by_constant_weights(x, w1, b1, w2, b2):
+    # With every entry of a tensor equal and the signs aligned, each
+    # inequality in the bound holds with equality; otherwise it is loose.
+    d, h, k = 5, 4, 3
+    model = Mlp(d, h, k, seed=0)
+    set_weights(model, W1=w1, b1=b1, W2=w2, b2=b2)
+    X = np.full((2, d), x)
+    pre = X @ model.W1 + model.b1
+    logits = np.maximum(pre, 0.0) @ model.W2 + model.b2
+    bound = learning.logit_bound(model, learning.input_scale(X))
+    assert np.abs(pre).max() <= bound * (1 + 1e-12)
+    assert np.abs(logits).max() <= bound * (1 + 1e-12)
 
 
 def edge_marginal_utility(model: Mlp, x: np.ndarray, y) -> float:
@@ -381,6 +454,32 @@ def test_in_place_sgd_matches_the_reference(momentum):
     np.testing.assert_array_equal(m.params, reference_get_params(ref))
 
 
+def train_outcome(train, model, X, y, lr):
+    """None when training finishes, else the DivergenceError message."""
+    try:
+        with np.errstate(all="ignore"):
+            train(model, X, y, epochs=3, batch_size=25, lr=lr, seed=2)
+    except DivergenceError as err:
+        return str(err)
+    return None
+
+
+# 31 rates log-spaced from 1e-3 to 1e300, and quarter decades from 1e12 to
+# 1e15, where this model's bound crosses the limit: from about 1.8e13 the
+# check's forward runs and finds the loss finite, from about 5.6e13 it is NaN.
+LEARNING_RATES = sorted(set(np.logspace(-3, 300, 31).tolist() + np.logspace(12, 15, 13).tolist()))
+
+
+@pytest.mark.parametrize("lr", LEARNING_RATES)
+def test_sgd_matches_the_reference_at_every_learning_rate(lr):
+    # The reference runs the full-set loss forward after every epoch; the
+    # bound must raise exactly when it does, and train the same bits.
+    X, y = make_gaussian_mixture(3, 20, 30, seed=0)
+    m, ref = Mlp(20, 8, 3, seed=0), Mlp(20, 8, 3, seed=0)
+    assert train_outcome(sgd_train, m, X, y, lr) == train_outcome(reference_sgd_train, ref, X, y, lr)
+    np.testing.assert_array_equal(m.params, reference_get_params(ref))
+
+
 @pytest.mark.parametrize("preset, rounds, reference_ingest", [
     ("edge_learning", 20, reference_edge_ingest),
     ("federated", 10, reference_federated_ingest),
@@ -402,8 +501,8 @@ def test_learning_rounds_match_the_reference_on_the_preset(preset, rounds, refer
         np.testing.assert_array_equal(wl.model.params, reference_get_params(ref.model))
 
 
-def test_goal_is_evaluated_once_per_model_state(monkeypatch):
-    epochs = 3
+def loss_calls_per_round(monkeypatch, epochs):
+    """Calls of ``loss`` in each of three edge-learning rounds; checks the last goal."""
     config = load_config(CONFIGS / "edge_learning.yaml")
     config = dataclasses.replace(
         config, rounds=3, params={**config.params, "epochs_per_round": epochs})
@@ -418,11 +517,23 @@ def test_goal_is_evaluated_once_per_model_state(monkeypatch):
         workloads.append(wl)
 
     run_scenario(config, round_hook=hook)
-    # goal before ingest, one check per epoch, goal after ingest; from the
-    # second round on, the goal before ingest is the previous goal after it
-    assert per_round == [epochs + 2, epochs + 1, epochs + 1]
     wl = workloads[-1]
     assert wl.goal_value() == real_loss(wl.model, wl.X_train, wl.y_train)
+    return per_round
+
+
+def test_goal_is_evaluated_once_per_model_state(monkeypatch):
+    # goal before ingest and goal after ingest; the logit bound settles every
+    # epoch check, and from the second round on the goal before ingest is the
+    # previous goal after it
+    assert loss_calls_per_round(monkeypatch, epochs=3) == [2, 1, 1]
+
+
+def test_a_failed_logit_bound_runs_the_epoch_check_forward(monkeypatch):
+    epochs = 3
+    monkeypatch.setattr(learning, "logit_bound", lambda *a: np.inf)
+    # one full-set check per epoch on top of the goals
+    assert loss_calls_per_round(monkeypatch, epochs) == [epochs + 2, epochs + 1, epochs + 1]
 
 
 def test_failed_ingest_leaves_no_stale_goal():
