@@ -5,16 +5,18 @@ objective; the server keeps the consensus copy. Rounds run the three-step
 update with partial participation, and a descent certificate with explicit
 constants is available in the smooth (no-l1) regime.
 
-The selected EDs' local ISTA solves run batched on stacked (K, d, d) arrays
-with one gradient per iteration. Each ED stops at its own iteration, and its
+The state is stacked over the J EDs: data (J, d, n), local copies and duals
+(J, d, d). The selected EDs' local ISTA solves run batched on their rows with
+one gradient per iteration. Each ED stops at its own iteration, and its
 iterates are the same floats as those of a solve on its own.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +39,11 @@ def soft_threshold(v: np.ndarray, tau) -> np.ndarray:
 
 @dataclass
 class EdLocalProblem:
-    """One ED's data: observations Y, states X, and the smooth-part constant."""
+    """One ED's data: observations Y, states X, and the smooth-part constant.
+
+    One row of AdmmState on its own: the state takes each row's kappa from
+    it, and the stacked kernels match its smooth_loss and smooth_grad.
+    """
 
     Y: np.ndarray
     X: np.ndarray
@@ -60,40 +66,49 @@ class EdLocalProblem:
 
 @dataclass
 class AdmmState:
-    """Full consensus-ADMM state at one round."""
+    """Full consensus-ADMM state at one round, stacked over the J EDs.
 
-    problems: List[EdLocalProblem]
+    X and Y are (J, d, n): every ED shares one sample count n. thetas and
+    lambdas are (J, d, d), theta0 is d x d. kappa (J,) holds each ED's
+    EdLocalProblem.kappa, computed once here.
+    """
+
+    X: np.ndarray
+    Y: np.ndarray
     theta0: np.ndarray
-    thetas: List[np.ndarray]
-    lambdas: List[np.ndarray]
+    thetas: np.ndarray
+    lambdas: np.ndarray
     rho: float
     varrho: float
     round_idx: int = 0
+    kappa: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.rho <= 0:
             raise ValueError(f"penalty rho must be positive, got {self.rho}")
         if self.varrho < 0:
             raise ValueError(f"sparsity weight must be non-negative, got {self.varrho}")
-        shapes = {self.theta0.shape} | {t.shape for t in self.thetas}
-        shapes |= {l.shape for l in self.lambdas}
-        if len(shapes) != 1:
-            raise ValueError("theta0, thetas, and lambdas must share one shape")
-
-    @property
-    def num_eds(self) -> int:
-        return len(self.problems)
+        # A ragged list (EDs with different sample counts) fails in asarray.
+        X = self.X = np.asarray(self.X, dtype=float)
+        Y = self.Y = np.asarray(self.Y, dtype=float)
+        if X.ndim != 3 or X.shape != Y.shape:
+            raise ValueError(f"X and Y must share one (J, d, n) shape, got {X.shape}, {Y.shape}")
+        J, d, _ = X.shape
+        shapes = (self.theta0.shape, self.thetas.shape, self.lambdas.shape)
+        if shapes != ((d, d), (J, d, d), (J, d, d)):
+            raise ValueError(
+                f"theta0, thetas and lambdas must be {d}x{d}, {J}x{d}x{d}, {J}x{d}x{d}, "
+                f"got {shapes}"
+            )
+        self.kappa = np.array([EdLocalProblem(y, x).kappa for y, x in zip(Y, X)])
 
     def clone(self) -> "AdmmState":
-        return AdmmState(
-            problems=self.problems,
-            theta0=self.theta0.copy(),
-            thetas=[t.copy() for t in self.thetas],
-            lambdas=[l.copy() for l in self.lambdas],
-            rho=self.rho,
-            varrho=self.varrho,
-            round_idx=self.round_idx,
+        """Copy of the iterates; the data and kappa are shared, never written."""
+        out = copy.copy(self)
+        out.theta0, out.thetas, out.lambdas = (
+            self.theta0.copy(), self.thetas.copy(), self.lambdas.copy()
         )
+        return out
 
 
 def make_admm_state(
@@ -114,19 +129,20 @@ def make_admm_state(
     rng = np.random.default_rng(seed)
     theta_true = rng.normal(size=(dim, dim))
     theta_true[rng.random(size=(dim, dim)) < sparsity] = 0.0
-    problems = []
+    X = np.empty((num_eds, dim, samples_per_ed))
+    Y = np.empty_like(X)
     for j in range(num_eds):
-        X = rng.normal(size=(dim, samples_per_ed))
+        X[j] = rng.normal(size=(dim, samples_per_ed))
         noise = rng.normal(
             scale=np.sqrt(noise_variance_slope * (j + 1)), size=(dim, samples_per_ed)
         )
-        problems.append(EdLocalProblem(Y=theta_true @ X + noise, X=X))
-    zeros = np.zeros((dim, dim))
+        Y[j] = theta_true @ X[j] + noise
     state = AdmmState(
-        problems=problems,
-        theta0=zeros.copy(),
-        thetas=[zeros.copy() for _ in range(num_eds)],
-        lambdas=[zeros.copy() for _ in range(num_eds)],
+        X=X,
+        Y=Y,
+        theta0=np.zeros((dim, dim)),
+        thetas=np.zeros((num_eds, dim, dim)),
+        lambdas=np.zeros((num_eds, dim, dim)),
         rho=rho,
         varrho=varrho,
     )
@@ -135,10 +151,7 @@ def make_admm_state(
 
 def update_consensus(state: AdmmState) -> np.ndarray:
     """Closed-form minimizer of the augmented Lagrangian in theta0."""
-    stacked = np.stack(
-        [theta + lam / state.rho for theta, lam in zip(state.thetas, state.lambdas)]
-    )
-    return stacked.mean(axis=0)
+    return (state.thetas + state.lambdas / state.rho).mean(axis=0)
 
 
 def _local_grad(theta, X, Y, lam, rho, theta0):
@@ -166,18 +179,13 @@ def update_local(
     minimum-norm subgradient residual reaches tol, and then leaves the stack.
     An ED that reaches the iteration cap instead is logged, not fatal. Each
     ED's iterates are those of a solve on its own. ed_ids must not be empty;
-    the K solutions come back stacked in its order. All EDs must share one
-    sample count.
+    the K solutions come back stacked in its order.
     """
     ids = list(ed_ids)
     theta0 = state.theta0 if theta0 is None else theta0
     rho, varrho = state.rho, state.varrho
-    problems = [state.problems[j] for j in ids]
-    X = np.stack([p.X for p in problems])
-    Y = np.stack([p.Y for p in problems])
-    lam = np.stack([state.lambdas[j] for j in ids])
-    theta = np.stack([state.thetas[j] for j in ids])
-    step = 1.0 / (np.array([p.kappa for p in problems]) + rho)[:, None, None]
+    X, Y, lam, theta = state.X[ids], state.Y[ids], state.lambdas[ids], state.thetas[ids]
+    step = 1.0 / (state.kappa[ids] + rho)[:, None, None]
     out = np.empty_like(theta)
     active = np.arange(len(ids))
     residual = np.full(len(ids), np.inf)
@@ -214,32 +222,24 @@ def update_local(
     return out
 
 
-def update_dual(
-    state: AdmmState, ed_id: int, theta_new: np.ndarray, theta0_new: np.ndarray
-) -> np.ndarray:
-    """Dual ascent: lambda + rho * (theta_j - theta0)."""
-    return state.lambdas[ed_id] + state.rho * (theta_new - theta0_new)
-
-
 def augmented_lagrangian(state: AdmmState) -> float:
-    """Sum of local objectives, dual couplings, and quadratic penalties."""
+    """Sum of local objectives, dual couplings, and quadratic penalties, ED by ED."""
     total = 0.0
-    for problem, theta, lam in zip(state.problems, state.thetas, state.lambdas):
+    for X, Y, theta, lam in zip(state.X, state.Y, state.thetas, state.lambdas):
         diff = theta - state.theta0
-        total += problem.smooth_loss(theta)
+        total += 0.5 * float(np.linalg.norm(Y - theta @ X, "fro") ** 2)
         total += state.varrho * float(np.abs(theta).sum())
         total += float(np.sum(lam * diff))
         total += 0.5 * state.rho * float(np.linalg.norm(diff, "fro") ** 2)
     return total
 
 
-def admm_marginal_utility(
-    theta_curr: np.ndarray, theta_prev: np.ndarray, alpha: float = 1.0
-) -> float:
-    """Utility surrogate: alpha * squared Frobenius change of the local copy."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return alpha * float(np.linalg.norm(theta_curr - theta_prev, "fro") ** 2)
+def admm_marginal_utility(theta_curr: np.ndarray, theta_prev: np.ndarray) -> np.ndarray:
+    """Utility surrogate: squared Frobenius change of each (K, d, d) row's copy.
+
+    Row by row, as a scalar ** 2 can round differently from an array square.
+    """
+    return np.array([np.linalg.norm(m, "fro") ** 2 for m in theta_curr - theta_prev])
 
 
 def run_round(
@@ -250,17 +250,16 @@ def run_round(
 ) -> AdmmState:
     """One three-step round: consensus, selected-ED locals, selected-ED duals.
 
-    Unselected EDs keep their primal and dual variables unchanged.
+    The selected EDs' duals ascend by rho * (theta_j - theta0); unselected
+    EDs keep their primal and dual variables unchanged.
     """
     selected = sorted(set(selected))
     out = state.clone()
-    theta0_new = update_consensus(state)
-    out.theta0 = theta0_new
+    out.theta0 = update_consensus(state)
     if selected:
-        thetas_new = update_local(state, selected, theta0=theta0_new, tol=tol, max_iter=max_iter)
-        for j, theta_new in zip(selected, thetas_new):
-            out.thetas[j] = theta_new
-            out.lambdas[j] = update_dual(state, j, theta_new, theta0_new)
+        new = update_local(state, selected, theta0=out.theta0, tol=tol, max_iter=max_iter)
+        out.thetas[selected] = new
+        out.lambdas[selected] = state.lambdas[selected] + state.rho * (new - out.theta0)
     out.round_idx = state.round_idx + 1
     return out
 
@@ -281,7 +280,7 @@ def descent_certificate(
     rho = state_k.rho
     bound = 0.5 * rho * float(np.linalg.norm(state_k1.theta0 - state_k.theta0, "fro") ** 2)
     for j in selected:
-        kappa = state_k.problems[j].kappa
+        kappa = float(state_k.kappa[j])
         coeff = rho / 2 - kappa / rho
         if coeff <= 0:
             raise PenaltyRegimeError(
@@ -373,10 +372,9 @@ class AdmmWorkload(Workload):
         new_state = run_round(
             self.state, selected, tol=self.params.solver_tol, max_iter=self.params.solver_cap
         )
-        for j in selected:
-            self._deltas[j] = admm_marginal_utility(
-                new_state.thetas[j], self.state.thetas[j]
-            )
+        self._deltas[selected] = admm_marginal_utility(
+            new_state.thetas[selected], self.state.thetas[selected]
+        )
         self.state = new_state
 
     def goal_value(self) -> float:
@@ -385,11 +383,6 @@ class AdmmWorkload(Workload):
     def payload_bits(self) -> np.ndarray:
         # Primal and dual copies are both transmitted.
         return np.full(self.num_eds, 2 * self.state.theta0.size * self.params.bits_per_entry)
-
-    def consensus_residual(self) -> float:
-        return max(
-            float(np.linalg.norm(t - self.state.theta0, "fro")) for t in self.state.thetas
-        )
 
     def relative_gap(self) -> float:
         return relative_gap(self.state, self.theta_true)

@@ -471,15 +471,15 @@ class RoutingWorkload(Workload):
     ) -> np.ndarray:
         """Mean delta of each road revealed alone at times drawn from history.
 
-        Draws num_samples history rows for ED 0, then ED 1, and so on, one
-        rng.integers call per draw; each ED's draws are solved as one batch.
+        Draws num_samples history rows for ED 0, then ED 1, and so on; each
+        ED's draws are solved as one batch.
         """
         base, hi = self._base(), self.network.hi
+        draws = rng.integers(0, len(self.history), size=(self.num_eds, num_samples))
         rows = np.tile(hi, (num_samples, 1))
         out = np.empty(self.num_eds)
         for j in range(self.num_eds):
-            draws = [rng.integers(0, len(self.history)) for _ in range(num_samples)]
-            rows[:, j] = self.history[draws, j]
+            rows[:, j] = self.history[draws[j], j]
             out[j] = np.mean(np.maximum(base - solve_routing(self.network, rows), 0.0))
             rows[:, j] = hi[j]
         return out

@@ -1,7 +1,9 @@
 """Consensus updates for distributed sparse identification."""
 
+import dataclasses
 import logging
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from goalrba.admm import (
     run_round,
     soft_threshold,
     update_consensus,
-    update_dual,
     update_local,
 )
 from goalrba.harness import build_workload, load_config
@@ -50,6 +51,10 @@ def test_kappa_is_the_gram_spectral_norm():
     X = rng.normal(size=(6, 9))
     p = EdLocalProblem(Y=rng.normal(size=(6, 9)), X=X)
     assert p.kappa == pytest.approx(np.linalg.svd(X @ X.T, compute_uv=False)[0])
+    # the stacked state holds each row's EdLocalProblem kappa, shared by clones
+    state, _ = make_admm_state(num_eds=3, dim=6, samples_per_ed=9, seed=0)
+    assert state.kappa.tolist() == [EdLocalProblem(y, x).kappa for y, x in zip(state.Y, state.X)]
+    assert state.clone().kappa is state.kappa
 
 
 def test_smooth_grad_matches_finite_differences():
@@ -69,8 +74,8 @@ def test_smooth_grad_matches_finite_differences():
 
 def test_consensus_update_is_the_dual_adjusted_mean():
     state, _ = make_admm_state(num_eds=3, dim=4, samples_per_ed=6, seed=0)
-    state.thetas = [np.full((4, 4), float(j)) for j in range(3)]
-    state.lambdas = [np.full((4, 4), 0.1 * j) for j in range(3)]
+    state.thetas = np.stack([np.full((4, 4), float(j)) for j in range(3)])
+    state.lambdas = np.stack([np.full((4, 4), 0.1 * j) for j in range(3)])
     expected = np.mean(
         [state.thetas[j] + state.lambdas[j] / state.rho for j in range(3)], axis=0
     )
@@ -94,11 +99,11 @@ def test_local_update_matches_the_ridge_solution_in_smooth_mode():
     )
     rng = np.random.default_rng(7)
     state.theta0 = rng.normal(size=(6, 6))
-    state.lambdas = [rng.normal(size=(6, 6)) * 0.1 for _ in range(2)]
+    state.lambdas = np.stack([rng.normal(size=(6, 6)) * 0.1 for _ in range(2)])
     for j in range(2):
-        p = state.problems[j]
-        A = p.X @ p.X.T + state.rho * np.eye(6)
-        rhs = p.Y @ p.X.T - state.lambdas[j] + state.rho * state.theta0
+        X, Y = state.X[j], state.Y[j]
+        A = X @ X.T + state.rho * np.eye(6)
+        rhs = Y @ X.T - state.lambdas[j] + state.rho * state.theta0
         closed_form = np.linalg.solve(A.T, rhs.T).T
         ista = update_local(state, [j], tol=1e-12, max_iter=200_000)[0]
         np.testing.assert_allclose(ista, closed_form, atol=1e-8)
@@ -115,8 +120,22 @@ def test_local_update_produces_sparse_copies_under_l1():
 # --- batched local solves against the per-ED reference ---------------------
 
 
+def as_lists(state):
+    """The per-ED list form of a stacked state: one EdLocalProblem per row."""
+    return SimpleNamespace(
+        problems=[EdLocalProblem(Y, X) for Y, X in zip(state.Y, state.X)],
+        theta0=state.theta0.copy(),
+        thetas=[t.copy() for t in state.thetas],
+        lambdas=[l.copy() for l in state.lambdas],
+        rho=state.rho,
+        varrho=state.varrho,
+    )
+
+
 def reference_update_local(state, ed_id, theta0=None, tol=1e-8, max_iter=500):
     """The per-ED ISTA loop the batched kernel replaced, two gradients per step.
+
+    state is in the per-ED list form of as_lists.
 
     Returns (theta, the residual of each iteration run, whether the cap was hit).
     """
@@ -146,18 +165,30 @@ def reference_update_local(state, ed_id, theta0=None, tol=1e-8, max_iter=500):
 
 
 def reference_run_round(state, selected, tol=1e-8, max_iter=500):
-    selected = set(selected)
-    out = state.clone()
-    theta0_new = update_consensus(state)
-    out.theta0 = theta0_new
-    for j in selected:
+    """One round of the per-ED list algorithm the stacked state replaced."""
+    theta0_new = np.stack(
+        [theta + lam / state.rho for theta, lam in zip(state.thetas, state.lambdas)]
+    ).mean(axis=0)
+    out = SimpleNamespace(**vars(state))
+    out.theta0, out.thetas, out.lambdas = theta0_new, list(state.thetas), list(state.lambdas)
+    for j in set(selected):
         theta_new, _, _ = reference_update_local(
             state, j, theta0=theta0_new, tol=tol, max_iter=max_iter
         )
         out.thetas[j] = theta_new
-        out.lambdas[j] = update_dual(state, j, theta_new, theta0_new)
-    out.round_idx = state.round_idx + 1
+        out.lambdas[j] = state.lambdas[j] + state.rho * (theta_new - theta0_new)
     return out
+
+
+def reference_lagrangian(state):
+    total = 0.0
+    for problem, theta, lam in zip(state.problems, state.thetas, state.lambdas):
+        diff = theta - state.theta0
+        total += problem.smooth_loss(theta)
+        total += state.varrho * float(np.abs(theta).sum())
+        total += float(np.sum(lam * diff))
+        total += 0.5 * state.rho * float(np.linalg.norm(diff, "fro") ** 2)
+    return total
 
 
 def solve_instance(varrho):
@@ -166,8 +197,8 @@ def solve_instance(varrho):
     )
     rng = np.random.default_rng(9)
     state.theta0 = rng.normal(size=(6, 6))
-    state.thetas = [rng.normal(size=(6, 6)) for _ in range(4)]
-    state.lambdas = [rng.normal(size=(6, 6)) * 0.1 for _ in range(4)]
+    state.thetas = np.stack([rng.normal(size=(6, 6)) for _ in range(4)])
+    state.lambdas = np.stack([rng.normal(size=(6, 6)) * 0.1 for _ in range(4)])
     return state
 
 
@@ -175,7 +206,8 @@ def solve_instance(varrho):
 def test_batched_solve_of_one_ed_matches_the_reference(varrho):
     state = solve_instance(varrho)
     for j in range(4):
-        expected, _, capped = reference_update_local(state, j, tol=1e-9, max_iter=20_000)
+        expected, _, capped = reference_update_local(as_lists(state), j, tol=1e-9,
+                                                     max_iter=20_000)
         assert not capped
         got = update_local(state, [j], tol=1e-9, max_iter=20_000)
         assert got.shape == (1, 6, 6)
@@ -185,14 +217,15 @@ def test_batched_solve_of_one_ed_matches_the_reference(varrho):
 @pytest.mark.parametrize("varrho", [0.2, 0.0])
 def test_batched_solve_stops_each_ed_at_its_own_iteration(varrho, caplog):
     state = solve_instance(varrho)
+    ref = as_lists(state)
     ids = [3, 0, 2, 1]
-    iters = {j: len(reference_update_local(state, j, tol=1e-9, max_iter=20_000)[1])
+    iters = {j: len(reference_update_local(ref, j, tol=1e-9, max_iter=20_000)[1])
              for j in ids}
     assert len(set(iters.values())) == len(ids)
     # the slowest ED hits the cap, every other one converges below it
     cap = max(iters.values()) - 1
     slowest = max(iters, key=iters.get)
-    expected = [reference_update_local(state, j, tol=1e-9, max_iter=cap) for j in ids]
+    expected = [reference_update_local(ref, j, tol=1e-9, max_iter=cap) for j in ids]
     assert [capped for _, _, capped in expected] == [j == slowest for j in ids]
     with caplog.at_level(logging.WARNING, logger="goalrba.admm"):
         got = update_local(state, ids, tol=1e-9, max_iter=cap)
@@ -212,10 +245,11 @@ def test_batched_residuals_are_the_reference_residuals(varrho):
     )
     rng = np.random.default_rng(5)
     state.theta0 = rng.normal(size=(20, 20))
+    ref = as_lists(state)
     ids = list(range(4))
-    _, residuals, _ = reference_update_local(state, 0, max_iter=40)
+    _, residuals, _ = reference_update_local(ref, 0, max_iter=40)
     for tol in residuals:
-        expected = [reference_update_local(state, j, tol=tol, max_iter=40)[0] for j in ids]
+        expected = [reference_update_local(ref, j, tol=tol, max_iter=40)[0] for j in ids]
         np.testing.assert_array_equal(update_local(state, ids, tol=tol, max_iter=40),
                                       np.stack(expected))
 
@@ -225,7 +259,7 @@ def test_batched_solve_with_no_iterations_returns_the_warm_start(varrho, caplog)
     state = solve_instance(varrho)
     with caplog.at_level(logging.WARNING, logger="goalrba.admm"):
         got = update_local(state, [2, 0], max_iter=0)
-    expected = [reference_update_local(state, j, max_iter=0)[0] for j in (2, 0)]
+    expected = [reference_update_local(as_lists(state), j, max_iter=0)[0] for j in (2, 0)]
     np.testing.assert_array_equal(got, np.stack(expected))
     np.testing.assert_array_equal(got, np.stack([state.thetas[2], state.thetas[0]]))
     # one warning per capped ED, in ascending id order
@@ -236,39 +270,45 @@ def test_batched_rounds_match_the_reference_on_the_admm_preset():
     config = load_config(CONFIGS / "admm.yaml")
     workload = build_workload(config)
     params = workload.params
-    batched = workload.state
-    reference = batched.clone()
+    reference = as_lists(workload.state)
+    deltas = np.ones(params.num_eds)
     rng = np.random.default_rng(0)
     for k in range(20):
         selected = [] if k == 5 else sorted(
             rng.choice(params.num_eds, size=int(rng.integers(1, params.num_eds + 1)),
                        replace=False).tolist())
-        batched = run_round(batched, selected, tol=params.solver_tol,
-                            max_iter=params.solver_cap)
-        reference = reference_run_round(reference, selected, tol=params.solver_tol,
-                                        max_iter=params.solver_cap)
+        workload.ingest(selected)
+        batched = workload.state
+        previous, reference = reference, reference_run_round(
+            reference, selected, tol=params.solver_tol, max_iter=params.solver_cap)
         np.testing.assert_array_equal(batched.theta0, reference.theta0)
         for j in range(params.num_eds):
             np.testing.assert_array_equal(batched.thetas[j], reference.thetas[j])
             np.testing.assert_array_equal(batched.lambdas[j], reference.lambdas[j])
+        assert augmented_lagrangian(batched) == reference_lagrangian(reference)
+        for j in selected:
+            deltas[j] = float(np.linalg.norm(reference.thetas[j] - previous.thetas[j], "fro") ** 2)
+        assert workload.marginal_utilities().tolist() == deltas.tolist()
 
 
 def test_dual_update_law():
-    state, _ = make_admm_state(num_eds=2, dim=3, samples_per_ed=5, seed=0)
-    new_theta = state.thetas[0] + 1.0
-    lam = update_dual(state, 0, new_theta, state.theta0)
-    np.testing.assert_allclose(
-        lam, state.lambdas[0] + state.rho * (new_theta - state.theta0)
-    )
+    state = solve_instance(0.2)
+    new = run_round(state, [0, 2])
+    for j in (0, 2):
+        np.testing.assert_array_equal(
+            new.lambdas[j], state.lambdas[j] + state.rho * (new.thetas[j] - new.theta0)
+        )
+    for j in (1, 3):
+        np.testing.assert_array_equal(new.lambdas[j], state.lambdas[j])
 
 
 def test_augmented_lagrangian_hand_value():
-    p = EdLocalProblem(Y=np.zeros((1, 1)), X=np.ones((1, 1)))
     state = AdmmState(
-        problems=[p],
+        X=np.ones((1, 1, 1)),
+        Y=np.zeros((1, 1, 1)),
         theta0=np.zeros((1, 1)),
-        thetas=[np.array([[2.0]])],
-        lambdas=[np.array([[1.0]])],
+        thetas=np.array([[[2.0]]]),
+        lambdas=np.array([[[1.0]]]),
         rho=4.0,
         varrho=3.0,
     )
@@ -277,10 +317,9 @@ def test_augmented_lagrangian_hand_value():
 
 
 def test_marginal_utility_is_the_squared_move():
-    a = np.ones((2, 2))
-    b = np.zeros((2, 2))
-    assert admm_marginal_utility(a, b) == pytest.approx(4.0)
-    assert admm_marginal_utility(a, b, alpha=0.5) == pytest.approx(2.0)
+    a = np.stack([np.ones((2, 2)), np.full((2, 2), 3.0)])
+    b = np.zeros((2, 2, 2))
+    np.testing.assert_allclose(admm_marginal_utility(a, b), [4.0, 36.0])
 
 
 def test_run_round_freezes_unselected_eds():
@@ -300,11 +339,9 @@ def certificate_ready_state(seed, num_eds=3, dim=5):
         num_eds=num_eds, dim=dim, samples_per_ed=8,
         noise_variance_slope=0.01, varrho=0.0, rho=1.0, seed=seed,
     )
-    state.problems = [
-        EdLocalProblem(p.Y / np.sqrt(p.kappa), p.X / np.sqrt(p.kappa))
-        for p in state.problems
-    ]
-    state.rho = float(1.5 * np.sqrt(2 * max(p.kappa for p in state.problems)))
+    scale = np.sqrt(state.kappa)[:, None, None]
+    state = dataclasses.replace(state, X=state.X / scale, Y=state.Y / scale)
+    state.rho = float(1.5 * np.sqrt(2 * state.kappa.max()))
     # one full round puts every dual variable at its stationarity point
     return run_round(state, range(num_eds), tol=1e-12, max_iter=50_000)
 
@@ -323,7 +360,7 @@ def test_descent_certificate_and_dual_bound_after_warmup():
         for j in selected:
             dual_step = np.linalg.norm(new.lambdas[j] - state.lambdas[j], "fro")
             primal_step = np.linalg.norm(new.thetas[j] - state.thetas[j], "fro")
-            assert dual_step <= state.problems[j].kappa * primal_step + 1e-8
+            assert dual_step <= state.kappa[j] * primal_step + 1e-8
         state = new
 
 
@@ -358,13 +395,24 @@ def test_workload_retains_deltas_for_frozen_eds():
 
 
 def test_state_validation():
-    with pytest.raises(ValueError):
-        AdmmState(
-            problems=[], theta0=np.zeros((2, 2)), thetas=[np.zeros((3, 3))],
-            lambdas=[np.zeros((2, 2))], rho=1.0, varrho=0.0,
+    def args(**changes):
+        valid = dict(
+            X=np.ones((2, 2, 3)), Y=np.ones((2, 2, 3)), theta0=np.zeros((2, 2)),
+            thetas=np.zeros((2, 2, 2)), lambdas=np.zeros((2, 2, 2)), rho=1.0, varrho=0.0,
         )
-    with pytest.raises(ValueError):
-        AdmmState(
-            problems=[], theta0=np.zeros((2, 2)), thetas=[],
-            lambdas=[], rho=-1.0, varrho=0.0,
-        )
+        return {**valid, **changes}
+
+    AdmmState(**args())
+    for changes in [
+        dict(rho=-1.0),
+        dict(varrho=-0.1),
+        dict(thetas=np.zeros((2, 3, 3))),  # not d x d
+        dict(lambdas=np.zeros((2, 3, 3))),
+        dict(Y=np.ones((2, 3, 3))),  # X and Y of different shapes
+        dict(X=np.ones((3, 2, 3)), Y=np.ones((3, 2, 3))),  # three EDs' data, two EDs' copies
+        dict(theta0=np.zeros((2, 3))),
+        dict(X=np.ones((2, 3)), Y=np.ones((2, 3))),  # not a stack
+        dict(X=[np.ones((2, 3)), np.ones((2, 4))]),  # EDs with different sample counts
+    ]:
+        with pytest.raises(ValueError):
+            AdmmState(**args(**changes))
