@@ -321,6 +321,10 @@ class AdmmParams:
             raise ValueError(f"num_eds must be at least 1, got {self.num_eds}")
         if self.bits_per_entry < 0:
             raise ValueError(f"bits_per_entry must be non-negative, got {self.bits_per_entry}")
+        if not self.rho > 0:
+            raise ValueError(f"rho must be positive, got {self.rho}")
+        if not self.varrho >= 0:
+            raise ValueError(f"varrho must be non-negative, got {self.varrho}")
         if not 0.0 <= self.sparsity <= 1.0:
             raise ValueError(f"sparsity must lie in [0, 1], got {self.sparsity}")
         if not self.solver_tol > 0:

@@ -90,19 +90,13 @@ def _fill_budget(reports: np.recarray, capacity: int, key, *, halt_on_overflow) 
     return Allocation(selected=frozenset(picked), capacity_used=capacity - remaining)
 
 
-def greedy_allocate(
-    reports: np.recarray,
-    capacity: int,
-    *,
-    skip_mode: bool = False,
-) -> Allocation:
+def greedy_allocate(reports: np.recarray, capacity: int) -> Allocation:
     """Hybrid rule: pick EDs by descending delta/w until the budget is used up.
 
-    Default halts at the first ED that does not fit; skip_mode continues past
-    non-fitting EDs instead. Ties broken by ascending ed_id.
+    Halts at the first ED that does not fit. Ties broken by ascending ed_id.
     """
     return _fill_budget(
-        reports, capacity, lambda ed_id, delta, w: -(delta / w), halt_on_overflow=not skip_mode
+        reports, capacity, lambda ed_id, delta, w: -(delta / w), halt_on_overflow=True
     )
 
 
@@ -123,26 +117,22 @@ def utility_policy(reports: np.recarray, capacity: int) -> Allocation:
     return _fill_budget(reports, capacity, lambda ed_id, delta, w: -delta, halt_on_overflow=False)
 
 
-def exact_knapsack(
-    reports: np.recarray,
-    capacity: int,
-    *,
-    oracle_bound: int = DEFAULT_ORACLE_BOUND,
-) -> Allocation:
+def exact_knapsack(reports: np.recarray, capacity: int) -> Allocation:
     """Maximum-value selection via dynamic programming over capacity.
 
     Tractability guard: the item*capacity product must stay within
-    oracle_bound. Zero-weight items with positive delta are always taken.
+    DEFAULT_ORACLE_BOUND. Zero-weight items with positive delta are always
+    taken.
     """
     _check_capacity(capacity)
     ed_id, delta, w = reports.ed_id, reports.delta, reports.w
     live = delta > 0
     items = live & (w > 0) & (w <= capacity)
     item_ids, item_ws = ed_id[items].tolist(), w[items].tolist()
-    if len(item_ids) * (capacity + 1) > oracle_bound:
+    if len(item_ids) * (capacity + 1) > DEFAULT_ORACLE_BOUND:
         raise OracleScaleError(
             f"oracle scale: {len(item_ids)} items x capacity {capacity} exceeds "
-            f"bound {oracle_bound}"
+            f"bound {DEFAULT_ORACLE_BOUND}"
         )
     value = np.zeros(capacity + 1)
     take = np.zeros((len(item_ids), capacity + 1), dtype=bool)

@@ -8,7 +8,8 @@ its real-time value alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -26,18 +27,18 @@ class NoPathError(ValueError):
 
 @dataclass
 class DrInstance:
-    """Robust load-shedding instance.
+    """Robust load-shedding market.
 
     costs: unit cost per ED in $/kW; xi_lo/xi_hi: support of each ED's
-    reducible load in kW; pi_min: total required reduction; known: revealed
-    real-time loads by ed_id, read once at construction.
+    reducible load in kW; pi_min: total required reduction. The revealed
+    loads of a round are not part of the market: solve_dr takes them as a
+    capacity array.
     """
 
     costs: np.ndarray
     xi_lo: np.ndarray
     xi_hi: np.ndarray
     pi_min: float
-    known: Dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
         self.costs = np.asarray(self.costs, dtype=float)
@@ -47,31 +48,22 @@ class DrInstance:
             raise ValueError("support bounds must satisfy 0 <= xi_lo <= xi_hi")
         if self.pi_min < 0:
             raise ValueError(f"pi_min must be non-negative, got {self.pi_min}")
-        n = len(self.known)
-        self._known_ids = np.fromiter(self.known.keys(), dtype=np.intp, count=n)
-        self._known_values = np.fromiter(self.known.values(), dtype=float, count=n)
-        ids, v = self._known_ids, self._known_values
-        inside = (self.xi_lo[ids] - 1e-9 <= v) & (v <= self.xi_hi[ids] + 1e-9)
-        if not np.all(inside):
-            k = int(np.argmin(inside))
-            raise ValueError(f"revealed value {v[k]} for ED {ids[k]} outside support")
 
     @property
     def num_eds(self) -> int:
         return len(self.costs)
 
-    def effective_capacity(self) -> np.ndarray:
-        """Worst-case reducible load: revealed value if known, else xi_lo."""
-        cap = self.xi_lo.copy()
-        cap[self._known_ids] = self._known_values
-        return cap
+    @cached_property
+    def tables(self) -> DispatchTables:
+        """The base dispatch's order and prefix tables, built on first use."""
+        return dispatch_tables(self.costs, self.xi_lo)
 
 
 class DispatchTables(NamedTuple):
     """Dispatch order and prefix sums of the base (all-unknown) dispatch.
 
-    They depend only on costs and xi_lo, so a workload whose costs are fixed
-    builds them once.
+    They depend only on costs and xi_lo, so a market builds them once
+    (DrInstance.tables).
     """
 
     order: np.ndarray  # ED ids by ascending cost, ties by ed_id
@@ -93,20 +85,26 @@ def dispatch_tables(costs: np.ndarray, xi_lo: np.ndarray) -> DispatchTables:
     return DispatchTables(order, rank, c, np.cumsum(u), np.cumsum(c * u), float(xi_lo.sum()))
 
 
-def solve_dr(
-    instance: DrInstance, tables: Optional[DispatchTables] = None
-) -> Tuple[float, np.ndarray]:
+def solve_dr(instance: DrInstance, cap: Optional[np.ndarray] = None) -> Tuple[float, np.ndarray]:
     """Minimal-cost load shedding against worst-case capacities.
 
-    Continuous covering problem: dispatch EDs by ascending cost (ties by
-    ed_id) until pi_min is met. Returns (cost, per-ED reductions). tables,
-    when given, must come from dispatch_tables(instance.costs, instance.xi_lo).
+    cap holds each ED's worst-case reducible load: xi_lo, with the revealed
+    loads written in; None means nothing is revealed. Continuous covering
+    problem: dispatch EDs by ascending cost (ties by ed_id) until pi_min is
+    met. Returns (cost, per-ED reductions).
 
     The remaining requirement is a left fold of subtractions over the
     capacities in dispatch order; the ED at which it first reaches zero
     takes what was left, and every ED before it takes its full capacity.
     """
-    cap = instance.effective_capacity()
+    if cap is None:
+        cap = instance.xi_lo
+    else:
+        cap = np.asarray(cap, dtype=float)
+        inside = (instance.xi_lo - 1e-9 <= cap) & (cap <= instance.xi_hi + 1e-9)
+        if not np.all(inside):
+            j = int(np.argmin(inside))
+            raise ValueError(f"revealed value {cap[j]} for ED {j} outside support")
     J = instance.num_eds
     if instance.pi_min == 0:
         return 0.0, np.zeros(J)
@@ -114,9 +112,7 @@ def solve_dr(
         raise InfeasibleDrError(
             f"insufficient shedding capacity: {cap.sum():.6g} < {instance.pi_min:.6g}"
         )
-    if tables is None:
-        tables = dispatch_tables(instance.costs, instance.xi_lo)
-    order = tables.order
+    order = instance.tables.order
     take = cap[order]
     remaining = np.subtract.accumulate(np.concatenate(([instance.pi_min], take)))
     met = remaining[1:] <= 0
@@ -136,22 +132,18 @@ def _base_cost_from_tables(c, P, CP, need) -> Tuple[float, int]:
     return float(prev_CP + c[T] * (need - prev_P)), T
 
 
-def dr_marginal_utilities(
-    instance: DrInstance, values: np.ndarray, tables: Optional[DispatchTables] = None
-) -> np.ndarray:
+def dr_marginal_utilities(instance: DrInstance, values: np.ndarray) -> np.ndarray:
     """Delta for every ED at once, each revealed alone at values[j].
 
     Vectorized over the base dispatch's prefix sums; equivalent to J
     independent re-solves of solve_dr. Each entry depends on values[j]
-    alone. tables, when given, must come from
-    dispatch_tables(instance.costs, instance.xi_lo).
+    alone.
     """
     values = np.asarray(values, dtype=float)
     J = instance.num_eds
     if instance.pi_min == 0:
         return np.zeros(J)
-    if tables is None:
-        tables = dispatch_tables(instance.costs, instance.xi_lo)
+    tables = instance.tables
     if tables.lo_sum < instance.pi_min - 1e-12:
         raise InfeasibleDrError("insufficient shedding capacity in the base scenario")
     c, P, CP = tables.c, tables.P, tables.CP
@@ -273,6 +265,12 @@ class DrParams:
             raise ValueError(f"xi_lo must be non-negative, got {self.xi_lo}")
         if self.pi_min is not None and not self.pi_min >= 0:
             raise ValueError(f"pi_min must be non-negative, got {self.pi_min}")
+        worst_case = np.full(self.num_eds, self.xi_lo).sum()
+        if worst_case < self.resolved_pi_min():
+            raise InfeasibleDrError(
+                f"pi_min {self.resolved_pi_min():g} exceeds the worst-case capacity "
+                f"num_eds * xi_lo = {worst_case:g}; the base scenario is infeasible"
+            )
 
     def resolved_pi_min(self) -> float:
         if self.pi_min is not None:
@@ -283,11 +281,12 @@ class DrParams:
 class DemandResponseWorkload(Workload):
     """Emergency demand response: each round is a fresh shedding scenario.
 
-    Costs and per-ED maximum reductions are fixed at construction; real-time
-    reducible loads are redrawn each round, and a revealed load replaces the
-    worst-case lower bound in the robust dispatch. The dispatch order and
-    prefix tables, and in expected mode one gain row per history row, are
-    built on first use and reused, since none of them changes between rounds.
+    The market (costs, per-ED maximum reductions, pi_min) is fixed at
+    construction; real-time reducible loads are redrawn each round. Each
+    round's capacities start at xi_lo and a reveal writes the ED's true load
+    in. The market's dispatch tables, and in expected mode one gain row per
+    history row, are built on first use and reused, since none of them
+    changes between rounds.
     """
 
     def __init__(self, params: DrParams, seed):
@@ -300,18 +299,12 @@ class DemandResponseWorkload(Workload):
         self.xi_max = self._rng.uniform(*params.xi_max_range, size=J)
         self.xi_max = np.maximum(self.xi_max, params.xi_lo)
         self.pi_min = params.resolved_pi_min()
-        if self.xi_lo.sum() < self.pi_min:
-            raise InfeasibleDrError(
-                "worst-case capacity below pi_min; the base scenario is infeasible"
-            )
+        self.market = DrInstance(self.costs, self.xi_lo, self.xi_max, self.pi_min)
         # Old dataset: past real-time loads, same distribution as fresh ones.
         # One array per row; rows are only ever appended.
         self.history_rows: List[np.ndarray] = list(self._draw_loads(size=params.history_len))
-        self._tables: Optional[DispatchTables] = None
         # dr_marginal_utilities of history_rows[i] for every i cached so far.
         self._gain_rows: List[np.ndarray] = []
-        self.true_xi = None
-        self.known: Dict[int, float] = {}
         self.begin_round(0)
 
     def _draw_loads(self, size: Optional[int] = None) -> np.ndarray:
@@ -323,20 +316,12 @@ class DemandResponseWorkload(Workload):
         """The history rows as one (rows, num_eds) array, freshly stacked."""
         return np.array(self.history_rows, dtype=float).reshape(-1, self.num_eds)
 
-    def _instance(self, known: Dict[int, float]) -> DrInstance:
-        return DrInstance(self.costs, self.xi_lo, self.xi_max, self.pi_min, known=known)
-
-    def _dispatch_tables(self) -> DispatchTables:
-        if self._tables is None:
-            self._tables = dispatch_tables(self.costs, self.xi_lo)
-        return self._tables
-
     def begin_round(self, round_idx: int) -> None:
         self.true_xi = self._draw_loads()
-        self.known = {}
+        self.cap = self.xi_lo.copy()
 
     def marginal_utilities(self) -> np.ndarray:
-        return dr_marginal_utilities(self._instance({}), self.true_xi, self._dispatch_tables())
+        return dr_marginal_utilities(self.market, self.true_xi)
 
     def expected_marginal_utilities(
         self, num_samples: int, rng: np.random.Generator
@@ -350,9 +335,8 @@ class DemandResponseWorkload(Workload):
         """
         rows = self.history_rows
         idx = rng.integers(0, len(rows), size=(num_samples, self.num_eds))
-        inst, tables = self._instance({}), self._dispatch_tables()
         self._gain_rows.extend(
-            dr_marginal_utilities(inst, row, tables) for row in rows[len(self._gain_rows):]
+            dr_marginal_utilities(self.market, row) for row in rows[len(self._gain_rows):]
         )
         table = np.array(self._gain_rows)
         return np.mean(np.take_along_axis(table, idx, axis=0), axis=0)
@@ -370,24 +354,22 @@ class DemandResponseWorkload(Workload):
         if len(ids) == 0:
             return
         values = self.true_xi[ids]
-        self.known.update(zip(ids.tolist(), values.tolist()))
+        self.cap[ids] = values
         row = self.history_rows[-1].copy()
         row[ids] = values
         self.history_rows.append(row)
 
     def goal_value(self) -> float:
-        cost, _ = solve_dr(self._instance(self.known), self._dispatch_tables())
-        return cost
+        return solve_dr(self.market, self.cap)[0]
 
     def payload_bits(self) -> np.ndarray:
         return np.full(self.num_eds, self.params.payload_bits)
 
     def joint_gain(self, subset: Sequence[int]) -> float:
-        tables = self._dispatch_tables()
-        base_cost, _ = solve_dr(self._instance({}), tables)
-        revealed = {j: float(self.true_xi[j]) for j in subset}
-        joint_cost, _ = solve_dr(self._instance(revealed), tables)
-        return base_cost - joint_cost
+        ids = np.fromiter(subset, dtype=np.intp)
+        cap = self.xi_lo.copy()
+        cap[ids] = self.true_xi[ids]
+        return solve_dr(self.market)[0] - solve_dr(self.market, cap)[0]
 
 
 @dataclass

@@ -271,8 +271,24 @@ def _check_at_least(params, bounds: Sequence[Tuple[str, int]]) -> None:
     """Raise ValueError naming the first field of params below its minimum."""
     for key, low in bounds:
         value = getattr(params, key)
-        if value < low:
+        if not value >= low:
             raise ValueError(f"{key} must be at least {low}, got {value}")
+
+
+def _check_data_model(params) -> None:
+    """Raise ValueError naming the first bad field of the shared data model.
+
+    Each concentrated class needs a holder ED of its own (see split_non_iid).
+    """
+    _check_at_least(params, (("num_eds", 1), ("num_classes", 1), ("dim", 1), ("hidden_dim", 1),
+                             ("train_per_class", 1), ("mean_scale", 0), ("noise_scale", 0)))
+    classes = params.concentrated_classes
+    labels = isinstance(classes, (tuple, list)) and all(
+        isinstance(c, int) and 0 <= c < params.num_classes for c in classes)
+    if not labels or not len(set(classes)) == len(classes) <= params.num_eds:
+        raise ValueError(
+            f"concentrated_classes must be distinct labels in [0, num_classes) = "
+            f"[0, {params.num_classes}), at most num_eds = {params.num_eds}, got {classes!r}")
 
 
 @dataclass
@@ -297,8 +313,8 @@ class EdgeLearningParams:
     bits_per_sample: float = (784 + 1) * 8.0
 
     def __post_init__(self):
-        _check_at_least(self, (("num_eds", 1), ("hidden_dim", 1), ("sgd_batch", 1),
-                               ("epochs_per_round", 0), ("batch_per_round", 0)))
+        _check_data_model(self)
+        _check_at_least(self, (("sgd_batch", 1), ("epochs_per_round", 0), ("batch_per_round", 0)))
         if self.bits_per_sample < 0:
             raise ValueError(f"bits_per_sample must be non-negative, got {self.bits_per_sample}")
         if not self.lr > 0:
@@ -441,7 +457,8 @@ class FederatedParams:
     data_poor_keep: float = 1.0
 
     def __post_init__(self):
-        _check_at_least(self, (("num_eds", 1), ("hidden_dim", 1), ("batch_size", 1)))
+        _check_data_model(self)
+        _check_at_least(self, (("batch_size", 1),))
         if self.bits_per_weight < 0:
             raise ValueError(f"bits_per_weight must be non-negative, got {self.bits_per_weight}")
         if not self.kappa > 0:

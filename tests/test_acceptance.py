@@ -92,8 +92,7 @@ def test_acceptance_3_demand_response_cost_reduction():
     )
 
 
-def lp_cost(instance: DrInstance) -> float:
-    cap = instance.effective_capacity()
+def lp_cost(instance: DrInstance, cap) -> float:
     res = linprog(
         c=instance.costs,
         A_ub=-np.ones((1, len(cap))),
@@ -118,10 +117,9 @@ def test_acceptance_4_gain_equals_cost_reduction():
     recomputed = []
 
     def hook(rnd, wl):
-        # after ingest: wl.known holds exactly this round's revealed loads
-        blank = DrInstance(wl.costs, wl.xi_lo, wl.xi_max, wl.pi_min, known={})
-        seen = DrInstance(wl.costs, wl.xi_lo, wl.xi_max, wl.pi_min, known=dict(wl.known))
-        recomputed.append(lp_cost(blank) - lp_cost(seen))
+        # after ingest: wl.cap holds exactly this round's revealed loads
+        market = DrInstance(wl.costs, wl.xi_lo, wl.xi_max, wl.pi_min)
+        recomputed.append(lp_cost(market, wl.xi_lo) - lp_cost(market, wl.cap))
 
     metrics = run_scenario(cfg, workload=workload, round_hook=hook)
     worst = max(

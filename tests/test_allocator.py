@@ -49,12 +49,6 @@ def test_fixed_instance_halting_greedy():
     assert alloc.capacity_used == 5
 
 
-def test_fixed_instance_skip_greedy_reaches_the_optimum():
-    alloc = greedy_allocate(FIXED, FIXED_CAP, skip_mode=True)
-    assert alloc.selected == frozenset({0, 1, 3, 5})
-    assert allocation_value(alloc, FIXED) == pytest.approx(FIXED_OPT)
-
-
 def test_fixed_instance_dp_oracle():
     alloc = exact_knapsack(FIXED, FIXED_CAP)
     assert allocation_value(alloc, FIXED) == pytest.approx(FIXED_OPT)
@@ -86,10 +80,9 @@ def test_dp_matches_brute_force(items, capacity):
 def test_greedy_never_beats_or_overruns_the_oracle(items, capacity):
     reports = reports_of(items)
     opt = brute_force(reports, capacity)
-    for skip in (False, True):
-        alloc = greedy_allocate(reports, capacity, skip_mode=skip)
-        assert allocation_value(alloc, reports) <= opt + 1e-9
-        assert alloc.capacity_used <= capacity
+    alloc = greedy_allocate(reports, capacity)
+    assert allocation_value(alloc, reports) <= opt + 1e-9
+    assert alloc.capacity_used <= capacity
 
 
 @given(
@@ -222,7 +215,6 @@ def test_array_policies_match_the_list_reference(instance, capacity):
 
     cases = [
         (greedy_allocate(reports, capacity), ratio_key, True),
-        (greedy_allocate(reports, capacity, skip_mode=True), ratio_key, False),
         (channel_policy(gains, reports, capacity), lambda r: (-gains[r[0]], r[0]), False),
         (utility_policy(reports, capacity), lambda r: (-r[1], r[0]), False),
     ]

@@ -20,19 +20,15 @@ from goalrba.decision import (
     RoutingInstance,
     RoutingWorkload,
     RoutingParams,
-    dispatch_tables,
     dr_marginal_utilities,
     solve_dr,
     solve_routing,
 )
-from goalrba.harness import build_workload, load_config
+from goalrba.harness import ChannelConfig, ScenarioConfig, build_workload, load_config, run_scenario
 
 
-def reference_solve_dr(instance: DrInstance):
+def reference_solve_dr(instance: DrInstance, cap):
     """The one-ED-at-a-time dispatch loop that the fold in solve_dr replaced."""
-    cap = instance.xi_lo.copy()
-    for j, v in instance.known.items():
-        cap[j] = v
     if instance.pi_min == 0:
         return 0.0, np.zeros(instance.num_eds)
     if cap.sum() < instance.pi_min - 1e-12:
@@ -49,14 +45,13 @@ def reference_solve_dr(instance: DrInstance):
     return float(instance.costs @ pi), pi
 
 
-def dr_marginal_utility(instance: DrInstance, ed_id: int) -> float:
+def dr_marginal_utility(instance: DrInstance, ed_id: int, value: float) -> float:
     """Reference re-solve: cost with everything unknown minus cost with only
-    ed_id revealed, at its value in instance.known."""
-    if ed_id not in instance.known:
-        raise KeyError(f"ED {ed_id} has no revealed value in this instance")
-    args = (instance.costs, instance.xi_lo, instance.xi_hi, instance.pi_min)
-    cost_base, _ = solve_dr(DrInstance(*args))
-    cost_rev, _ = solve_dr(DrInstance(*args, known={ed_id: instance.known[ed_id]}))
+    ed_id revealed, at value."""
+    cap = instance.xi_lo.copy()
+    cap[ed_id] = value
+    cost_base, _ = solve_dr(instance)
+    cost_rev, _ = solve_dr(instance, cap)
     return max(cost_base - cost_rev, 0.0)
 
 
@@ -90,9 +85,8 @@ def routing_marginal_utility(roads, source, destination, road, value) -> float:
     return max(base - reference_solve_routing(roads, source, destination, revealed), 0.0)
 
 
-def lp_reference(instance: DrInstance) -> float:
+def lp_reference(instance: DrInstance, cap) -> float:
     """Continuous-knapsack dispatch via an off-the-shelf LP solver."""
-    cap = instance.effective_capacity()
     res = linprog(
         c=instance.costs,
         A_ub=-np.ones((1, len(cap))),
@@ -109,11 +103,11 @@ def random_instance(rng, num_eds, known_frac=0.0):
     xi_lo = np.full(num_eds, 1.0)
     xi_hi = rng.uniform(1.0, 30.0, size=num_eds)
     pi_min = float(rng.uniform(0.5, 0.95) * xi_lo.sum())
-    known = {}
+    cap = xi_lo.copy()
     for j in range(num_eds):
         if rng.random() < known_frac:
-            known[j] = float(rng.uniform(xi_lo[j], xi_hi[j]))
-    return DrInstance(costs, xi_lo, xi_hi, pi_min, known=known)
+            cap[j] = float(rng.uniform(xi_lo[j], xi_hi[j]))
+    return DrInstance(costs, xi_lo, xi_hi, pi_min), cap
 
 
 def test_hand_lp_example():
@@ -130,23 +124,19 @@ def test_hand_lp_example():
     assert cost == pytest.approx(3.0)
     np.testing.assert_allclose(dispatch, [1.0, 1.0])
 
-    revealed = DrInstance(
-        costs=inst.costs, xi_lo=inst.xi_lo, xi_hi=inst.xi_hi, pi_min=2.0, known={0: 10.0}
-    )
-    cost2, _ = solve_dr(revealed)
+    cost2, _ = solve_dr(inst, np.array([10.0, 1.0]))
     assert cost2 == pytest.approx(2.0)
-    assert dr_marginal_utility(revealed, 0) == pytest.approx(1.0)
+    assert dr_marginal_utility(inst, 0, 10.0) == pytest.approx(1.0)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=150, deadline=None)
 def test_greedy_dispatch_matches_the_lp(seed):
     rng = np.random.default_rng(seed)
-    inst = random_instance(rng, num_eds=int(rng.integers(2, 30)), known_frac=0.3)
-    cost, dispatch = solve_dr(inst)
-    assert cost == pytest.approx(lp_reference(inst), abs=1e-8)
+    inst, cap = random_instance(rng, num_eds=int(rng.integers(2, 30)), known_frac=0.3)
+    cost, dispatch = solve_dr(inst, cap)
+    assert cost == pytest.approx(lp_reference(inst, cap), abs=1e-8)
     # dispatch is feasible and meets the requirement exactly or at the floor
-    cap = inst.effective_capacity()
     assert np.all(dispatch >= -1e-12) and np.all(dispatch <= cap + 1e-12)
     assert dispatch.sum() >= inst.pi_min - 1e-9
 
@@ -161,15 +151,12 @@ def dispatch_instances(draw):
     costs = np.array(draw(st.lists(small | st.floats(0.0, 5.0), min_size=n, max_size=n)))
     xi_lo = np.array(draw(st.lists(small | st.floats(0.0, 3.0), min_size=n, max_size=n)))
     xi_hi = xi_lo + np.array(draw(st.lists(small | st.floats(0.0, 10.0), min_size=n, max_size=n)))
-    known = {}
+    cap = xi_lo.copy()
     for j in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)):
-        known[j] = draw(st.sampled_from([
+        cap[j] = draw(st.sampled_from([
             xi_lo[j] - 1e-9, xi_lo[j], xi_hi[j], 0.5 * (xi_lo[j] + xi_hi[j]),
             *([0.0] if xi_lo[j] <= 1e-9 else []),
         ]))
-    cap = xi_lo.copy()
-    for j, v in known.items():
-        cap[j] = v
     order = np.lexsort((np.arange(n), costs))
     prefix = np.cumsum(cap[order])
     pi_min = draw(st.one_of(
@@ -178,22 +165,22 @@ def dispatch_instances(draw):
         st.just(float(cap.sum()) + 5e-13),
         st.floats(0.0, 1.0).map(lambda f: f * float(max(cap.sum(), 0.0))),
     ))
-    return DrInstance(costs, xi_lo, xi_hi, max(pi_min, 0.0), known=known)
+    return DrInstance(costs, xi_lo, xi_hi, max(pi_min, 0.0)), cap
 
 
-@given(instance=dispatch_instances())
+@given(case=dispatch_instances())
 @settings(max_examples=400, deadline=None)
-def test_fold_dispatch_is_the_loop_bit_for_bit(instance):
+def test_fold_dispatch_is_the_loop_bit_for_bit(case):
+    instance, cap = case
     try:
-        expected = reference_solve_dr(instance)
+        expected = reference_solve_dr(instance, cap)
     except InfeasibleDrError:
         with pytest.raises(InfeasibleDrError):
-            solve_dr(instance)
+            solve_dr(instance, cap)
         return
-    for tables in (None, dispatch_tables(instance.costs, instance.xi_lo)):
-        cost, pi = solve_dr(instance, tables)
-        assert cost == expected[0]
-        np.testing.assert_array_equal(pi, expected[1])
+    cost, pi = solve_dr(instance, cap)
+    assert cost == expected[0]
+    np.testing.assert_array_equal(pi, expected[1])
 
 
 def test_fold_dispatch_takes_every_ed_when_feasible_only_within_tolerance():
@@ -206,13 +193,14 @@ def test_fold_dispatch_takes_every_ed_when_feasible_only_within_tolerance():
 
 def test_known_values_outside_the_support_are_rejected():
     args = (np.array([1.0, 2.0]), np.array([1.0, 1.0]), np.array([2.0, 2.0]), 1.0)
+    inst = DrInstance(*args)
     with pytest.raises(ValueError, match="revealed value 3.0 for ED 1 outside support"):
-        DrInstance(*args, known={0: 1.5, 1: 3.0})
+        solve_dr(inst, np.array([1.5, 3.0]))
     with pytest.raises(ValueError, match="for ED 0 outside support"):
-        DrInstance(*args, known={0: 1.0 - 2e-9})
+        solve_dr(inst, np.array([1.0 - 2e-9, 1.0]))
     # the tolerance admits a value 1e-9 below the floor
-    cap = DrInstance(*args, known={1: 1.0 - 1e-9}).effective_capacity()
-    np.testing.assert_array_equal(cap, [1.0, 1.0 - 1e-9])
+    _, pi = solve_dr(inst, np.array([1.0, 1.0 - 1e-9]))
+    np.testing.assert_array_equal(pi, [1.0, 0.0])
 
 
 def test_infeasible_instance_raises():
@@ -231,15 +219,14 @@ def test_infeasible_instance_raises():
 def test_vectorized_marginals_match_re_solves(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 25))
-    inst = random_instance(rng, num_eds=n)
+    inst, _ = random_instance(rng, num_eds=n)
     values = rng.uniform(inst.xi_lo, inst.xi_hi)
     fast = dr_marginal_utilities(inst, values)
     base, _ = solve_dr(inst)
     for j in range(n):
-        revealed = DrInstance(
-            inst.costs, inst.xi_lo, inst.xi_hi, inst.pi_min, known={j: float(values[j])}
-        )
-        slow = base - solve_dr(revealed)[0]
+        cap = inst.xi_lo.copy()
+        cap[j] = values[j]
+        slow = base - solve_dr(inst, cap)[0]
         assert fast[j] == pytest.approx(slow, abs=1e-9)
 
 
@@ -249,7 +236,7 @@ def test_revealing_a_load_never_hurts(seed):
     # true loads sit at or above the worst-case floor, so information has
     # non-negative value
     rng = np.random.default_rng(seed)
-    inst = random_instance(rng, num_eds=int(rng.integers(2, 20)))
+    inst, _ = random_instance(rng, num_eds=int(rng.integers(2, 20)))
     values = rng.uniform(inst.xi_lo, inst.xi_hi)
     assert np.all(dr_marginal_utilities(inst, values) >= -1e-12)
 
@@ -271,9 +258,9 @@ def test_workload_redraws_each_round():
     wl = DemandResponseWorkload(DrParams(num_eds=30, pi_min=20.0), seed=2)
     first = np.array(wl.true_xi)
     wl.ingest([0])
-    assert wl.known
+    assert wl.cap[0] == first[0] and np.array_equal(wl.cap[1:], wl.xi_lo[1:])
     wl.begin_round(1)
-    assert wl.known == {}
+    np.testing.assert_array_equal(wl.cap, wl.xi_lo)
     assert not np.array_equal(first, wl.true_xi)
 
 
@@ -357,6 +344,28 @@ def test_workload_expected_marginals_deterministic():
     a = wl.expected_marginal_utilities(32, np.random.default_rng(1))
     b = wl.expected_marginal_utilities(32, np.random.default_rng(1))
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("mode", ["exact", "expected"])
+def test_dispatch_tables_are_built_once_per_workload(monkeypatch, mode):
+    calls = []
+    build = decision.dispatch_tables
+
+    def counting(costs, xi_lo):
+        calls.append(len(costs))
+        return build(costs, xi_lo)
+
+    monkeypatch.setattr(decision, "dispatch_tables", counting)
+    cfg = ScenarioConfig(workload="demand_response", rounds=6, seed=2, utility_mode=mode,
+                         utility_samples=8, params={"num_eds": 40, "pi_min": 30.0},
+                         channel=ChannelConfig(capacity=300))
+    wl = build_workload(cfg, seed=np.random.SeedSequence(cfg.seed))
+    gains = []
+    rows = run_scenario(cfg, workload=wl,
+                        round_hook=lambda k, w: gains.append(w.joint_gain([0, 1, 2])))
+    # every round revealed something, solved its goal and a joint gain
+    assert len(rows) == len(gains) == 6 and all(m.throughput > 0 for m in rows)
+    assert calls == [40]
 
 
 def test_default_requirement_scales_with_fleet_size():

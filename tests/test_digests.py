@@ -1,0 +1,67 @@
+"""The fast decision configs keep their metrics CSVs byte for byte.
+
+Runs scripts/preset_digests.py (which pins BLAS to one thread) on each
+config and compares the sha256 of every file `goalrba compare` writes with
+the value recorded when the config was added here. A change that moves a
+single float of these CSVs fails this test; a change that means to move
+them records the new digests and says why.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "preset_digests.py"
+
+# (preset, --set overrides, sha256 of channel, hybrid, summary, utility .csv)
+CASES = {
+    "demand_response": ("demand_response.yaml", [], (
+        "66c96032cf2c7118a1fdbf3821f2dd6c83b4ae2201257efd67251274bb55bb57",
+        "299a1d0a175f10ac67eb0aed8de02007d2883826a29d6f60b53c007d8f78e5fa",
+        "44625cc4482042ede653f5c8e0c3a6b9971e583b7b2c97eae88a9304594f7217",
+        "825caf70d7f7360834f44556282fea738afa678f0f6df92be773753565fe0465",
+    )),
+    "demand_response_expected": (
+        "demand_response.yaml",
+        ["rounds=5", "utility_mode=expected", "utility_samples=32"],
+        (
+            "6d1455b8f37027a70095cd757a7c9808f0838049fecb58334add253f35a1b06b",
+            "e6697ead04be99b1248b51a3bbb6ade11ec817c6b8c5df18ee3adb72aefedcd1",
+            "d84d0f42432aeae380dee935ff16957e65628d22b69735afb20ca9f24dcf6c53",
+            "7d897e639361cd061a2ac11abbd4bf191a4bfcfcb4365abbbed7d80112634629",
+        ),
+    ),
+    "routing": ("routing.yaml", [], (
+        "e1cb114c313961751f343d545205f5267a141cce7a944b479cefe2e73d800415",
+        "f8da8f4d13263e8ec4dae1dcacb8507c4d070909961035e713cf1a99fcd9a71e",
+        "e15710e976d4fb4dd38da42e1f4b5aae8d81def91ca468fa5fe7fa8d7735e78d",
+        "cfa6c62b386d58574009298641e0e61bb7bd4b7bd394412c245ab66a540c16f7",
+    )),
+    "routing_expected": (
+        "routing.yaml",
+        ["utility_mode=expected", "utility_samples=16"],
+        (
+            "e1cb114c313961751f343d545205f5267a141cce7a944b479cefe2e73d800415",
+            "7a679444d388dbd262afd298347cf74e2f4d1d13443202de40da0c07537a44db",
+            "18ff9afd3c1eca44acabfb7c64cc66158b71c75d816ec4c65cf59811d470f6b4",
+            "cfa6c62b386d58574009298641e0e61bb7bd4b7bd394412c245ab66a540c16f7",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_decision_configs_keep_their_digests(case):
+    preset, overrides, digests = CASES[case]
+    sets = [arg for override in overrides for arg in ("--set", override)]
+    res = subprocess.run(
+        [sys.executable, str(SCRIPT), str(ROOT / "configs" / preset), *sets],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    names = ["channel.csv", "hybrid.csv", "summary.csv", "utility.csv"]
+    expected = [f"{preset} {name} {digest}" for name, digest in zip(names, digests)]
+    assert res.stdout.splitlines() == expected

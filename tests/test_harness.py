@@ -159,7 +159,7 @@ def test_realized_gain_is_bounded_by_summed_marginals():
             # The deltas are against the round's unrevealed base instance,
             # so reading them after the ingest gives the round's values.
             deltas = workload.marginal_utilities()
-            caps.append(sum(deltas[j] for j in workload.known))
+            caps.append(sum(deltas[j] for j in np.flatnonzero(workload.cap != workload.xi_lo)))
 
         rows = run_scenario(cfg, workload=wl, round_hook=hook)
         assert len(caps) == len(rows) == 6
@@ -242,17 +242,21 @@ def test_wall_time_flag_populates_the_column():
     assert all(m.wall_ms == 0 for m in rows)
 
 
-def test_infeasible_workload_surfaces_at_run_time():
-    # passes schema validation, fails once the workload is instantiated
-    from goalrba.decision import InfeasibleDrError
+def test_infeasible_workload_fails_at_load(tmp_path):
+    # a requirement beyond the worst-case capacity is a config error
+    from goalrba.decision import DrParams, InfeasibleDrError
 
     cfg = ScenarioConfig(
         workload="demand_response", rounds=1, seed=0,
         params={"num_eds": 5, "pi_min": 1e9},
         channel=ChannelConfig(capacity=100),
     )
+    path = tmp_path / "cfg.yaml"
+    save_config(cfg, path)
+    with pytest.raises(ConfigError, match="pi_min 1e\\+09 exceeds the worst-case capacity"):
+        load_config(path)
     with pytest.raises(InfeasibleDrError):
-        run_scenario(cfg)
+        DrParams(num_eds=5, pi_min=1e9)
 
 
 def test_round_failures_carry_round_context():
@@ -378,6 +382,28 @@ def test_cli_exit_code_1_on_config_error(tmp_path):
     ("utility_mode", "expected", "edge_learning"),
     ("utility_mode", "expected", "federated"),
     ("utility_mode", "expected", "admm"),
+    # A requirement beyond the worst-case capacity num_eds * xi_lo.
+    ("pi_min", 1e9, "params"),
+    ("xi_lo", 0.0, "demand_response"),
+    ("rho", 0.0, "admm"),
+    ("varrho", -1.0, "admm"),
+    ("num_classes", 0, "edge_learning"),
+    ("dim", 0, "edge_learning"),
+    ("train_per_class", 0, "edge_learning"),
+    ("mean_scale", -1.0, "edge_learning"),
+    ("noise_scale", -1.0, "edge_learning"),
+    ("num_classes", 0, "federated"),
+    ("dim", 0, "federated"),
+    ("train_per_class", 0, "federated"),
+    ("mean_scale", -1.0, "federated"),
+    ("noise_scale", -1.0, "federated"),
+    # Concentrated classes: repeated, outside [0, num_classes), more than
+    # the EDs (the default two classes on one ED).
+    ("concentrated_classes", [3, 3], "edge_learning"),
+    ("concentrated_classes", [6, 10], "edge_learning"),
+    ("concentrated_classes", [-1, 6], "federated"),
+    ("num_eds", 1, "edge_learning"),
+    ("num_eds", 1, "federated"),
 ])
 def test_cli_exit_code_1_names_the_bad_key(tmp_path, key, value, block):
     raw = config_to_dict(small_config())
@@ -394,12 +420,14 @@ def test_cli_exit_code_1_names_the_bad_key(tmp_path, key, value, block):
 
 
 def test_cli_exit_code_2_on_runtime_error(tmp_path):
-    raw = config_to_dict(small_config())
-    raw["params"]["pi_min"] = 1e9  # validates, then fails in the dispatch
+    raw = yaml.safe_load((CONFIGS / "edge_learning.yaml").read_text())
+    raw["rounds"] = 2
+    raw["params"]["lr"] = 1e300  # validates, then SGD diverges
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(raw))
     res = cli("run", "--config", str(path), "--out", str(tmp_path / "o.csv"))
     assert res.returncode == 2
+    assert "runtime error" in res.stderr and "divergence" in res.stderr
 
 
 def test_cli_verify_exits_zero():
