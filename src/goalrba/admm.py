@@ -154,13 +154,21 @@ def update_consensus(state: AdmmState) -> np.ndarray:
     return (state.thetas + state.lambdas / state.rho).mean(axis=0)
 
 
-def _local_grad(theta, X, Y, lam, rho, theta0):
-    """Gradient of the smooth subproblem part on (K, d, d) stacks.
+def _local_grad(theta, X, Y, lam, rho, theta0, pred, grad, tmp):
+    """Gradient of the smooth subproblem part on (K, d, d) stacks, into grad.
 
     Row by row this is EdLocalProblem.smooth_grad + lam + rho*(theta - theta0)
-    with the same operations in the same order, so the same floats.
+    with the same operations in the same order, so the same floats. pred
+    (K, d, n) and tmp (K, d, d) are scratch. Xᵀ stays a transposed view: a
+    contiguous copy of it gives other products.
     """
-    return (theta @ X - Y) @ X.transpose(0, 2, 1) + lam + rho * (theta - theta0)
+    np.matmul(theta, X, out=pred)
+    pred -= Y
+    np.matmul(pred, X.transpose(0, 2, 1), out=grad)
+    grad += lam
+    np.subtract(theta, theta0, out=tmp)
+    tmp *= rho
+    grad += tmp
 
 
 def update_local(
@@ -180,39 +188,71 @@ def update_local(
     An ED that reaches the iteration cap instead is logged, not fatal. Each
     ED's iterates are those of a solve on its own. ed_ids must not be empty;
     the K solutions come back stacked in its order.
+
+    The loop does soft_threshold's operations, in its order, on buffers
+    allocated once per call: the threshold step * varrho is checked once,
+    before the loop, and every elementwise op and matmul writes into a
+    buffer. The active EDs sit in the leading rows of every buffer. The
+    residuals of all active EDs come from one batched matmul, which reaches
+    the same BLAS dot as np.linalg.norm(row, "fro") and so matches it bit
+    for bit; a norm over axes (1, 2) sums in another order and can flip a
+    stop. The state is never written.
     """
     ids = list(ed_ids)
     theta0 = state.theta0 if theta0 is None else theta0
     rho, varrho = state.rho, state.varrho
+    # Fancy indexing copies, so these are buffers of this call's own.
     X, Y, lam, theta = state.X[ids], state.Y[ids], state.lambdas[ids], state.thetas[ids]
     step = 1.0 / (state.kappa[ids] + rho)[:, None, None]
-    out = np.empty_like(theta)
-    active = np.arange(len(ids))
-    residual = np.full(len(ids), np.inf)
-    grad = _local_grad(theta, X, Y, lam, rho, theta0)
+    tau = step * varrho
+    if np.any(tau < 0):
+        raise ValueError(f"threshold must be non-negative, got {tau}")
+    pred = np.empty_like(X)
+    grad, tmp, sub, out = (np.empty_like(theta) for _ in range(4))
+    nonzero = np.empty(theta.shape, dtype=bool)
+    k = len(ids)
+    active = np.arange(k)
+    residual = np.full(k, np.inf)
+    _local_grad(theta, X, Y, lam, rho, theta0, pred, grad, tmp)
     for _ in range(max_iter):
-        theta = soft_threshold(theta - step * grad, step * varrho)
-        grad = _local_grad(theta, X, Y, lam, rho, theta0)
+        # theta = soft_threshold(theta - step * grad, tau)
+        np.multiply(step, grad, out=tmp)
+        np.subtract(theta, tmp, out=tmp)
+        np.abs(tmp, out=theta)
+        theta -= tau
+        np.maximum(theta, 0.0, out=theta)
+        np.sign(tmp, out=tmp)
+        theta *= tmp
+        _local_grad(theta, X, Y, lam, rho, theta0, pred, grad, tmp)
         if varrho > 0:
-            # minimum-norm subgradient of the l1 term
-            sub = np.where(
-                theta != 0,
-                grad + varrho * np.sign(theta),
-                soft_threshold(grad, varrho),
-            )
+            # minimum-norm subgradient of the l1 term: where theta != 0,
+            # grad + varrho * sign(theta), elsewhere soft_threshold(grad, varrho)
+            np.abs(grad, out=sub)
+            sub -= varrho
+            np.maximum(sub, 0.0, out=sub)
+            np.sign(grad, out=tmp)
+            sub *= tmp
+            np.sign(theta, out=tmp)
+            tmp *= varrho
+            tmp += grad
+            np.not_equal(theta, 0.0, out=nonzero)
+            np.putmask(sub, nonzero, tmp)
+            rows = sub.reshape(k, 1, -1)
         else:
-            sub = grad
-        # np.linalg.norm(row, "fro") per row, in its summation order; a norm
-        # over axes (1, 2) sums in another order and can flip a stop.
-        residual = np.sqrt([r.dot(r) for r in sub.reshape(len(active), -1)])
+            rows = grad.reshape(k, 1, -1)
+        residual = np.sqrt(np.matmul(rows, rows.transpose(0, 2, 1)).ravel())
         done = residual <= tol
         if done.any():
             out[active[done]] = theta[done]
             keep = ~done
-            active, residual, theta, grad, X, Y, lam, step = (
-                a[keep] for a in (active, residual, theta, grad, X, Y, lam, step)
+            active, residual = active[keep], residual[keep]
+            k = active.size
+            for a in (theta, grad, X, Y, lam, step, tau):
+                a[:k] = a[keep]
+            theta, grad, X, Y, lam, step, tau, pred, tmp, sub, nonzero = (
+                a[:k] for a in (theta, grad, X, Y, lam, step, tau, pred, tmp, sub, nonzero)
             )
-            if not active.size:
+            if not k:
                 break
     out[active] = theta
     for ed_id, res in sorted(zip((ids[i] for i in active), residual)):
@@ -317,8 +357,9 @@ class AdmmParams:
     bits_per_entry: float = 32.0
 
     def __post_init__(self):
-        if self.num_eds < 1:
-            raise ValueError(f"num_eds must be at least 1, got {self.num_eds}")
+        for key in ("num_eds", "dim", "samples_per_ed"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
         if self.bits_per_entry < 0:
             raise ValueError(f"bits_per_entry must be non-negative, got {self.bits_per_entry}")
         if not self.rho > 0:

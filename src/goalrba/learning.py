@@ -178,6 +178,7 @@ def sgd_train(
     lr: float = 0.01,
     momentum: float = 0.9,
     seed=0,
+    x_scale: Optional[float] = None,
 ) -> Mlp:
     """Mini-batch SGD with momentum, in place; returns the model.
 
@@ -185,7 +186,8 @@ def sgd_train(
     names it. ``logit_bound`` settles that from the weights alone: a bound at
     most ``_LOGIT_LIMIT`` keeps every logit, and so every per-sample loss,
     finite. Only when the bound fails (a NaN or inf weight, or a huge one)
-    does the full-set ``loss`` forward run to decide.
+    does the full-set ``loss`` forward run to decide. ``x_scale`` must be
+    ``input_scale(X)``; it is computed here when the caller does not keep it.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=int))
@@ -195,7 +197,8 @@ def sgd_train(
         raise ValueError("feature rows and labels disagree")
     rng = np.random.default_rng(seed)
     velocity = np.zeros(model.num_params)
-    x_scale = input_scale(X)
+    if x_scale is None:
+        x_scale = input_scale(X)
     for _ in range(epochs):
         order = rng.permutation(len(y))
         for start in range(0, len(y), batch_size):
@@ -281,7 +284,10 @@ def _check_data_model(params) -> None:
     Each concentrated class needs a holder ED of its own (see split_non_iid).
     """
     _check_at_least(params, (("num_eds", 1), ("num_classes", 1), ("dim", 1), ("hidden_dim", 1),
-                             ("train_per_class", 1), ("mean_scale", 0), ("noise_scale", 0)))
+                             ("train_per_class", 1), ("test_per_class", 1), ("mean_scale", 0),
+                             ("noise_scale", 0)))
+    if not 0 <= params.concentration <= 1:
+        raise ValueError(f"concentration must lie in [0, 1], got {params.concentration}")
     classes = params.concentrated_classes
     labels = isinstance(classes, (tuple, list)) and all(
         isinstance(c, int) and 0 <= c < params.num_classes for c in classes)
@@ -387,6 +393,10 @@ class EdgeLearningWorkload(_LearningWorkload):
         # The collected rows in collection order; SGD trains on the filled prefix.
         self._X_collected = np.empty_like(self.X_train)
         self._y_collected = np.empty_like(self.y_train)
+        # input_scale of that prefix, kept as rows arrive: the largest
+        # input_scale of the appended blocks is exactly it, and np.maximum
+        # keeps a NaN.
+        self._x_scale = -np.inf
 
     def _offered(self, ed_id: int) -> np.ndarray:
         start = self._offsets[ed_id]
@@ -412,6 +422,9 @@ class EdgeLearningWorkload(_LearningWorkload):
         n = len(self.collected)
         self._X_collected[start:n] = self.X_train[added]
         self._y_collected[start:n] = self.y_train[added]
+        if added:
+            new_scale = input_scale(self._X_collected[start:n])
+            self._x_scale = float(np.maximum(self._x_scale, new_scale))
         if n:
             sgd_train(
                 self.model,
@@ -422,6 +435,7 @@ class EdgeLearningWorkload(_LearningWorkload):
                 lr=self.params.lr,
                 momentum=self.params.momentum,
                 seed=self._train_rng.integers(2**32),
+                x_scale=self._x_scale,
             )
 
     def payload_bits(self) -> np.ndarray:

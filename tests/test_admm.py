@@ -266,6 +266,43 @@ def test_batched_solve_with_no_iterations_returns_the_warm_start(varrho, caplog)
     assert [r.getMessage().split(" local")[0] for r in caplog.records] == ["ED 0", "ED 2"]
 
 
+def preset_state(varrho):
+    """The admm preset's five EDs (rho=1, d=20, n=30), warm-started off the origin."""
+    state = build_workload(load_config(CONFIGS / "admm.yaml")).state
+    assert (state.rho, state.varrho, state.X.shape) == (1.0, 1e-4, (5, 20, 30))
+    state.varrho = varrho
+    rng = np.random.default_rng(6)
+    state.theta0 = rng.normal(size=state.theta0.shape)
+    state.thetas = rng.normal(size=state.thetas.shape)
+    state.lambdas = 0.1 * rng.normal(size=state.lambdas.shape)
+    return state
+
+
+@pytest.mark.parametrize("varrho", [1e-4, 0.0])
+def test_one_stacked_solve_of_the_preset_eds_matches_the_reference(varrho):
+    state = preset_state(varrho)
+    ids = [3, 0, 4, 1, 2]
+    ref = as_lists(state)
+    expected = [reference_update_local(ref, j, max_iter=3000) for j in ids]
+    # the EDs stop at different iterations, so the buffers shrink mid-solve
+    assert len({len(residuals) for _, residuals, _ in expected}) > 1
+    got = update_local(state, ids, max_iter=3000)
+    np.testing.assert_array_equal(got, np.stack([theta for theta, _, _ in expected]))
+
+
+def test_local_solves_leave_the_state_untouched():
+    state = preset_state(1e-4)
+    names = ("X", "Y", "theta0", "thetas", "lambdas")
+    before = {name: getattr(state, name).copy() for name in names}
+    solved = update_local(state, [3, 0, 4], max_iter=3000)
+    new = run_round(state, [1, 2, 4], max_iter=3000)
+    for name in names:
+        np.testing.assert_array_equal(getattr(state, name), before[name])
+    assert not np.shares_memory(solved, state.thetas)
+    for name in ("theta0", "thetas", "lambdas"):
+        assert not np.shares_memory(getattr(new, name), getattr(state, name))
+
+
 def test_batched_rounds_match_the_reference_on_the_admm_preset():
     config = load_config(CONFIGS / "admm.yaml")
     workload = build_workload(config)

@@ -1,4 +1,4 @@
-"""The fast decision configs keep their metrics CSVs byte for byte.
+"""The fast configs keep their metrics CSVs byte for byte.
 
 Runs scripts/preset_digests.py (which pins BLAS to one thread) on each
 config and compares the sha256 of every file `goalrba compare` writes with
@@ -18,6 +18,12 @@ SCRIPT = ROOT / "scripts" / "preset_digests.py"
 
 # (preset, --set overrides, sha256 of channel, hybrid, summary, utility .csv)
 CASES = {
+    "admm": ("admm.yaml", ["rounds=20"], (
+        "d47ee80bb8899b1905711037e174b927c7a519818de3bc5ee6d2b47bfbe9b93b",
+        "57207936a447660eecd174860991e40931a126adec16e10b7d330ef915505d34",
+        "4445e8d214029585cda6d6e3434e1fc713eb168ff332a47a7cba7c57242b158d",
+        "ff10c5229e5fec125756c5acbbdc7a030e5645dbccae6d1c7181155aeeb8e615",
+    )),
     "demand_response": ("demand_response.yaml", [], (
         "66c96032cf2c7118a1fdbf3821f2dd6c83b4ae2201257efd67251274bb55bb57",
         "299a1d0a175f10ac67eb0aed8de02007d2883826a29d6f60b53c007d8f78e5fa",

@@ -404,6 +404,14 @@ def test_cli_exit_code_1_on_config_error(tmp_path):
     ("concentrated_classes", [-1, 6], "federated"),
     ("num_eds", 1, "edge_learning"),
     ("num_eds", 1, "federated"),
+    # Degenerate sizes: no state dimension or samples to solve on, an empty
+    # test set; and a concentration share outside [0, 1].
+    ("dim", 0, "admm"),
+    ("samples_per_ed", 0, "admm"),
+    ("test_per_class", 0, "edge_learning"),
+    ("test_per_class", 0, "federated"),
+    ("concentration", 1.5, "edge_learning"),
+    ("concentration", -0.5, "federated"),
 ])
 def test_cli_exit_code_1_names_the_bad_key(tmp_path, key, value, block):
     raw = config_to_dict(small_config())

@@ -344,6 +344,35 @@ def test_edge_workload_offers_advance_only_for_selected():
     assert len(second) == len(first)
 
 
+def test_running_input_scale_is_the_input_scale_of_the_collected_rows(monkeypatch):
+    # sgd_train gets the workload's running scale in place of input_scale
+    # over every collected row; the two must agree after every round, and a
+    # NaN row must reach the divergence check as a NaN scale
+    passed = []
+    real_sgd_train = learning.sgd_train
+
+    def recording(model, X, y, *args, x_scale=None, **kwargs):
+        passed.append((x_scale, learning.input_scale(X)))
+        return real_sgd_train(model, X, y, *args, x_scale=x_scale, **kwargs)
+
+    monkeypatch.setattr(learning, "sgd_train", recording)
+    wl = EdgeLearningWorkload(small_edge_params(), seed=0)
+    rng = np.random.default_rng(0)
+    for k in range(8):
+        # nothing is collected in round 0; round 3 adds nothing but trains
+        selected = [] if k in (0, 3) else rng.choice(
+            4, size=int(rng.integers(1, 5)), replace=False).tolist()
+        wl.ingest(selected)
+        assert len(passed) == k
+        if k:
+            scale = learning.input_scale(wl._X_collected[:len(wl.collected)])
+            assert passed[-1] == (scale, scale) and wl._x_scale == scale
+    wl.X_train[wl._offered(2)[0], 0] = np.nan
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+        wl.ingest([2])
+    assert np.isnan(passed[-1][0]) and np.isnan(passed[-1][1])
+
+
 def test_federated_workload_descent_logging():
     params = FederatedParams(
         num_eds=4, num_classes=4, dim=16, hidden_dim=8,
