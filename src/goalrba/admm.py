@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .workload import Workload
+from .workload import Workload, check_ranges, ranged
 
 logger = logging.getLogger(__name__)
 
@@ -345,37 +345,19 @@ def relative_gap(state: AdmmState, theta_true: np.ndarray) -> float:
 class AdmmParams:
     """Scenario parameters; the default desk preset keeps rounds fast."""
 
-    num_eds: int = 5
-    dim: int = 20
-    samples_per_ed: int = 30
-    noise_variance_slope: float = 0.015
-    varrho: float = 0.1
-    rho: float = 0.1
-    sparsity: float = 0.5
-    solver_tol: float = 1e-8
-    solver_cap: int = 500
-    bits_per_entry: float = 32.0
+    num_eds: int = ranged(5, "[1, inf)")
+    dim: int = ranged(20, "[1, inf)")
+    samples_per_ed: int = ranged(30, "[1, inf)")
+    noise_variance_slope: float = ranged(0.015, "[0, inf)")
+    varrho: float = ranged(0.1, "[0, inf)")
+    rho: float = ranged(0.1, "(0, inf)")
+    sparsity: float = ranged(0.5, "[0, 1]")
+    solver_tol: float = ranged(1e-8, "(0, inf)")
+    solver_cap: int = ranged(500, "[0, inf)")
+    bits_per_entry: float = ranged(32.0, "[0, inf)")
 
     def __post_init__(self):
-        for key in ("num_eds", "dim", "samples_per_ed"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
-        if self.bits_per_entry < 0:
-            raise ValueError(f"bits_per_entry must be non-negative, got {self.bits_per_entry}")
-        if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if not self.varrho >= 0:
-            raise ValueError(f"varrho must be non-negative, got {self.varrho}")
-        if not 0.0 <= self.sparsity <= 1.0:
-            raise ValueError(f"sparsity must lie in [0, 1], got {self.sparsity}")
-        if not self.solver_tol > 0:
-            raise ValueError(f"solver_tol must be positive, got {self.solver_tol}")
-        if self.solver_cap < 0:
-            raise ValueError(f"solver_cap must be non-negative, got {self.solver_cap}")
-        if not self.noise_variance_slope >= 0:
-            raise ValueError(
-                f"noise_variance_slope must be non-negative, got {self.noise_variance_slope}"
-            )
+        check_ranges(self)
 
 
 class AdmmWorkload(Workload):

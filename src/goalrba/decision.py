@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, 
 
 import numpy as np
 
-from .workload import Workload
+from .workload import Workload, check_ranges, ranged
 
 
 class InfeasibleDrError(ValueError):
@@ -228,43 +228,31 @@ def solve_routing(instance: RoutingInstance, times) -> Union[float, np.ndarray]:
     return time if np.ndim(times) == 2 else float(time[0])
 
 
-def _check_range(name: str, value, floor: Optional[float] = None) -> None:
-    """Reject a support range that is not two numbers [lo, hi], floor <= lo <= hi."""
-    numbers = isinstance(value, (tuple, list)) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    )
-    if not numbers or len(value) != 2 or not (
-        value[0] <= value[1] and (floor is None or floor <= value[0])
-    ):
-        bound = "lo <= hi" if floor is None else f"{floor:g} <= lo <= hi"
-        raise ValueError(f"{name} must be two numbers [lo, hi] with {bound}, got {value!r}")
+def _check_range(name: str, value) -> None:
+    """Reject a support range that is not two numbers [lo, hi] with lo <= hi.
+
+    The range of each entry is declared on the field and checked first.
+    """
+    if not (isinstance(value, (tuple, list)) and len(value) == 2 and value[0] <= value[1]):
+        raise ValueError(f"{name} must be two numbers [lo, hi] with lo <= hi, got {value!r}")
 
 
 @dataclass
 class DrParams:
     """Scenario generator parameters for emergency demand response."""
 
-    num_eds: int = 500
-    cost_range: Tuple[float, float] = (0.0, 5.0)
-    xi_lo: float = 1.0
-    xi_max_range: Tuple[float, float] = (1.0, 30.0)
-    pi_min: Optional[float] = None  # default scales 1e4 kW at 15000 EDs
-    history_len: int = 64
-    payload_bits: float = 512.0  # one 64-byte sensor packet
+    num_eds: int = ranged(500, "[1, inf)")
+    cost_range: Tuple[float, float] = ranged((0.0, 5.0), "[0, inf)")
+    xi_lo: float = ranged(1.0, "[0, inf)")
+    xi_max_range: Tuple[float, float] = ranged((1.0, 30.0), "(-inf, inf)")
+    pi_min: Optional[float] = ranged(None, "[0, inf)")  # default scales 1e4 kW at 15000 EDs
+    history_len: int = ranged(64, "[1, inf)")
+    payload_bits: float = ranged(512.0, "[0, inf)")  # one 64-byte sensor packet
 
     def __post_init__(self):
-        if self.num_eds < 1:
-            raise ValueError(f"num_eds must be at least 1, got {self.num_eds}")
-        if self.history_len < 1:
-            raise ValueError(f"history_len must be at least 1, got {self.history_len}")
-        if self.payload_bits < 0:
-            raise ValueError(f"payload_bits must be non-negative, got {self.payload_bits}")
-        _check_range("cost_range", self.cost_range, floor=0.0)
+        check_ranges(self)
+        _check_range("cost_range", self.cost_range)
         _check_range("xi_max_range", self.xi_max_range)
-        if not self.xi_lo >= 0:
-            raise ValueError(f"xi_lo must be non-negative, got {self.xi_lo}")
-        if self.pi_min is not None and not self.pi_min >= 0:
-            raise ValueError(f"pi_min must be non-negative, got {self.pi_min}")
         worst_case = np.full(self.num_eds, self.xi_lo).sum()
         if worst_case < self.resolved_pi_min():
             raise InfeasibleDrError(
@@ -376,22 +364,15 @@ class DemandResponseWorkload(Workload):
 class RoutingParams:
     """Scenario generator parameters for robust vehicle routing."""
 
-    num_nodes: int = 12
-    edge_prob: float = 0.35
-    tau_range: Tuple[float, float] = (1.0, 10.0)
-    history_len: int = 64
-    payload_bits: float = 512.0
+    num_nodes: int = ranged(12, "[2, inf)")
+    edge_prob: float = ranged(0.35, "[0, 1]")
+    tau_range: Tuple[float, float] = ranged((1.0, 10.0), "[0, inf)")
+    history_len: int = ranged(64, "[1, inf)")
+    payload_bits: float = ranged(512.0, "[0, inf)")
 
     def __post_init__(self):
-        if self.num_nodes < 2:
-            raise ValueError(f"num_nodes must be at least 2, got {self.num_nodes}")
-        if not 0.0 <= self.edge_prob <= 1.0:
-            raise ValueError(f"edge_prob must lie in [0, 1], got {self.edge_prob}")
-        _check_range("tau_range", self.tau_range, floor=0.0)
-        if self.history_len < 1:
-            raise ValueError(f"history_len must be at least 1, got {self.history_len}")
-        if self.payload_bits < 0:
-            raise ValueError(f"payload_bits must be non-negative, got {self.payload_bits}")
+        check_ranges(self)
+        _check_range("tau_range", self.tau_range)
 
 
 class RoutingWorkload(Workload):

@@ -32,7 +32,7 @@ from .learning import (
     FederatedParams,
     FederatedWorkload,
 )
-from .workload import Workload, collect_reports
+from .workload import ConfigError, Workload, check_ranges, collect_reports, ranged
 
 CSV_HEADER = "round,policy,seed,throughput,utility_gain,goal_value,wall_ms"
 
@@ -45,10 +45,6 @@ WORKLOADS = {
 }
 
 POLICIES = ("channel", "utility", "hybrid")
-
-
-class ConfigError(ValueError):
-    """Malformed scenario configuration."""
 
 
 class RoundError(RuntimeError):
@@ -64,18 +60,14 @@ class RoundError(RuntimeError):
 class ChannelConfig:
     """RB grid and budget for the scheduling interval."""
 
-    rb_time_s: float = 0.5e-3
-    rb_bandwidth_hz: float = 180e3
-    noise_power_w: float = 1.0
-    tx_power_w: float = 1.0
-    capacity: int = DEFAULT_INTERVAL_RB_CAPACITY
+    rb_time_s: float = ranged(0.5e-3, "(0, inf)")
+    rb_bandwidth_hz: float = ranged(180e3, "(0, inf)")
+    noise_power_w: float = ranged(1.0, "(0, inf)")
+    tx_power_w: float = ranged(1.0, "(0, inf)")
+    capacity: int = ranged(DEFAULT_INTERVAL_RB_CAPACITY, "[0, inf)")
 
     def __post_init__(self):
-        if self.capacity < 0:
-            raise ConfigError(f"capacity must be non-negative, got {self.capacity}")
-        for key in ("rb_time_s", "rb_bandwidth_hz", "noise_power_w", "tx_power_w"):
-            if getattr(self, key) <= 0:
-                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        check_ranges(self)
 
     def rb_params(self) -> RbParams:
         return RbParams(t=self.rb_time_s, B=self.rb_bandwidth_hz,
@@ -88,34 +80,29 @@ class ScenarioConfig:
 
     workload: str
     policy: str = "hybrid"
-    rounds: int = 1
-    seed: int = 0
+    rounds: int = ranged(1, "[1, inf)")
+    seed: int = ranged(0, "[0, inf)")
     utility_mode: str = "exact"
-    utility_samples: int = 256
+    utility_samples: int = ranged(256, "[1, inf)")
     gain_normalization: str = "raw"
     measure_wall_time: bool = False
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     params: Dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_ranges(self)
         if self.workload not in WORKLOADS:
             raise ConfigError(
                 f"unknown workload {self.workload!r}; expected one of {sorted(WORKLOADS)}"
             )
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}; expected one of {POLICIES}")
-        if self.rounds < 1:
-            raise ConfigError(f"rounds must be at least 1, got {self.rounds}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.utility_mode not in ("exact", "expected"):
             raise ConfigError(f"unknown utility mode {self.utility_mode!r}")
         sampler = WORKLOADS[self.workload][1].expected_marginal_utilities
         if self.utility_mode == "expected" and sampler is Workload.expected_marginal_utilities:
             raise ConfigError(f"utility_mode 'expected' needs a history to draw from, "
                               f"which {self.workload} does not keep")
-        if self.utility_samples < 1:
-            raise ConfigError("utility_samples must be at least 1")
         if self.gain_normalization not in ("raw", "per_round_max"):
             raise ConfigError(
                 f"unknown gain normalization {self.gain_normalization!r}"

@@ -23,7 +23,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import data as datasets
-from .workload import Workload
+from .workload import Workload, check_ranges, ranged
 
 _PROB_FLOOR = 1e-12
 # A logit bound at or below this proves the loss finite: float64 overflows
@@ -270,63 +270,45 @@ def descent_bound_check(
     return float(bound), (loss_after - loss_before) <= bound + tolerance
 
 
-def _check_at_least(params, bounds: Sequence[Tuple[str, int]]) -> None:
-    """Raise ValueError naming the first field of params below its minimum."""
-    for key, low in bounds:
-        value = getattr(params, key)
-        if not value >= low:
-            raise ValueError(f"{key} must be at least {low}, got {value}")
-
-
-def _check_data_model(params) -> None:
-    """Raise ValueError naming the first bad field of the shared data model.
+@dataclass
+class _DataModelParams:
+    """What both learning scenarios share: mixture data, non-iid split, MLP, lr.
 
     Each concentrated class needs a holder ED of its own (see split_non_iid).
     """
-    _check_at_least(params, (("num_eds", 1), ("num_classes", 1), ("dim", 1), ("hidden_dim", 1),
-                             ("train_per_class", 1), ("test_per_class", 1), ("mean_scale", 0),
-                             ("noise_scale", 0)))
-    if not 0 <= params.concentration <= 1:
-        raise ValueError(f"concentration must lie in [0, 1], got {params.concentration}")
-    classes = params.concentrated_classes
-    labels = isinstance(classes, (tuple, list)) and all(
-        isinstance(c, int) and 0 <= c < params.num_classes for c in classes)
-    if not labels or not len(set(classes)) == len(classes) <= params.num_eds:
-        raise ValueError(
-            f"concentrated_classes must be distinct labels in [0, num_classes) = "
-            f"[0, {params.num_classes}), at most num_eds = {params.num_eds}, got {classes!r}")
+
+    num_eds: int = ranged(10, "[1, inf)")
+    num_classes: int = ranged(10, "[1, inf)")
+    dim: int = ranged(784, "[1, inf)")
+    hidden_dim: int = ranged(64, "[1, inf)")
+    train_per_class: int = ranged(200, "[1, inf)")
+    test_per_class: int = ranged(60, "[1, inf)")
+    lr: float = ranged(0.01, "(0, inf)")
+    mean_scale: float = ranged(2.0, "[0, inf)")
+    noise_scale: float = ranged(1.0, "[0, inf)")
+    concentrated_classes: Tuple[int, int] = ranged((6, 9), "[0, inf)")
+    concentration: float = ranged(0.95, "[0, 1]")
+
+    def __post_init__(self):
+        check_ranges(self)
+        classes = self.concentrated_classes
+        labels = isinstance(classes, (tuple, list)) and all(
+            isinstance(c, int) and c < self.num_classes for c in classes)
+        if not labels or not len(set(classes)) == len(classes) <= self.num_eds:
+            raise ValueError(
+                f"concentrated_classes must be distinct labels in [0, num_classes) = "
+                f"[0, {self.num_classes}), at most num_eds = {self.num_eds}, got {classes!r}")
 
 
 @dataclass
-class EdgeLearningParams:
+class EdgeLearningParams(_DataModelParams):
     """Desk-scale edge-learning scenario: synthetic mixture, non-iid shards."""
 
-    num_eds: int = 10
-    num_classes: int = 10
-    dim: int = 784
-    hidden_dim: int = 64
-    train_per_class: int = 200
-    test_per_class: int = 60
-    batch_per_round: int = 32
-    epochs_per_round: int = 2
-    sgd_batch: int = 64
-    lr: float = 0.01
-    momentum: float = 0.9
-    mean_scale: float = 2.0
-    noise_scale: float = 1.0
-    concentrated_classes: Tuple[int, int] = (6, 9)
-    concentration: float = 0.95
-    bits_per_sample: float = (784 + 1) * 8.0
-
-    def __post_init__(self):
-        _check_data_model(self)
-        _check_at_least(self, (("sgd_batch", 1), ("epochs_per_round", 0), ("batch_per_round", 0)))
-        if self.bits_per_sample < 0:
-            raise ValueError(f"bits_per_sample must be non-negative, got {self.bits_per_sample}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+    batch_per_round: int = ranged(32, "[0, inf)")
+    epochs_per_round: int = ranged(2, "[0, inf)")
+    sgd_batch: int = ranged(64, "[1, inf)")
+    momentum: float = ranged(0.9, "[0, 1)")
+    bits_per_sample: float = ranged((784 + 1) * 8.0, "[0, inf)")
 
 
 class _LearningWorkload(Workload):
@@ -447,44 +429,22 @@ class EdgeLearningWorkload(_LearningWorkload):
 
 
 @dataclass
-class FederatedParams:
+class FederatedParams(_DataModelParams):
     """Desk-scale federated scenario sharing the edge-learning data model."""
 
-    num_eds: int = 10
-    num_classes: int = 10
-    dim: int = 784
-    hidden_dim: int = 64
-    train_per_class: int = 200
-    test_per_class: int = 60
-    batch_size: int = 64
-    lr: float = 0.01
-    kappa: float = 1.0
-    mean_scale: float = 2.0
-    noise_scale: float = 1.0
-    concentrated_classes: Tuple[int, int] = (6, 9)
-    concentration: float = 0.95
-    bits_per_weight: float = 32.0
+    batch_size: int = ranged(64, "[1, inf)")
+    kappa: float = ranged(1.0, "(0, inf)")
+    bits_per_weight: float = ranged(32.0, "[0, inf)")
     # Data-volume heterogeneity: this fraction of the non-holder clients keeps
     # only data_poor_keep of its shard, so sample-count weighting makes their
     # updates nearly worthless while their uplink cost stays the same.
-    data_poor_fraction: float = 0.0
-    data_poor_keep: float = 1.0
+    data_poor_fraction: float = ranged(0.0, "[0, 1]")
+    data_poor_keep: float = ranged(1.0, "(0, 1]")
 
     def __post_init__(self):
-        _check_data_model(self)
-        _check_at_least(self, (("batch_size", 1),))
-        if self.bits_per_weight < 0:
-            raise ValueError(f"bits_per_weight must be non-negative, got {self.bits_per_weight}")
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if not 0 < self.lr < 2 / self.kappa:
+        super().__post_init__()
+        if not self.lr < 2 / self.kappa:
             raise ValueError(f"lr must lie in (0, 2/kappa) = (0, {2 / self.kappa}), got {self.lr}")
-        if not 0 <= self.data_poor_fraction <= 1:
-            raise ValueError(
-                f"data_poor_fraction must lie in [0, 1], got {self.data_poor_fraction}"
-            )
-        if not 0 < self.data_poor_keep <= 1:
-            raise ValueError(f"data_poor_keep must lie in (0, 1], got {self.data_poor_keep}")
 
 
 class FederatedWorkload(_LearningWorkload):

@@ -8,12 +8,15 @@ augmented Lagrangian is non-increasing only in the certificate regime
 rho/2 > kappa_j/rho (see AdmmWorkload), and the admm preset lies outside it.
 The helpers here pair those gains with RB demands, estimate gains by Monte
 Carlo when exact values would be non-causal, and enumerate the
-diminishing-returns bound on small subsets.
+diminishing-returns bound on small subsets. The config dataclasses of every
+workload declare their numeric ranges here too (`ranged`, `check_ranges`).
 """
 
 from __future__ import annotations
 
 import abc
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
@@ -26,6 +29,60 @@ MAX_ENUMERATION_EDS = 12
 
 class EnumerationScaleError(ValueError):
     """Subset enumeration requested beyond the tractable size."""
+
+
+class ConfigError(ValueError):
+    """Malformed scenario configuration."""
+
+
+@dataclass(frozen=True)
+class Interval:
+    """The values a numeric config field may take; see `ranged`."""
+
+    low: float
+    high: float
+    low_open: bool
+    high_open: bool
+
+    def admits(self, value) -> bool:
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            return False
+        above = value > self.low if self.low_open else value >= self.low
+        below = value < self.high if self.high_open else value <= self.high
+        return above and below
+
+    def __str__(self) -> str:
+        return (f"{'(' if self.low_open else '['}{self.low:g}, "
+                f"{self.high:g}{')' if self.high_open else ']'}")
+
+
+def ranged(default, interval: str):
+    """A dataclass field whose values must lie in `interval`, such as "[0, 1)".
+
+    `(` and `)` exclude a bound, `[` and `]` include it. An open `inf` bound
+    admits every finite number, so "[0, inf)" means finite and non-negative;
+    NaN lies in no interval. A tuple field's entries must each lie in it.
+    """
+    low, high = interval[1:-1].split(",")
+    bounds = Interval(float(low), float(high), interval[0] == "(", interval[-1] == ")")
+    return field(default=default, metadata={"range": bounds})
+
+
+def check_ranges(config) -> None:
+    """Raise ConfigError naming the first field of `config` outside its range.
+
+    Reads the `ranged` declarations of a dataclass instance; an Optional
+    field may also be None.
+    """
+    for f in fields(config):
+        bounds = f.metadata.get("range")
+        value = getattr(config, f.name)
+        if bounds is None or (value is None and f.type.startswith("Optional[")):
+            continue
+        entries = value if isinstance(value, (tuple, list)) else (value,)
+        if not all(bounds.admits(v) for v in entries):
+            what = f"each entry of {f.name}" if entries is value else f.name
+            raise ConfigError(f"{what} must be a number in {bounds}, got {value!r}")
 
 
 class Workload(abc.ABC):

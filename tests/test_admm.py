@@ -367,8 +367,6 @@ def test_run_round_freezes_unselected_eds():
         np.testing.assert_array_equal(new.lambdas[j], state.lambdas[j])
     assert not np.array_equal(new.thetas[1], state.thetas[1])
     assert new.round_idx == state.round_idx + 1
-    # the input state is left untouched
-    assert augmented_lagrangian(state) == pytest.approx(augmented_lagrangian(state))
 
 
 def certificate_ready_state(seed, num_eds=3, dim=5):

@@ -1,7 +1,9 @@
 """Scenario harness: config schema, CSV plumbing, determinism, CLI exit codes."""
 
 import dataclasses
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
+from goalrba.cli import main
 from goalrba.harness import (
     CSV_HEADER,
     POLICIES,
@@ -329,6 +332,9 @@ def test_cli_exit_code_1_on_config_error(tmp_path):
     assert "config error" in res.stderr
 
 
+# Wrong types, cross-field rules, and single-field values listed before the
+# ranges were declared on the fields; the generated test below probes every
+# declared bound.
 @pytest.mark.parametrize("key, value, block", [
     ("rounds", "abc", None),
     ("seed", 1.5, None),
@@ -413,7 +419,18 @@ def test_cli_exit_code_1_on_config_error(tmp_path):
     ("concentration", 1.5, "edge_learning"),
     ("concentration", -0.5, "federated"),
 ])
-def test_cli_exit_code_1_names_the_bad_key(tmp_path, key, value, block):
+def test_cli_exit_code_1_names_the_bad_key(tmp_path, capsys, key, value, block):
+    assert_exit_1_names_the_key(tmp_path, capsys, key, value, block)
+
+
+def assert_exit_1_names_the_key(tmp_path, capsys, key, value, block):
+    """`goalrba run` on the small config with `key` set to `value` exits 1.
+
+    block: None for a top-level key, "channel", "params" (the small
+    config's demand-response params) or a workload name, which switches the
+    config to that workload with default params and sets the key there
+    (at the top level if it is a config key).
+    """
     raw = config_to_dict(small_config())
     if block in WORKLOADS:
         raw["workload"], raw["params"] = block, {}
@@ -421,10 +438,93 @@ def test_cli_exit_code_1_names_the_bad_key(tmp_path, key, value, block):
     (raw[block] if block else raw)[key] = value
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(raw))
-    res = cli("run", "--config", str(path), "--out", str(tmp_path / "o.csv"))
-    assert res.returncode == 1, res.stderr
-    assert "config error" in res.stderr and key in res.stderr
-    assert "Traceback" not in res.stderr
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "config error" in err and key in err
+    assert "Traceback" not in err
+    return err
+
+
+# Every config dataclass with the block its keys go in.
+CONFIG_BLOCKS = [(ScenarioConfig, None), (ChannelConfig, "channel")] + [
+    (params_cls, workload) for workload, (params_cls, _) in WORKLOADS.items()]
+
+
+def values_outside(f):
+    """Values just outside each finite bound of a field's declared range.
+
+    An open bound is itself outside; past a closed one lies the next int,
+    or the next float. A float field also gets NaN and both infinities.
+    """
+    bounds = f.metadata["range"]
+    integral = "int" in f.type
+    values = []
+    for bound, is_open, away in ((bounds.low, bounds.low_open, -math.inf),
+                                 (bounds.high, bounds.high_open, math.inf)):
+        if math.isinf(bound):
+            continue
+        if integral:
+            values.append(int(bound) if is_open else int(bound) + (1 if away > 0 else -1))
+        else:
+            values.append(bound if is_open else float(np.nextafter(bound, away)))
+    return values + ([] if integral else [math.nan, math.inf, -math.inf])
+
+
+def out_of_range_cases():
+    """(class, key, value, block) for every bad value of every ranged field.
+
+    A tuple field gets each bad value in each position of its default.
+    """
+    for cls, block in CONFIG_BLOCKS:
+        for f in dataclasses.fields(cls):
+            if "range" not in f.metadata:
+                continue
+            for v in values_outside(f):
+                if isinstance(f.default, tuple):
+                    for i in range(len(f.default)):
+                        value = f.default[:i] + (v,) + f.default[i + 1:]
+                        yield pytest.param(cls, f.name, value, block,
+                                           id=f"{cls.__name__}.{f.name}={value!r}")
+                else:
+                    yield pytest.param(cls, f.name, v, block, id=f"{cls.__name__}.{f.name}={v!r}")
+
+
+@pytest.mark.parametrize("cls, key, value, block", out_of_range_cases())
+def test_out_of_range_value_exits_1_naming_the_key(tmp_path, capsys, cls, key, value, block):
+    err = assert_exit_1_names_the_key(tmp_path, capsys, key, value, block)
+    assert f"{key} must be a number in" in err
+    # direct construction raises too
+    required = {"workload": "demand_response"} if cls is ScenarioConfig else {}
+    with pytest.raises(ConfigError, match=key):
+        cls(**required, **{key: value})
+
+
+NUMERIC_ANNOTATION = re.compile(r"(Optional\[)?(int|float)\]?|Tuple\[(int|float)[a-z, .]*\]")
+
+
+def undeclared_ranges(classes):
+    """`Class.field` for each numeric field without a `ranged` declaration."""
+    return [f"{cls.__name__}.{f.name}" for cls in classes for f in dataclasses.fields(cls)
+            if NUMERIC_ANNOTATION.fullmatch(f.type) and "range" not in f.metadata]
+
+
+def test_the_scan_finds_an_undeclared_range():
+    @dataclasses.dataclass
+    class Probe:
+        count: "int" = 1
+        share: "Optional[float]" = None
+        pair: "Tuple[float, float]" = (0.0, 1.0)
+        name: "str" = ""
+        flag: "bool" = False
+
+    assert undeclared_ranges([Probe]) == ["Probe.count", "Probe.share", "Probe.pair"]
+
+
+def test_every_numeric_config_field_declares_its_range():
+    classes = [cls for cls, _ in CONFIG_BLOCKS]
+    assert len(classes) == 7
+    assert undeclared_ranges(classes) == []
 
 
 def test_cli_exit_code_2_on_runtime_error(tmp_path):
