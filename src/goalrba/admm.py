@@ -171,6 +171,43 @@ def _local_grad(theta, X, Y, lam, rho, theta0, pred, grad, tmp):
     grad += tmp
 
 
+def _row_norms(stack):
+    """Frobenius norm of each (d, d) row of a (K, d, d) stack, as a (K,) array.
+
+    One batched matmul of each flattened row with itself reaches the same
+    BLAS dot as np.linalg.norm(row, "fro") and so matches it bit for bit; a
+    norm over axes (1, 2) sums in another order and can flip a stop.
+    """
+    rows = stack.reshape(len(stack), 1, -1)
+    return np.sqrt(np.matmul(rows, rows.transpose(0, 2, 1)).ravel())
+
+
+def _stop_residuals(theta, grad, varrho, sub, tmp, nonzero, tol=None):
+    """Each row's minimum-norm subgradient residual; sub, tmp, nonzero are scratch.
+
+    The subgradient is grad where varrho is 0; otherwise, where theta != 0,
+    grad + varrho * sign(theta), and elsewhere soft_threshold(grad, varrho).
+    With tol, the norms of max(|grad| - varrho, 0) screen it first: they
+    are a lower bound on the residual in floats, so when none of them
+    reaches tol no row can stop, and None comes back instead.
+    """
+    if varrho == 0:
+        return _row_norms(grad)
+    np.abs(grad, out=sub)
+    sub -= varrho
+    np.maximum(sub, 0.0, out=sub)
+    if tol is not None and not (_row_norms(sub) <= tol).any():
+        return None
+    np.sign(grad, out=tmp)
+    sub *= tmp
+    np.sign(theta, out=tmp)
+    tmp *= varrho
+    tmp += grad
+    np.not_equal(theta, 0.0, out=nonzero)
+    np.putmask(sub, nonzero, tmp)
+    return _row_norms(sub)
+
+
 def update_local(
     state: AdmmState,
     ed_ids: Sequence[int],
@@ -185,18 +222,32 @@ def update_local(
     at theta_j. All EDs iterate together on stacked (K, d, d) arrays, with
     one gradient per iteration; each ED stops at its own iteration, when its
     minimum-norm subgradient residual reaches tol, and then leaves the stack.
-    An ED that reaches the iteration cap instead is logged, not fatal. Each
-    ED's iterates are those of a solve on its own. ed_ids must not be empty;
-    the K solutions come back stacked in its order.
+    An ED that reaches the iteration cap instead is logged with its exact
+    residual, not fatal. Each ED's iterates are those of a solve on its own.
+    ed_ids must not be empty; the K solutions come back stacked in its order.
 
-    The loop does soft_threshold's operations, in its order, on buffers
-    allocated once per call: the threshold step * varrho is checked once,
-    before the loop, and every elementwise op and matmul writes into a
-    buffer. The active EDs sit in the leading rows of every buffer. The
-    residuals of all active EDs come from one batched matmul, which reaches
-    the same BLAS dot as np.linalg.norm(row, "fro") and so matches it bit
-    for bit; a norm over axes (1, 2) sums in another order and can flip a
-    stop. The state is never written.
+    The loop does soft_threshold's operations on buffers allocated once per
+    call: the threshold step * varrho is checked once, before the loop, and
+    every elementwise op and matmul writes into a buffer. The active EDs sit
+    in the leading rows of every buffer. step, tau and theta0 are expanded
+    to full (K, d, d) buffers once, because a broadcast operand makes every
+    op slower and the values are the same. The sign step is np.copysign:
+    max(|v| - tau, 0) is never negative, so copysign gives sign(v) times it,
+    except where v is -0.0: np.sign(-0.0) is +0.0, so the product was +0.0
+    and copysign gives -0.0. Zeros of either sign compare equal and give
+    equal values in every later op of the solve, so no iterate or stop
+    moves.
+
+    The stop test is screened. The first three ops of the subgradient give
+    sub = max(|grad| - varrho, 0), and the norms of its rows bound the exact
+    residuals from below in floats: rounding to nearest is monotone, so
+    |fl(g +- varrho)| >= fl(|g| - varrho) entry by entry, the entries where
+    theta == 0 are exactly +-sub, and a sum of squares of non-negative
+    entries through the same BLAS dot on the same buffer is monotone too.
+    Only when some bound reaches tol is the exact residual computed, so a
+    screened iteration never hides a stop; NaN fails both tests. At the cap
+    the exact residuals of the EDs still active are computed for the log.
+    The state is never written.
     """
     ids = list(ed_ids)
     theta0 = state.theta0 if theta0 is None else theta0
@@ -207,6 +258,7 @@ def update_local(
     tau = step * varrho
     if np.any(tau < 0):
         raise ValueError(f"threshold must be non-negative, got {tau}")
+    step, tau, theta0 = (np.broadcast_to(a, theta.shape).copy() for a in (step, tau, theta0))
     pred = np.empty_like(X)
     grad, tmp, sub, out = (np.empty_like(theta) for _ in range(4))
     nonzero = np.empty(theta.shape, dtype=bool)
@@ -221,39 +273,28 @@ def update_local(
         np.abs(tmp, out=theta)
         theta -= tau
         np.maximum(theta, 0.0, out=theta)
-        np.sign(tmp, out=tmp)
-        theta *= tmp
+        np.copysign(theta, tmp, out=theta)
         _local_grad(theta, X, Y, lam, rho, theta0, pred, grad, tmp)
-        if varrho > 0:
-            # minimum-norm subgradient of the l1 term: where theta != 0,
-            # grad + varrho * sign(theta), elsewhere soft_threshold(grad, varrho)
-            np.abs(grad, out=sub)
-            sub -= varrho
-            np.maximum(sub, 0.0, out=sub)
-            np.sign(grad, out=tmp)
-            sub *= tmp
-            np.sign(theta, out=tmp)
-            tmp *= varrho
-            tmp += grad
-            np.not_equal(theta, 0.0, out=nonzero)
-            np.putmask(sub, nonzero, tmp)
-            rows = sub.reshape(k, 1, -1)
-        else:
-            rows = grad.reshape(k, 1, -1)
-        residual = np.sqrt(np.matmul(rows, rows.transpose(0, 2, 1)).ravel())
+        residual = _stop_residuals(theta, grad, varrho, sub, tmp, nonzero, tol)
+        if residual is None:
+            continue
         done = residual <= tol
         if done.any():
             out[active[done]] = theta[done]
             keep = ~done
-            active, residual = active[keep], residual[keep]
+            active = active[keep]
             k = active.size
+            # theta0's rows are all equal, so it needs no compaction, only the slice.
             for a in (theta, grad, X, Y, lam, step, tau):
                 a[:k] = a[keep]
-            theta, grad, X, Y, lam, step, tau, pred, tmp, sub, nonzero = (
-                a[:k] for a in (theta, grad, X, Y, lam, step, tau, pred, tmp, sub, nonzero)
+            theta, grad, X, Y, lam, step, tau, theta0, pred, tmp, sub, nonzero = (
+                a[:k]
+                for a in (theta, grad, X, Y, lam, step, tau, theta0, pred, tmp, sub, nonzero)
             )
             if not k:
                 break
+    if k and max_iter:
+        residual = _stop_residuals(theta, grad, varrho, sub, tmp, nonzero)
     out[active] = theta
     for ed_id, res in sorted(zip((ids[i] for i in active), residual)):
         logger.warning(

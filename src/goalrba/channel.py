@@ -55,16 +55,28 @@ def rb_demand(r_min, per_rb):
 
     Ceiling so that w RBs always cover r_min exactly or with slack; a zero
     payload needs no RB even at zero rate. Scalars or arrays (broadcast).
+    A demand that is not finite or does not fit in int64 is a ValueError
+    naming r_min and the per-RB rate, not a wrapped count.
     """
     r_min, per_rb = np.broadcast_arrays(np.asarray(r_min, dtype=float),
                                         np.asarray(per_rb, dtype=float))
-    if np.any(r_min < 0):
+    if not np.all(r_min >= 0):
         raise ValueError(f"r_min must be non-negative, got {r_min.min()}")
     sending = r_min > 0
     if np.any(sending & (per_rb <= 0)):
         raise UnreachableEdError("ED unreachable: zero per-RB rate")
+    with np.errstate(over="ignore"):
+        demand = np.ceil(r_min[sending] / per_rb[sending])
+    # 2**63 is exact in float64, and NaN fails the comparison too.
+    overflow = ~(demand < 2.0**63)
+    if overflow.any():
+        i = np.flatnonzero(overflow)[0]
+        raise ValueError(
+            f"RB demand of r_min={r_min[sending][i]:g} bits at {per_rb[sending][i]:g} "
+            f"bits per RB is {demand[i]:g}, beyond an int64 count"
+        )
     w = np.zeros(r_min.shape, dtype=np.int64)
-    w[sending] = np.ceil(r_min[sending] / per_rb[sending])
+    w[sending] = demand
     return w[()]
 
 

@@ -7,7 +7,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from goalrba import admm
 from goalrba.admm import (
     AdmmParams,
     AdmmState,
@@ -231,9 +234,11 @@ def test_batched_solve_stops_each_ed_at_its_own_iteration(varrho, caplog):
         got = update_local(state, ids, tol=1e-9, max_iter=cap)
     for row, (theta, _, _) in zip(got, expected):
         np.testing.assert_array_equal(row, theta)
-    messages = [r.getMessage() for r in caplog.records]
-    assert len(messages) == 1
-    assert messages[0].startswith(f"ED {slowest} local solve hit the {cap}-iteration cap")
+    # the capped ED's exact residual at its last iteration, not the screen's bound
+    last = expected[ids.index(slowest)][1][-1]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"ED {slowest} local solve hit the {cap}-iteration cap (residual {last:.3e})"
+    ]
 
 
 @pytest.mark.parametrize("varrho", [0.2, 0.0])
@@ -252,6 +257,58 @@ def test_batched_residuals_are_the_reference_residuals(varrho):
         expected = [reference_update_local(ref, j, tol=tol, max_iter=40)[0] for j in ids]
         np.testing.assert_array_equal(update_local(state, ids, tol=tol, max_iter=40),
                                       np.stack(expected))
+
+
+@pytest.mark.parametrize("varrho", [0.2, 1e-4, 0.0])
+def test_capped_solves_log_their_exact_residuals(varrho, caplog):
+    # five iterations from a random start: no ED is near its stop, so the
+    # screen settles the last iteration and the cap must recompute exactly
+    state = solve_instance(varrho)
+    ref = as_lists(state)
+    ids = [3, 0, 2, 1]
+    expected = {j: reference_update_local(ref, j, tol=1e-9, max_iter=5) for j in ids}
+    with caplog.at_level(logging.WARNING, logger="goalrba.admm"):
+        got = update_local(state, ids, tol=1e-9, max_iter=5)
+    np.testing.assert_array_equal(got, np.stack([expected[j][0] for j in ids]))
+    assert [r.getMessage() for r in caplog.records] == [
+        f"ED {j} local solve hit the 5-iteration cap (residual {expected[j][1][-1]:.3e})"
+        for j in sorted(ids)
+    ]
+
+
+def stacks(k, d, varrho):
+    """(k, d, d) float stacks with exact zeros, -0.0, and entries at and near +-varrho."""
+    near = st.floats(0.5, 2.0).map(lambda s: s * varrho)
+    entry = st.one_of(
+        st.sampled_from([0.0, -0.0, varrho, -varrho]),
+        near, near.map(lambda v: -v),
+        st.floats(-1e200, 1e200),
+    )
+    return arrays(np.float64, (k, d, d), elements=entry)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), varrho=st.floats(1e-12, 1.0), k=st.integers(1, 4),
+       d=st.integers(1, 5))
+def test_screened_bound_never_exceeds_the_exact_residual(data, varrho, k, d):
+    grad = data.draw(stacks(k, d, varrho))
+    theta = data.draw(stacks(k, d, varrho))
+    sub, tmp = np.empty_like(grad), np.empty_like(grad)
+    nonzero = np.empty(grad.shape, dtype=bool)
+    with np.errstate(over="ignore"):  # squares of 1e200 entries overflow to inf
+        bound = admm._row_norms(np.maximum(np.abs(grad) - varrho, 0.0))
+        exact = admm._stop_residuals(theta, grad, varrho, sub, tmp, nonzero)
+        reference = admm._row_norms(np.where(
+            theta != 0,
+            grad + varrho * np.sign(theta),
+            np.sign(grad) * np.maximum(np.abs(grad) - varrho, 0.0),
+        ))
+        assert exact.tolist() == reference.tolist()
+        assert (bound <= exact).all()
+        # screened at any exact residual as tol, the stop test still sees it
+        for tol in exact:
+            screened = admm._stop_residuals(theta, grad, varrho, sub, tmp, nonzero, tol)
+            assert screened is not None and screened.tolist() == exact.tolist()
 
 
 @pytest.mark.parametrize("varrho", [0.2, 0.0])

@@ -65,6 +65,21 @@ def test_rb_demand_unreachable():
         rb_demand([0.0, 512.0], [90.0, 0.0])
 
 
+def test_rb_demand_beyond_int64_is_an_error_naming_the_inputs():
+    # ceil(1e300 / 90) cast to int64 used to wrap to -2**63
+    with pytest.raises(ValueError, match=r"r_min=1e\+300 bits at 90 bits per RB"):
+        rb_demand(1e300, 90.0)
+    with pytest.raises(ValueError, match=r"r_min=1e\+300 bits at 90 bits per RB"):
+        rb_demand([512.0, 1e300], [90.0, 90.0])
+    for r_min, per_rb in [(np.inf, 90.0), (512.0, 1e-320), (512.0, np.nan), (2.0**63, 1.0)]:
+        with pytest.raises(ValueError, match="beyond an int64 count"):
+            rb_demand(r_min, per_rb)
+    with pytest.raises(ValueError, match="non-negative"):
+        rb_demand(np.nan, 90.0)
+    # the largest float demand below 2**63 still fits
+    assert rb_demand(2.0**63 - 1024, 1.0) == 2**63 - 1024
+
+
 @given(
     r_min=st.floats(min_value=1.0, max_value=1e7),
     per_rb=st.floats(min_value=1e-3, max_value=1e5),

@@ -24,6 +24,13 @@ CASES = {
         "4445e8d214029585cda6d6e3434e1fc713eb168ff332a47a7cba7c57242b158d",
         "ff10c5229e5fec125756c5acbbdc7a030e5645dbccae6d1c7181155aeeb8e615",
     )),
+    # every local solve stops at the iteration cap, every round
+    "admm_capped": ("admm.yaml", ["rounds=10", "params.solver_cap=40"], (
+        "3ef52a46ee76942f169867fadd302cb5023feff1e6277a98f57fad6c4a046936",
+        "501c445aa542009d5ffc3083a6dbf9b2d375fbdc8dfe41905abff2f4171bbd8c",
+        "3f91c65ab17818a531469b872913e2b64a1e4a5fb835fc8706506bf410bb2aa0",
+        "603b196fdc7484a10f03b298b038ebf3179d47b5b083e5391d2726974917db3c",
+    )),
     "demand_response": ("demand_response.yaml", [], (
         "66c96032cf2c7118a1fdbf3821f2dd6c83b4ae2201257efd67251274bb55bb57",
         "299a1d0a175f10ac67eb0aed8de02007d2883826a29d6f60b53c007d8f78e5fa",

@@ -538,6 +538,18 @@ def test_cli_exit_code_2_on_runtime_error(tmp_path):
     assert "runtime error" in res.stderr and "divergence" in res.stderr
 
 
+def test_cli_exit_code_2_on_an_rb_demand_beyond_int64(tmp_path):
+    raw = yaml.safe_load((CONFIGS / "demand_response.yaml").read_text())
+    raw["rounds"] = 2
+    raw["params"]["payload_bits"] = 1e300  # in range, but no int64 RB count covers it
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    res = cli("run", "--config", str(path), "--out", str(tmp_path / "o.csv"))
+    assert res.returncode == 2
+    assert "runtime error" in res.stderr and "r_min=1e+300 bits at" in res.stderr
+    assert "bits per RB" in res.stderr and "-9223372036854775808" not in res.stderr
+
+
 def test_cli_verify_exits_zero():
     res = cli("verify")
     assert res.returncode == 0, res.stdout + res.stderr
