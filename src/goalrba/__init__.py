@@ -15,8 +15,9 @@ from .allocator import (
     suboptimality_ratio,
     utility_policy,
 )
-from .channel import RbParams, rb_bits, rb_demand, sample_gains
+from .channel import rb_bits, rb_demand, sample_gains
 from .harness import (
+    ChannelConfig,
     RoundError,
     RoundMetrics,
     ScenarioConfig,

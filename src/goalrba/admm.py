@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .workload import Workload, check_ranges, ranged
+from .workload import Workload, check_fields, ranged
 
 logger = logging.getLogger(__name__)
 
@@ -398,7 +398,7 @@ class AdmmParams:
     bits_per_entry: float = ranged(32.0, "[0, inf)")
 
     def __post_init__(self):
-        check_ranges(self)
+        check_fields(self)
 
 
 class AdmmWorkload(Workload):

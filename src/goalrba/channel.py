@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # 15 RBs per 0.5 ms slot, 2000 slots per 1 s scheduling interval.
@@ -14,40 +12,19 @@ class UnreachableEdError(ValueError):
     """ED unreachable: zero per-RB rate, cannot satisfy any payload."""
 
 
-@dataclass(frozen=True)
-class RbParams:
-    """Resource-block grid parameters.
+def rb_bits(gain, channel):
+    """Bits one RB delivers at power gain(s) `gain` on `channel`.
 
-    t: RB time duration in seconds.
-    B: RB bandwidth in Hz.
-    noise_power: the product B*sigma^2 in watts (stored as one quantity).
-    """
-
-    t: float = 0.5e-3
-    B: float = 180e3
-    noise_power: float = 1.0
-
-    def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError(f"RB duration must be positive, got {self.t}")
-        if self.B <= 0:
-            raise ValueError(f"RB bandwidth must be positive, got {self.B}")
-        if self.noise_power <= 0:
-            raise ValueError(f"noise power must be positive, got {self.noise_power}")
-
-
-def rb_bits(gain, p: float, rb: RbParams):
-    """Bits one RB delivers at power gain(s) `gain` and transmit power p.
-
-    t*B*log2(1 + g*p / (B*sigma^2)); zero at zero gain. `gain` may be a
-    scalar or an array, and the result has its shape.
+    t*B*log2(1 + g*p / (B*sigma^2)) with the RB duration t, bandwidth B,
+    transmit power p and noise power B*sigma^2 (one quantity) of `channel`,
+    a harness.ChannelConfig, which holds them positive; zero at zero gain.
+    `gain` may be a scalar or an array, and the result has its shape.
     """
     gain = np.asarray(gain, dtype=float)
     if np.any(gain < 0):
         raise ValueError(f"gain must be non-negative, got {gain.min()}")
-    if p <= 0:
-        raise ValueError(f"transmit power must be positive, got {p}")
-    return rb.t * rb.B * np.log2(1.0 + gain * p / rb.noise_power)
+    return channel.rb_time_s * channel.rb_bandwidth_hz * np.log2(
+        1.0 + gain * channel.tx_power_w / channel.noise_power_w)
 
 
 def rb_demand(r_min, per_rb):

@@ -1,7 +1,7 @@
 """Command-line entry points: run one scenario, compare policies, verify.
 
-Exit codes: 0 success, 1 config error, 2 runtime error, 3 verification
-failure.
+Exit codes: 0 success, 1 config error (a bad flag or flag value too), 2
+runtime error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -21,8 +21,16 @@ from .harness import (
 from .verification import run_all_checks
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that exits 1 on a bad command line, as on a bad config."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"config error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="goalrba",
         description="Goal-oriented RB allocation scenarios and property checks.",
     )

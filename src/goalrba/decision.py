@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, 
 
 import numpy as np
 
-from .workload import Workload, check_ranges, ranged
+from .workload import ConfigError, Workload, check_fields, ranged
 
 
 class InfeasibleDrError(ValueError):
@@ -229,12 +229,12 @@ def solve_routing(instance: RoutingInstance, times) -> Union[float, np.ndarray]:
 
 
 def _check_range(name: str, value) -> None:
-    """Reject a support range that is not two numbers [lo, hi] with lo <= hi.
+    """Reject a support range [lo, hi] with lo > hi.
 
-    The range of each entry is declared on the field and checked first.
+    check_fields has made it two numbers, each in the field's range.
     """
-    if not (isinstance(value, (tuple, list)) and len(value) == 2 and value[0] <= value[1]):
-        raise ValueError(f"{name} must be two numbers [lo, hi] with lo <= hi, got {value!r}")
+    if not value[0] <= value[1]:
+        raise ConfigError(f"{name} must be [lo, hi] with lo <= hi, got {value!r}")
 
 
 @dataclass
@@ -250,7 +250,7 @@ class DrParams:
     payload_bits: float = ranged(512.0, "[0, inf)")  # one 64-byte sensor packet
 
     def __post_init__(self):
-        check_ranges(self)
+        check_fields(self)
         _check_range("cost_range", self.cost_range)
         _check_range("xi_max_range", self.xi_max_range)
         worst_case = np.full(self.num_eds, self.xi_lo).sum()
@@ -371,7 +371,7 @@ class RoutingParams:
     payload_bits: float = ranged(512.0, "[0, inf)")
 
     def __post_init__(self):
-        check_ranges(self)
+        check_fields(self)
         _check_range("tau_range", self.tau_range)
 
 

@@ -19,7 +19,7 @@ import yaml
 
 from .admm import AdmmParams, AdmmWorkload
 from .allocator import channel_policy, greedy_allocate, utility_policy
-from .channel import DEFAULT_INTERVAL_RB_CAPACITY, RbParams, sample_gains
+from .channel import DEFAULT_INTERVAL_RB_CAPACITY, sample_gains
 from .decision import (
     DemandResponseWorkload,
     DrParams,
@@ -32,7 +32,7 @@ from .learning import (
     FederatedParams,
     FederatedWorkload,
 )
-from .workload import ConfigError, Workload, check_ranges, collect_reports, ranged
+from .workload import ConfigError, Workload, check_fields, collect_reports, ranged
 
 CSV_HEADER = "round,policy,seed,throughput,utility_gain,goal_value,wall_ms"
 
@@ -56,9 +56,13 @@ class RoundError(RuntimeError):
         self.workload = workload
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelConfig:
-    """RB grid and budget for the scheduling interval."""
+    """RB grid, transmit power and RB budget of the scheduling interval.
+
+    channel.rb_bits reads the rate model's parameters from it: the RB
+    duration, bandwidth, noise power B*sigma^2 and transmit power.
+    """
 
     rb_time_s: float = ranged(0.5e-3, "(0, inf)")
     rb_bandwidth_hz: float = ranged(180e3, "(0, inf)")
@@ -67,11 +71,7 @@ class ChannelConfig:
     capacity: int = ranged(DEFAULT_INTERVAL_RB_CAPACITY, "[0, inf)")
 
     def __post_init__(self):
-        check_ranges(self)
-
-    def rb_params(self) -> RbParams:
-        return RbParams(t=self.rb_time_s, B=self.rb_bandwidth_hz,
-                        noise_power=self.noise_power_w)
+        check_fields(self)
 
 
 @dataclass
@@ -90,7 +90,7 @@ class ScenarioConfig:
     params: Dict = field(default_factory=dict)
 
     def __post_init__(self):
-        check_ranges(self)
+        check_fields(self)
         if self.workload not in WORKLOADS:
             raise ConfigError(
                 f"unknown workload {self.workload!r}; expected one of {sorted(WORKLOADS)}"
@@ -122,40 +122,17 @@ class RoundMetrics:
     wall_ms: int = 0
 
 
-# YAML scalars accepted for each scalar field annotation; an int is a valid
-# float, a bool is not a number.
-_SCALAR_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
-
-
-def _check_scalar(f, value, context: str) -> None:
-    annotation = f.type
-    if annotation.startswith("Optional["):
-        if value is None:
-            return
-        annotation = annotation[len("Optional["):-1]
-    expected = _SCALAR_TYPES.get(annotation)
-    if expected is None:
-        return
-    if not isinstance(value, expected) or (isinstance(value, bool) and bool not in expected):
-        raise ConfigError(
-            f"key {f.name!r} in {context} block must be {annotation}, got {value!r}"
-        )
-
-
 def _strict_dataclass(cls, raw: Dict, context: str):
     if not isinstance(raw, dict):
         raise ConfigError(f"{context} block must be a mapping")
-    known = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(raw) - set(known))
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = sorted(set(raw) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in {context} block")
-    coerced = {}
-    for key, value in raw.items():
-        _check_scalar(known[key], value, context)
-        default = known[key].default
-        if isinstance(default, tuple) and isinstance(value, list):
-            value = tuple(value)
-        coerced[key] = value
+    # YAML has no tuple: a list stands for one where the default is a tuple.
+    coerced = {key: tuple(value) if isinstance(value, list)
+               and isinstance(defaults[key], tuple) else value
+               for key, value in raw.items()}
     try:
         return cls(**coerced)
     except (TypeError, ValueError) as exc:
@@ -185,8 +162,6 @@ def load_config(path) -> ScenarioConfig:
     kwargs = dict(raw)
     kwargs["channel"] = _strict_dataclass(ChannelConfig, raw.get("channel", {}), "channel")
     kwargs["params"] = raw.get("params", {}) or {}
-    if not isinstance(kwargs["params"], dict):
-        raise ConfigError("params block must be a mapping")
     config = _strict_dataclass(ScenarioConfig, kwargs, "config")
     # Validate the workload parameter block eagerly so bad keys fail at load.
     params_cls, _ = WORKLOADS[config.workload]
@@ -232,7 +207,6 @@ def run_scenario(
         workload = build_workload(config, seed=workload_seed)
     gains_rng = np.random.default_rng(gains_seed)
     mc_rng = np.random.default_rng(mc_seed)
-    rb = config.channel.rb_params()
     capacity = config.channel.capacity
     metrics: List[RoundMetrics] = []
     for k in range(config.rounds):
@@ -243,8 +217,7 @@ def run_scenario(
             reports = collect_reports(
                 workload,
                 gains,
-                rb,
-                tx_power=config.channel.tx_power_w,
+                config.channel,
                 mode=config.utility_mode,
                 num_samples=config.utility_samples,
                 seed=mc_rng,

@@ -23,7 +23,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import data as datasets
-from .workload import Workload, check_ranges, ranged
+from .workload import ConfigError, Workload, check_fields, ranged
 
 _PROB_FLOOR = 1e-12
 # A logit bound at or below this proves the loss finite: float64 overflows
@@ -286,16 +286,15 @@ class _DataModelParams:
     lr: float = ranged(0.01, "(0, inf)")
     mean_scale: float = ranged(2.0, "[0, inf)")
     noise_scale: float = ranged(1.0, "[0, inf)")
-    concentrated_classes: Tuple[int, int] = ranged((6, 9), "[0, inf)")
+    concentrated_classes: Tuple[int, ...] = ranged((6, 9), "[0, inf)")
     concentration: float = ranged(0.95, "[0, 1]")
 
     def __post_init__(self):
-        check_ranges(self)
+        check_fields(self)
         classes = self.concentrated_classes
-        labels = isinstance(classes, (tuple, list)) and all(
-            isinstance(c, int) and c < self.num_classes for c in classes)
+        labels = all(c < self.num_classes for c in classes)
         if not labels or not len(set(classes)) == len(classes) <= self.num_eds:
-            raise ValueError(
+            raise ConfigError(
                 f"concentrated_classes must be distinct labels in [0, num_classes) = "
                 f"[0, {self.num_classes}), at most num_eds = {self.num_eds}, got {classes!r}")
 
@@ -444,7 +443,7 @@ class FederatedParams(_DataModelParams):
     def __post_init__(self):
         super().__post_init__()
         if not self.lr < 2 / self.kappa:
-            raise ValueError(f"lr must lie in (0, 2/kappa) = (0, {2 / self.kappa}), got {self.lr}")
+            raise ConfigError(f"lr must lie in (0, 2/kappa) = (0, {2 / self.kappa}), got {self.lr}")
 
 
 class FederatedWorkload(_LearningWorkload):

@@ -9,20 +9,22 @@ rho/2 > kappa_j/rho (see AdmmWorkload), and the admm preset lies outside it.
 The helpers here pair those gains with RB demands, estimate gains by Monte
 Carlo when exact values would be non-causal, and enumerate the
 diminishing-returns bound on small subsets. The config dataclasses of every
-workload declare their numeric ranges here too (`ranged`, `check_ranges`).
+workload are checked here too: `check_fields` holds each field to its
+annotated type and to the range `ranged` declares on it.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 import numbers
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .allocator import make_reports
-from .channel import RbParams, rb_bits, rb_demand
+from .channel import rb_bits, rb_demand
 
 MAX_ENUMERATION_EDS = 12
 
@@ -45,8 +47,6 @@ class Interval:
     high_open: bool
 
     def admits(self, value) -> bool:
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            return False
         above = value > self.low if self.low_open else value >= self.low
         below = value < self.high if self.high_open else value <= self.high
         return above and below
@@ -68,18 +68,47 @@ def ranged(default, interval: str):
     return field(default=default, metadata={"range": bounds})
 
 
-def check_ranges(config) -> None:
-    """Raise ConfigError naming the first field of `config` outside its range.
+# Resolving a class's annotations costs far more than checking a value, and
+# they never change, so each class resolves them once.
+_type_hints = functools.cache(get_type_hints)
 
-    Reads the `ranged` declarations of a dataclass instance; an Optional
-    field may also be None.
+
+def _is_a(hint, value) -> bool:
+    """Whether `value` is of the type hint `hint`; see `check_fields`."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        return any(_is_a(arg, value) for arg in args)
+    if origin is tuple:
+        if not isinstance(value, tuple):
+            return False
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(map(_is_a, args, value))
+    if hint in (int, float):
+        number = numbers.Integral if hint is int else numbers.Real
+        return isinstance(value, number) and not isinstance(value, bool)
+    return isinstance(value, origin or hint)
+
+
+def check_fields(config) -> None:
+    """Raise ConfigError naming the first field of `config` it cannot hold.
+
+    A field holds a value of its annotated type: an int field any integral
+    number but a bool, a float field any real number but a bool, an
+    Optional field None too, a Tuple[X, X] field a tuple of exactly those
+    entries and a Tuple[X, ...] field a tuple of any length. A number must
+    also lie in the range `ranged` declares on the field (each entry, for a
+    tuple). Every config dataclass calls this from its __post_init__.
     """
+    hints = _type_hints(type(config))
     for f in fields(config):
-        bounds = f.metadata.get("range")
         value = getattr(config, f.name)
-        if bounds is None or (value is None and f.type.startswith("Optional[")):
+        if not _is_a(hints[f.name], value):
+            raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        bounds = f.metadata.get("range")
+        if bounds is None or value is None:
             continue
-        entries = value if isinstance(value, (tuple, list)) else (value,)
+        entries = value if isinstance(value, tuple) else (value,)
         if not all(bounds.admits(v) for v in entries):
             what = f"each entry of {f.name}" if entries is value else f.name
             raise ConfigError(f"{what} must be a number in {bounds}, got {value!r}")
@@ -140,19 +169,19 @@ class Workload(abc.ABC):
 def collect_reports(
     workload: Workload,
     gains,
-    rb: RbParams,
+    channel,
     *,
-    tx_power: float = 1.0,
     mode: str = "exact",
     num_samples: int = 256,
     seed=None,
 ) -> np.recarray:
     """Pair each ED's delta with its RB demand; unreachable EDs are excluded.
 
-    mode "exact" queries the workload directly; "expected" averages
-    num_samples history draws per ED (deterministic given seed). Returns
-    the reports of make_reports in ascending ed_id order, negative deltas
-    clamped to zero.
+    `channel` is the scenario's harness.ChannelConfig, which gives the
+    per-RB rate at each gain (see rb_bits). mode "exact" queries the
+    workload directly; "expected" averages num_samples history draws per ED
+    (deterministic given seed). Returns the reports of make_reports in
+    ascending ed_id order, negative deltas clamped to zero.
     """
     if mode not in ("exact", "expected"):
         raise ValueError(f"unknown utility mode {mode!r}")
@@ -163,7 +192,7 @@ def collect_reports(
     else:
         deltas = workload.expected_marginal_utilities(num_samples, np.random.default_rng(seed))
     r_min = workload.payload_bits()
-    per_rb = rb_bits(gains, tx_power, rb)
+    per_rb = rb_bits(gains, channel)
     reachable = (r_min == 0) | (per_rb > 0)
     return make_reports(
         np.flatnonzero(reachable),

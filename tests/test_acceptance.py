@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linprog
 
-from goalrba.channel import RbParams, rb_bits
+from goalrba.channel import rb_bits
 from goalrba.decision import DrInstance
 from goalrba.harness import (
     ChannelConfig,
@@ -62,9 +62,9 @@ def test_acceptance_1_greedy_guarantee():
 
 
 def test_acceptance_2_rate_model():
-    rb = RbParams()
-    ninety = rb_bits(1.0, 1.0, rb)
-    one_eighty = rb_bits(3.0, 1.0, rb)
+    channel = ChannelConfig()
+    ninety = rb_bits(1.0, channel)
+    one_eighty = rb_bits(3.0, channel)
     err = max(abs(ninety - 90.0) / 90.0, abs(one_eighty - 180.0) / 180.0)
     report(
         "acceptance-2 rate model",

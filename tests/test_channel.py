@@ -6,12 +6,12 @@ from hypothesis import given, strategies as st
 
 from goalrba.channel import (
     DEFAULT_INTERVAL_RB_CAPACITY,
-    RbParams,
     UnreachableEdError,
     rb_bits,
     rb_demand,
     sample_gains,
 )
+from goalrba.harness import ChannelConfig
 
 
 def test_interval_capacity_is_15_rbs_times_2000_slots():
@@ -20,27 +20,26 @@ def test_interval_capacity_is_15_rbs_times_2000_slots():
 
 def test_rb_bits_hand_values():
     # 0.5 ms * 180 kHz * log2(1 + snr): 90 bits at snr 1, 180 at snr 3.
-    rb = RbParams()
-    assert rb_bits(1.0, 1.0, rb) == pytest.approx(90.0, rel=1e-12)
-    assert rb_bits(3.0, 1.0, rb) == pytest.approx(180.0, rel=1e-12)
+    channel = ChannelConfig()
+    assert rb_bits(1.0, channel) == pytest.approx(90.0, rel=1e-12)
+    assert rb_bits(3.0, channel) == pytest.approx(180.0, rel=1e-12)
     # the array form gives the scalar values elementwise
-    np.testing.assert_allclose(rb_bits([1.0, 3.0], 1.0, rb), [90.0, 180.0], rtol=1e-12)
+    np.testing.assert_allclose(rb_bits([1.0, 3.0], channel), [90.0, 180.0], rtol=1e-12)
 
 
 def test_rb_bits_zero_gain_and_negative_gain():
-    rb = RbParams()
-    assert rb_bits(0.0, 1.0, rb) == 0.0
+    channel = ChannelConfig()
+    assert rb_bits(0.0, channel) == 0.0
     with pytest.raises(ValueError):
-        rb_bits(-0.1, 1.0, rb)
+        rb_bits(-0.1, channel)
     with pytest.raises(ValueError):
-        rb_bits([1.0, -0.1], 1.0, rb)
+        rb_bits([1.0, -0.1], channel)
 
 
 def test_rb_bits_scales_with_power():
     # doubling tx power at fixed gain raises the log argument, not linearly
-    rb = RbParams()
-    low = rb_bits(1.0, 1.0, rb)
-    high = rb_bits(1.0, 3.0, rb)
+    low = rb_bits(1.0, ChannelConfig(tx_power_w=1.0))
+    high = rb_bits(1.0, ChannelConfig(tx_power_w=3.0))
     assert high == pytest.approx(2 * low, rel=1e-12)
 
 
@@ -114,13 +113,5 @@ def test_sample_gains_accepts_generator():
 
 
 def test_param_validation():
-    with pytest.raises(ValueError):
-        RbParams(t=0.0)
-    with pytest.raises(ValueError):
-        RbParams(B=-1.0)
-    with pytest.raises(ValueError):
-        RbParams(noise_power=0.0)
-    with pytest.raises(ValueError):
-        rb_bits(1.0, 0.0, RbParams())
     with pytest.raises(ValueError):
         rb_demand(-1.0, 90.0)

@@ -47,6 +47,18 @@ CASES = {
             "7d897e639361cd061a2ac11abbd4bf191a4bfcfcb4365abbbed7d80112634629",
         ),
     ),
+    "edge_learning": ("edge_learning.yaml", ["rounds=10"], (
+        "56844f253de977b95e5203228f9129298461354c7d5e49a09c0bba8abd069f77",
+        "0db99a529b3a9912841e124bfc355e758d9760bc38b784eb962491184ebc5c08",
+        "00e8f96c8a40d93ae7481cc228918db35c018f01b5c12ff9718885e1d65738c5",
+        "3bf217afd7216c7c6b4a7a7219e94f5cb32d292c618094132aabd84378f631fb",
+    )),
+    "federated": ("federated.yaml", ["rounds=10"], (
+        "98fb675dfcfe557dd9669d150f988f90e7303fb19d822f887ccd65bb7e65ca19",
+        "53f379fff4abb70a30535059680491b650b63108cf60fb640c840379828b2bdd",
+        "b188f87fb346b85b6559e367bf49b7012e8f9f8149773b940c675002717605c0",
+        "b53122af7d6475954c54ed8dad386ebc16004f06e1d3833d71c9c781c42dfcaa",
+    )),
     "routing": ("routing.yaml", [], (
         "e1cb114c313961751f343d545205f5267a141cce7a944b479cefe2e73d800415",
         "f8da8f4d13263e8ec4dae1dcacb8507c4d070909961035e713cf1a99fcd9a71e",

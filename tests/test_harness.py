@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 from goalrba.cli import main
+from goalrba.decision import DrParams, RoutingParams
 from goalrba.harness import (
     CSV_HEADER,
     POLICIES,
@@ -32,6 +33,7 @@ from goalrba.harness import (
     run_scenario,
     save_config,
 )
+from goalrba.learning import EdgeLearningParams, FederatedParams
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -247,7 +249,7 @@ def test_wall_time_flag_populates_the_column():
 
 def test_infeasible_workload_fails_at_load(tmp_path):
     # a requirement beyond the worst-case capacity is a config error
-    from goalrba.decision import DrParams, InfeasibleDrError
+    from goalrba.decision import InfeasibleDrError
 
     cfg = ScenarioConfig(
         workload="demand_response", rounds=1, seed=0,
@@ -332,9 +334,9 @@ def test_cli_exit_code_1_on_config_error(tmp_path):
     assert "config error" in res.stderr
 
 
-# Wrong types, cross-field rules, and single-field values listed before the
-# ranges were declared on the fields; the generated test below probes every
-# declared bound.
+# Hand-picked bad values: cross-field rules, and single values listed before
+# types and ranges were declared on the fields. The generated tests below
+# probe every declared type and every declared bound.
 @pytest.mark.parametrize("key, value, block", [
     ("rounds", "abc", None),
     ("seed", 1.5, None),
@@ -500,6 +502,75 @@ def test_out_of_range_value_exits_1_naming_the_key(tmp_path, capsys, cls, key, v
         cls(**required, **{key: value})
 
 
+# Values of the wrong type for each annotation; any other annotation (a
+# nested config block, the params mapping) gets a number.
+WRONG_TYPES = {"int": [2.5, True], "float": [True, "x"], "str": [3, ["x"]], "bool": ["yes"]}
+TUPLE_ANNOTATION = re.compile(r"Tuple\[(\w+), (\w+|\.\.\.)\]")
+
+
+def values_of_the_wrong_type(f):
+    """Wrong-typed values for a field, from its annotation and default.
+
+    A tuple field gets each wrong entry in each position of its default and,
+    where its length is fixed, one entry too many and one too few.
+    """
+    tuple_of = TUPLE_ANNOTATION.fullmatch(f.type)
+    if tuple_of is None:
+        return WRONG_TYPES.get(f.type.removeprefix("Optional[").removesuffix("]"), [3])
+    default = f.default
+    values = [default[:i] + (v,) + default[i + 1:]
+              for v in WRONG_TYPES[tuple_of[1]] for i in range(len(default))]
+    if tuple_of[2] != "...":
+        values += [default + default[-1:], default[:-1]]
+    return values
+
+
+def wrong_type_cases():
+    """(class, key, value, block) for every wrong-typed value of every field."""
+    for cls, block in CONFIG_BLOCKS:
+        for f in dataclasses.fields(cls):
+            for v in values_of_the_wrong_type(f):
+                yield pytest.param(cls, f.name, v, block, id=f"{cls.__name__}.{f.name}={v!r}")
+
+
+@pytest.mark.parametrize("cls, key, value, block", wrong_type_cases())
+def test_wrong_type_exits_1_naming_the_key(tmp_path, capsys, cls, key, value, block):
+    assert_exit_1_names_the_key(tmp_path, capsys, key, value, block)
+    required = {"workload": "demand_response"} if cls is ScenarioConfig else {}
+    with pytest.raises(ConfigError, match=key):
+        cls(**{**required, key: value})
+
+
+def test_tuple_fields_get_wrong_entries_and_lengths():
+    def cases(key):
+        return [p.values[2] for p in wrong_type_cases() if p.values[1] == key]
+
+    assert cases("cost_range") == [(True, 5.0), (0.0, True), ("x", 5.0), (0.0, "x"),
+                                   (0.0, 5.0, 5.0), (0.0,)]
+    assert cases("concentrated_classes")[:4] == [(2.5, 9), (6, 2.5), (True, 9), (6, True)]
+
+
+def test_numpy_scalars_pass_the_field_check():
+    assert ChannelConfig(capacity=np.int64(7)).capacity == 7
+    params = DrParams(num_eds=np.int32(30), xi_lo=np.float64(1.5),
+                      cost_range=(np.float32(0.5), 2))
+    assert params.num_eds == 30 and params.cost_range == (0.5, 2)
+
+
+@pytest.mark.parametrize("cls, kwargs, key", [
+    (FederatedParams, {"lr": 5.0}, "lr"),
+    (DrParams, {"cost_range": (5.0, 1.0)}, "cost_range"),
+    (DrParams, {"xi_max_range": (30.0, 1.0)}, "xi_max_range"),
+    (RoutingParams, {"tau_range": (10.0, 1.0)}, "tau_range"),
+    (EdgeLearningParams, {"concentrated_classes": (3, 3)}, "concentrated_classes"),
+    (EdgeLearningParams, {"concentrated_classes": (6, 10)}, "concentrated_classes"),
+    (FederatedParams, {"num_eds": 1}, "concentrated_classes"),
+])
+def test_cross_field_rules_raise_config_error(cls, kwargs, key):
+    with pytest.raises(ConfigError, match=key):
+        cls(**kwargs)
+
+
 NUMERIC_ANNOTATION = re.compile(r"(Optional\[)?(int|float)\]?|Tuple\[(int|float)[a-z, .]*\]")
 
 
@@ -525,6 +596,37 @@ def test_every_numeric_config_field_declares_its_range():
     classes = [cls for cls, _ in CONFIG_BLOCKS]
     assert len(classes) == 7
     assert undeclared_ranges(classes) == []
+
+
+def exit_code(argv):
+    """`cli.main`'s exit code, also where argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--rounds", "abc"),
+    ("--rounds", "2.5"),
+    ("--rounds", "0"),
+    ("--seed", "x"),
+    ("--seed", "-1"),
+    ("--policy", "best"),
+])
+def test_cli_bad_flag_value_exits_1_naming_the_flag(tmp_path, capsys, flag, value):
+    path = write_cfg(tmp_path)
+    code = exit_code(["run", "--config", str(path), flag, value,
+                      "--out", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "config error" in err and flag.lstrip("-") in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_cli_help_exits_0(capsys):
+    assert exit_code(["run", "--help"]) == 0
+    assert "--rounds" in capsys.readouterr().out
 
 
 def test_cli_exit_code_2_on_runtime_error(tmp_path):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from goalrba.channel import RbParams
 from goalrba.decision import (
     DemandResponseWorkload,
     DrParams,
@@ -11,6 +10,7 @@ from goalrba.decision import (
     RoutingWorkload,
     solve_routing,
 )
+from goalrba.harness import ChannelConfig
 from goalrba.workload import (
     EnumerationScaleError,
     Workload,
@@ -43,32 +43,32 @@ class StubWorkload(Workload):
 
 def test_collect_reports_pairs_delta_with_demand():
     wl = StubWorkload(deltas=[2.0, 3.0], payloads=[512.0, 90.0])
-    reports = collect_reports(wl, gains=[1.0, 1.0], rb=RbParams())
+    reports = collect_reports(wl, gains=[1.0, 1.0], channel=ChannelConfig())
     assert [(r.ed_id, r.delta, r.w) for r in reports] == [(0, 2.0, 6), (1, 3.0, 1)]
 
 
 def test_collect_reports_drops_unreachable_eds():
     wl = StubWorkload(deltas=[2.0, 3.0], payloads=[512.0, 512.0])
-    reports = collect_reports(wl, gains=[0.0, 1.0], rb=RbParams())
+    reports = collect_reports(wl, gains=[0.0, 1.0], channel=ChannelConfig())
     assert [r.ed_id for r in reports] == [1]
 
 
 def test_collect_reports_clamps_negative_deltas():
     wl = StubWorkload(deltas=[-4.0], payloads=[512.0])
-    reports = collect_reports(wl, gains=[1.0], rb=RbParams())
+    reports = collect_reports(wl, gains=[1.0], channel=ChannelConfig())
     assert reports[0].delta == 0.0
 
 
 def test_collect_reports_rejects_unknown_mode():
     wl = StubWorkload(deltas=[1.0], payloads=[512.0])
     with pytest.raises(ValueError):
-        collect_reports(wl, gains=[1.0], rb=RbParams(), mode="oracle")
+        collect_reports(wl, gains=[1.0], channel=ChannelConfig(), mode="oracle")
 
 
 def test_expected_mode_is_deterministic_given_seed():
     wl = RoutingWorkload(RoutingParams(num_nodes=8), seed=2)
     gains = np.ones(wl.num_eds)
-    kwargs = dict(gains=gains, rb=RbParams(), mode="expected", num_samples=64)
+    kwargs = dict(gains=gains, channel=ChannelConfig(), mode="expected", num_samples=64)
     a = collect_reports(wl, seed=11, **kwargs)
     b = collect_reports(wl, seed=11, **kwargs)
     assert [(r.ed_id, r.delta) for r in a] == [(r.ed_id, r.delta) for r in b]
@@ -106,7 +106,7 @@ def test_expected_mode_needs_at_least_one_sample(make):
     workload = make()
     gains = np.ones(workload.num_eds)
     with pytest.raises(ValueError, match="num_samples must be at least 1"):
-        collect_reports(workload, gains, RbParams(), mode="expected", num_samples=0, seed=1)
+        collect_reports(workload, gains, ChannelConfig(), mode="expected", num_samples=0, seed=1)
 
 
 def test_throughput_default_counts_selected():
