@@ -382,7 +382,7 @@ def relative_gap(state: AdmmState, theta_true: np.ndarray) -> float:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdmmParams:
     """Scenario parameters; the default desk preset keeps rounds fast."""
 

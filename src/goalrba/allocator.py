@@ -27,19 +27,21 @@ class OracleViolationError(ValueError):
 def make_reports(ed_id, delta, w) -> np.recarray:
     """Knapsack items, one per ED: marginal utility gain delta and RB demand w.
 
-    A record array with the columns ed_id, delta and w; both delta and w
-    must be non-negative.
+    A record array with the columns ed_id, delta and w; every delta must be
+    a non-negative number (NaN is rejected, since no policy could rank it)
+    and every w non-negative.
     """
-    reports = np.rec.fromarrays(
-        [np.asarray(ed_id, dtype=np.int64), np.asarray(delta, dtype=float),
-         np.asarray(w, dtype=np.int64)],
-        names=("ed_id", "delta", "w"),
-    )
-    if np.any(reports.delta < 0):
-        raise ValueError(f"delta must be non-negative, got {reports.delta.min()}")
-    if np.any(reports.w < 0):
-        raise ValueError(f"w must be non-negative, got {reports.w.min()}")
-    return reports
+    ed_id = np.asarray(ed_id, dtype=np.int64)
+    delta = np.asarray(delta, dtype=float)
+    w = np.asarray(w, dtype=np.int64)
+    nan = np.isnan(delta)
+    if nan.any():
+        raise ValueError(f"delta must not be NaN, got NaN for ED {ed_id[nan][0]}")
+    if np.any(delta < 0):
+        raise ValueError(f"delta must be non-negative, got {delta.min()}")
+    if np.any(w < 0):
+        raise ValueError(f"w must be non-negative, got {w.min()}")
+    return np.rec.fromarrays([ed_id, delta, w], names=("ed_id", "delta", "w"))
 
 
 @dataclass(frozen=True)
@@ -75,19 +77,29 @@ def _fill_budget(reports: np.recarray, capacity: int, key, *, halt_on_overflow) 
     live = delta > 0
     paid = live & (w > 0)
     ed_id_p, w_p = ed_id[paid], w[paid]
-    order = np.lexsort((ed_id_p, key(ed_id_p, delta[paid], w_p)))
+    keys = key(ed_id_p, delta[paid], w_p)
+    order = np.argsort(keys)
+    # Distinct keys have one ascending order, so any sort finds it; only a
+    # tie (-0.0 == 0.0 included) or a NaN needs ed_id as the second key.
+    ranked = keys[order]
+    if np.any(ranked[1:] == ranked[:-1]) or np.isnan(ranked[-1:]).any():
+        order = np.lexsort((ed_id_p, keys))
     ids, ws = ed_id_p[order], w_p[order]
-    fits = int(np.searchsorted(np.cumsum(ws), capacity, side="right"))
-    picked = ed_id[live & (w == 0)].tolist() + ids[:fits].tolist()
-    remaining = capacity - int(ws[:fits].sum())
-    if not halt_on_overflow:
-        # Demands after the first overflow only ever meet a smaller budget.
-        later = fits + 1 + np.flatnonzero(ws[fits + 1 :] <= remaining)
-        for j, w_j in zip(ids[later].tolist(), ws[later].tolist()):
-            if w_j <= remaining:
-                picked.append(j)
-                remaining -= w_j
-    return Allocation(selected=frozenset(picked), capacity_used=capacity - remaining)
+    picked = [ed_id[live & (w == 0)]]
+    remaining = capacity
+    # Each pass ends the loop or drops at least the ED that overflowed.
+    for _ in range(len(ws)):
+        fits = int(np.searchsorted(np.cumsum(ws), remaining, side="right"))
+        picked.append(ids[:fits])
+        remaining -= int(ws[:fits].sum())
+        if halt_on_overflow or fits == len(ws):
+            break
+        # The budget only shrinks, so the ED that overflowed, and any later
+        # one that needs more than is left, can never fit again.
+        later = fits + np.flatnonzero(ws[fits:] <= remaining)
+        ids, ws = ids[later], ws[later]
+    selected = frozenset(np.concatenate(picked).tolist())
+    return Allocation(selected=selected, capacity_used=capacity - remaining)
 
 
 def greedy_allocate(reports: np.recarray, capacity: int) -> Allocation:

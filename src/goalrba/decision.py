@@ -58,19 +58,25 @@ class DrInstance:
         """The base dispatch's order and prefix tables, built on first use."""
         return dispatch_tables(self.costs, self.xi_lo)
 
+    @cached_property
+    def base_cost(self) -> float:
+        """Cost of the base (all-unknown) dispatch, solve_dr(self)[0], solved once."""
+        return solve_dr(self)[0]
+
 
 class DispatchTables(NamedTuple):
     """Dispatch order and prefix sums of the base (all-unknown) dispatch.
 
     They depend only on costs and xi_lo, so a market builds them once
-    (DrInstance.tables).
+    (DrInstance.tables). The prefix sums are zero-led: P[k] and CP[k] sum
+    the first k EDs in dispatch order.
     """
 
     order: np.ndarray  # ED ids by ascending cost, ties by ed_id
-    rank: np.ndarray  # position of each ED in order
     c: np.ndarray  # costs in dispatch order
-    P: np.ndarray  # prefix sums of xi_lo in dispatch order
-    CP: np.ndarray  # prefix sums of cost * xi_lo in dispatch order
+    lo: np.ndarray  # xi_lo in dispatch order
+    P: np.ndarray  # prefix sums of xi_lo in dispatch order, zero-led
+    CP: np.ndarray  # prefix sums of cost * xi_lo in dispatch order, zero-led
     lo_sum: float  # xi_lo.sum(), the base scenario's capacity
 
 
@@ -78,11 +84,13 @@ def dispatch_tables(costs: np.ndarray, xi_lo: np.ndarray) -> DispatchTables:
     """Sort the EDs by cost once and build the base dispatch's prefix tables."""
     J = len(costs)
     order = np.lexsort((np.arange(J), costs))
-    rank = np.empty(J, dtype=int)
-    rank[order] = np.arange(J)
     c = costs[order]
     u = xi_lo[order]
-    return DispatchTables(order, rank, c, np.cumsum(u), np.cumsum(c * u), float(xi_lo.sum()))
+    P = np.zeros(J + 1)
+    CP = np.zeros(J + 1)
+    np.cumsum(u, out=P[1:])
+    np.cumsum(c * u, out=CP[1:])
+    return DispatchTables(order, c, u, P, CP, float(xi_lo.sum()))
 
 
 def solve_dr(instance: DrInstance, cap: Optional[np.ndarray] = None) -> Tuple[float, np.ndarray]:
@@ -125,53 +133,49 @@ def solve_dr(instance: DrInstance, cap: Optional[np.ndarray] = None) -> Tuple[fl
     return float(instance.costs @ pi), pi
 
 
-def _base_cost_from_tables(c, P, CP, need) -> Tuple[float, int]:
-    T = int(np.searchsorted(P, need - 1e-12, side="left"))
-    prev_P = P[T - 1] if T > 0 else 0.0
-    prev_CP = CP[T - 1] if T > 0 else 0.0
-    return float(prev_CP + c[T] * (need - prev_P)), T
-
-
 def dr_marginal_utilities(instance: DrInstance, values: np.ndarray) -> np.ndarray:
     """Delta for every ED at once, each revealed alone at values[j].
 
     Vectorized over the base dispatch's prefix sums; equivalent to J
     independent re-solves of solve_dr. Each entry depends on values[j]
-    alone.
+    alone. Only the T EDs that the base dispatch takes before the one that
+    meets pi_min can lower its cost, so the work runs over the first T
+    positions of the dispatch order and the gains are scattered back; an
+    ED whose value is NaN or not above its xi_lo gains 0.
     """
     values = np.asarray(values, dtype=float)
     J = instance.num_eds
+    gains = np.zeros(J)
     if instance.pi_min == 0:
-        return np.zeros(J)
+        return gains
     tables = instance.tables
     if tables.lo_sum < instance.pi_min - 1e-12:
         raise InfeasibleDrError("insufficient shedding capacity in the base scenario")
     c, P, CP = tables.c, tables.P, tables.CP
     need = instance.pi_min
-    base_cost, T = _base_cost_from_tables(c, P, CP, need)
+    T = int(np.searchsorted(P[1:], need - 1e-12, side="left"))
+    base_cost = float(CP[T] + c[T] * (need - P[T]))
 
-    q = tables.rank  # sorted position of each original ED
-    delta_cap = np.maximum(values - instance.xi_lo, 0.0)
-
-    gains = np.zeros(J)
-    active = (q < T) & (delta_cap > 0)
+    # fmax, unlike maximum, turns a NaN into 0, which leaves its ED inactive.
+    da = np.fmax(values[tables.order[:T]] - tables.lo[:T], 0.0)
+    active = da > 0
     if not np.any(active):
         return gains
-    qa = q[active]
-    da = delta_cap[active]
-    Tp = np.maximum(qa, np.searchsorted(P, need - da - 1e-12, side="left"))
-    prev_P = np.where(Tp > 0, P[np.maximum(Tp - 1, 0)], 0.0)
-    prev_CP = np.where(Tp > 0, CP[np.maximum(Tp - 1, 0)], 0.0)
-    cq = c[qa]
-    at_self = Tp == qa
-    prev_Pq = np.where(qa > 0, P[np.maximum(qa - 1, 0)], 0.0)
-    prev_CPq = np.where(qa > 0, CP[np.maximum(qa - 1, 0)], 0.0)
+    # Each ED's new crossing point; every needle lies at or below
+    # need - 1e-12, so every search ends at or before position T, and none
+    # starts before the smallest needle's.
+    needles = need - da - 1e-12
+    start = int(np.searchsorted(P[1:], needles.min(), side="left"))
+    q = np.arange(T)
+    Tp = np.maximum(q, start + np.searchsorted(P[1 + start : T + 1], needles, side="left"))
+    cq = c[:T]
+    prev_P, prev_CP = P[Tp], CP[Tp]
     new_cost = np.where(
-        at_self,
-        prev_CPq + cq * (need - prev_Pq),
+        Tp == q,
+        CP[:T] + cq * (need - P[:T]),
         prev_CP + cq * da + c[Tp] * (need - prev_P - da),
     )
-    gains[active] = np.maximum(base_cost - new_cost, 0.0)
+    gains[tables.order[:T]] = np.where(active, np.maximum(base_cost - new_cost, 0.0), 0.0)
     return gains
 
 
@@ -237,7 +241,7 @@ def _check_range(name: str, value) -> None:
         raise ConfigError(f"{name} must be [lo, hi] with lo <= hi, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DrParams:
     """Scenario generator parameters for emergency demand response."""
 
@@ -272,9 +276,9 @@ class DemandResponseWorkload(Workload):
     The market (costs, per-ED maximum reductions, pi_min) is fixed at
     construction; real-time reducible loads are redrawn each round. Each
     round's capacities start at xi_lo and a reveal writes the ED's true load
-    in. The market's dispatch tables, and in expected mode one gain row per
-    history row, are built on first use and reused, since none of them
-    changes between rounds.
+    in. The market's dispatch tables and base cost (the goal before any
+    reveal), and in expected mode one gain row per history row, are built
+    on first use and reused, since none of them changes between rounds.
     """
 
     def __init__(self, params: DrParams, seed):
@@ -307,6 +311,7 @@ class DemandResponseWorkload(Workload):
     def begin_round(self, round_idx: int) -> None:
         self.true_xi = self._draw_loads()
         self.cap = self.xi_lo.copy()
+        self._revealed = False
 
     def marginal_utilities(self) -> np.ndarray:
         return dr_marginal_utilities(self.market, self.true_xi)
@@ -343,11 +348,15 @@ class DemandResponseWorkload(Workload):
             return
         values = self.true_xi[ids]
         self.cap[ids] = values
+        self._revealed = True
         row = self.history_rows[-1].copy()
         row[ids] = values
         self.history_rows.append(row)
 
     def goal_value(self) -> float:
+        """Dispatch cost at this round's capacities: the market's base cost until a reveal."""
+        if not self._revealed:
+            return self.market.base_cost
         return solve_dr(self.market, self.cap)[0]
 
     def payload_bits(self) -> np.ndarray:
@@ -357,10 +366,10 @@ class DemandResponseWorkload(Workload):
         ids = np.fromiter(subset, dtype=np.intp)
         cap = self.xi_lo.copy()
         cap[ids] = self.true_xi[ids]
-        return solve_dr(self.market)[0] - solve_dr(self.market, cap)[0]
+        return self.market.base_cost - solve_dr(self.market, cap)[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoutingParams:
     """Scenario generator parameters for robust vehicle routing."""
 

@@ -74,7 +74,7 @@ class ChannelConfig:
         check_fields(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """One runnable scenario; `params` feeds the workload's parameter block."""
 

@@ -270,7 +270,7 @@ def descent_bound_check(
     return float(bound), (loss_after - loss_before) <= bound + tolerance
 
 
-@dataclass
+@dataclass(frozen=True)
 class _DataModelParams:
     """What both learning scenarios share: mixture data, non-iid split, MLP, lr.
 
@@ -299,7 +299,7 @@ class _DataModelParams:
                 f"[0, {self.num_classes}), at most num_eds = {self.num_eds}, got {classes!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EdgeLearningParams(_DataModelParams):
     """Desk-scale edge-learning scenario: synthetic mixture, non-iid shards."""
 
@@ -427,7 +427,7 @@ class EdgeLearningWorkload(_LearningWorkload):
         return int(sum(len(self._offered(ed_id)) for ed_id in selected))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FederatedParams(_DataModelParams):
     """Desk-scale federated scenario sharing the edge-learning data model."""
 

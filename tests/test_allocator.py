@@ -142,6 +142,16 @@ def test_channel_policy_skips_non_fitting():
     assert alloc.selected == frozenset({1, 2})
 
 
+def test_channel_policy_ranks_nan_gains_last_by_ed_id():
+    # NaN sorts after every number and ties with NaN; whatever order the
+    # reports come in, the NaN-gain EDs are taken by ascending ed_id
+    n = 30
+    gains = np.full(n, np.nan)
+    gains[5] = 1.0
+    reports = make_reports(np.arange(n)[::-1], np.ones(n), np.full(n, 2))
+    assert channel_policy(gains, reports, capacity=8).selected == frozenset({5, 0, 1, 2})
+
+
 def test_utility_policy_orders_by_delta():
     reports = reports_of([(1.0, 1), (9.0, 4), (5.0, 1)])
     alloc = utility_policy(reports, capacity=5)
@@ -173,6 +183,9 @@ def test_report_validation():
         make_reports([0], [-1.0], [1])
     with pytest.raises(ValueError):
         make_reports([0], [1.0], [-1])
+    # NaN > 0 is False, so every policy would silently drop such an ED
+    with pytest.raises(ValueError, match="delta must not be NaN, got NaN for ED 7"):
+        make_reports([3, 7], [1.0, np.nan], [1, 1])
 
 
 def reference_fill(items, capacity, key, halt_on_overflow):
@@ -191,32 +204,44 @@ def reference_fill(items, capacity, key, halt_on_overflow):
     return frozenset(r[0] for r in picked), sum(r[2] for r in picked)
 
 
+def numpy_order(value, ed_id):
+    """Sort key that orders like numpy: NaN after every number, -0.0 equal
+    to 0.0, ties by ed_id."""
+    nan = bool(np.isnan(value))
+    return (nan, 0.0 if nan else value, ed_id)
+
+
 # Small integer deltas, demands and gains make ratio, delta and gain ties
-# common; zero deltas and zero demands are drawn too.
-policy_instances = st.integers(min_value=0, max_value=12).flatmap(
+# common; zero deltas and zero demands are drawn too. Gains of 0.0 and -0.0
+# give channel keys that compare equal with different signs, and NaN gains
+# sort last. Up to 40 EDs against a budget of up to 60 RBs make the
+# non-halting policies skip an ED and refill several times.
+policy_instances = st.integers(min_value=0, max_value=40).flatmap(
     lambda n: st.tuples(
         st.permutations(range(n)),
         st.lists(st.integers(0, 6).map(float), min_size=n, max_size=n),
-        st.lists(st.integers(0, 4), min_size=n, max_size=n),
-        st.lists(st.integers(0, 3).map(float), min_size=n, max_size=n),
+        st.lists(st.integers(0, 8), min_size=n, max_size=n),
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, np.nan]), min_size=n, max_size=n),
     )
 )
 
 
-@given(instance=policy_instances, capacity=st.integers(min_value=0, max_value=15))
-@settings(max_examples=300, deadline=None)
+@given(instance=policy_instances, capacity=st.integers(min_value=0, max_value=60))
+@settings(max_examples=400, deadline=None)
 def test_array_policies_match_the_list_reference(instance, capacity):
     ids, deltas, ws, gains = instance
+    gains = np.array(gains)
     reports = make_reports(ids, deltas, ws)
     items = list(zip(ids, deltas, ws))
 
     def ratio_key(r):
-        return (-(r[1] / r[2]) if r[2] > 0 else -np.inf, r[0])
+        return numpy_order(-(r[1] / r[2]) if r[2] > 0 else -np.inf, r[0])
 
     cases = [
         (greedy_allocate(reports, capacity), ratio_key, True),
-        (channel_policy(gains, reports, capacity), lambda r: (-gains[r[0]], r[0]), False),
-        (utility_policy(reports, capacity), lambda r: (-r[1], r[0]), False),
+        (channel_policy(gains, reports, capacity),
+         lambda r: numpy_order(-gains[r[0]], r[0]), False),
+        (utility_policy(reports, capacity), lambda r: numpy_order(-r[1], r[0]), False),
     ]
     for alloc, key, halt in cases:
         assert (alloc.selected, alloc.capacity_used) == reference_fill(items, capacity, key, halt)

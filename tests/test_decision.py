@@ -55,6 +55,55 @@ def dr_marginal_utility(instance: DrInstance, ed_id: int, value: float) -> float
     return max(cost_base - cost_rev, 0.0)
 
 
+def reference_dr_marginal_utilities(instance: DrInstance, values) -> np.ndarray:
+    """dr_marginal_utilities as it was written in ED order: every ED's rank
+    in the dispatch order, gathers at the active EDs' ranks, and np.where
+    pairs for the prefix sums before rank 0. The floats and the order in
+    which they combine are those of the dispatch-order version."""
+    values = np.asarray(values, dtype=float)
+    J = instance.num_eds
+    if instance.pi_min == 0:
+        return np.zeros(J)
+    if instance.xi_lo.sum() < instance.pi_min - 1e-12:
+        raise InfeasibleDrError("insufficient shedding capacity in the base scenario")
+    order = np.lexsort((np.arange(J), instance.costs))
+    q = np.empty(J, dtype=int)
+    q[order] = np.arange(J)
+    c = instance.costs[order]
+    u = instance.xi_lo[order]
+    P, CP = np.cumsum(u), np.cumsum(c * u)
+    need = instance.pi_min
+    T = int(np.searchsorted(P, need - 1e-12, side="left"))
+    base_cost = float((CP[T - 1] if T > 0 else 0.0)
+                      + c[T] * (need - (P[T - 1] if T > 0 else 0.0)))
+    delta_cap = np.maximum(values - instance.xi_lo, 0.0)
+    gains = np.zeros(J)
+    active = (q < T) & (delta_cap > 0)
+    if not np.any(active):
+        return gains
+    qa = q[active]
+    da = delta_cap[active]
+    Tp = np.maximum(qa, np.searchsorted(P, need - da - 1e-12, side="left"))
+    prev_P = np.where(Tp > 0, P[np.maximum(Tp - 1, 0)], 0.0)
+    prev_CP = np.where(Tp > 0, CP[np.maximum(Tp - 1, 0)], 0.0)
+    cq = c[qa]
+    at_self = Tp == qa
+    prev_Pq = np.where(qa > 0, P[np.maximum(qa - 1, 0)], 0.0)
+    prev_CPq = np.where(qa > 0, CP[np.maximum(qa - 1, 0)], 0.0)
+    new_cost = np.where(
+        at_self,
+        prev_CPq + cq * (need - prev_Pq),
+        prev_CP + cq * da + c[Tp] * (need - prev_P - da),
+    )
+    gains[active] = np.maximum(base_cost - new_cost, 0.0)
+    return gains
+
+
+def assert_same_bits(actual, expected):
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
 def reference_solve_routing(roads, source, destination, times) -> float:
     """Dijkstra over the road dict, the algorithm the forward pass replaced;
     times[i] is the time of the i-th road in sorted order."""
@@ -230,6 +279,52 @@ def test_vectorized_marginals_match_re_solves(seed):
         assert fast[j] == pytest.approx(slow, abs=1e-9)
 
 
+@st.composite
+def marginal_instances(draw):
+    """Markets with per-ED floors xi_lo, cost ties, infinite costs and zero
+    floors; values below, at and above each floor, at its ceiling, and NaN;
+    pi_min at 0, at a dispatch-order prefix sum of the floors, inside, and
+    at their sum."""
+    n = draw(st.integers(1, 20))
+    small = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
+    costs = np.array(draw(st.lists(small | st.floats(0.0, 5.0) | st.just(np.inf),
+                                   min_size=n, max_size=n)))
+    xi_lo = np.array(draw(st.lists(small | st.floats(0.0, 3.0), min_size=n, max_size=n)))
+    xi_hi = xi_lo + np.array(draw(st.lists(small | st.floats(0.0, 10.0), min_size=n, max_size=n)))
+    values = np.array([
+        draw(st.sampled_from([lo - 0.5, lo, np.nextafter(lo, np.inf), 0.5 * (lo + hi), hi,
+                              np.nan]))
+        for lo, hi in zip(xi_lo, xi_hi)
+    ])
+    lo_sum = float(xi_lo.sum())
+    prefix = np.cumsum(xi_lo[np.lexsort((np.arange(n), costs))])
+    pi_min = draw(st.one_of(
+        st.just(0.0),
+        st.just(lo_sum),
+        st.sampled_from(list(prefix)),
+        st.floats(0.0, 1.0).map(lambda f: f * lo_sum),
+    ))
+    return DrInstance(costs, xi_lo, xi_hi, pi_min), values
+
+
+@given(case=marginal_instances())
+@settings(max_examples=400, deadline=None)
+def test_dispatch_order_marginals_are_the_ed_order_ones_bit_for_bit(case):
+    instance, values = case
+    with np.errstate(invalid="ignore"):  # inf - inf where the last ED costs inf
+        assert_same_bits(dr_marginal_utilities(instance, values),
+                         reference_dr_marginal_utilities(instance, values))
+
+
+def test_dispatch_order_marginals_are_the_ed_order_ones_at_paper_scale():
+    wl = DemandResponseWorkload(DrParams(num_eds=15000), seed=1)
+    for k in range(20):
+        wl.begin_round(k)
+        fast = wl.marginal_utilities()
+        assert_same_bits(fast, reference_dr_marginal_utilities(wl.market, wl.true_xi))
+        assert np.count_nonzero(fast) > 5000
+
+
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=100, deadline=None)
 def test_revealing_a_load_never_hurts(seed):
@@ -366,6 +461,32 @@ def test_dispatch_tables_are_built_once_per_workload(monkeypatch, mode):
     # every round revealed something, solved its goal and a joint gain
     assert len(rows) == len(gains) == 6 and all(m.throughput > 0 for m in rows)
     assert calls == [40]
+
+
+def test_goal_before_a_reveal_is_the_base_cost_solved_once(monkeypatch):
+    calls = []
+    solve = decision.solve_dr
+
+    def counting(instance, cap=None):
+        calls.append(cap is None)
+        return solve(instance, cap)
+
+    monkeypatch.setattr(decision, "solve_dr", counting)
+    wl = DemandResponseWorkload(DrParams(num_eds=40, pi_min=30.0), seed=9)
+    base = solve(wl.market, wl.xi_lo.copy())[0]
+    for k in range(3):
+        wl.begin_round(k)
+        assert wl.goal_value() == base
+        wl.ingest([])  # reveals nothing
+        assert wl.goal_value() == base
+        cap = wl.xi_lo.copy()
+        cap[[3, 17]] = wl.true_xi[[3, 17]]
+        assert wl.joint_gain([3, 17]) == base - solve(wl.market, cap)[0]
+        wl.ingest([3, 17])
+        assert wl.goal_value() == solve(wl.market, wl.cap)[0] < base
+    # one base solve for the market; one solve per joint gain and per goal
+    # after a reveal
+    assert calls == [True] + [False] * 6
 
 
 def test_default_requirement_scales_with_fleet_size():

@@ -37,6 +37,13 @@ CASES = {
         "44625cc4482042ede653f5c8e0c3a6b9971e583b7b2c97eae88a9304594f7217",
         "825caf70d7f7360834f44556282fea738afa678f0f6df92be773753565fe0465",
     )),
+    # paper scale, J = 15000
+    "demand_response_paper": ("demand_response.yaml", ["rounds=10", "params.num_eds=15000"], (
+        "01a95eb29a299260ce693fb7dbe0970a60a12861753ba7115484eb01f39ee01e",
+        "f268d4f813591c7619ad772883544b4a2bcffb3c6333f917e7c4b3344b4adeae",
+        "dadac1f3e3a9b66a92dd31c942bcd68fa301b102714ffde5938263ad602d5595",
+        "be22b08c52199ace526773033cbf19de9eef90b8e6f9ae95d96cbfeb3b1ab8a6",
+    )),
     "demand_response_expected": (
         "demand_response.yaml",
         ["rounds=5", "utility_mode=expected", "utility_samples=32"],

@@ -598,6 +598,20 @@ def test_every_numeric_config_field_declares_its_range():
     assert undeclared_ranges(classes) == []
 
 
+def test_a_config_is_frozen_so_its_field_check_holds_for_its_life():
+    cfg = ScenarioConfig(workload="routing")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.rounds = 2.5
+    for cls, _ in CONFIG_BLOCKS:
+        config = cls(**({"workload": "routing"} if cls is ScenarioConfig else {}))
+        name = dataclasses.fields(cls)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, getattr(config, name))
+    # replace builds a new config and checks it
+    with pytest.raises(ConfigError, match="rounds"):
+        dataclasses.replace(cfg, rounds=2.5)
+
+
 def exit_code(argv):
     """`cli.main`'s exit code, also where argparse exits."""
     try:

@@ -568,7 +568,7 @@ def test_a_failed_logit_bound_runs_the_epoch_check_forward(monkeypatch):
 def test_failed_ingest_leaves_no_stale_goal():
     wl = EdgeLearningWorkload(small_edge_params(), seed=0)
     before = wl.goal_value()
-    wl.params.lr = 1e300
+    wl.params = dataclasses.replace(wl.params, lr=1e300)
     with np.errstate(all="ignore"), pytest.raises(DivergenceError):
         wl.ingest([0, 1])
     with np.errstate(all="ignore"):
