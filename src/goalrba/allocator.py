@@ -63,30 +63,24 @@ def _check_capacity(capacity: int) -> None:
         raise ValueError(f"capacity must be non-negative, got {capacity}")
 
 
-def _fill_budget(reports: np.recarray, capacity: int, key, *, halt_on_overflow) -> Allocation:
-    """Take EDs in ascending (key, ed_id) order while their demands fit.
-
-    key maps the (ed_id, delta, w) columns of the positive-demand candidates
-    to sort keys. Zero-delta EDs consume budget for no gain and are never
-    selected; zero-demand EDs with a gain ride free. At the first ED that
-    does not fit, halting mode stops; otherwise later EDs that still fit are
-    taken.
-    """
-    _check_capacity(capacity)
-    ed_id, delta, w = reports.ed_id, reports.delta, reports.w
-    live = delta > 0
-    paid = live & (w > 0)
-    ed_id_p, w_p = ed_id[paid], w[paid]
-    keys = key(ed_id_p, delta[paid], w_p)
+def _ascending(keys: np.ndarray, ed_id: np.ndarray) -> np.ndarray:
+    """Positions that put keys in ascending (key, ed_id) order."""
     order = np.argsort(keys)
     # Distinct keys have one ascending order, so any sort finds it; only a
     # tie (-0.0 == 0.0 included) or a NaN needs ed_id as the second key.
     ranked = keys[order]
     if np.any(ranked[1:] == ranked[:-1]) or np.isnan(ranked[-1:]).any():
-        order = np.lexsort((ed_id_p, keys))
-    ids, ws = ed_id_p[order], w_p[order]
-    picked = [ed_id[live & (w == 0)]]
-    remaining = capacity
+        order = np.lexsort((ed_id, keys))
+    return order
+
+
+def _take_in_order(ids, ws, remaining: int, halt_on_overflow, picked: list) -> int:
+    """Take EDs in the given order while their demands ws fit in remaining.
+
+    Appends the taken ids to picked and returns the budget left. Halting
+    mode stops at the first ED that does not fit; otherwise the later EDs
+    that still fit are taken.
+    """
     # Each pass ends the loop or drops at least the ED that overflowed.
     for _ in range(len(ws)):
         fits = int(np.searchsorted(np.cumsum(ws), remaining, side="right"))
@@ -98,6 +92,52 @@ def _fill_budget(reports: np.recarray, capacity: int, key, *, halt_on_overflow) 
         # one that needs more than is left, can never fit again.
         later = fits + np.flatnonzero(ws[fits:] <= remaining)
         ids, ws = ids[later], ws[later]
+    return remaining
+
+
+def _fill_budget(reports: np.recarray, capacity: int, key, *, halt_on_overflow) -> Allocation:
+    """Take EDs in ascending (key, ed_id) order while their demands fit.
+
+    key maps the (ed_id, delta, w) columns of the positive-demand candidates
+    to sort keys. Zero-delta EDs consume budget for no gain and are never
+    selected; zero-demand EDs with a gain ride free. At the first ED that
+    does not fit, halting mode stops; otherwise later EDs that still fit are
+    taken.
+
+    Only the head of the order is sorted: every positive-demand ED takes at
+    least one RB, so at most capacity of them fit and a halting fill stops
+    within the first capacity + 1 positions (the break item of Balas and
+    Zemel, 1980). The head is every key up to the (capacity + 1)-th
+    smallest, ties included, so every later key sorts strictly after it;
+    the non-halting fill goes on with the later EDs that fit what is left.
+    """
+    _check_capacity(capacity)
+    ed_id, delta, w = reports.ed_id, reports.delta, reports.w
+    live = delta > 0
+    paid = np.flatnonzero(live & (w > 0))
+    ed_id_p, w_p = ed_id[paid], w[paid]
+    keys = key(ed_id_p, delta[paid], w_p)
+
+    def in_order(part):
+        """Ids and demands of the candidates at positions part, in order."""
+        order = part[_ascending(keys[part], ed_id_p[part])]
+        return ed_id_p[order], w_p[order]
+
+    head, tail = np.arange(len(keys)), None
+    if len(keys) > capacity + 1:
+        v = np.partition(keys, capacity)[capacity]
+        # NaN sorts last: a NaN v leaves every key in the head, and a NaN
+        # key after a number v goes to the tail.
+        if not np.isnan(v):
+            in_head = keys <= v
+            head, tail = np.flatnonzero(in_head), ~in_head
+    picked = [ed_id[live & (w == 0)]]
+    remaining = _take_in_order(*in_order(head), capacity, halt_on_overflow, picked)
+    if tail is not None and not halt_on_overflow and remaining > 0:
+        # The budget only shrinks: a later ED that needs more than is left
+        # now can never fit.
+        later = np.flatnonzero(tail & (w_p <= remaining))
+        remaining = _take_in_order(*in_order(later), remaining, False, picked)
     selected = frozenset(np.concatenate(picked).tolist())
     return Allocation(selected=selected, capacity_used=capacity - remaining)
 

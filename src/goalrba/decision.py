@@ -58,6 +58,14 @@ class DrInstance:
         """The base dispatch's order and prefix tables, built on first use."""
         return dispatch_tables(self.costs, self.xi_lo)
 
+    @property
+    def base_crossing(self) -> int:
+        """Dispatch position at which the base dispatch meets pi_min (J if none).
+
+        Read off the prefix sums of xi_lo with the 1e-12 feasibility slack.
+        """
+        return int(np.searchsorted(self.tables.P[1:], self.pi_min - 1e-12, side="left"))
+
     @cached_property
     def base_cost(self) -> float:
         """Cost of the base (all-unknown) dispatch, solve_dr(self)[0], solved once."""
@@ -104,6 +112,10 @@ def solve_dr(instance: DrInstance, cap: Optional[np.ndarray] = None) -> Tuple[fl
     The remaining requirement is a left fold of subtractions over the
     capacities in dispatch order; the ED at which it first reaches zero
     takes what was left, and every ED before it takes its full capacity.
+    A reveal only raises a capacity, save for the 1e-9 slack below xi_lo,
+    so the fold runs first up to the base dispatch's crossing and goes on
+    from its last value only when the requirement is not met by then: the
+    same subtractions in the same order, so the same bits.
     """
     if cap is None:
         cap = instance.xi_lo
@@ -121,15 +133,24 @@ def solve_dr(instance: DrInstance, cap: Optional[np.ndarray] = None) -> Tuple[fl
             f"insufficient shedding capacity: {cap.sum():.6g} < {instance.pi_min:.6g}"
         )
     order = instance.tables.order
-    take = cap[order]
+    n = min(instance.base_crossing + 1, J)
+    take = cap[order[:n]]
     remaining = np.subtract.accumulate(np.concatenate(([instance.pi_min], take)))
     met = remaining[1:] <= 0
+    if n < J and not met.any():
+        rest = cap[order[n:]]
+        remaining = np.concatenate(
+            (remaining, np.subtract.accumulate(np.concatenate((remaining[-1:], rest)))[1:])
+        )
+        take = np.concatenate((take, rest))
+        met = remaining[1:] <= 0
     T = int(np.argmax(met))
     if met[T]:
+        take = take[: T + 1]
         take[T] = remaining[T]
-        take[T + 1:] = 0.0
+    # The full-length pi keeps the bits of costs @ pi.
     pi = np.zeros(J)
-    pi[order] = take
+    pi[order[: len(take)]] = take
     return float(instance.costs @ pi), pi
 
 
@@ -153,7 +174,7 @@ def dr_marginal_utilities(instance: DrInstance, values: np.ndarray) -> np.ndarra
         raise InfeasibleDrError("insufficient shedding capacity in the base scenario")
     c, P, CP = tables.c, tables.P, tables.CP
     need = instance.pi_min
-    T = int(np.searchsorted(P[1:], need - 1e-12, side="left"))
+    T = instance.base_crossing
     base_cost = float(CP[T] + c[T] * (need - P[T]))
 
     # fmax, unlike maximum, turns a NaN into 0, which leaves its ED inactive.
@@ -166,8 +187,15 @@ def dr_marginal_utilities(instance: DrInstance, values: np.ndarray) -> np.ndarra
     # starts before the smallest needle's.
     needles = need - da - 1e-12
     start = int(np.searchsorted(P[1:], needles.min(), side="left"))
+    window = P[1 + start : T + 1]
+    if len(window) < 256:
+        # A left search is the count of window entries below the needle;
+        # counted branch-free, each count fits a uint8.
+        below = np.less.outer(window, needles).view(np.uint8).sum(axis=0, dtype=np.uint8)
+    else:
+        below = np.searchsorted(window, needles, side="left")
     q = np.arange(T)
-    Tp = np.maximum(q, start + np.searchsorted(P[1 + start : T + 1], needles, side="left"))
+    Tp = np.maximum(q, np.add(below, start, dtype=np.intp))
     cq = c[:T]
     prev_P, prev_CP = P[Tp], CP[Tp]
     new_cost = np.where(

@@ -3,7 +3,8 @@
 The network is input -> hidden (ReLU) -> softmax, trained with mini-batch SGD
 and momentum. Edge learning prices raw samples by their loss under the
 current model; federated learning prices clients by their weighted gradient
-norm and checks the smooth-descent bound each round.
+norm. The smooth-descent bound of a round, ``descent_bound_check``, is
+checked by ``goalrba verify`` and the tests; the round loop does not call it.
 
 The MLP keeps its weights in one flat float64 buffer, ``Mlp.params``, and
 ``W1``, ``b1``, ``W2`` and ``b2`` are reshaped views into it, so SGD and

@@ -17,6 +17,10 @@ from goalrba.allocator import (
     suboptimality_ratio,
     utility_policy,
 )
+from goalrba.channel import sample_gains
+from goalrba.decision import DemandResponseWorkload, DrParams
+from goalrba.harness import ChannelConfig
+from goalrba.workload import collect_reports
 
 
 def reports_of(items):
@@ -214,29 +218,28 @@ def numpy_order(value, ed_id):
 # Small integer deltas, demands and gains make ratio, delta and gain ties
 # common; zero deltas and zero demands are drawn too. Gains of 0.0 and -0.0
 # give channel keys that compare equal with different signs, and NaN gains
-# sort last. Up to 40 EDs against a budget of up to 60 RBs make the
-# non-halting policies skip an ED and refill several times.
-policy_instances = st.integers(min_value=0, max_value=40).flatmap(
+# sort last. Up to 60 EDs against a budget of 0 to n RBs leave more than
+# capacity + 1 candidates most of the time, so the policies sort only the
+# head of the order, with ties and NaN keys on both sides of its last key,
+# and the non-halting policies skip an ED, refill several times and go on
+# past the head.
+policy_instances = st.integers(min_value=0, max_value=60).flatmap(
     lambda n: st.tuples(
         st.permutations(range(n)),
         st.lists(st.integers(0, 6).map(float), min_size=n, max_size=n),
         st.lists(st.integers(0, 8), min_size=n, max_size=n),
         st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, np.nan]), min_size=n, max_size=n),
+        st.integers(0, n),
     )
 )
 
 
-@given(instance=policy_instances, capacity=st.integers(min_value=0, max_value=60))
-@settings(max_examples=400, deadline=None)
-def test_array_policies_match_the_list_reference(instance, capacity):
-    ids, deltas, ws, gains = instance
-    gains = np.array(gains)
-    reports = make_reports(ids, deltas, ws)
-    items = list(zip(ids, deltas, ws))
+def ratio_key(r):
+    return numpy_order(-(r[1] / r[2]) if r[2] > 0 else -np.inf, r[0])
 
-    def ratio_key(r):
-        return numpy_order(-(r[1] / r[2]) if r[2] > 0 else -np.inf, r[0])
 
+def assert_policies_match_the_list_reference(reports, gains, capacity):
+    items = list(zip(reports.ed_id.tolist(), reports.delta.tolist(), reports.w.tolist()))
     cases = [
         (greedy_allocate(reports, capacity), ratio_key, True),
         (channel_policy(gains, reports, capacity),
@@ -245,3 +248,42 @@ def test_array_policies_match_the_list_reference(instance, capacity):
     ]
     for alloc, key, halt in cases:
         assert (alloc.selected, alloc.capacity_used) == reference_fill(items, capacity, key, halt)
+
+
+@given(instance=policy_instances)
+@settings(max_examples=500, deadline=None)
+def test_array_policies_match_the_list_reference(instance):
+    ids, deltas, ws, gains, capacity = instance
+    assert_policies_match_the_list_reference(make_reports(ids, deltas, ws), np.array(gains),
+                                             capacity)
+
+
+def test_baselines_go_on_past_the_sorted_head():
+    # capacity 3: the head is the 4 largest deltas; the 3 largest need 10 RBs
+    # each, so only delta 6 fits there, and 5 and 4 fill the rest from past it
+    reports = reports_of([(9.0, 10), (8.0, 10), (7.0, 10), (6.0, 1), (5.0, 1), (4.0, 1),
+                          (3.0, 1)])
+    alloc = utility_policy(reports, capacity=3)
+    assert alloc.selected == frozenset({3, 4, 5})
+    assert alloc.capacity_used == 3
+    # the halting greedy stops inside the head: ratios 6, 5, 4, 3 come first
+    assert greedy_allocate(reports, capacity=3).selected == frozenset({3, 4, 5})
+
+
+def test_head_takes_every_tie_at_its_last_key():
+    # capacity 2: the head ends at the third-smallest key, where the five
+    # delta-2 EDs tie; reported in reverse order, they are still taken by
+    # ascending ed_id, and the halting greedy reaches them
+    reports = make_reports([6, 5, 4, 3, 2, 1, 0], [1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 3.0],
+                           np.ones(7, dtype=int))
+    assert greedy_allocate(reports, capacity=2).selected == frozenset({0, 1})
+    assert utility_policy(reports, capacity=2).selected == frozenset({0, 1})
+
+
+def test_policies_match_the_list_reference_on_a_paper_scale_market():
+    # demand response at J=15000: about 10,000 paid candidates for 1000 RBs
+    wl = DemandResponseWorkload(DrParams(num_eds=15000), seed=3)
+    gains = sample_gains(np.random.default_rng(4), wl.num_eds)
+    reports = collect_reports(wl, gains, ChannelConfig(capacity=1000))
+    assert np.count_nonzero((reports.delta > 0) & (reports.w > 0)) > 5000
+    assert_policies_match_the_list_reference(reports, gains, 1000)

@@ -240,6 +240,20 @@ def test_fold_dispatch_takes_every_ed_when_feasible_only_within_tolerance():
     assert cost == 3.0
 
 
+def test_fold_dispatch_crosses_after_the_base_crossing_at_caps_below_the_floor():
+    # the base dispatch meets pi_min = 3 at its third ED; at 1e-9 below each
+    # floor the fold is 3e-9 short there and goes on to the fourth
+    inst = DrInstance(np.array([4.0, 1.0, 3.0, 2.0, 5.0, 0.5]), np.ones(6), np.full(6, 2.0),
+                      pi_min=3.0)
+    assert list(inst.tables.order[:inst.base_crossing + 1]) == [5, 1, 3]
+    cap = np.full(6, 1.0 - 1e-9)
+    cost, pi = solve_dr(inst, cap)
+    expected = reference_solve_dr(inst, cap)
+    assert cost == expected[0]
+    np.testing.assert_array_equal(pi, expected[1])
+    assert pi[2] > 0 and pi[0] == pi[4] == 0
+
+
 def test_known_values_outside_the_support_are_rejected():
     args = (np.array([1.0, 2.0]), np.array([1.0, 1.0]), np.array([2.0, 2.0]), 1.0)
     inst = DrInstance(*args)
@@ -314,6 +328,57 @@ def test_dispatch_order_marginals_are_the_ed_order_ones_bit_for_bit(case):
     with np.errstate(invalid="ignore"):  # inf - inf where the last ED costs inf
         assert_same_bits(dr_marginal_utilities(instance, values),
                          reference_dr_marginal_utilities(instance, values))
+
+
+def search_window(instance: DrInstance, values) -> int:
+    """Entries of the prefix-sum window that dr_marginal_utilities counts
+    below each ED's needle: from the smallest needle's crossing up to the
+    base crossing T (-1 when no ED is active)."""
+    T, P = instance.base_crossing, instance.tables.P
+    da = np.fmax(values[instance.tables.order[:T]] - instance.tables.lo[:T], 0.0)
+    if not np.any(da > 0):
+        return -1
+    start = int(np.searchsorted(P[1:], (instance.pi_min - da - 1e-12).min(), side="left"))
+    return T - start
+
+
+@st.composite
+def window_instances(draw):
+    """Markets with floors of 0 or 1, so P holds whole numbers and a zero
+    floor repeats its predecessor, with cost ties and pi_min at a prefix
+    sum. Each value lifts its floor by less than `lift`: a lift of 0.5 can
+    not move a crossing, which leaves the window empty; 3 and 40 give
+    short windows; 300, with at least 300 unit floors before pi_min,
+    widens the window past 256 entries, to the binary-search fallback."""
+    lift = draw(st.sampled_from([0.5, 3.0, 40.0, 300.0]))
+    n = draw(st.integers(1, 60) if lift < 300 else st.integers(301, 700))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    costs = rng.integers(0, 4, n).astype(float)
+    order = np.lexsort((np.arange(n), costs))
+    xi_lo = (rng.random(n) >= draw(st.sampled_from([0.0, 0.3, 0.8]))).astype(float)
+    values = xi_lo + rng.uniform(0.0, lift, n) * (rng.random(n) < 0.7)
+    first = 0
+    if lift == 300:
+        xi_lo[order[:300]] = 1.0
+        values[order[0]] = 300.0 - 1e-6
+        first = 300
+    pi_min = float(np.cumsum(xi_lo[order])[draw(st.integers(first, n - 1))])
+    return DrInstance(costs, xi_lo, xi_lo + lift, pi_min), values, lift
+
+
+@given(case=window_instances())
+@settings(max_examples=200, deadline=None)
+def test_window_count_is_the_left_search_bit_for_bit(case):
+    instance, values, lift = case
+    assert_same_bits(dr_marginal_utilities(instance, values),
+                     reference_dr_marginal_utilities(instance, values))
+    width = search_window(instance, values)
+    if lift == 0.5:
+        assert width <= 0
+    elif lift == 300:
+        assert width >= 256
+    else:
+        assert width < 256
 
 
 def test_dispatch_order_marginals_are_the_ed_order_ones_at_paper_scale():
