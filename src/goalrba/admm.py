@@ -29,14 +29,6 @@ class PenaltyRegimeError(ValueError):
     """Penalty below certificate regime: rho/2 - kappa_j/rho not positive."""
 
 
-def soft_threshold(v: np.ndarray, tau) -> np.ndarray:
-    """Elementwise sign(v) * max(|v| - tau, 0); tau broadcasts against v."""
-    if np.any(tau < 0):
-        raise ValueError(f"threshold must be non-negative, got {tau}")
-    v = np.asarray(v, dtype=float)
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
-
-
 @dataclass
 class EdLocalProblem:
     """One ED's data: observations Y, states X, and the smooth-part constant.
@@ -186,10 +178,11 @@ def _stop_residuals(theta, grad, varrho, sub, tmp, nonzero, tol=None):
     """Each row's minimum-norm subgradient residual; sub, tmp, nonzero are scratch.
 
     The subgradient is grad where varrho is 0; otherwise, where theta != 0,
-    grad + varrho * sign(theta), and elsewhere soft_threshold(grad, varrho).
-    With tol, the norms of max(|grad| - varrho, 0) screen it first: they
-    are a lower bound on the residual in floats, so when none of them
-    reaches tol no row can stop, and None comes back instead.
+    grad + varrho * sign(theta), and elsewhere grad soft-thresholded at
+    varrho, sign(grad) * max(|grad| - varrho, 0). With tol, the norms of
+    max(|grad| - varrho, 0) screen it first: they are a lower bound on the
+    residual in floats, so when none of them reaches tol no row can stop,
+    and None comes back instead.
     """
     if varrho == 0:
         return _row_norms(grad)
@@ -226,17 +219,17 @@ def update_local(
     residual, not fatal. Each ED's iterates are those of a solve on its own.
     ed_ids must not be empty; the K solutions come back stacked in its order.
 
-    The loop does soft_threshold's operations on buffers allocated once per
-    call: the threshold step * varrho is checked once, before the loop, and
-    every elementwise op and matmul writes into a buffer. The active EDs sit
-    in the leading rows of every buffer. step, tau and theta0 are expanded
-    to full (K, d, d) buffers once, because a broadcast operand makes every
-    op slower and the values are the same. The sign step is np.copysign:
-    max(|v| - tau, 0) is never negative, so copysign gives sign(v) times it,
-    except where v is -0.0: np.sign(-0.0) is +0.0, so the product was +0.0
-    and copysign gives -0.0. Zeros of either sign compare equal and give
-    equal values in every later op of the solve, so no iterate or stop
-    moves.
+    The loop soft-thresholds, v -> sign(v) * max(|v| - tau, 0), on buffers
+    allocated once per call: the threshold step * varrho is checked once,
+    before the loop, and every elementwise op and matmul writes into a
+    buffer. The active EDs sit in the leading rows of every buffer. step,
+    tau and theta0 are expanded to full (K, d, d) buffers once, because a
+    broadcast operand makes every op slower and the values are the same. The
+    sign step is np.copysign: max(|v| - tau, 0) is never negative, so
+    copysign gives sign(v) times it, except where v is -0.0: np.sign(-0.0)
+    is +0.0, so the product was +0.0 and copysign gives -0.0. Zeros of
+    either sign compare equal and give equal values in every later op of the
+    solve, so no iterate or stop moves.
 
     The stop test is screened. The first three ops of the subgradient give
     sub = max(|grad| - varrho, 0), and the norms of its rows bound the exact
@@ -267,7 +260,7 @@ def update_local(
     residual = np.full(k, np.inf)
     _local_grad(theta, X, Y, lam, rho, theta0, pred, grad, tmp)
     for _ in range(max_iter):
-        # theta = soft_threshold(theta - step * grad, tau)
+        # v = theta - step * grad; theta = sign(v) * max(|v| - tau, 0)
         np.multiply(step, grad, out=tmp)
         np.subtract(theta, tmp, out=tmp)
         np.abs(tmp, out=theta)

@@ -63,17 +63,6 @@ def _check_capacity(capacity: int) -> None:
         raise ValueError(f"capacity must be non-negative, got {capacity}")
 
 
-def _ascending(keys: np.ndarray, ed_id: np.ndarray) -> np.ndarray:
-    """Positions that put keys in ascending (key, ed_id) order."""
-    order = np.argsort(keys)
-    # Distinct keys have one ascending order, so any sort finds it; only a
-    # tie (-0.0 == 0.0 included) or a NaN needs ed_id as the second key.
-    ranked = keys[order]
-    if np.any(ranked[1:] == ranked[:-1]) or np.isnan(ranked[-1:]).any():
-        order = np.lexsort((ed_id, keys))
-    return order
-
-
 def _take_in_order(ids, ws, remaining: int, halt_on_overflow, picked: list) -> int:
     """Take EDs in the given order while their demands ws fit in remaining.
 
@@ -120,7 +109,7 @@ def _fill_budget(reports: np.recarray, capacity: int, key, *, halt_on_overflow) 
 
     def in_order(part):
         """Ids and demands of the candidates at positions part, in order."""
-        order = part[_ascending(keys[part], ed_id_p[part])]
+        order = part[np.lexsort((ed_id_p[part], keys[part]))]
         return ed_id_p[order], w_p[order]
 
     head, tail = np.arange(len(keys)), None

@@ -25,14 +25,15 @@ class NoPathError(ValueError):
     """No path from source to destination in the road network."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class DrInstance:
     """Robust load-shedding market.
 
     costs: unit cost per ED in $/kW; xi_lo/xi_hi: support of each ED's
     reducible load in kW; pi_min: total required reduction. The revealed
     loads of a round are not part of the market: solve_dr takes them as a
-    capacity array.
+    capacity array. Frozen, so the cached tables and base_cost stay the
+    market's own.
     """
 
     costs: np.ndarray
@@ -41,9 +42,8 @@ class DrInstance:
     pi_min: float
 
     def __post_init__(self):
-        self.costs = np.asarray(self.costs, dtype=float)
-        self.xi_lo = np.asarray(self.xi_lo, dtype=float)
-        self.xi_hi = np.asarray(self.xi_hi, dtype=float)
+        for name in ("costs", "xi_lo", "xi_hi"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if np.any(self.xi_lo < 0) or np.any(self.xi_lo > self.xi_hi):
             raise ValueError("support bounds must satisfy 0 <= xi_lo <= xi_hi")
         if self.pi_min < 0:

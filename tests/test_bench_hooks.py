@@ -1,0 +1,62 @@
+"""The names the benchmark in perfbench/ hooks into must exist in goalrba.
+
+The tracer and the allocation probe patch module attributes by name and read
+workload attributes with a default, so a renamed or removed name does not
+fail there: a span goes missing, a probe makes every timed run incorrect, or
+a counter silently reads 0. These checks load the benchmark's modules by
+file path and fail on such a name instead.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from goalrba import harness
+from goalrba.decision import DemandResponseWorkload, DrParams
+from goalrba.learning import EdgeLearningParams, EdgeLearningWorkload
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_bench_module(name):
+    """The perfbench module ``name``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve their annotations through sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = load_bench_module("tracing")
+workloads = load_bench_module("workloads")
+
+
+@pytest.mark.parametrize("module_name, owner_path, attr, layer", tracing.SPANS)
+def test_every_traced_span_resolves(module_name, owner_path, attr, layer):
+    owner = importlib.import_module(module_name)
+    for part in filter(None, owner_path.split(".")):
+        owner = getattr(owner, part)
+    assert callable(getattr(owner, attr)), layer
+
+
+@pytest.mark.parametrize("name", workloads.AllocationProbe.NAMES)
+def test_every_probed_policy_is_a_harness_attribute(name):
+    assert callable(getattr(harness, name))
+
+
+def test_the_traced_counters_read_workload_attributes():
+    dr = DemandResponseWorkload(DrParams(num_eds=6, pi_min=3.0), seed=0)
+    assert len(dr.history) > 0
+    edge = EdgeLearningWorkload(
+        EdgeLearningParams(num_eds=4, num_classes=4, dim=8, hidden_dim=4,
+                           train_per_class=10, test_per_class=2, batch_per_round=3,
+                           epochs_per_round=1, concentrated_classes=(2, 3)),
+        seed=0,
+    )
+    assert edge.collected == []
+    edge.ingest([0, 1])
+    assert len(edge.collected) == 6

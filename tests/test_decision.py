@@ -1,5 +1,6 @@
 """Robust load shedding and routing: LP oracle agreement, marginal identities."""
 
+import dataclasses
 import heapq
 import subprocess
 import sys
@@ -264,6 +265,15 @@ def test_known_values_outside_the_support_are_rejected():
     # the tolerance admits a value 1e-9 below the floor
     _, pi = solve_dr(inst, np.array([1.0, 1.0 - 1e-9]))
     np.testing.assert_array_equal(pi, [1.0, 0.0])
+
+
+def test_market_is_frozen_so_its_cached_tables_stay_its_own():
+    inst = DrInstance([1.0, 2.0, 3.0], np.ones(3), np.full(3, 3.0), 1.0)
+    assert inst.costs.dtype == float and inst.base_cost == 1.0
+    for name, value in (("pi_min", 2.5), ("costs", np.zeros(3))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(inst, name, value)
+    assert inst.base_cost == solve_dr(inst)[0] == 1.0
 
 
 def test_infeasible_instance_raises():

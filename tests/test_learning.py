@@ -34,17 +34,16 @@ def test_default_mlp_parameter_count():
     assert Mlp().num_params == 784 * 64 + 64 + 64 * 10 + 10  # 50890
 
 
-def test_params_round_trip_and_copy():
+def test_params_round_trip():
     m = Mlp(12, 7, 4, seed=3)
     flat = m.get_params()
-    clone = m.copy()
     m.set_params(np.zeros(m.num_params))
     assert not np.array_equal(m.get_params(), flat)
-    np.testing.assert_array_equal(clone.get_params(), flat)
-    # get_params hands out a copy, and a clone owns its own buffer
+    m.set_params(flat)
+    np.testing.assert_array_equal(m.params, flat)
+    # get_params hands out a copy
     m.get_params()[:] = -1.0
-    clone.params[:] = 1.0
-    np.testing.assert_array_equal(m.params, 0.0)
+    np.testing.assert_array_equal(m.params, flat)
     with pytest.raises(ValueError):
         m.set_params(np.zeros(3))
 
@@ -114,6 +113,73 @@ def test_local_gradient_full_batch_equals_gradient():
     a = local_gradient(m, X, y, batch_size=4, seed=5)
     b = local_gradient(m, X, y, batch_size=4, seed=5)
     np.testing.assert_array_equal(a, b)
+
+
+def test_training_on_no_rows_is_rejected():
+    X, y = make_gaussian_mixture(3, 20, 30, seed=0)
+    m = Mlp(20, 8, 3, seed=0)
+    for rows in (np.array([], dtype=int), []):
+        with pytest.raises(ValueError, match="sgd_train requires a nonempty dataset"):
+            sgd_train(m, X, y, epochs=1, rows=rows)
+        with pytest.raises(ValueError, match="local_gradient requires a nonempty dataset"):
+            local_gradient(m, X, y, rows=rows)
+    with pytest.raises(ValueError, match="sgd_train requires a nonempty dataset"):
+        sgd_train(m, X[:0], y[:0], epochs=1)
+    with pytest.raises(ValueError, match="local_gradient requires a nonempty dataset"):
+        local_gradient(m, X[:0], y[:0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(st.integers(0, 29), min_size=1, max_size=30, unique=True),
+    batch_size=st.integers(1, 35),
+    momentum=st.sampled_from([0.9, 0.0]),
+)
+def test_sgd_on_rows_trains_the_bits_of_the_gathered_rows(rows, batch_size, momentum):
+    # rows in any order, batches that do and do not divide them
+    X, y = make_gaussian_mixture(3, 8, 10, seed=0)
+    rows = np.array(rows)
+    m, ref = Mlp(8, 5, 3, seed=1), Mlp(8, 5, 3, seed=1)
+    kwargs = dict(epochs=2, batch_size=batch_size, lr=0.05, momentum=momentum, seed=4)
+    sgd_train(m, X, y, rows=rows, **kwargs)
+    sgd_train(ref, X[rows], y[rows], **kwargs)
+    np.testing.assert_array_equal(m.params, ref.params)
+
+
+def test_sgd_on_rows_checks_the_loss_of_those_rows_alone(monkeypatch):
+    # with the logit bound failed, every epoch's check runs the loss forward,
+    # and it must see the training rows only, in the gathered order
+    X, y = make_gaussian_mixture(3, 20, 30, seed=0)
+    rows = np.random.default_rng(1).permutation(len(y))[:40]
+    real_loss = learning.loss
+    seen = []
+
+    def recording(model, X_seen, y_seen):
+        seen.append((X_seen, y_seen))
+        return real_loss(model, X_seen, y_seen)
+
+    monkeypatch.setattr(learning, "logit_bound", lambda *a: np.inf)
+    monkeypatch.setattr(learning, "loss", recording)
+    m, ref = Mlp(20, 8, 3, seed=0), Mlp(20, 8, 3, seed=0)
+    sgd_train(m, X, y, epochs=3, batch_size=25, lr=0.05, seed=2, rows=rows)
+    assert len(seen) == 3
+    for X_seen, y_seen in seen:
+        np.testing.assert_array_equal(X_seen, X[rows])
+        np.testing.assert_array_equal(y_seen, y[rows])
+    sgd_train(ref, X[rows], y[rows], epochs=3, batch_size=25, lr=0.05, seed=2)
+    np.testing.assert_array_equal(m.params, ref.params)
+
+
+@pytest.mark.parametrize("batch_size", [None, 7, 39, 40, 100])
+def test_local_gradient_on_rows_is_the_gradient_of_the_gathered_rows(batch_size):
+    # a shard of 40 rows: batches smaller than it draw from it, the others take it all
+    X, y = make_gaussian_mixture(3, 20, 30, seed=0)
+    rows = np.random.default_rng(1).permutation(len(y))[:40]
+    m = Mlp(20, 8, 3, seed=0)
+    np.testing.assert_array_equal(
+        local_gradient(m, X, y, batch_size=batch_size, seed=5, rows=rows),
+        local_gradient(m, X[rows], y[rows], batch_size=batch_size, seed=5),
+    )
 
 
 def test_sgd_learns_a_separable_mixture():
@@ -351,9 +417,9 @@ def test_running_input_scale_is_the_input_scale_of_the_collected_rows(monkeypatc
     passed = []
     real_sgd_train = learning.sgd_train
 
-    def recording(model, X, y, *args, x_scale=None, **kwargs):
-        passed.append((x_scale, learning.input_scale(X)))
-        return real_sgd_train(model, X, y, *args, x_scale=x_scale, **kwargs)
+    def recording(model, X, y, *args, x_scale=None, rows=None, **kwargs):
+        passed.append((x_scale, learning.input_scale(X[rows])))
+        return real_sgd_train(model, X, y, *args, x_scale=x_scale, rows=rows, **kwargs)
 
     monkeypatch.setattr(learning, "sgd_train", recording)
     wl = EdgeLearningWorkload(small_edge_params(), seed=0)
@@ -365,7 +431,7 @@ def test_running_input_scale_is_the_input_scale_of_the_collected_rows(monkeypatc
         wl.ingest(selected)
         assert len(passed) == k
         if k:
-            scale = learning.input_scale(wl._X_collected[:len(wl.collected)])
+            scale = learning.input_scale(wl.X_train[wl.collected])
             assert passed[-1] == (scale, scale) and wl._x_scale == scale
     wl.X_train[wl._offered(2)[0], 0] = np.nan
     with np.errstate(all="ignore"), pytest.raises(DivergenceError):
