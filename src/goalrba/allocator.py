@@ -24,24 +24,34 @@ class OracleViolationError(ValueError):
     """A heuristic value exceeded the certified optimum: allocator bug."""
 
 
+_REPORT_DTYPE = np.dtype((np.record, [("ed_id", np.int64), ("delta", float), ("w", np.int64)]))
+
+
 def make_reports(ed_id, delta, w) -> np.recarray:
     """Knapsack items, one per ED: marginal utility gain delta and RB demand w.
 
-    A record array with the columns ed_id, delta and w; every delta must be
-    a non-negative number (NaN is rejected, since no policy could rank it)
-    and every w non-negative.
+    A record array with the columns ed_id, delta and w, each input copied
+    once into one new buffer; the three must have one shape. Every delta
+    must be a non-negative number (NaN is rejected, since no policy could
+    rank it) and every w non-negative.
     """
     ed_id = np.asarray(ed_id, dtype=np.int64)
     delta = np.asarray(delta, dtype=float)
     w = np.asarray(w, dtype=np.int64)
-    nan = np.isnan(delta)
-    if nan.any():
-        raise ValueError(f"delta must not be NaN, got NaN for ED {ed_id[nan][0]}")
-    if np.any(delta < 0):
+    if not ed_id.shape == delta.shape == w.shape:
+        raise ValueError(f"ed_id, delta and w must have one shape, got "
+                         f"{ed_id.shape}, {delta.shape} and {w.shape}")
+    # NaN fails the comparison too.
+    if not np.all(delta >= 0):
+        nan = np.isnan(delta)
+        if nan.any():
+            raise ValueError(f"delta must not be NaN, got NaN for ED {ed_id[nan][0]}")
         raise ValueError(f"delta must be non-negative, got {delta.min()}")
     if np.any(w < 0):
         raise ValueError(f"w must be non-negative, got {w.min()}")
-    return np.rec.fromarrays([ed_id, delta, w], names=("ed_id", "delta", "w"))
+    reports = np.recarray(ed_id.shape, dtype=_REPORT_DTYPE)
+    reports["ed_id"], reports["delta"], reports["w"] = ed_id, delta, w
+    return reports
 
 
 @dataclass(frozen=True)

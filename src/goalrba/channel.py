@@ -18,10 +18,16 @@ def rb_bits(gain, channel):
     t*B*log2(1 + g*p / (B*sigma^2)) with the RB duration t, bandwidth B,
     transmit power p and noise power B*sigma^2 (one quantity) of `channel`,
     a harness.ChannelConfig, which holds them positive; zero at zero gain.
-    `gain` may be a scalar or an array, and the result has its shape.
+    `gain` may be a scalar or an array, and the result has its shape. A
+    negative gain is a ValueError, and so is a NaN gain, named by its first
+    (flat) index: its rate would be NaN, which no ED can be scheduled on.
     """
     gain = np.asarray(gain, dtype=float)
-    if np.any(gain < 0):
+    # NaN fails the comparison too.
+    if not np.all(gain >= 0):
+        nan = np.isnan(gain)
+        if nan.any():
+            raise ValueError(f"gain must not be NaN, got NaN at index {np.flatnonzero(nan)[0]}")
         raise ValueError(f"gain must be non-negative, got {gain.min()}")
     return channel.rb_time_s * channel.rb_bandwidth_hz * np.log2(
         1.0 + gain * channel.tx_power_w / channel.noise_power_w)
@@ -42,19 +48,19 @@ def rb_demand(r_min, per_rb):
     sending = r_min > 0
     if np.any(sending & (per_rb <= 0)):
         raise UnreachableEdError("ED unreachable: zero per-RB rate")
-    with np.errstate(over="ignore"):
-        demand = np.ceil(r_min[sending] / per_rb[sending])
+    # One division over the full arrays; an ED with no payload needs no RB
+    # whatever its rate (0/0 is NaN), so its demand is set to zero after.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        demand = np.where(sending, np.ceil(r_min / per_rb), 0.0)
     # 2**63 is exact in float64, and NaN fails the comparison too.
     overflow = ~(demand < 2.0**63)
     if overflow.any():
         i = np.flatnonzero(overflow)[0]
         raise ValueError(
-            f"RB demand of r_min={r_min[sending][i]:g} bits at {per_rb[sending][i]:g} "
-            f"bits per RB is {demand[i]:g}, beyond an int64 count"
+            f"RB demand of r_min={r_min.flat[i]:g} bits at {per_rb.flat[i]:g} "
+            f"bits per RB is {demand.flat[i]:g}, beyond an int64 count"
         )
-    w = np.zeros(r_min.shape, dtype=np.int64)
-    w[sending] = demand
-    return w[()]
+    return demand.astype(np.int64)[()]
 
 
 def sample_gains(seed, num_eds: int) -> np.ndarray:

@@ -32,8 +32,9 @@ class DrInstance:
     costs: unit cost per ED in $/kW; xi_lo/xi_hi: support of each ED's
     reducible load in kW; pi_min: total required reduction. The revealed
     loads of a round are not part of the market: solve_dr takes them as a
-    capacity array. Frozen, so the cached tables and base_cost stay the
-    market's own.
+    capacity array. Frozen, so what it caches (the dispatch tables, the
+    base crossing and cost, and the per-position tables of
+    dr_marginal_utilities) stays the market's own.
     """
 
     costs: np.ndarray
@@ -58,13 +59,23 @@ class DrInstance:
         """The base dispatch's order and prefix tables, built on first use."""
         return dispatch_tables(self.costs, self.xi_lo)
 
-    @property
+    @cached_property
     def base_crossing(self) -> int:
         """Dispatch position at which the base dispatch meets pi_min (J if none).
 
         Read off the prefix sums of xi_lo with the 1e-12 feasibility slack.
         """
         return int(np.searchsorted(self.tables.P[1:], self.pi_min - 1e-12, side="left"))
+
+    @cached_property
+    def stay_costs(self) -> np.ndarray:
+        """Cost at each position q < base_crossing if the crossing moves there.
+
+        CP[q] + c[q] * (pi_min - P[q]): the dispatch of dr_marginal_utilities
+        when a reveal at q lets that ED meet pi_min itself.
+        """
+        T, tables = self.base_crossing, self.tables
+        return tables.CP[:T] + tables.c[:T] * (self.pi_min - tables.P[:T])
 
     @cached_property
     def base_cost(self) -> float:
@@ -162,7 +173,9 @@ def dr_marginal_utilities(instance: DrInstance, values: np.ndarray) -> np.ndarra
     alone. Only the T EDs that the base dispatch takes before the one that
     meets pi_min can lower its cost, so the work runs over the first T
     positions of the dispatch order and the gains are scattered back; an
-    ED whose value is NaN or not above its xi_lo gains 0.
+    ED whose value is NaN or not above its xi_lo gains 0. The cost when a
+    reveal leaves the crossing at the ED's own position depends on the
+    market alone, so it is read from the market (DrInstance.stay_costs).
     """
     values = np.asarray(values, dtype=float)
     J = instance.num_eds
@@ -196,12 +209,11 @@ def dr_marginal_utilities(instance: DrInstance, values: np.ndarray) -> np.ndarra
         below = np.searchsorted(window, needles, side="left")
     q = np.arange(T)
     Tp = np.maximum(q, np.add(below, start, dtype=np.intp))
-    cq = c[:T]
     prev_P, prev_CP = P[Tp], CP[Tp]
     new_cost = np.where(
         Tp == q,
-        CP[:T] + cq * (need - P[:T]),
-        prev_CP + cq * da + c[Tp] * (need - prev_P - da),
+        instance.stay_costs,
+        prev_CP + c[:T] * da + c[Tp] * (need - prev_P - da),
     )
     gains[tables.order[:T]] = np.where(active, np.maximum(base_cost - new_cost, 0.0), 0.0)
     return gains
@@ -318,6 +330,7 @@ class DemandResponseWorkload(Workload):
         self.xi_lo = np.full(J, params.xi_lo)
         self.xi_max = self._rng.uniform(*params.xi_max_range, size=J)
         self.xi_max = np.maximum(self.xi_max, params.xi_lo)
+        self._xi_span = self.xi_max - self.xi_lo
         self.pi_min = params.resolved_pi_min()
         self.market = DrInstance(self.costs, self.xi_lo, self.xi_max, self.pi_min)
         # Old dataset: past real-time loads, same distribution as fresh ones.
@@ -328,8 +341,18 @@ class DemandResponseWorkload(Workload):
         self.begin_round(0)
 
     def _draw_loads(self, size: Optional[int] = None) -> np.ndarray:
+        """One row of loads, or `size` rows, uniform on [xi_lo, xi_max) per ED.
+
+        Generator.uniform(xi_lo, xi_max) draws xi_lo + (xi_max - xi_lo) * u
+        from one double u per entry in C order; this is the same stream and
+        the same arithmetic, without its per-call broadcast and finiteness
+        check, so the same bits.
+        """
         shape = (size, self.num_eds) if size is not None else self.num_eds
-        return self._rng.uniform(self.xi_lo, self.xi_max, size=shape)
+        loads = self._rng.random(shape)
+        loads *= self._xi_span
+        loads += self.xi_lo
+        return loads
 
     @property
     def history(self) -> np.ndarray:

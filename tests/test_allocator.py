@@ -190,6 +190,9 @@ def test_report_validation():
     # NaN > 0 is False, so every policy would silently drop such an ED
     with pytest.raises(ValueError, match="delta must not be NaN, got NaN for ED 7"):
         make_reports([3, 7], [1.0, np.nan], [1, 1])
+    # a column of another length is not broadcast into the report buffer
+    with pytest.raises(ValueError, match="one shape"):
+        make_reports([0, 1], [1.0], [1, 1])
 
 
 def reference_fill(items, capacity, key, halt_on_overflow):
@@ -256,6 +259,20 @@ def test_array_policies_match_the_list_reference(instance):
     ids, deltas, ws, gains, capacity = instance
     assert_policies_match_the_list_reference(make_reports(ids, deltas, ws), np.array(gains),
                                              capacity)
+
+
+@given(instance=policy_instances)
+@settings(max_examples=300, deadline=None)
+def test_policies_read_a_strided_report_view_as_its_contiguous_copy(instance):
+    ids, deltas, ws, gains, capacity = instance
+    view = make_reports(ids, deltas, ws)[::2]
+    copy = view.copy()
+    assert copy.flags.c_contiguous and (len(view) < 2 or not view.flags.c_contiguous)
+    gains = np.array(gains)
+    for policy in (greedy_allocate, utility_policy,
+                   lambda reports, c: channel_policy(gains, reports, c)):
+        assert policy(view, capacity) == policy(copy, capacity)
+    assert_policies_match_the_list_reference(view, gains, capacity)
 
 
 def test_baselines_go_on_past_the_sorted_head():

@@ -12,11 +12,14 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from goalrba import harness
+from goalrba.allocator import make_reports
 from goalrba.decision import DemandResponseWorkload, DrParams
 from goalrba.learning import EdgeLearningParams, EdgeLearningWorkload
+from goalrba.workload import collect_reports
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -60,3 +63,31 @@ def test_the_traced_counters_read_workload_attributes():
     assert edge.collected == []
     edge.ingest([0, 1])
     assert len(edge.collected) == 6
+
+
+def test_reports_are_the_record_array_of_the_column_arrays():
+    ed_id, delta, w = np.array([4, 0, 9]), np.array([0.5, 0.0, 2.25]), np.array([3, 0, 1])
+    reports = make_reports(ed_id, delta, w)
+    reference = np.rec.fromarrays([ed_id, delta, w], names=("ed_id", "delta", "w"))
+    assert type(reports) is np.recarray
+    assert reports.dtype == reference.dtype
+    assert reports.dtype.names == ("ed_id", "delta", "w")
+    assert reports.tobytes() == reference.tobytes()
+    for name in reference.dtype.names:
+        np.testing.assert_array_equal(getattr(reports, name), getattr(reference, name))
+    assert make_reports([], [], []).dtype == reference.dtype
+
+
+def test_the_report_counter_reads_the_delta_of_each_record():
+    # Tracer._count_reports iterates the reports and reads `r.delta`, so
+    # collect_reports must hand back records with attribute access.
+    wl = DemandResponseWorkload(DrParams(num_eds=40, pi_min=20.0), seed=5)
+    gains = np.linspace(0.0, 3.0, 40)
+    gains[7] = 0.0
+    reports = collect_reports(wl, gains, harness.ChannelConfig())
+    assert all(isinstance(r.delta, float) and r.w >= 0 for r in reports)
+    tracer = tracing.Tracer()
+    counted = tracer._count_reports(collect_reports)(wl, gains, harness.ChannelConfig())
+    assert tracer.counts["workload.reports"] == len(counted) == 38
+    assert tracer.counts["workload.unreachable"] == 2
+    assert tracer.counts["allocator.candidates"] == np.count_nonzero(reports.delta > 0) > 0

@@ -36,6 +36,18 @@ def test_rb_bits_zero_gain_and_negative_gain():
         rb_bits([1.0, -0.1], channel)
 
 
+def test_rb_bits_rejects_a_nan_gain_by_its_first_index():
+    # NaN fails no `gain < 0` test; its rate would be NaN, not a number of bits
+    channel = ChannelConfig()
+    with pytest.raises(ValueError, match="NaN at index 0"):
+        rb_bits(np.nan, channel)
+    with pytest.raises(ValueError, match="NaN at index 1"):
+        rb_bits([1.0, np.nan, 2.0, np.nan], channel)
+    # a NaN ahead of a negative gain is still named as the NaN
+    with pytest.raises(ValueError, match="NaN at index 2"):
+        rb_bits([1.0, -0.5, np.nan], channel)
+
+
 def test_rb_bits_scales_with_power():
     # doubling tx power at fixed gain raises the log argument, not linearly
     low = rb_bits(1.0, ChannelConfig(tx_power_w=1.0))
@@ -55,6 +67,8 @@ def test_rb_demand_zero_payload_needs_nothing():
     # even an unreachable ED with nothing to send costs nothing
     assert rb_demand(0.0, 0.0) == 0
     np.testing.assert_array_equal(rb_demand([0.0, 512.0], [0.0, 90.0]), [0, 6])
+    np.testing.assert_array_equal(
+        rb_demand([0.0, 512.0, 0.0, 0.0], [0.0, 90.0, np.inf, -1.0]), [0, 6, 0, 0])
 
 
 def test_rb_demand_unreachable():
@@ -77,6 +91,19 @@ def test_rb_demand_beyond_int64_is_an_error_naming_the_inputs():
         rb_demand(np.nan, 90.0)
     # the largest float demand below 2**63 still fits
     assert rb_demand(2.0**63 - 1024, 1.0) == 2**63 - 1024
+
+
+def test_rb_demand_overflow_names_the_ed_behind_zero_payloads():
+    # The zero-payload EDs ahead of the overflowing one divide nothing; the
+    # message must still name the overflowing ED's own r_min and rate, not
+    # those of the entry at its position among the sending EDs.
+    r_min = [0.0, 0.0, 512.0, 0.0, 1e300, 7e300]
+    per_rb = [0.0, 3.0, 90.0, 5.0, 45.0, 90.0]
+    with pytest.raises(ValueError, match=r"r_min=1e\+300 bits at 45 bits per RB is 2\.2+2e\+298"):
+        rb_demand(r_min, per_rb)
+    # the NaN demand of a NaN rate is named the same way
+    with pytest.raises(ValueError, match=r"r_min=512 bits at nan bits per RB is nan"):
+        rb_demand([0.0, 0.0, 512.0], [0.0, 0.0, np.nan])
 
 
 @given(

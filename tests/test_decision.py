@@ -434,6 +434,34 @@ def test_workload_redraws_each_round():
     assert not np.array_equal(first, wl.true_xi)
 
 
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    num_eds=st.integers(min_value=1, max_value=300),
+    xi_lo=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    xi_max_range=st.tuples(st.floats(-10.0, 1e6), st.floats(-10.0, 1e6)).map(sorted),
+    history_len=st.integers(min_value=1, max_value=8),
+)
+@settings(max_examples=200, deadline=None)
+def test_load_draws_are_generator_uniform_bit_for_bit(seed, num_eds, xi_lo, xi_max_range,
+                                                      history_len):
+    params = DrParams(num_eds=num_eds, xi_lo=xi_lo, xi_max_range=tuple(xi_max_range),
+                      pi_min=0.0, history_len=history_len)
+    wl = DemandResponseWorkload(params, seed=seed)
+    # the construction replayed with Generator.uniform for every load draw
+    rng = np.random.default_rng(seed)
+    rng.uniform(*params.cost_range, size=num_eds)
+    lo = np.full(num_eds, xi_lo)
+    hi = np.maximum(rng.uniform(*params.xi_max_range, size=num_eds), xi_lo)
+    assert_same_bits(wl.history, rng.uniform(lo, hi, size=(history_len, num_eds)))
+    assert_same_bits(wl.true_xi, rng.uniform(lo, hi, size=num_eds))
+    assert wl._rng.bit_generator.state == rng.bit_generator.state
+    # and the draws that follow: one more history block, then one row
+    assert_same_bits(wl._draw_loads(size=history_len),
+                     rng.uniform(lo, hi, size=(history_len, num_eds)))
+    assert_same_bits(wl._draw_loads(), rng.uniform(lo, hi, size=num_eds))
+    assert wl._rng.bit_generator.state == rng.bit_generator.state
+
+
 def test_history_rows_carry_unrevealed_eds_forward():
     wl = DemandResponseWorkload(DrParams(num_eds=6, pi_min=3.0, history_len=4), seed=3)
     initial = wl.history.copy()

@@ -53,6 +53,26 @@ def test_collect_reports_drops_unreachable_eds():
     assert [r.ed_id for r in reports] == [1]
 
 
+def test_collect_reports_rejects_a_nan_gain_instead_of_dropping_its_ed():
+    # A NaN gain used to give a NaN rate, and the ED left the reports as if
+    # unreachable, without a word.
+    wl = StubWorkload(deltas=[1.0, 2.0, 3.0, 4.0], payloads=[512.0] * 4)
+    with pytest.raises(ValueError, match="gain must not be NaN, got NaN at index 1"):
+        collect_reports(wl, gains=[1.0, np.nan, 2.0, 0.5], channel=ChannelConfig())
+
+
+def test_collect_reports_keeps_each_reachable_eds_own_delta_and_demand():
+    # Every ED reachable (the arrays go whole, with no gather), then one
+    # unreachable: the rest keep their own delta and demand.
+    wl = StubWorkload(deltas=[2.0, -1.0, 3.0, 4.0], payloads=[512.0, 0.0, 512.0, 90.0])
+    channel = ChannelConfig()
+    every = collect_reports(wl, gains=[1.0, 0.0, 3.0, 1.0], channel=channel)
+    assert [(r.ed_id, r.delta, r.w) for r in every] == [
+        (0, 2.0, 6), (1, 0.0, 0), (2, 3.0, 3), (3, 4.0, 1)]
+    some = collect_reports(wl, gains=[1.0, 0.0, 0.0, 1.0], channel=channel)
+    assert [(r.ed_id, r.delta, r.w) for r in some] == [(0, 2.0, 6), (1, 0.0, 0), (3, 4.0, 1)]
+
+
 def test_collect_reports_clamps_negative_deltas():
     wl = StubWorkload(deltas=[-4.0], payloads=[512.0])
     reports = collect_reports(wl, gains=[1.0], channel=ChannelConfig())
