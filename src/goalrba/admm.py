@@ -34,7 +34,7 @@ class EdLocalProblem:
     """One ED's data: observations Y, states X, and the smooth-part constant.
 
     One row of AdmmState on its own: the state takes each row's kappa from
-    it, and the stacked kernels match its smooth_loss and smooth_grad.
+    it, and the stacked gradient kernel matches its smooth_grad.
     """
 
     Y: np.ndarray
@@ -48,9 +48,6 @@ class EdLocalProblem:
             raise ValueError("Y and X must have matching sample counts")
         # Largest singular value of X X^T: Lipschitz constant of the smooth part.
         self.kappa = float(np.linalg.norm(self.X @ self.X.T, 2))
-
-    def smooth_loss(self, theta: np.ndarray) -> float:
-        return 0.5 * float(np.linalg.norm(self.Y - theta @ self.X, "fro") ** 2)
 
     def smooth_grad(self, theta: np.ndarray) -> np.ndarray:
         return (theta @ self.X - self.Y) @ self.X.T
@@ -210,7 +207,7 @@ def update_local(
 ) -> np.ndarray:
     """Proximal-gradient (ISTA) solves of the given EDs' subproblems, batched.
 
-    ED j minimizes smooth_loss_j + varrho*||.||_1 + <lambda_j, theta - theta0>
+    ED j minimizes 0.5*||Y_j - theta X_j||^2 + varrho*||.||_1 + <lambda_j, theta - theta0>
     + (rho/2)*||theta - theta0||^2 with step 1/(kappa_j + rho), warm-started
     at theta_j. All EDs iterate together on stacked (K, d, d) arrays, with
     one gradient per iteration; each ED stops at its own iteration, when its
@@ -428,8 +425,7 @@ class AdmmWorkload(Workload):
     def marginal_utilities(self) -> np.ndarray:
         return self._deltas.copy()
 
-    def ingest(self, selected: Iterable[int]) -> None:
-        selected = sorted(set(selected))
+    def ingest(self, selected: Sequence[int]) -> None:
         new_state = run_round(
             self.state, selected, tol=self.params.solver_tol, max_iter=self.params.solver_cap
         )

@@ -9,7 +9,6 @@ solver certifies the greedy suboptimality gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet
 
 import numpy as np
 
@@ -54,17 +53,21 @@ def make_reports(ed_id, delta, w) -> np.recarray:
     return reports
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Allocation:
-    """Selected EDs and the RBs they use in total."""
+    """Selected EDs and the RBs they use in total.
 
-    selected: FrozenSet[int]
+    selected is an int64 array of the selected ED ids, ascending and
+    distinct, which every workload takes as it is.
+    """
+
+    selected: np.ndarray
     capacity_used: int
 
 
 def allocation_value(allocation: Allocation, reports: np.recarray) -> float:
     """Total utility gain an allocation collects from the given reports."""
-    taken = np.isin(reports.ed_id, list(allocation.selected))
+    taken = np.isin(reports.ed_id, allocation.selected)
     return sum(reports.delta[taken].tolist())
 
 
@@ -137,8 +140,7 @@ def _fill_budget(reports: np.recarray, capacity: int, key, *, halt_on_overflow) 
         # now can never fit.
         later = np.flatnonzero(tail & (w_p <= remaining))
         remaining = _take_in_order(*in_order(later), remaining, False, picked)
-    selected = frozenset(np.concatenate(picked).tolist())
-    return Allocation(selected=selected, capacity_used=capacity - remaining)
+    return Allocation(selected=np.sort(np.concatenate(picked)), capacity_used=capacity - remaining)
 
 
 def greedy_allocate(reports: np.recarray, capacity: int) -> Allocation:
@@ -201,7 +203,8 @@ def exact_knapsack(reports: np.recarray, capacity: int) -> Allocation:
         if take[idx, c]:
             picked.append(item_ids[idx])
             c -= item_ws[idx]
-    return Allocation(selected=frozenset(picked), capacity_used=capacity - c)
+    selected = np.sort(np.array(picked, dtype=np.int64))
+    return Allocation(selected=selected, capacity_used=capacity - c)
 
 
 def suboptimality_ratio(greedy_value: float, opt_value: float) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -273,12 +273,14 @@ def solve_routing(instance: RoutingInstance, times) -> Union[float, np.ndarray]:
 
 
 def _check_range(name: str, value) -> None:
-    """Reject a support range [lo, hi] with lo > hi.
+    """Reject a support range [lo, hi] unless hi - lo is +0.0 or more.
 
-    check_fields has made it two numbers, each in the field's range.
+    check_fields has made it two numbers, each in the field's range. A
+    hi - lo of -0.0, as [0.0, -0.0] gives, fails as lo > hi does, since
+    Generator.uniform rejects a span whose sign bit is set.
     """
-    if not value[0] <= value[1]:
-        raise ConfigError(f"{name} must be [lo, hi] with lo <= hi, got {value!r}")
+    if np.signbit(value[1] - value[0]):
+        raise ConfigError(f"{name} must be [lo, hi] with hi - lo >= +0.0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -319,6 +321,7 @@ class DemandResponseWorkload(Workload):
     in. The market's dispatch tables and base cost (the goal before any
     reveal), and in expected mode one gain row per history row, are built
     on first use and reused, since none of them changes between rounds.
+    history is the list of past load rows, one array per row, oldest first.
     """
 
     def __init__(self, params: DrParams, seed):
@@ -334,9 +337,9 @@ class DemandResponseWorkload(Workload):
         self.pi_min = params.resolved_pi_min()
         self.market = DrInstance(self.costs, self.xi_lo, self.xi_max, self.pi_min)
         # Old dataset: past real-time loads, same distribution as fresh ones.
-        # One array per row; rows are only ever appended.
-        self.history_rows: List[np.ndarray] = list(self._draw_loads(size=params.history_len))
-        # dr_marginal_utilities of history_rows[i] for every i cached so far.
+        # Rows are only ever appended.
+        self.history: List[np.ndarray] = list(self._draw_loads(size=params.history_len))
+        # dr_marginal_utilities of history[i] for every i cached so far.
         self._gain_rows: List[np.ndarray] = []
         self.begin_round(0)
 
@@ -353,11 +356,6 @@ class DemandResponseWorkload(Workload):
         loads *= self._xi_span
         loads += self.xi_lo
         return loads
-
-    @property
-    def history(self) -> np.ndarray:
-        """The history rows as one (rows, num_eds) array, freshly stacked."""
-        return np.array(self.history_rows, dtype=float).reshape(-1, self.num_eds)
 
     def begin_round(self, round_idx: int) -> None:
         self.true_xi = self._draw_loads()
@@ -377,7 +375,7 @@ class DemandResponseWorkload(Workload):
         of rows added since the last call are computed, and the draws are
         gathered from the table.
         """
-        rows = self.history_rows
+        rows = self.history
         idx = rng.integers(0, len(rows), size=(num_samples, self.num_eds))
         self._gain_rows.extend(
             dr_marginal_utilities(self.market, row) for row in rows[len(self._gain_rows):]
@@ -385,7 +383,7 @@ class DemandResponseWorkload(Workload):
         table = np.array(self._gain_rows)
         return np.mean(np.take_along_axis(table, idx, axis=0), axis=0)
 
-    def ingest(self, selected: Iterable[int]) -> None:
+    def ingest(self, selected: Sequence[int]) -> None:
         """Reveal the selected EDs' loads and append one history row.
 
         The new row holds each revealed ED's true load of this round; every
@@ -394,15 +392,14 @@ class DemandResponseWorkload(Workload):
         repeats an ED's last value once per round it sits out. No row is
         appended when nothing is revealed.
         """
-        ids = np.fromiter(selected, dtype=np.intp)
-        if len(ids) == 0:
+        if len(selected) == 0:
             return
-        values = self.true_xi[ids]
-        self.cap[ids] = values
+        values = self.true_xi[selected]
+        self.cap[selected] = values
         self._revealed = True
-        row = self.history_rows[-1].copy()
-        row[ids] = values
-        self.history_rows.append(row)
+        row = self.history[-1].copy()
+        row[selected] = values
+        self.history.append(row)
 
     def goal_value(self) -> float:
         """Dispatch cost at this round's capacities: the market's base cost until a reveal."""
@@ -507,9 +504,8 @@ class RoutingWorkload(Workload):
             rows[:, j] = hi[j]
         return out
 
-    def ingest(self, selected: Iterable[int]) -> None:
-        ids = np.fromiter(selected, dtype=np.intp)
-        self.times[ids] = self.true_tau[ids]
+    def ingest(self, selected: Sequence[int]) -> None:
+        self.times[selected] = self.true_tau[selected]
 
     def goal_value(self) -> float:
         return solve_routing(self.network, self.times)

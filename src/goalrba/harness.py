@@ -107,6 +107,8 @@ class ScenarioConfig:
             raise ConfigError(
                 f"unknown gain normalization {self.gain_normalization!r}"
             )
+        # Bad params keys fail here, not when the workload is built.
+        _strict_dataclass(WORKLOADS[self.workload][0], self.params, self.workload)
 
 
 @dataclass
@@ -162,11 +164,7 @@ def load_config(path) -> ScenarioConfig:
     kwargs = dict(raw)
     kwargs["channel"] = _strict_dataclass(ChannelConfig, raw.get("channel", {}), "channel")
     kwargs["params"] = raw.get("params", {}) or {}
-    config = _strict_dataclass(ScenarioConfig, kwargs, "config")
-    # Validate the workload parameter block eagerly so bad keys fail at load.
-    params_cls, _ = WORKLOADS[config.workload]
-    _strict_dataclass(params_cls, config.params, config.workload)
-    return config
+    return _strict_dataclass(ScenarioConfig, kwargs, "config")
 
 
 def config_to_dict(config: ScenarioConfig) -> Dict:
@@ -224,9 +222,8 @@ def run_scenario(
             )
             allocation = _allocate(config.policy, gains, reports, capacity)
             goal_before = workload.goal_value()
-            selected = sorted(allocation.selected)
-            throughput = workload.throughput(selected)
-            workload.ingest(selected)
+            throughput = workload.throughput(allocation.selected)
+            workload.ingest(allocation.selected)
             goal_after = workload.goal_value()
         except Exception as exc:
             raise RoundError(k, config.workload, exc) from exc

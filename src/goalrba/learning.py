@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -353,10 +353,10 @@ class _LearningWorkload(Workload):
         )
 
     @abc.abstractmethod
-    def _train(self, selected: Iterable[int]) -> None:
+    def _train(self, selected: Sequence[int]) -> None:
         """Update the model with the data of the selected EDs."""
 
-    def ingest(self, selected: Iterable[int]) -> None:
+    def ingest(self, selected: Sequence[int]) -> None:
         self._goal = None
         self._train(selected)
 
@@ -402,7 +402,7 @@ class EdgeLearningWorkload(_LearningWorkload):
                 out[ed_id] = losses.sum()
         return out
 
-    def _train(self, selected: Iterable[int]) -> None:
+    def _train(self, selected: Sequence[int]) -> None:
         added = []
         for ed_id in selected:
             idx = self._offered(ed_id)
@@ -430,7 +430,7 @@ class EdgeLearningWorkload(_LearningWorkload):
         offered = [len(self._offered(ed_id)) for ed_id in range(self.num_eds)]
         return np.array(offered, dtype=float) * self.params.bits_per_sample
 
-    def throughput(self, selected: Iterable[int]) -> int:
+    def throughput(self, selected: Sequence[int]) -> int:
         return int(sum(len(self._offered(ed_id)) for ed_id in selected))
 
 
@@ -503,11 +503,10 @@ class FederatedWorkload(_LearningWorkload):
             for j, g in enumerate(self._round_grads)
         ])
 
-    def _train(self, selected: Iterable[int]) -> None:
-        selected = sorted(selected)
+    def _train(self, selected: Sequence[int]) -> None:
         if self._round_grads is None:
             self.begin_round(0)
-        if selected:
+        if len(selected):
             grads = [self._round_grads[j] for j in selected]
             counts = [self.counts[j] for j in selected]
             self.model.set_params(

@@ -19,7 +19,7 @@ import abc
 import functools
 import numbers
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -119,7 +119,9 @@ class Workload(abc.ABC):
 
     Per-ED quantities (marginal_utilities, expected_marginal_utilities,
     payload_bits) are float arrays of length num_eds indexed by ED id. Each
-    call returns a fresh array that the caller may keep and modify.
+    call returns a fresh array that the caller may keep and modify. The
+    `selected` that ingest and throughput take holds ED ids, ascending and
+    distinct, as an array (Allocation.selected, in a run) or a list.
     """
 
     num_eds: int
@@ -132,7 +134,7 @@ class Workload(abc.ABC):
         """Per-ED delta against the current dataset. Side-effect free."""
 
     @abc.abstractmethod
-    def ingest(self, selected: Iterable[int]) -> None:
+    def ingest(self, selected: Sequence[int]) -> None:
         """Absorb the data of the selected EDs and advance internal state."""
 
     @abc.abstractmethod
@@ -143,9 +145,9 @@ class Workload(abc.ABC):
     def payload_bits(self) -> np.ndarray:
         """Bits each ED must deliver this round (its r_min contribution)."""
 
-    def throughput(self, selected: Iterable[int]) -> int:
+    def throughput(self, selected: Sequence[int]) -> int:
         """Transmitted units for the metrics row; default is ED count."""
-        return len(list(selected))
+        return len(selected)
 
     def expected_marginal_utilities(
         self, num_samples: int, rng: np.random.Generator

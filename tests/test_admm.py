@@ -43,6 +43,14 @@ def soft_threshold(v: np.ndarray, tau) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
+def smooth_loss(problem: EdLocalProblem, theta: np.ndarray) -> float:
+    """0.5 * ||Y - theta X||_F^2: the smooth part of one ED's local objective.
+
+    The reference for smooth_grad and for the Lagrangian's data term.
+    """
+    return 0.5 * float(np.linalg.norm(problem.Y - theta @ problem.X, "fro") ** 2)
+
+
 def test_soft_threshold_cases():
     v = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
     np.testing.assert_allclose(soft_threshold(v, 1.0), [-2.0, 0.0, 0.0, 0.0, 2.0])
@@ -80,9 +88,9 @@ def test_smooth_grad_matches_finite_differences():
     for idx in [(0, 0), (1, 2), (2, 1)]:
         bump = theta.copy()
         bump[idx] += eps
-        up = p.smooth_loss(bump)
+        up = smooth_loss(p, bump)
         bump[idx] -= 2 * eps
-        down = p.smooth_loss(bump)
+        down = smooth_loss(p, bump)
         assert g[idx] == pytest.approx((up - down) / (2 * eps), rel=1e-5)
 
 
@@ -198,7 +206,7 @@ def reference_lagrangian(state):
     total = 0.0
     for problem, theta, lam in zip(state.problems, state.thetas, state.lambdas):
         diff = theta - state.theta0
-        total += problem.smooth_loss(theta)
+        total += smooth_loss(problem, theta)
         total += state.varrho * float(np.abs(theta).sum())
         total += float(np.sum(lam * diff))
         total += 0.5 * state.rho * float(np.linalg.norm(diff, "fro") ** 2)

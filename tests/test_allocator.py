@@ -48,7 +48,7 @@ def brute_force(reports, capacity):
 
 def test_fixed_instance_halting_greedy():
     alloc = greedy_allocate(FIXED, FIXED_CAP)
-    assert alloc.selected == frozenset({0, 1})
+    assert alloc.selected.tolist() == [0, 1]
     assert allocation_value(alloc, FIXED) == pytest.approx(11.5)
     assert alloc.capacity_used == 5
 
@@ -115,19 +115,19 @@ def test_greedy_is_input_order_invariant():
     for _ in range(10):
         shuffled = reports.copy()
         rng.shuffle(shuffled)
-        assert greedy_allocate(shuffled, 10).selected == base.selected
+        assert greedy_allocate(shuffled, 10).selected.tolist() == base.selected.tolist()
 
 
 def test_zero_delta_items_are_dropped():
     reports = reports_of([(0.0, 1), (1.0, 1)])
-    assert greedy_allocate(reports, 10).selected == frozenset({1})
-    assert exact_knapsack(reports, 10).selected == frozenset({1})
+    assert greedy_allocate(reports, 10).selected.tolist() == [1]
+    assert exact_knapsack(reports, 10).selected.tolist() == [1]
 
 
 def test_zero_weight_items_ride_free():
     reports = reports_of([(2.0, 0), (1.0, 5)])
     alloc = greedy_allocate(reports, 0)
-    assert alloc.selected == frozenset({0})
+    assert alloc.selected.tolist() == [0]
     assert alloc.capacity_used == 0
 
 
@@ -135,7 +135,7 @@ def test_channel_policy_orders_by_gain():
     gains = np.array([0.1, 5.0, 2.0, 9.0])
     reports = reports_of([(1.0, 2)] * 4)
     alloc = channel_policy(gains, reports, capacity=4)
-    assert alloc.selected == frozenset({3, 1})
+    assert alloc.selected.tolist() == [1, 3]
 
 
 def test_channel_policy_skips_non_fitting():
@@ -143,7 +143,7 @@ def test_channel_policy_skips_non_fitting():
     reports = reports_of([(1.0, 6), (1.0, 3), (1.0, 2)])
     # best-gain ED does not fit; the benchmark keeps going
     alloc = channel_policy(gains, reports, capacity=5)
-    assert alloc.selected == frozenset({1, 2})
+    assert alloc.selected.tolist() == [1, 2]
 
 
 def test_channel_policy_ranks_nan_gains_last_by_ed_id():
@@ -153,13 +153,13 @@ def test_channel_policy_ranks_nan_gains_last_by_ed_id():
     gains = np.full(n, np.nan)
     gains[5] = 1.0
     reports = make_reports(np.arange(n)[::-1], np.ones(n), np.full(n, 2))
-    assert channel_policy(gains, reports, capacity=8).selected == frozenset({5, 0, 1, 2})
+    assert channel_policy(gains, reports, capacity=8).selected.tolist() == [0, 1, 2, 5]
 
 
 def test_utility_policy_orders_by_delta():
     reports = reports_of([(1.0, 1), (9.0, 4), (5.0, 1)])
     alloc = utility_policy(reports, capacity=5)
-    assert alloc.selected == frozenset({1, 2})
+    assert alloc.selected.tolist() == [1, 2]
 
 
 def test_suboptimality_ratio_edges():
@@ -197,7 +197,7 @@ def test_report_validation():
 
 def reference_fill(items, capacity, key, halt_on_overflow):
     """List-based sort-and-fill over (ed_id, delta, w) tuples: the oracle for
-    the array policies. Returns (selected, capacity_used)."""
+    the array policies. Returns (ascending selected ids, capacity_used)."""
     ordered = sorted((r for r in items if r[1] > 0), key=key)
     picked = [r for r in ordered if r[2] == 0]
     remaining = capacity
@@ -208,7 +208,7 @@ def reference_fill(items, capacity, key, halt_on_overflow):
             continue
         picked.append(r)
         remaining -= r[2]
-    return frozenset(r[0] for r in picked), sum(r[2] for r in picked)
+    return sorted(r[0] for r in picked), sum(r[2] for r in picked)
 
 
 def numpy_order(value, ed_id):
@@ -250,7 +250,8 @@ def assert_policies_match_the_list_reference(reports, gains, capacity):
         (utility_policy(reports, capacity), lambda r: numpy_order(-r[1], r[0]), False),
     ]
     for alloc, key, halt in cases:
-        assert (alloc.selected, alloc.capacity_used) == reference_fill(items, capacity, key, halt)
+        assert ((alloc.selected.tolist(), alloc.capacity_used)
+                == reference_fill(items, capacity, key, halt))
 
 
 @given(instance=policy_instances)
@@ -271,8 +272,28 @@ def test_policies_read_a_strided_report_view_as_its_contiguous_copy(instance):
     gains = np.array(gains)
     for policy in (greedy_allocate, utility_policy,
                    lambda reports, c: channel_policy(gains, reports, c)):
-        assert policy(view, capacity) == policy(copy, capacity)
+        a, b = policy(view, capacity), policy(copy, capacity)
+        assert (a.selected.tolist(), a.capacity_used) == (b.selected.tolist(), b.capacity_used)
     assert_policies_match_the_list_reference(view, gains, capacity)
+
+
+@given(instance=policy_instances)
+@settings(max_examples=300, deadline=None)
+def test_every_policy_selects_an_ascending_int64_id_array(instance):
+    # the one selection format every workload ingests: reported ED ids,
+    # strictly ascending, whose demands add up to capacity_used
+    ids, deltas, ws, gains, capacity = instance
+    reports = make_reports(ids, deltas, ws)
+    demand = dict(zip(ids, ws))
+    for alloc in (greedy_allocate(reports, capacity), utility_policy(reports, capacity),
+                  channel_policy(np.array(gains), reports, capacity),
+                  exact_knapsack(reports, capacity)):
+        selected = alloc.selected
+        assert isinstance(selected, np.ndarray)
+        assert selected.dtype == np.int64 and selected.ndim == 1
+        assert np.all(np.diff(selected) > 0)
+        assert set(selected.tolist()) <= demand.keys()
+        assert sum(demand[j] for j in selected.tolist()) == alloc.capacity_used <= capacity
 
 
 def test_baselines_go_on_past_the_sorted_head():
@@ -281,10 +302,10 @@ def test_baselines_go_on_past_the_sorted_head():
     reports = reports_of([(9.0, 10), (8.0, 10), (7.0, 10), (6.0, 1), (5.0, 1), (4.0, 1),
                           (3.0, 1)])
     alloc = utility_policy(reports, capacity=3)
-    assert alloc.selected == frozenset({3, 4, 5})
+    assert alloc.selected.tolist() == [3, 4, 5]
     assert alloc.capacity_used == 3
     # the halting greedy stops inside the head: ratios 6, 5, 4, 3 come first
-    assert greedy_allocate(reports, capacity=3).selected == frozenset({3, 4, 5})
+    assert greedy_allocate(reports, capacity=3).selected.tolist() == [3, 4, 5]
 
 
 def test_head_takes_every_tie_at_its_last_key():
@@ -293,8 +314,8 @@ def test_head_takes_every_tie_at_its_last_key():
     # ascending ed_id, and the halting greedy reaches them
     reports = make_reports([6, 5, 4, 3, 2, 1, 0], [1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 3.0],
                            np.ones(7, dtype=int))
-    assert greedy_allocate(reports, capacity=2).selected == frozenset({0, 1})
-    assert utility_policy(reports, capacity=2).selected == frozenset({0, 1})
+    assert greedy_allocate(reports, capacity=2).selected.tolist() == [0, 1]
+    assert utility_policy(reports, capacity=2).selected.tolist() == [0, 1]
 
 
 def test_policies_match_the_list_reference_on_a_paper_scale_market():

@@ -248,20 +248,34 @@ def test_wall_time_flag_populates_the_column():
 
 
 def test_infeasible_workload_fails_at_load(tmp_path):
-    # a requirement beyond the worst-case capacity is a config error
+    # a requirement beyond the worst-case capacity is a config error, read
+    # from YAML and built in Python alike
     from goalrba.decision import InfeasibleDrError
 
-    cfg = ScenarioConfig(
-        workload="demand_response", rounds=1, seed=0,
-        params={"num_eds": 5, "pi_min": 1e9},
-        channel=ChannelConfig(capacity=100),
-    )
+    params = {"num_eds": 5, "pi_min": 1e9}
     path = tmp_path / "cfg.yaml"
-    save_config(cfg, path)
-    with pytest.raises(ConfigError, match="pi_min 1e\\+09 exceeds the worst-case capacity"):
+    path.write_text(yaml.safe_dump({"workload": "demand_response", "rounds": 1, "seed": 0,
+                                    "channel": {"capacity": 100}, "params": params}))
+    match = "pi_min 1e\\+09 exceeds the worst-case capacity"
+    with pytest.raises(ConfigError, match=match):
         load_config(path)
+    with pytest.raises(ConfigError, match=match):
+        ScenarioConfig(workload="demand_response", params=params)
     with pytest.raises(InfeasibleDrError):
         DrParams(num_eds=5, pi_min=1e9)
+
+
+@pytest.mark.parametrize("params, key", [
+    ({"bogus": 1, "num_eds": -3}, "bogus"),
+    ({"num_eds": -3}, "num_eds"),
+    ({"sparsity": "x"}, "sparsity"),
+])
+def test_a_config_built_in_python_checks_its_params_block(params, key):
+    with pytest.raises(ConfigError, match=key):
+        ScenarioConfig(workload="admm", params=params)
+    # replace builds a new config and checks its block too
+    with pytest.raises(ConfigError, match=key):
+        dataclasses.replace(ScenarioConfig(workload="admm"), params=params)
 
 
 def test_round_failures_carry_round_context():
@@ -280,10 +294,10 @@ def test_round_failures_carry_round_context():
 
 
 def test_round_failures_keep_an_index_error_as_the_cause():
-    # an emptied demand-response history makes ingest's history_rows[-1] fail
+    # an emptied demand-response history makes ingest's history[-1] fail
     cfg = small_config(rounds=3)
     wl = build_workload(cfg, seed=np.random.SeedSequence(cfg.seed))
-    wl.history_rows.clear()
+    wl.history.clear()
     with pytest.raises(RoundError, match="round 0 of demand_response failed") as info:
         run_scenario(cfg, workload=wl)
     assert (info.value.round_idx, info.value.workload) == (0, "demand_response")
@@ -372,11 +386,15 @@ def test_cli_exit_code_1_on_config_error(tmp_path):
     ("cost_range", 5.0, "params"),
     ("xi_max_range", [30.0, 1.0], "params"),
     ("xi_max_range", ["a", 1.0], "params"),
+    # hi - lo is -0.0, which Generator.uniform rejects though 0.0 <= -0.0
+    ("xi_max_range", [0.0, -0.0], "params"),
+    ("cost_range", [0.0, -0.0], "params"),
     ("xi_lo", -1.0, "params"),
     ("pi_min", -5.0, "params"),
     ("tau_range", [-1.0, 10.0], "routing"),
     ("tau_range", [10.0, 1.0], "routing"),
     ("tau_range", [1.0], "routing"),
+    ("tau_range", [0.0, -0.0], "routing"),
     ("edge_prob", 1.5, "routing"),
     ("edge_prob", -0.1, "routing"),
     ("history_len", 0, "routing"),
@@ -562,6 +580,9 @@ def test_numpy_scalars_pass_the_field_check():
     (DrParams, {"cost_range": (5.0, 1.0)}, "cost_range"),
     (DrParams, {"xi_max_range": (30.0, 1.0)}, "xi_max_range"),
     (RoutingParams, {"tau_range": (10.0, 1.0)}, "tau_range"),
+    (DrParams, {"xi_max_range": (0.0, -0.0)}, "xi_max_range"),
+    (DrParams, {"cost_range": (0.0, -0.0)}, "cost_range"),
+    (RoutingParams, {"tau_range": (0.0, -0.0)}, "tau_range"),
     (EdgeLearningParams, {"concentrated_classes": (3, 3)}, "concentrated_classes"),
     (EdgeLearningParams, {"concentrated_classes": (6, 10)}, "concentrated_classes"),
     (FederatedParams, {"num_eds": 1}, "concentrated_classes"),
