@@ -8,6 +8,7 @@ its real-time value alone.
 
 from __future__ import annotations
 
+import collections.abc
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -312,6 +313,44 @@ class DrParams:
         return self.num_eds * (1e4 / 15000.0)
 
 
+class DrHistory(collections.abc.Sequence):
+    """Past load rows of demand response, oldest first; a read-only sequence.
+
+    Held as the initial (history_len, J) block plus one (ids, values) pair
+    per revealing round. The row of such a round is the row before it with
+    the revealed EDs' values written in: every unrevealed ED carries its
+    previous value forward. Indexing and iteration build those rows (fresh
+    arrays; a row of the initial block is a read-only view), and len is the
+    row count.
+    """
+
+    def __init__(self, initial: np.ndarray):
+        initial.flags.writeable = False
+        self.initial = initial
+        self.reveals: List[Tuple[np.ndarray, np.ndarray]] = []
+
+    def __len__(self) -> int:
+        return len(self.initial) + len(self.reveals)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        if i < len(self.initial):
+            return self.initial[i]
+        row = self.initial[-1].copy()
+        for ids, values in self.reveals[: i - len(self.initial) + 1]:
+            row[ids] = values
+        return row
+
+    def __iter__(self):
+        yield from self.initial
+        row = self.initial[-1].copy()
+        for ids, values in self.reveals:
+            row[ids] = values
+            yield row.copy()
+
+
 class DemandResponseWorkload(Workload):
     """Emergency demand response: each round is a fresh shedding scenario.
 
@@ -321,7 +360,11 @@ class DemandResponseWorkload(Workload):
     in. The market's dispatch tables and base cost (the goal before any
     reveal), and in expected mode one gain row per history row, are built
     on first use and reused, since none of them changes between rounds.
-    history is the list of past load rows, one array per row, oldest first.
+    history (a DrHistory) holds the past load rows: the initial block, and
+    for each revealing round only the revealed ids and loads, so a round
+    adds O(selected) entries, not a J-length row. Expected mode builds the
+    rows it needs on one replay row of its own, which takes each reveal
+    once, in order.
     """
 
     def __init__(self, params: DrParams, seed):
@@ -338,9 +381,12 @@ class DemandResponseWorkload(Workload):
         self.market = DrInstance(self.costs, self.xi_lo, self.xi_max, self.pi_min)
         # Old dataset: past real-time loads, same distribution as fresh ones.
         # Rows are only ever appended.
-        self.history: List[np.ndarray] = list(self._draw_loads(size=params.history_len))
-        # dr_marginal_utilities of history[i] for every i cached so far.
+        self.history = DrHistory(self._draw_loads(size=params.history_len))
+        # dr_marginal_utilities of history[i] for every i cached so far, and
+        # the replay row, history[len(_gain_rows) - 1], into which the next
+        # reveal is written (expected mode only).
         self._gain_rows: List[np.ndarray] = []
+        self._replay: Optional[np.ndarray] = None
         self.begin_round(0)
 
     def _draw_loads(self, size: Optional[int] = None) -> np.ndarray:
@@ -373,13 +419,18 @@ class DemandResponseWorkload(Workload):
         Delta of ED j depends only on its own value, so the delta of a draw
         from history row i is entry j of that row's gain row; the gain rows
         of rows added since the last call are computed, and the draws are
-        gathered from the table.
+        gathered from the table. The rows of new reveals are built by
+        writing each reveal into the replay row once.
         """
-        rows = self.history
-        idx = rng.integers(0, len(rows), size=(num_samples, self.num_eds))
-        self._gain_rows.extend(
-            dr_marginal_utilities(self.market, row) for row in rows[len(self._gain_rows):]
-        )
+        history = self.history
+        idx = rng.integers(0, len(history), size=(num_samples, self.num_eds))
+        if not self._gain_rows:
+            initial = history.initial
+            self._gain_rows.extend(dr_marginal_utilities(self.market, row) for row in initial)
+            self._replay = initial[-1].copy()
+        for ids, values in history.reveals[len(self._gain_rows) - len(history.initial):]:
+            self._replay[ids] = values
+            self._gain_rows.append(dr_marginal_utilities(self.market, self._replay))
         table = np.array(self._gain_rows)
         return np.mean(np.take_along_axis(table, idx, axis=0), axis=0)
 
@@ -390,16 +441,16 @@ class DemandResponseWorkload(Workload):
         unrevealed ED carries its value from the previous row forward. The
         empirical distribution that utility_mode: expected samples therefore
         repeats an ED's last value once per round it sits out. No row is
-        appended when nothing is revealed.
+        appended when nothing is revealed. The row is stored as the revealed
+        ids (a copy) and their loads.
         """
         if len(selected) == 0:
             return
-        values = self.true_xi[selected]
-        self.cap[selected] = values
+        ids = np.array(selected, dtype=np.int64)
+        values = self.true_xi[ids]
+        self.cap[ids] = values
         self._revealed = True
-        row = self.history[-1].copy()
-        row[selected] = values
-        self.history.append(row)
+        self.history.reveals.append((ids, values))
 
     def goal_value(self) -> float:
         """Dispatch cost at this round's capacities: the market's base cost until a reveal."""

@@ -12,7 +12,8 @@ import dataclasses
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 import yaml
@@ -76,7 +77,11 @@ class ChannelConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One runnable scenario; `params` feeds the workload's parameter block."""
+    """One runnable scenario; `params` feeds the workload's parameter block.
+
+    `params` is kept as a read-only copy of the mapping it is given, so the
+    block checked here is the block the workload is built from.
+    """
 
     workload: str
     policy: str = "hybrid"
@@ -87,10 +92,11 @@ class ScenarioConfig:
     gain_normalization: str = "raw"
     measure_wall_time: bool = False
     channel: ChannelConfig = field(default_factory=ChannelConfig)
-    params: Dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         check_fields(self)
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         if self.workload not in WORKLOADS:
             raise ConfigError(
                 f"unknown workload {self.workload!r}; expected one of {sorted(WORKLOADS)}"
@@ -108,7 +114,7 @@ class ScenarioConfig:
                 f"unknown gain normalization {self.gain_normalization!r}"
             )
         # Bad params keys fail here, not when the workload is built.
-        _strict_dataclass(WORKLOADS[self.workload][0], self.params, self.workload)
+        _strict_dataclass(WORKLOADS[self.workload][0], dict(self.params), self.workload)
 
 
 @dataclass
@@ -144,7 +150,7 @@ def _strict_dataclass(cls, raw: Dict, context: str):
 def build_workload(config: ScenarioConfig, seed=None) -> Workload:
     """Instantiate the configured workload from its parameter block."""
     params_cls, workload_cls = WORKLOADS[config.workload]
-    params = _strict_dataclass(params_cls, config.params, config.workload)
+    params = _strict_dataclass(params_cls, dict(config.params), config.workload)
     return workload_cls(params, config.seed if seed is None else seed)
 
 
@@ -168,7 +174,8 @@ def load_config(path) -> ScenarioConfig:
 
 
 def config_to_dict(config: ScenarioConfig) -> Dict:
-    out = dataclasses.asdict(config)
+    out = {f.name: getattr(config, f.name) for f in fields(config)}
+    out["channel"] = dataclasses.asdict(config.channel)
     out["params"] = dict(config.params)
     return out
 

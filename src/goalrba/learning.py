@@ -8,7 +8,8 @@ checked by ``goalrba verify`` and the tests; the round loop does not call it.
 
 The MLP keeps its weights in one flat float64 buffer, ``Mlp.params``, and
 ``W1``, ``b1``, ``W2`` and ``b2`` are reshaped views into it, so SGD and
-aggregation update the network in place without concatenating or copying.
+aggregation update the network in place without concatenating or copying;
+``gradient`` writes its blocks into one flat array of the same layout.
 Training reads the collected rows and the client shards through row indices
 into the training set (``rows``), so no workload keeps a copy of its data.
 Both learning workloads share one goal, the mean training loss, memoised per
@@ -53,18 +54,20 @@ class Mlp:
         self.hidden_dim = hidden_dim
         self.output_dim = output_dim
         shapes = ((input_dim, hidden_dim), (hidden_dim,), (hidden_dim, output_dim), (output_dim,))
-        sizes = [int(np.prod(shape)) for shape in shapes]
-        self.params = np.zeros(sum(sizes))
-        pieces = np.split(self.params, np.cumsum(sizes)[:-1])
-        self.W1, self.b1, self.W2, self.b2 = (
-            piece.reshape(shape) for piece, shape in zip(pieces, shapes)
-        )
+        ends = np.cumsum([int(np.prod(shape)) for shape in shapes]).tolist()
+        self._layout = tuple(zip([0] + ends[:-1], ends, shapes))
+        self.params = np.zeros(ends[-1])
+        self.W1, self.b1, self.W2, self.b2 = self.split(self.params)
         self.W1[...] = rng.normal(scale=np.sqrt(2.0 / input_dim), size=(input_dim, hidden_dim))
         self.W2[...] = rng.normal(scale=np.sqrt(2.0 / hidden_dim), size=(hidden_dim, output_dim))
 
     @property
     def num_params(self) -> int:
         return self.params.size
+
+    def split(self, flat: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """W1, b1, W2, b2 as reshaped views into a flat array laid out as params."""
+        return tuple(flat[start:end].reshape(shape) for start, end, shape in self._layout)
 
     def get_params(self) -> np.ndarray:
         return self.params.copy()
@@ -76,13 +79,20 @@ class Mlp:
         self.params[...] = flat.ravel()
 
     def forward(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Softmax class probabilities and the hidden activations."""
+        """Softmax class probabilities and the hidden activations, both fresh.
+
+        Each layer is computed in place on its matmul's result: the same
+        operations in the same order as the out-of-place expressions.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        hidden = np.maximum(X @ self.W1 + self.b1, 0.0)
-        logits = hidden @ self.W2 + self.b2
-        logits = logits - logits.max(axis=1, keepdims=True)
-        exps = np.exp(logits)
-        probs = exps / exps.sum(axis=1, keepdims=True)
+        hidden = X @ self.W1
+        hidden += self.b1
+        np.maximum(hidden, 0.0, out=hidden)
+        probs = hidden @ self.W2
+        probs += self.b2
+        probs -= probs.max(axis=1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=1, keepdims=True)
         return probs, hidden
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -131,22 +141,29 @@ def logit_bound(model: Mlp, x_scale: float) -> float:
     return float(np.maximum(hidden, logits))
 
 
-def gradient(model: Mlp, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Flat gradient of the mean cross-entropy at the model's weights."""
+def gradient(
+    model: Mlp, X: np.ndarray, y: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Flat gradient of the mean cross-entropy at the model's weights.
+
+    Laid out as ``model.params``; each block is written straight into
+    ``out`` (a fresh array when None), which is returned.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=int))
     n = len(y)
-    probs, hidden = model.forward(X)
-    err = probs.copy()
+    grad = np.empty(model.num_params) if out is None else out
+    dW1, db1, dW2, db2 = model.split(grad)
+    err, hidden = model.forward(X)
     err[np.arange(n), y] -= 1.0
     err /= n
-    dW2 = hidden.T @ err
-    db2 = err.sum(axis=0)
+    np.matmul(hidden.T, err, out=dW2)
+    np.sum(err, axis=0, out=db2)
     dhidden = err @ model.W2.T
-    dhidden[hidden <= 0] = 0.0
-    dW1 = X.T @ dhidden
-    db1 = dhidden.sum(axis=0)
-    return np.concatenate([dW1.ravel(), db1, dW2.ravel(), db2])
+    np.copyto(dhidden, 0.0, where=hidden <= 0)
+    np.matmul(X.T, dhidden, out=dW1)
+    np.sum(dhidden, axis=0, out=db1)
+    return grad
 
 
 def local_gradient(
@@ -208,13 +225,14 @@ def sgd_train(
         raise ValueError("feature rows and labels disagree")
     rng = np.random.default_rng(seed)
     velocity = np.zeros(model.num_params)
+    grad = np.empty(model.num_params)
     if x_scale is None:
         x_scale = input_scale(X[rows])
     for _ in range(epochs):
         order = rows[rng.permutation(len(rows))]
         for start in range(0, len(rows), batch_size):
             batch = order[start : start + batch_size]
-            grad = gradient(model, X[batch], y[batch])
+            gradient(model, X[batch], y[batch], out=grad)
             # velocity = momentum * velocity - lr * grad; params += velocity,
             # in place: the same operations in the same order (IEEE products
             # commute, so grad * lr has the bits of lr * grad).

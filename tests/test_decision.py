@@ -4,6 +4,7 @@ import dataclasses
 import heapq
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -519,9 +520,12 @@ def test_history_rows_equal_the_vstack_construction():
     np.testing.assert_array_equal(history, expected)
 
 
-def reference_expected_marginals(wl, num_samples, rng):
-    """Per-sample re-solve: gather S draws from history, solve each."""
-    history = np.array(wl.history)
+def reference_expected_marginals(wl, num_samples, rng, history=None):
+    """Per-sample re-solve: gather S draws from history, solve each.
+
+    history defaults to the workload's own rows, stacked.
+    """
+    history = np.array(wl.history) if history is None else history
     idx = rng.integers(0, len(history), size=(num_samples, wl.num_eds))
     draws = np.take_along_axis(history, idx, axis=0)
     inst = DrInstance(wl.costs, wl.xi_lo, wl.xi_max, wl.pi_min)
@@ -539,6 +543,89 @@ def test_expected_marginals_from_the_gain_table_equal_per_sample_re_solves():
         assert np.any(fast > 0)
         wl.ingest([] if k % 5 == 4 else rng.choice(50, size=7, replace=False))
     assert len(wl.history) == 2 + 24 - 4  # rounds 4, 9, 14 and 19 reveal nothing
+
+
+def test_history_indexing_builds_the_vstack_rows():
+    wl = DemandResponseWorkload(DrParams(num_eds=12, pi_min=6.0, history_len=2), seed=5)
+    initial = np.array(wl.history)
+    rng = np.random.default_rng(4)
+    rounds = []
+    for k in range(6):
+        wl.begin_round(k)
+        selected = rng.choice(12, size=4, replace=False)
+        rounds.append((wl.true_xi.copy(), selected))
+        wl.ingest(selected)
+    expected = vstack_history(initial, rounds)
+    history = wl.history
+    assert len(history) == len(expected) == 8
+    for i in range(-8, 8):
+        np.testing.assert_array_equal(history[i], expected[i])
+    for window in (slice(None), slice(1, 6), slice(5, None, 2), slice(None, None, -3)):
+        np.testing.assert_array_equal(history[window], expected[window])
+    with pytest.raises(IndexError):
+        history[8]
+    with pytest.raises(IndexError):
+        history[-9]
+    # the stored rows cannot be written through what indexing hands out
+    with pytest.raises(ValueError):
+        history[0][0] = 0.0
+    history[-1][0] = -1.0
+    np.testing.assert_array_equal(history[-1], expected[-1])
+
+
+def test_expected_marginals_do_not_depend_on_how_often_they_are_asked_for():
+    # the replay row takes one reveal per call on one workload and up to
+    # three per call on the other; both give the reference's bits
+    params = DrParams(num_eds=40, pi_min=25.0, history_len=3)
+    every, third = DemandResponseWorkload(params, seed=9), DemandResponseWorkload(params, seed=9)
+    initial = np.array(every.history)
+    rng = np.random.default_rng(2)
+    rounds = []
+    for k in range(15):
+        every.begin_round(k)
+        third.begin_round(k)
+        asked = every.expected_marginal_utilities(8, np.random.default_rng(k))
+        if k % 3 == 2:
+            got = third.expected_marginal_utilities(8, np.random.default_rng(k))
+            reference = reference_expected_marginals(
+                every, 8, np.random.default_rng(k), vstack_history(initial, rounds))
+            assert_same_bits(asked, got)
+            assert_same_bits(got, reference)
+        selected = [] if k % 4 == 3 else rng.choice(40, size=int(rng.integers(1, 12)),
+                                                     replace=False)
+        rounds.append((every.true_xi.copy(), selected))
+        every.ingest(selected)
+        third.ingest(selected)
+    assert len(every.history) == len(third.history) == 3 + 15 - 3
+
+
+def test_exact_rounds_grow_the_history_by_their_reveals_alone():
+    # 40 exact-mode rounds at J = 5000 that reveal 300 EDs each: the history
+    # keeps 16 bytes per revealed ED (its id and load), not a J-length row
+    J, rounds, revealed = 5000, 40, 300
+    wl = DemandResponseWorkload(DrParams(num_eds=J, history_len=4), seed=2)
+    rng = np.random.default_rng(0)
+    selections = [np.sort(rng.choice(J, size=revealed, replace=False)) for _ in range(rounds)]
+    # the market's caches are built before the count starts
+    wl.marginal_utilities()
+    wl.goal_value()
+    tracemalloc.start()
+    try:
+        # each round's loads and capacities replace the last round's; the
+        # first ones are drawn under the trace, so the count sees them freed
+        wl.begin_round(0)
+        before = tracemalloc.get_traced_memory()[0]
+        for k, selected in enumerate(selections):
+            wl.marginal_utilities()
+            wl.ingest(selected)
+            wl.goal_value()
+            wl.begin_round(k + 1)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(wl.history) == 4 + rounds
+    row_bytes = J * 8
+    assert grown < rounds * revealed * 16 + 2 * row_bytes, grown / row_bytes
 
 
 def test_workload_expected_marginals_deterministic():

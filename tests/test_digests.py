@@ -54,6 +54,17 @@ CASES = {
             "7d897e639361cd061a2ac11abbd4bf191a4bfcfcb4365abbbed7d80112634629",
         ),
     ),
+    # 30 rounds of reveals: expected mode replays many history rows
+    "demand_response_expected_long": (
+        "demand_response.yaml",
+        ["rounds=30", "utility_mode=expected", "utility_samples=8"],
+        (
+            "c46c98f03eb102fe13e5194582d151602b02b4f6bd16af9992b748b1cfd21713",
+            "6ac4af7303501295acd9fea8ebb9c4ff95e962158a4fb734125b34b287bf5d75",
+            "3e9697c5f737477b59e9165041acbf4aa9fa47026d9fa97483b23ea0ae133f77",
+            "36cba9c5a442a8b96e62175a899c92aa8e2792819f5943b1d9a967373737c422",
+        ),
+    ),
     "edge_learning": ("edge_learning.yaml", ["rounds=10"], (
         "56844f253de977b95e5203228f9129298461354c7d5e49a09c0bba8abd069f77",
         "0db99a529b3a9912841e124bfc355e758d9760bc38b784eb962491184ebc5c08",

@@ -278,6 +278,20 @@ def test_a_config_built_in_python_checks_its_params_block(params, key):
         dataclasses.replace(ScenarioConfig(workload="admm"), params=params)
 
 
+def test_a_config_params_block_stays_as_checked():
+    params = {"num_eds": 30, "pi_min": 20.0}
+    cfg = ScenarioConfig(workload="demand_response", params=params)
+    with pytest.raises(TypeError):
+        cfg.params["num_eds"] = -3
+    # the config holds its own copy, not the caller's dict
+    params["num_eds"] = -3
+    assert dict(cfg.params) == {"num_eds": 30, "pi_min": 20.0}
+    assert build_workload(cfg).num_eds == 30
+    # replace and the YAML round trip take and give plain mappings
+    assert dict(dataclasses.replace(cfg, params={"num_eds": 40}).params) == {"num_eds": 40}
+    assert config_to_dict(cfg)["params"] == {"num_eds": 30, "pi_min": 20.0}
+
+
 def test_round_failures_carry_round_context():
     cfg = small_config(rounds=2)
     wl = build_workload(cfg, seed=np.random.SeedSequence(cfg.seed))
@@ -294,10 +308,11 @@ def test_round_failures_carry_round_context():
 
 
 def test_round_failures_keep_an_index_error_as_the_cause():
-    # an emptied demand-response history makes ingest's history[-1] fail
+    # capacities shorter than the market make ingest's write of the
+    # revealed loads fail
     cfg = small_config(rounds=3)
     wl = build_workload(cfg, seed=np.random.SeedSequence(cfg.seed))
-    wl.history.clear()
+    wl.xi_lo = wl.xi_lo[:1]
     with pytest.raises(RoundError, match="round 0 of demand_response failed") as info:
         run_scenario(cfg, workload=wl)
     assert (info.value.round_idx, info.value.workload) == (0, "demand_response")
