@@ -8,7 +8,6 @@ its real-time value alone.
 
 from __future__ import annotations
 
-import collections.abc
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -313,15 +312,13 @@ class DrParams:
         return self.num_eds * (1e4 / 15000.0)
 
 
-class DrHistory(collections.abc.Sequence):
-    """Past load rows of demand response, oldest first; a read-only sequence.
+class DrHistory:
+    """Past load rows of demand response, oldest first, as a reveal log.
 
-    Held as the initial (history_len, J) block plus one (ids, values) pair
-    per revealing round. The row of such a round is the row before it with
-    the revealed EDs' values written in: every unrevealed ED carries its
-    previous value forward. Indexing and iteration build those rows (fresh
-    arrays; a row of the initial block is a read-only view), and len is the
-    row count.
+    Held as the initial (history_len, J) block, read-only, plus one
+    (ids, values) pair per revealing round. The row of such a round is the
+    row before it with the revealed EDs' values written in: every
+    unrevealed ED carries its previous value forward. len is the row count.
     """
 
     def __init__(self, initial: np.ndarray):
@@ -331,24 +328,6 @@ class DrHistory(collections.abc.Sequence):
 
     def __len__(self) -> int:
         return len(self.initial) + len(self.reveals)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        i = range(len(self))[index]
-        if i < len(self.initial):
-            return self.initial[i]
-        row = self.initial[-1].copy()
-        for ids, values in self.reveals[: i - len(self.initial) + 1]:
-            row[ids] = values
-        return row
-
-    def __iter__(self):
-        yield from self.initial
-        row = self.initial[-1].copy()
-        for ids, values in self.reveals:
-            row[ids] = values
-            yield row.copy()
 
 
 class DemandResponseWorkload(Workload):
@@ -362,9 +341,9 @@ class DemandResponseWorkload(Workload):
     on first use and reused, since none of them changes between rounds.
     history (a DrHistory) holds the past load rows: the initial block, and
     for each revealing round only the revealed ids and loads, so a round
-    adds O(selected) entries, not a J-length row. Expected mode builds the
-    rows it needs on one replay row of its own, which takes each reveal
-    once, in order.
+    adds O(selected) entries, not a J-length row. Expected mode is the only
+    reader of the rows: it replays the reveals on one row of its own, each
+    reveal once, in order.
     """
 
     def __init__(self, params: DrParams, seed):
@@ -382,9 +361,9 @@ class DemandResponseWorkload(Workload):
         # Old dataset: past real-time loads, same distribution as fresh ones.
         # Rows are only ever appended.
         self.history = DrHistory(self._draw_loads(size=params.history_len))
-        # dr_marginal_utilities of history[i] for every i cached so far, and
-        # the replay row, history[len(_gain_rows) - 1], into which the next
-        # reveal is written (expected mode only).
+        # dr_marginal_utilities of each history row cached so far, oldest
+        # first, and the replay row, the last of those rows, into which the
+        # next reveal is written (expected mode only).
         self._gain_rows: List[np.ndarray] = []
         self._replay: Optional[np.ndarray] = None
         self.begin_round(0)
@@ -503,7 +482,6 @@ class RoutingWorkload(Workload):
         self.history = self._rng.uniform(
             self.network.lo, self.network.hi, size=(params.history_len, self.num_eds)
         )
-        self._base_time: Optional[float] = None
         self.begin_round(0)
 
     def _build_network(self) -> None:
@@ -522,10 +500,10 @@ class RoutingWorkload(Workload):
         hi = self._rng.uniform(lo, hi_t)
         self.roads[(m, n)] = (lo, max(hi, lo))
 
-    def _base(self) -> float:
-        if self._base_time is None:
-            self._base_time = solve_routing(self.network, self.network.hi)
-        return self._base_time
+    @cached_property
+    def base_time(self) -> float:
+        """Travel time of the base (nothing revealed) path, solved once."""
+        return solve_routing(self.network, self.network.hi)
 
     def begin_round(self, round_idx: int) -> None:
         self.true_tau = self._rng.uniform(self.network.lo, self.network.hi)
@@ -535,7 +513,7 @@ class RoutingWorkload(Workload):
         """Each road revealed alone at its true time: one row per ED, one solve."""
         rows = np.tile(self.network.hi, (self.num_eds, 1))
         np.fill_diagonal(rows, self.true_tau)
-        return np.maximum(self._base() - solve_routing(self.network, rows), 0.0)
+        return np.maximum(self.base_time - solve_routing(self.network, rows), 0.0)
 
     def expected_marginal_utilities(
         self, num_samples: int, rng: np.random.Generator
@@ -545,7 +523,7 @@ class RoutingWorkload(Workload):
         Draws num_samples history rows for ED 0, then ED 1, and so on; each
         ED's draws are solved as one batch.
         """
-        base, hi = self._base(), self.network.hi
+        base, hi = self.base_time, self.network.hi
         draws = rng.integers(0, len(self.history), size=(self.num_eds, num_samples))
         rows = np.tile(hi, (num_samples, 1))
         out = np.empty(self.num_eds)
@@ -568,4 +546,4 @@ class RoutingWorkload(Workload):
         ids = np.fromiter(subset, dtype=np.intp)
         times = self.network.hi.copy()
         times[ids] = self.true_tau[ids]
-        return self._base() - solve_routing(self.network, times)
+        return self.base_time - solve_routing(self.network, times)

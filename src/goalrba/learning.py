@@ -524,12 +524,11 @@ class FederatedWorkload(_LearningWorkload):
     def _train(self, selected: Sequence[int]) -> None:
         if self._round_grads is None:
             self.begin_round(0)
-        if len(selected):
-            grads = [self._round_grads[j] for j in selected]
-            counts = [self.counts[j] for j in selected]
-            self.model.set_params(
-                aggregate_step(self.model.params, grads, counts, self.params.lr)
-            )
+        grads = [self._round_grads[j] for j in selected]
+        counts = [self.counts[j] for j in selected]
+        self.model.set_params(
+            aggregate_step(self.model.params, grads, counts, self.params.lr)
+        )
 
     def payload_bits(self) -> np.ndarray:
         return np.full(self.num_eds, self.model.num_params * self.params.bits_per_weight)

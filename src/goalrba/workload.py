@@ -183,9 +183,7 @@ def collect_reports(
     per-RB rate at each gain (see rb_bits). mode "exact" queries the
     workload directly; "expected" averages num_samples history draws per ED
     (deterministic given seed). Returns the reports of make_reports in
-    ascending ed_id order, negative deltas clamped to zero. When every ED
-    is reachable, the per-ED arrays go to rb_demand and make_reports whole,
-    with no gather.
+    ascending ed_id order, negative deltas clamped to zero.
     """
     if mode not in ("exact", "expected"):
         raise ValueError(f"unknown utility mode {mode!r}")
@@ -198,11 +196,8 @@ def collect_reports(
     r_min = workload.payload_bits()
     per_rb = rb_bits(gains, channel)
     reachable = (r_min == 0) | (per_rb > 0)
-    if reachable.all():
-        ids = np.arange(len(reachable))
-    else:
-        ids = np.flatnonzero(reachable)
-        deltas, r_min, per_rb = deltas[ids], r_min[ids], per_rb[ids]
+    ids = np.flatnonzero(reachable)
+    deltas, r_min, per_rb = deltas[ids], r_min[ids], per_rb[ids]
     return make_reports(ids, np.maximum(deltas, 0.0), rb_demand(r_min, per_rb))
 
 

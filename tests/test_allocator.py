@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from goalrba.allocator import (
     OracleScaleError,
@@ -87,6 +87,21 @@ def test_greedy_never_beats_or_overruns_the_oracle(items, capacity):
     alloc = greedy_allocate(reports, capacity)
     assert allocation_value(alloc, reports) <= opt + 1e-9
     assert alloc.capacity_used <= capacity
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: the hybrid greedy halts at an ED that needs more than the budget",
+)
+@given(items=report_lists, capacity=st.integers(min_value=0, max_value=30))
+@example(items=[(10.0, 12), (1.0, 2), (1.0, 2)], capacity=8)
+@settings(max_examples=200, deadline=None)
+def test_hybrid_selects_something_whenever_a_live_ed_fits(items, capacity):
+    # the example is the README's: the DP selects EDs 1 and 2, hybrid nothing
+    reports = reports_of(items)
+    if np.any((reports.delta > 0) & (reports.w <= capacity)):
+        assert len(greedy_allocate(reports, capacity).selected) > 0
 
 
 @given(

@@ -455,7 +455,7 @@ def test_load_draws_are_generator_uniform_bit_for_bit(seed, num_eds, xi_lo, xi_m
     rng.uniform(*params.cost_range, size=num_eds)
     lo = np.full(num_eds, xi_lo)
     hi = np.maximum(rng.uniform(*params.xi_max_range, size=num_eds), xi_lo)
-    assert_same_bits(np.array(wl.history), rng.uniform(lo, hi, size=(history_len, num_eds)))
+    assert_same_bits(wl.history.initial, rng.uniform(lo, hi, size=(history_len, num_eds)))
     assert_same_bits(wl.true_xi, rng.uniform(lo, hi, size=num_eds))
     assert wl._rng.bit_generator.state == rng.bit_generator.state
     # and the draws that follow: one more history block, then one row
@@ -465,16 +465,33 @@ def test_load_draws_are_generator_uniform_bit_for_bit(seed, num_eds, xi_lo, xi_m
     assert wl._rng.bit_generator.state == rng.bit_generator.state
 
 
+def history_rows(history):
+    """The rows of a DrHistory, stacked: one replay of its reveal log."""
+    rows = list(history.initial)
+    for ids, values in history.reveals:
+        row = rows[-1].copy()
+        row[ids] = values
+        rows.append(row)
+    return np.array(rows)
+
+
+def test_the_initial_history_block_is_read_only():
+    # expected mode caches one gain row per history row, so no row may change
+    wl = DemandResponseWorkload(DrParams(num_eds=5, pi_min=2.0, history_len=2), seed=1)
+    with pytest.raises(ValueError):
+        wl.history.initial[0, 0] = 0.0
+
+
 def test_history_rows_carry_unrevealed_eds_forward():
     wl = DemandResponseWorkload(DrParams(num_eds=6, pi_min=3.0, history_len=4), seed=3)
-    initial = np.array(wl.history)
+    initial = wl.history.initial
     wl.begin_round(0)
     first_xi = wl.true_xi.copy()
     wl.ingest([1, 4])
     wl.begin_round(1)
     second_xi = wl.true_xi.copy()
     wl.ingest([0, 2])
-    history = np.array(wl.history)
+    history = history_rows(wl.history)
     assert history.shape == (6, 6)
     np.testing.assert_array_equal(history[:4], initial)
     row1, row2 = history[4], history[5]
@@ -506,7 +523,7 @@ def vstack_history(initial, rounds):
 
 def test_history_rows_equal_the_vstack_construction():
     wl = DemandResponseWorkload(DrParams(num_eds=9, pi_min=5.0, history_len=3), seed=8)
-    initial = np.array(wl.history)
+    initial = wl.history.initial
     rng = np.random.default_rng(0)
     rounds = []
     for k in range(8):
@@ -515,7 +532,7 @@ def test_history_rows_equal_the_vstack_construction():
         rounds.append((wl.true_xi.copy(), selected))
         wl.ingest(selected)
     expected = vstack_history(initial, rounds)
-    history = np.array(wl.history)
+    history = history_rows(wl.history)
     assert history.shape == expected.shape == (3 + 7, 9)
     np.testing.assert_array_equal(history, expected)
 
@@ -525,7 +542,7 @@ def reference_expected_marginals(wl, num_samples, rng, history=None):
 
     history defaults to the workload's own rows, stacked.
     """
-    history = np.array(wl.history) if history is None else history
+    history = history_rows(wl.history) if history is None else history
     idx = rng.integers(0, len(history), size=(num_samples, wl.num_eds))
     draws = np.take_along_axis(history, idx, axis=0)
     inst = DrInstance(wl.costs, wl.xi_lo, wl.xi_max, wl.pi_min)
@@ -545,40 +562,12 @@ def test_expected_marginals_from_the_gain_table_equal_per_sample_re_solves():
     assert len(wl.history) == 2 + 24 - 4  # rounds 4, 9, 14 and 19 reveal nothing
 
 
-def test_history_indexing_builds_the_vstack_rows():
-    wl = DemandResponseWorkload(DrParams(num_eds=12, pi_min=6.0, history_len=2), seed=5)
-    initial = np.array(wl.history)
-    rng = np.random.default_rng(4)
-    rounds = []
-    for k in range(6):
-        wl.begin_round(k)
-        selected = rng.choice(12, size=4, replace=False)
-        rounds.append((wl.true_xi.copy(), selected))
-        wl.ingest(selected)
-    expected = vstack_history(initial, rounds)
-    history = wl.history
-    assert len(history) == len(expected) == 8
-    for i in range(-8, 8):
-        np.testing.assert_array_equal(history[i], expected[i])
-    for window in (slice(None), slice(1, 6), slice(5, None, 2), slice(None, None, -3)):
-        np.testing.assert_array_equal(history[window], expected[window])
-    with pytest.raises(IndexError):
-        history[8]
-    with pytest.raises(IndexError):
-        history[-9]
-    # the stored rows cannot be written through what indexing hands out
-    with pytest.raises(ValueError):
-        history[0][0] = 0.0
-    history[-1][0] = -1.0
-    np.testing.assert_array_equal(history[-1], expected[-1])
-
-
 def test_expected_marginals_do_not_depend_on_how_often_they_are_asked_for():
     # the replay row takes one reveal per call on one workload and up to
     # three per call on the other; both give the reference's bits
     params = DrParams(num_eds=40, pi_min=25.0, history_len=3)
     every, third = DemandResponseWorkload(params, seed=9), DemandResponseWorkload(params, seed=9)
-    initial = np.array(every.history)
+    initial = every.history.initial
     rng = np.random.default_rng(2)
     rounds = []
     for k in range(15):
