@@ -65,15 +65,14 @@ def main(argv=None) -> int:
             }
             if overrides:
                 config = dataclasses.replace(config, **overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if args.command == "run":
-            metrics = run_scenario(config)
-            emit_metrics(metrics, args.out)
+            emit_metrics(run_scenario(config), args.out)
         else:
             run_compare(config, args.out)
+    except ConfigError as exc:
+        # Loading the config or building a workload from it; a round's own
+        # failure reaches here as a RoundError.
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,9 @@ The MLP keeps its weights in one flat float64 buffer, ``Mlp.params``, and
 aggregation update the network in place without concatenating or copying;
 ``gradient`` writes its blocks into one flat array of the same layout.
 Training reads the collected rows and the client shards through row indices
-into the training set (``rows``), so no workload keeps a copy of its data.
+into the training set, so no workload keeps a copy of its data, and the
+federated workload writes each round's client gradients into the rows of
+one matrix it allocates once.
 Both learning workloads share one goal, the mean training loss, memoised per
 model state: ``ingest`` is the only method that changes the model, and it
 drops the memo before it trains, so each round's goal before ingest reuses
@@ -166,29 +168,6 @@ def gradient(
     return grad
 
 
-def local_gradient(
-    model: Mlp,
-    X: np.ndarray,
-    y: np.ndarray,
-    batch_size: Optional[int] = None,
-    seed=None,
-    rows: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Mini-batch mean gradient at the model's current weights.
-
-    ``rows`` are the indices into X and y of the data to use (every row by
-    default); the batch is drawn from them and gathered straight from X.
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=int))
-    rows = np.arange(len(y)) if rows is None else np.asarray(rows, dtype=int)
-    if len(rows) == 0:
-        raise ValueError("local_gradient requires a nonempty dataset")
-    if batch_size is not None and batch_size < len(rows):
-        rng = np.random.default_rng(seed)
-        rows = rows[rng.choice(len(rows), size=batch_size, replace=False)]
-    return gradient(model, np.atleast_2d(X)[rows], y[rows])
-
-
 def sgd_train(
     model: Mlp,
     X: np.ndarray,
@@ -245,36 +224,6 @@ def sgd_train(
             if not np.isfinite(epoch_loss):
                 raise DivergenceError(f"divergence: training loss is {epoch_loss}")
     return model
-
-
-def aggregate_step(
-    theta: np.ndarray,
-    gradients: Sequence[np.ndarray],
-    counts: Sequence[float],
-    eta: float,
-) -> np.ndarray:
-    """Sample-count-weighted gradient step over the selected clients.
-
-    Empty selection skips the round and returns theta unchanged.
-    """
-    if len(gradients) == 0:
-        return np.asarray(theta, dtype=float).copy()
-    counts = np.asarray(counts, dtype=float)
-    if len(counts) != len(gradients):
-        raise ValueError("gradients and counts disagree")
-    stacked = np.stack([np.asarray(g, dtype=float) for g in gradients])
-    aggregated = (counts[:, None] * stacked).sum(axis=0) / counts.sum()
-    return np.asarray(theta, dtype=float) - eta * aggregated
-
-
-def federated_marginal_utility(
-    g: np.ndarray, d_j: float, d_total: float, eta: float, kappa: float
-) -> float:
-    """Weighted gradient-norm utility: eta*(1 - kappa*eta/2)*||d_j g / d_total||^2."""
-    if not 0 < eta < 2 / kappa:
-        raise ValueError(f"eta must lie in (0, 2/kappa), got {eta}")
-    scaled = (d_j / d_total) * np.asarray(g, dtype=float)
-    return float(eta * (1 - kappa * eta / 2) * np.dot(scaled, scaled))
 
 
 def descent_bound_check(
@@ -340,7 +289,11 @@ class EdgeLearningParams(_DataModelParams):
 
 
 class _LearningWorkload(Workload):
-    """What the two learning workloads share: data, goal and test accuracy.
+    """What the two learning workloads share: set-up, goal and test accuracy.
+
+    The set-up draws the class mixture, splits train and test, shards the
+    training set and builds the MLP from the first three of five child
+    seeds; the last two, ``_seeds``, are the workload's own.
 
     The goal is the model's mean training loss, memoised per model state.
     Only ``ingest`` changes the model, and it drops the memo before
@@ -349,8 +302,11 @@ class _LearningWorkload(Workload):
 
     _goal: Optional[float] = None
 
-    def _make_data(self, params, data_seed, split_seed) -> None:
-        """Draw the class mixture, split train and test, shard the training set."""
+    def __init__(self, params: _DataModelParams, seed):
+        self.params = params
+        self.num_eds = params.num_eds
+        seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        data_seed, split_seed, model_seed, *self._seeds = seq.spawn(5)
         X, y = datasets.make_gaussian_mixture(
             params.num_classes,
             params.dim,
@@ -369,6 +325,7 @@ class _LearningWorkload(Workload):
             params.concentration,
             seed=split_seed,
         )
+        self.model = Mlp(params.dim, params.hidden_dim, params.num_classes, seed=model_seed)
 
     @abc.abstractmethod
     def _train(self, selected: Sequence[int]) -> None:
@@ -391,14 +348,12 @@ class EdgeLearningWorkload(_LearningWorkload):
     """Raw-sample selection: EDs offer batches priced by current model loss."""
 
     def __init__(self, params: EdgeLearningParams, seed):
-        self.params = params
-        self.num_eds = params.num_eds
-        seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        data_seed, split_seed, model_seed, train_seed = seq.spawn(4)
-        self._make_data(params, data_seed, split_seed)
-        self._offsets = [0] * params.num_eds
-        self.model = Mlp(params.dim, params.hidden_dim, params.num_classes, seed=model_seed)
-        self._train_rng = np.random.default_rng(train_seed)
+        super().__init__(params, seed)
+        self._train_rng = np.random.default_rng(self._seeds[0])
+        # Each ED offers the next batch_per_round rows of its shard from
+        # its offset on.
+        self._sizes = np.array([len(shard) for shard in self.shards])
+        self._offsets = np.zeros(self.num_eds, dtype=int)
         # Indices into the training set of the collected rows, in collection
         # order; SGD trains on them.
         self.collected: List[int] = []
@@ -444,12 +399,14 @@ class EdgeLearningWorkload(_LearningWorkload):
                 rows=np.array(self.collected),
             )
 
+    def _offer_sizes(self) -> np.ndarray:
+        return np.minimum(self._sizes - self._offsets, self.params.batch_per_round)
+
     def payload_bits(self) -> np.ndarray:
-        offered = [len(self._offered(ed_id)) for ed_id in range(self.num_eds)]
-        return np.array(offered, dtype=float) * self.params.bits_per_sample
+        return self._offer_sizes() * self.params.bits_per_sample
 
     def throughput(self, selected: Sequence[int]) -> int:
-        return int(sum(len(self._offered(ed_id)) for ed_id in selected))
+        return int(self._offer_sizes()[selected].sum())
 
 
 @dataclass(frozen=True)
@@ -472,14 +429,21 @@ class FederatedParams(_DataModelParams):
 
 
 class FederatedWorkload(_LearningWorkload):
-    """Gradient-norm client selection with partial aggregation per round."""
+    """Gradient-norm client selection with partial aggregation per round.
+
+    Each round's mini-batch gradients sit in one (J, P) matrix, one row per
+    client, allocated once; a workload asked for utilities or an ingest
+    before any round has begun computes round 0's first.
+    """
 
     def __init__(self, params: FederatedParams, seed):
-        self.params = params
-        self.num_eds = params.num_eds
-        seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        data_seed, split_seed, model_seed, batch_seed, poor_seed = seq.spawn(5)
-        self._make_data(params, data_seed, split_seed)
+        super().__init__(params, seed)
+        batch_seed, poor_seed = self._seeds
+        for j, shard in enumerate(self.shards):
+            if len(shard) == 0:
+                raise ConfigError(
+                    f"num_eds = {params.num_eds} leaves client {j} with no training samples; "
+                    f"a client's gradient needs at least one")
         if params.data_poor_fraction > 0.0:
             # Concentrated-class holders sit at the tail of the shard list;
             # thin out only the interchangeable common-class clients.
@@ -495,40 +459,39 @@ class FederatedWorkload(_LearningWorkload):
                     rng.choice(len(shard), size=keep, replace=False)
                 ]
         self.counts = np.array([len(s) for s in self.shards], dtype=float)
-        self.model = Mlp(params.dim, params.hidden_dim, params.num_classes, seed=model_seed)
         self._batch_rng = np.random.default_rng(batch_seed)
-        self._round_grads: Optional[List[np.ndarray]] = None
+        self.gradients = np.empty((self.num_eds, self.model.num_params))
+        self._have_gradients = False
 
     def begin_round(self, round_idx: int) -> None:
-        self._round_grads = [
-            local_gradient(
-                self.model,
-                self.X_train,
-                self.y_train,
-                batch_size=self.params.batch_size,
-                seed=self._batch_rng.integers(2**32),
-                rows=shard,
-            )
-            for shard in self.shards
-        ]
+        """Write each client's gradient on a batch drawn from its shard into its row."""
+        batch_size = self.params.batch_size
+        for shard, row in zip(self.shards, self.gradients):
+            seed = self._batch_rng.integers(2**32)
+            if batch_size < len(shard):
+                rng = np.random.default_rng(seed)
+                shard = shard[rng.choice(len(shard), size=batch_size, replace=False)]
+            gradient(self.model, self.X_train[shard], self.y_train[shard], out=row)
+        self._have_gradients = True
+
+    def _round_gradients(self) -> np.ndarray:
+        if not self._have_gradients:
+            self.begin_round(0)
+        return self.gradients
 
     def marginal_utilities(self) -> np.ndarray:
-        if self._round_grads is None:
-            self.begin_round(0)
-        total = self.counts.sum()
-        return np.array([
-            federated_marginal_utility(g, self.counts[j], total, self.params.lr, self.params.kappa)
-            for j, g in enumerate(self._round_grads)
-        ])
+        """eta*(1 - kappa*eta/2)*||d_j g_j / d_total||^2 of each client j."""
+        scaled = (self.counts / self.counts.sum())[:, None] * self._round_gradients()
+        eta, kappa = self.params.lr, self.params.kappa
+        return eta * (1 - kappa * eta / 2) * np.array([np.dot(row, row) for row in scaled])
 
     def _train(self, selected: Sequence[int]) -> None:
-        if self._round_grads is None:
-            self.begin_round(0)
-        grads = [self._round_grads[j] for j in selected]
-        counts = [self.counts[j] for j in selected]
-        self.model.set_params(
-            aggregate_step(self.model.params, grads, counts, self.params.lr)
-        )
+        """Step by the sample-count-weighted mean of the selected clients' gradients."""
+        gradients = self._round_gradients()
+        if len(selected):
+            counts = self.counts[selected]
+            step = (counts[:, None] * gradients[selected]).sum(axis=0) / counts.sum()
+            self.model.params -= self.params.lr * step
 
     def payload_bits(self) -> np.ndarray:
         return np.full(self.num_eds, self.model.num_params * self.params.bits_per_weight)

@@ -1,7 +1,9 @@
 """Property and oracle suites runnable from the CLI `verify` command.
 
 Each check returns (ok, detail). They are the same routines the acceptance
-tests assert on, so the CLI and the test suite cannot drift apart.
+tests assert on, and neither caller passes them a setting, so the CLI and
+the test suite cannot drift apart; the acceptance lines quote the constants
+below.
 """
 
 from __future__ import annotations
@@ -29,25 +31,33 @@ from .learning import Mlp, descent_bound_check, gradient, loss
 from .workload import submodular_bound_check
 
 
-def random_knapsack_instance(rng, capacity: int, eta: float = 0.25):
-    num_items = int(rng.integers(5, 26))
-    max_w = max(int(eta * capacity), 1)
-    items = [
-        (float(rng.uniform(0.1, 10.0)), int(rng.integers(1, max_w + 1)))
-        for _ in range(num_items)
-    ]
-    delta, w = zip(*items)
-    return make_reports(range(num_items), delta, w)
+# Each check's one setting; its acceptance line quotes it.
+GREEDY_INSTANCES = 200
+GREEDY_ETA = 0.25
+SUBMODULAR_INSTANCES = 20
+SUBMODULAR_EDS = 10
+SUBMODULAR_TOLERANCE = 1e-9
+DESCENT_DRAWS = 100
+DESCENT_TOLERANCE = 1e-10
+GRADIENT_REL_TOL = 1e-4
+ADMM_RUNS = 50
+ADMM_TOLERANCE = 1e-9
 
 
-def verify_greedy_guarantee(
-    num_instances: int = 200, capacity: int = 60, eta: float = 0.25, seed: int = 2024
-) -> Tuple[bool, str]:
+def verify_greedy_guarantee() -> Tuple[bool, str]:
     """Greedy-vs-DP ratio stays at or above 1 - eta when all w_j <= eta*J."""
-    rng = np.random.default_rng(seed)
+    num_instances, capacity, eta = GREEDY_INSTANCES, 60, GREEDY_ETA
+    max_w = max(int(eta * capacity), 1)
+    rng = np.random.default_rng(2024)
     worst = 1.0
     for _ in range(num_instances):
-        reports = random_knapsack_instance(rng, capacity, eta)
+        num_items = int(rng.integers(5, 26))
+        items = [
+            (float(rng.uniform(0.1, 10.0)), int(rng.integers(1, max_w + 1)))
+            for _ in range(num_items)
+        ]
+        delta, w = zip(*items)
+        reports = make_reports(range(num_items), delta, w)
         greedy = greedy_allocate(reports, capacity)
         opt = exact_knapsack(reports, capacity)
         ratio = suboptimality_ratio(
@@ -59,10 +69,9 @@ def verify_greedy_guarantee(
     return True, f"worst ratio {worst:.4f} over {num_instances} instances (floor {1 - eta})"
 
 
-def verify_submodularity(
-    num_instances: int = 20, num_eds: int = 10, seed: int = 7, tolerance: float = 1e-9
-) -> Tuple[bool, str]:
+def verify_submodularity() -> Tuple[bool, str]:
     """Joint gain never beats summed singleton gains, all subsets enumerated."""
+    num_instances, num_eds, seed = SUBMODULAR_INSTANCES, SUBMODULAR_EDS, 7
     worst_slack = np.inf
     for i in range(num_instances):
         params = DrParams(num_eds=num_eds, pi_min=num_eds * 0.66, history_len=8)
@@ -70,7 +79,8 @@ def verify_submodularity(
         workload.begin_round(0)
         for mask in range(1, 2**num_eds):
             subset = [j for j in range(num_eds) if mask >> j & 1]
-            lhs, rhs, holds = submodular_bound_check(workload, subset, tolerance=tolerance)
+            lhs, rhs, holds = submodular_bound_check(
+                workload, subset, tolerance=SUBMODULAR_TOLERANCE)
             worst_slack = min(worst_slack, rhs - lhs)
             if not holds:
                 return False, (
@@ -80,33 +90,30 @@ def verify_submodularity(
     return True, f"all subsets hold; tightest slack {worst_slack:.3e}"
 
 
-def verify_lemma_descent(
-    num_draws: int = 100, dim: int = 8, seed: int = 11, tolerance: float = 1e-10
-) -> Tuple[bool, str]:
+def verify_lemma_descent() -> Tuple[bool, str]:
     """Smooth-descent bound on the quadratic surrogate, full participation."""
-    rng = np.random.default_rng(seed)
-    for _ in range(num_draws):
+    rng = np.random.default_rng(11)
+    for _ in range(DESCENT_DRAWS):
         kappa = float(rng.uniform(0.1, 5.0))
         eta = float(rng.uniform(1e-4, 2.0 / kappa))
-        theta = rng.normal(size=dim)
+        theta = rng.normal(size=8)
         g = kappa * theta
         theta_next = theta - eta * g
         l_before = 0.5 * kappa * float(theta @ theta)
         l_after = 0.5 * kappa * float(theta_next @ theta_next)
         bound, holds = descent_bound_check(
-            l_before, l_after, g, g, eta, kappa, tolerance=tolerance
+            l_before, l_after, g, g, eta, kappa, tolerance=DESCENT_TOLERANCE
         )
         if not holds:
             return False, f"bound violated at kappa={kappa:.3f}, eta={eta:.4f}"
         if abs((l_after - l_before) - bound) > 1e-8 * max(1.0, abs(bound)):
             return False, f"quadratic case should bind exactly, gap {l_after - l_before - bound}"
-    return True, f"bound holds with equality on {num_draws} quadratic draws"
+    return True, f"bound holds with equality on {DESCENT_DRAWS} quadratic draws"
 
 
-def verify_gradient_finite_differences(
-    seed: int = 3, num_coords: int = 10, rel_tol: float = 1e-4
-) -> Tuple[bool, str]:
+def verify_gradient_finite_differences() -> Tuple[bool, str]:
     """Backprop gradient against central finite differences on random coordinates."""
+    seed, num_coords = 3, 10
     rng = np.random.default_rng(seed)
     model = Mlp(input_dim=12, hidden_dim=7, output_dim=4, seed=seed)
     X = rng.normal(size=(9, 12))
@@ -128,19 +135,12 @@ def verify_gradient_finite_differences(
         numeric = (up - down) / (2 * eps)
         scale = max(abs(analytic[c]), abs(numeric), 1e-8)
         worst = max(worst, abs(analytic[c] - numeric) / scale)
-    if worst > rel_tol:
-        return False, f"finite-difference mismatch {worst:.2e} above {rel_tol}"
+    if worst > GRADIENT_REL_TOL:
+        return False, f"finite-difference mismatch {worst:.2e} above {GRADIENT_REL_TOL}"
     return True, f"worst relative mismatch {worst:.2e} over {num_coords} coordinates"
 
 
-def verify_admm_certificate(
-    num_runs: int = 50,
-    rounds: int = 6,
-    num_eds: int = 4,
-    dim: int = 6,
-    seed: int = 17,
-    tolerance: float = 1e-8,
-) -> Tuple[bool, str]:
+def verify_admm_certificate() -> Tuple[bool, str]:
     """Smooth-mode descent certificate and dual bound across seeded runs.
 
     Each ED's data is rescaled to unit smoothness (kappa_j = 1), where the
@@ -151,11 +151,12 @@ def verify_admm_certificate(
     local solve, so the first round runs with full participation to put
     every ED on that footing before partial participation is asserted.
     """
+    num_eds, seed, tolerance = 4, 17, ADMM_TOLERANCE
     rng = np.random.default_rng(seed)
-    for run in range(num_runs):
+    for run in range(ADMM_RUNS):
         state, _ = make_admm_state(
             num_eds=num_eds,
-            dim=dim,
+            dim=6,
             samples_per_ed=8,
             noise_variance_slope=0.01,
             varrho=0.0,
@@ -167,7 +168,7 @@ def verify_admm_certificate(
         state.rho = float(np.sqrt(2 * state.kappa.max()) * 1.5)
         state = run_round(state, range(num_eds), tol=1e-12, max_iter=50000)
         prev_lag = augmented_lagrangian(state)
-        for k in range(rounds):
+        for k in range(6):
             count = int(rng.integers(1, num_eds + 1))
             selected = sorted(rng.choice(num_eds, size=count, replace=False).tolist())
             new_state = run_round(state, selected, tol=1e-12, max_iter=50000)
@@ -184,7 +185,8 @@ def verify_admm_certificate(
                 return False, f"Lagrangian increased on run {run}, round {k}"
             prev_lag = lag
             state = new_state
-    return True, f"certificate, dual bound, and monotone descent over {num_runs} runs"
+    return True, (f"certificate, dual bound, and monotone descent over {ADMM_RUNS} runs "
+                  f"at tolerance {tolerance:g}")
 
 
 ALL_CHECKS = [

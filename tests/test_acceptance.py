@@ -27,6 +27,13 @@ from goalrba.harness import (
     run_scenario,
 )
 from goalrba.verification import (
+    DESCENT_TOLERANCE,
+    GRADIENT_REL_TOL,
+    GREEDY_ETA,
+    GREEDY_INSTANCES,
+    SUBMODULAR_EDS,
+    SUBMODULAR_INSTANCES,
+    SUBMODULAR_TOLERANCE,
     verify_admm_certificate,
     verify_gradient_finite_differences,
     verify_greedy_guarantee,
@@ -51,13 +58,14 @@ def preset(name: str, **overrides) -> ScenarioConfig:
 
 def test_acceptance_1_greedy_guarantee():
     started = time.perf_counter()
-    ok, detail = verify_greedy_guarantee(num_instances=200, capacity=60, eta=0.25)
+    ok, detail = verify_greedy_guarantee()
     elapsed = time.perf_counter() - started
     ok = ok and elapsed < 10.0
     report(
         "acceptance-1 greedy guarantee",
         ok,
-        f"{detail}; tolerance ratio >= 0.75 on all 200 instances, {elapsed:.2f}s < 10s",
+        f"{detail}; tolerance ratio >= {1 - GREEDY_ETA} on all {GREEDY_INSTANCES} instances, "
+        f"{elapsed:.2f}s < 10s",
     )
 
 
@@ -134,12 +142,12 @@ def test_acceptance_4_gain_equals_cost_reduction():
 
 
 def test_acceptance_5_submodularity_enumeration():
-    ok, detail = verify_submodularity(num_instances=20, num_eds=10, tolerance=1e-9)
+    ok, detail = verify_submodularity()
     report(
         "acceptance-5 submodularity",
         ok,
-        f"{detail}; exhaustive LP re-solves over all 2^10 subsets on 20 instances, "
-        "tolerance 1e-9",
+        f"{detail}; exhaustive LP re-solves over all 2^{SUBMODULAR_EDS} subsets on "
+        f"{SUBMODULAR_INSTANCES} instances, tolerance {SUBMODULAR_TOLERANCE:g}",
     )
 
 
@@ -170,17 +178,17 @@ def test_acceptance_6_edge_learning_rounds_saved():
 
 
 def test_acceptance_7a_descent_inequality():
-    ok, detail = verify_lemma_descent(num_draws=100, tolerance=1e-10)
+    ok, detail = verify_lemma_descent()
     report(
         "acceptance-7a descent inequality",
         ok,
-        f"{detail}; tolerance 1e-10, step sizes drawn from (0, 2/kappa]",
+        f"{detail}; tolerance {DESCENT_TOLERANCE:g}, step sizes drawn from (0, 2/kappa]",
     )
 
 
 def test_acceptance_7b_gradient_check():
-    ok, detail = verify_gradient_finite_differences(rel_tol=1e-4)
-    report("acceptance-7b gradient check", ok, f"{detail}; tolerance 1e-4 relative")
+    ok, detail = verify_gradient_finite_differences()
+    report("acceptance-7b gradient check", ok, f"{detail}; tolerance {GRADIENT_REL_TOL:g} relative")
 
 
 def test_acceptance_7c_federated_rounds():
@@ -208,12 +216,12 @@ def test_acceptance_7c_federated_rounds():
 
 
 def test_acceptance_8ab_admm_certificate_and_dual_bound():
-    ok, detail = verify_admm_certificate(num_runs=50, tolerance=1e-9)
+    ok, detail = verify_admm_certificate()
     report(
         "acceptance-8ab admm certificate",
         ok,
-        f"{detail}; per-round descent certificate and consecutive-dual bound over "
-        "50 seeded runs, tolerance 1e-9",
+        f"{detail}; per-round descent certificate and consecutive-dual bound, "
+        "as `goalrba verify` checks them",
     )
 
 

@@ -34,6 +34,7 @@ from goalrba.harness import (
     save_config,
 )
 from goalrba.learning import EdgeLearningParams, FederatedParams
+from goalrba.verification import ADMM_RUNS, ADMM_TOLERANCE
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -679,6 +680,22 @@ def test_cli_help_exits_0(capsys):
     assert "--rounds" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_exit_code_1_on_a_federated_client_without_samples(tmp_path, capsys, command):
+    # the config validates, but 6 training samples cannot reach 10 clients;
+    # building the workload fails, before any round
+    raw = config_to_dict(small_config())
+    raw["workload"] = "federated"
+    raw["params"] = {"num_eds": 10, "num_classes": 2, "train_per_class": 3,
+                     "concentrated_classes": []}
+    path = tmp_path / "empty.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "config error" in err and re.search(r"num_eds = 10 leaves client \d+ ", err)
+
+
 def test_cli_exit_code_2_on_runtime_error(tmp_path):
     raw = yaml.safe_load((CONFIGS / "edge_learning.yaml").read_text())
     raw["rounds"] = 2
@@ -706,6 +723,10 @@ def test_cli_verify_exits_zero():
     res = cli("verify")
     assert res.returncode == 0, res.stdout + res.stderr
     assert "PASS" in res.stdout
+    # the ADMM certificate is checked at the tolerance acceptance-8ab quotes
+    admm = [line for line in res.stdout.splitlines() if "admm_certificate" in line]
+    assert admm == [f"[PASS] admm_certificate: certificate, dual bound, and monotone descent "
+                    f"over {ADMM_RUNS} runs at tolerance {ADMM_TOLERANCE:g}"]
 
 
 def test_cli_compare_writes_a_directory(tmp_path):

@@ -17,15 +17,13 @@ from goalrba.learning import (
     FederatedParams,
     FederatedWorkload,
     Mlp,
-    aggregate_step,
     descent_bound_check,
-    federated_marginal_utility,
     gradient,
-    local_gradient,
     loss,
     per_sample_loss,
     sgd_train,
 )
+from goalrba.workload import ConfigError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -104,6 +102,42 @@ def test_loss_requires_data():
         loss(m, np.empty((0, 4)), np.empty(0, dtype=int))
 
 
+# --- references for the federated workload ----------------------------------
+
+
+def local_gradient(model, X, y, batch_size=None, seed=None, rows=None):
+    """Reference: mean gradient on a batch of ``rows`` (every row by default).
+
+    A batch smaller than the rows is drawn from them with a generator of
+    ``seed``; otherwise the batch is all of them.
+    """
+    y = np.atleast_1d(np.asarray(y, dtype=int))
+    rows = np.arange(len(y)) if rows is None else np.asarray(rows, dtype=int)
+    if batch_size is not None and batch_size < len(rows):
+        rng = np.random.default_rng(seed)
+        rows = rows[rng.choice(len(rows), size=batch_size, replace=False)]
+    return gradient(model, np.atleast_2d(X)[rows], y[rows])
+
+
+def aggregate_step(theta, gradients, counts, eta):
+    """Reference: theta minus eta times the count-weighted mean gradient.
+
+    An empty selection returns theta unchanged.
+    """
+    if len(gradients) == 0:
+        return np.asarray(theta, dtype=float).copy()
+    counts = np.asarray(counts, dtype=float)
+    stacked = np.stack([np.asarray(g, dtype=float) for g in gradients])
+    aggregated = (counts[:, None] * stacked).sum(axis=0) / counts.sum()
+    return np.asarray(theta, dtype=float) - eta * aggregated
+
+
+def federated_marginal_utility(g, d_j, d_total, eta, kappa):
+    """Reference: eta*(1 - kappa*eta/2)*||d_j g / d_total||^2."""
+    scaled = (d_j / d_total) * np.asarray(g, dtype=float)
+    return float(eta * (1 - kappa * eta / 2) * np.dot(scaled, scaled))
+
+
 def test_local_gradient_full_batch_equals_gradient():
     rng = np.random.default_rng(2)
     m = Mlp(5, 4, 3, seed=2)
@@ -121,12 +155,8 @@ def test_training_on_no_rows_is_rejected():
     for rows in (np.array([], dtype=int), []):
         with pytest.raises(ValueError, match="sgd_train requires a nonempty dataset"):
             sgd_train(m, X, y, epochs=1, rows=rows)
-        with pytest.raises(ValueError, match="local_gradient requires a nonempty dataset"):
-            local_gradient(m, X, y, rows=rows)
     with pytest.raises(ValueError, match="sgd_train requires a nonempty dataset"):
         sgd_train(m, X[:0], y[:0], epochs=1)
-    with pytest.raises(ValueError, match="local_gradient requires a nonempty dataset"):
-        local_gradient(m, X[:0], y[:0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -293,29 +323,73 @@ def test_edge_marginal_utility_is_the_sample_loss():
         ), rel=1e-12)
 
 
-def test_aggregate_step_identities():
-    theta = np.array([1.0, 2.0, 3.0])
-    g1 = np.array([1.0, 0.0, 0.0])
-    g2 = np.array([0.0, 1.0, 0.0])
+def small_federated_workload(**overrides):
+    params = dict(
+        num_eds=4, num_classes=4, dim=16, hidden_dim=8,
+        train_per_class=30, test_per_class=10, batch_size=16,
+        lr=0.5, concentrated_classes=(2, 3),
+    )
+    params.update(overrides)
+    return FederatedWorkload(FederatedParams(**params), seed=0)
+
+
+def planted_gradients(wl, rows, counts):
+    """Begin round 0, then overwrite the gradient rows and the client counts."""
+    wl.begin_round(0)
+    wl.gradients[...] = 0.0
+    for j, row in enumerate(rows):
+        wl.gradients[j, : len(row)] = row
+    wl.counts = np.asarray(counts, dtype=float)
+
+
+def test_federated_step_is_the_count_weighted_mean_gradient():
+    wl = small_federated_workload(lr=1.0)
+    g1, g2 = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
     # equal counts reduce to the plain mean
-    out = aggregate_step(theta, [g1, g2], [5.0, 5.0], eta=2.0)
-    np.testing.assert_allclose(out, theta - 2.0 * (g1 + g2) / 2)
+    planted_gradients(wl, [g1, g2], [5.0, 5.0, 3.0, 3.0])
+    theta = wl.model.get_params()
+    wl.ingest([0, 1])
+    np.testing.assert_allclose(wl.model.params[:3], theta[:3] - np.array([0.5, 0.5, 0.0]))
+    np.testing.assert_array_equal(wl.model.params[3:], theta[3:])
     # lopsided counts follow the weighted mean
-    out = aggregate_step(theta, [g1, g2], [9.0, 1.0], eta=1.0)
-    np.testing.assert_allclose(out, theta - (0.9 * g1 + 0.1 * g2))
-    np.testing.assert_array_equal(aggregate_step(theta, [], [], eta=1.0), theta)
-    with pytest.raises(ValueError):
-        aggregate_step(theta, [g1], [1.0, 2.0], eta=1.0)
+    planted_gradients(wl, [g1, g2], [9.0, 1.0, 3.0, 3.0])
+    theta = wl.model.get_params()
+    wl.ingest([0, 1])
+    np.testing.assert_allclose(wl.model.params[:3], theta[:3] - np.array([0.9, 0.1, 0.0]))
+    # an empty selection leaves the parameters untouched
+    theta = wl.model.get_params()
+    wl.ingest([])
+    np.testing.assert_array_equal(wl.model.params, theta)
 
 
-def test_federated_marginal_utility_formula():
-    g = np.array([3.0, 4.0])  # norm 5
-    val = federated_marginal_utility(g, d_j=2.0, d_total=10.0, eta=1.0, kappa=1.0)
-    assert val == pytest.approx(1.0 * 0.5 * (0.2 * 5.0) ** 2)
-    with pytest.raises(ValueError):
-        federated_marginal_utility(g, 1.0, 1.0, eta=2.5, kappa=1.0)
-    with pytest.raises(ValueError):
-        federated_marginal_utility(g, 1.0, 1.0, eta=0.0, kappa=1.0)
+def test_federated_utility_is_the_weighted_gradient_norm():
+    wl = small_federated_workload(lr=1.0, kappa=1.0)
+    planted_gradients(wl, [[3.0, 4.0]], [2.0, 3.0, 5.0, 0.0])  # norm 5, d_total 10
+    assert wl.marginal_utilities() == pytest.approx([1.0 * 0.5 * (0.2 * 5.0) ** 2, 0, 0, 0])
+    assert federated_marginal_utility(
+        np.array([3.0, 4.0]), d_j=2.0, d_total=10.0, eta=1.0, kappa=1.0
+    ) == pytest.approx(1.0 * 0.5 * (0.2 * 5.0) ** 2)
+    # the step size must lie in (0, 2/kappa), which the params check
+    for lr in (2.5, 0.0):
+        with pytest.raises(ConfigError, match="lr"):
+            FederatedParams(lr=lr, kappa=1.0)
+
+
+def test_federated_gradients_are_one_matrix_allocated_once():
+    wl = small_federated_workload()
+    matrix = wl.gradients
+    assert matrix.shape == (wl.num_eds, wl.model.num_params)
+    for k in range(3):
+        wl.begin_round(k)
+        wl.ingest([0, 2])
+        assert wl.gradients is matrix
+
+
+def test_a_client_without_samples_is_a_config_error():
+    # 6 training samples cannot reach 10 clients
+    with pytest.raises(ConfigError, match=r"num_eds = 10 leaves client \d+ with no training"):
+        small_federated_workload(
+            num_eds=10, num_classes=2, train_per_class=3, concentrated_classes=())
 
 
 @given(
@@ -440,12 +514,7 @@ def test_running_input_scale_is_the_input_scale_of_the_collected_rows(monkeypatc
 
 
 def test_federated_workload_descent_logging():
-    params = FederatedParams(
-        num_eds=4, num_classes=4, dim=16, hidden_dim=8,
-        train_per_class=30, test_per_class=10, batch_size=16,
-        lr=0.5, concentrated_classes=(2, 3),
-    )
-    wl = FederatedWorkload(params, seed=0)
+    wl = small_federated_workload()
     wl.begin_round(0)
     before = wl.goal_value()
     wl.ingest([0, 1, 2, 3])
@@ -525,17 +594,60 @@ def reference_edge_ingest(wl, selected):
         )
 
 
-def reference_federated_ingest(wl, selected):
-    selected = sorted(selected)
-    if selected:
-        theta = aggregate_step(reference_get_params(wl.model),
-                               [wl._round_grads[j] for j in selected],
+def reference_goal(wl):
+    return loss(wl.model, wl.X_train, wl.y_train)
+
+
+class EdgeReference:
+    """Edge-learning rounds on ``wl`` with the re-gathering reference ingest."""
+
+    def __init__(self, wl):
+        self.wl = wl
+
+    def begin_round(self, k):
+        self.wl.begin_round(k)
+
+    def marginal_utilities(self):
+        return self.wl.marginal_utilities()
+
+    def ingest(self, selected):
+        reference_edge_ingest(self.wl, selected)
+
+    def check_round(self, wl):
+        np.testing.assert_array_equal(wl._offsets, self.wl._offsets)
+
+
+class FederatedReference:
+    """Federated rounds on ``wl``'s data and batch generator, from the references alone."""
+
+    def __init__(self, wl):
+        self.wl = wl
+        self.grads = None
+
+    def begin_round(self, k):
+        wl, p = self.wl, self.wl.params
+        self.grads = [
+            local_gradient(wl.model, wl.X_train, wl.y_train, batch_size=p.batch_size,
+                           seed=wl._batch_rng.integers(2**32), rows=shard)
+            for shard in wl.shards
+        ]
+
+    def marginal_utilities(self):
+        wl, total = self.wl, self.wl.counts.sum()
+        return np.array([
+            federated_marginal_utility(g, wl.counts[j], total, wl.params.lr, wl.params.kappa)
+            for j, g in enumerate(self.grads)
+        ])
+
+    def ingest(self, selected):
+        wl = self.wl
+        theta = aggregate_step(reference_get_params(wl.model), [self.grads[j] for j in selected],
                                [wl.counts[j] for j in selected], wl.params.lr)
         reference_set_params(wl.model, theta)
 
-
-def reference_goal(wl):
-    return loss(wl.model, wl.X_train, wl.y_train)
+    def check_round(self, wl):
+        for row, grad in zip(wl.gradients, self.grads, strict=True):
+            np.testing.assert_array_equal(row, grad)
 
 
 @pytest.mark.parametrize("momentum", [0.9, 0.0])
@@ -575,25 +687,26 @@ def test_sgd_matches_the_reference_at_every_learning_rate(lr):
     np.testing.assert_array_equal(m.params, reference_get_params(ref))
 
 
-@pytest.mark.parametrize("preset, rounds, reference_ingest", [
-    ("edge_learning", 20, reference_edge_ingest),
-    ("federated", 10, reference_federated_ingest),
+@pytest.mark.parametrize("preset, rounds, reference", [
+    ("edge_learning", 20, EdgeReference),
+    ("federated", 10, FederatedReference),
 ])
-def test_learning_rounds_match_the_reference_on_the_preset(preset, rounds, reference_ingest):
+def test_learning_rounds_match_the_reference_on_the_preset(preset, rounds, reference):
     config = load_config(CONFIGS / f"{preset}.yaml")
-    wl, ref = build_workload(config), build_workload(config)
+    wl, ref = build_workload(config), reference(build_workload(config))
     rng = np.random.default_rng(0)
     for k in range(rounds):
         wl.begin_round(k)
         ref.begin_round(k)
         np.testing.assert_array_equal(wl.marginal_utilities(), ref.marginal_utilities())
+        ref.check_round(wl)
         selected = [] if k == 3 else sorted(
             rng.choice(wl.num_eds, size=int(rng.integers(1, 8)), replace=False).tolist())
-        assert wl.goal_value() == reference_goal(ref)
+        assert wl.goal_value() == reference_goal(ref.wl)
         wl.ingest(selected)
-        reference_ingest(ref, selected)
-        assert wl.goal_value() == reference_goal(ref)
-        np.testing.assert_array_equal(wl.model.params, reference_get_params(ref.model))
+        ref.ingest(selected)
+        assert wl.goal_value() == reference_goal(ref.wl)
+        np.testing.assert_array_equal(wl.model.params, reference_get_params(ref.wl.model))
 
 
 def loss_calls_per_round(monkeypatch, epochs):
