@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -143,51 +144,50 @@ def update_consensus(state: AdmmState) -> np.ndarray:
     return (state.thetas + state.lambdas / state.rho).mean(axis=0)
 
 
-def _local_grad(theta, X, Y, lam, rho, theta0, pred, grad, tmp):
-    """Gradient of the smooth subproblem part on (K, d, d) stacks, into grad.
+def _row_views(stack):
+    """(rows, cols) views of a (K, d, d) stack: its rows as (K, 1, d²), and their transposes.
 
-    Row by row this is EdLocalProblem.smooth_grad + lam + rho*(theta - theta0)
-    with the same operations in the same order, so the same floats. pred
-    (K, d, n) and tmp (K, d, d) are scratch. Xᵀ stays a transposed view: a
-    contiguous copy of it gives other products.
+    np.matmul(rows, cols) is each row's sum of squares, (K, 1, 1), through
+    the same BLAS dot as np.linalg.norm(row, "fro"), so the same float; a
+    sum over axes (1, 2) adds in another order and can flip a stop.
     """
-    np.matmul(theta, X, out=pred)
-    pred -= Y
-    np.matmul(pred, X.transpose(0, 2, 1), out=grad)
-    grad += lam
-    np.subtract(theta, theta0, out=tmp)
-    tmp *= rho
-    grad += tmp
+    rows = stack.reshape(len(stack), 1, -1)
+    return rows, rows.transpose(0, 2, 1)
 
 
 def _row_norms(stack):
-    """Frobenius norm of each (d, d) row of a (K, d, d) stack, as a (K,) array.
+    """Frobenius norm of each (d, d) row of a (K, d, d) stack, as a (K,) array."""
+    return np.sqrt(np.matmul(*_row_views(stack)).ravel())
 
-    One batched matmul of each flattened row with itself reaches the same
-    BLAS dot as np.linalg.norm(row, "fro") and so matches it bit for bit; a
-    norm over axes (1, 2) sums in another order and can flip a stop.
+
+def _squared_tol(tol):
+    """The largest double s with sqrt(s) <= tol, for tol >= 0.
+
+    sqrt rounds correctly, so it is monotone, and s <= _squared_tol(tol)
+    holds exactly when np.sqrt(s) <= tol. tol * tol lies a few doubles from
+    it at most, so a few nextafter steps reach it.
     """
-    rows = stack.reshape(len(stack), 1, -1)
-    return np.sqrt(np.matmul(rows, rows.transpose(0, 2, 1)).ravel())
+    tol = float(tol)
+    s = tol * tol
+    while s > 0 and math.sqrt(s) > tol:
+        s = math.nextafter(s, -math.inf)
+    while s < math.inf and math.sqrt(math.nextafter(s, math.inf)) <= tol:
+        s = math.nextafter(s, math.inf)
+    return s
 
 
-def _stop_residuals(theta, grad, varrho, sub, tmp, nonzero, tol=None):
+def _stop_residuals(theta, grad, varrho, sub, tmp, nonzero):
     """Each row's minimum-norm subgradient residual; sub, tmp, nonzero are scratch.
 
     The subgradient is grad where varrho is 0; otherwise, where theta != 0,
     grad + varrho * sign(theta), and elsewhere grad soft-thresholded at
-    varrho, sign(grad) * max(|grad| - varrho, 0). With tol, the norms of
-    max(|grad| - varrho, 0) screen it first: they are a lower bound on the
-    residual in floats, so when none of them reaches tol no row can stop,
-    and None comes back instead.
+    varrho, sign(grad) * max(|grad| - varrho, 0).
     """
     if varrho == 0:
         return _row_norms(grad)
     np.abs(grad, out=sub)
     sub -= varrho
     np.maximum(sub, 0.0, out=sub)
-    if tol is not None and not (_row_norms(sub) <= tol).any():
-        return None
     np.sign(grad, out=tmp)
     sub *= tmp
     np.sign(theta, out=tmp)
@@ -216,30 +216,45 @@ def update_local(
     residual, not fatal. Each ED's iterates are those of a solve on its own.
     ed_ids must not be empty; the K solutions come back stacked in its order.
 
-    The loop soft-thresholds, v -> sign(v) * max(|v| - tau, 0), on buffers
+    At (K, 20, 20) an iteration costs about one numpy call's overhead per
+    op, so the loop makes as few calls as it can. It runs on buffers
     allocated once per call: the threshold step * varrho is checked once,
     before the loop, and every elementwise op and matmul writes into a
-    buffer. The active EDs sit in the leading rows of every buffer. step,
-    tau and theta0 are expanded to full (K, d, d) buffers once, because a
-    broadcast operand makes every op slower and the values are the same. The
-    sign step is np.copysign: max(|v| - tau, 0) is never negative, so
-    copysign gives sign(v) times it, except where v is -0.0: np.sign(-0.0)
-    is +0.0, so the product was +0.0 and copysign gives -0.0. Zeros of
-    either sign compare equal and give equal values in every later op of the
-    solve, so no iterate or stop moves.
+    buffer. The active EDs sit in the leading rows of every buffer, and the
+    views of them the loop reads (Xᵀ and the screen's rows) are made again
+    only when EDs leave. step, tau, -tau, theta0, rho, varrho and 0 are
+    expanded to full (K, d, d) buffers once, because a broadcast or scalar
+    operand makes every op slower and the values are the same. Xᵀ stays a
+    transposed view: a contiguous copy of it gives other products.
 
-    The stop test is screened. The first three ops of the subgradient give
-    sub = max(|grad| - varrho, 0), and the norms of its rows bound the exact
-    residuals from below in floats: rounding to nearest is monotone, so
-    |fl(g +- varrho)| >= fl(|g| - varrho) entry by entry, the entries where
-    theta == 0 are exactly +-sub, and a sum of squares of non-negative
-    entries through the same BLAS dot on the same buffer is monotone too.
-    Only when some bound reaches tol is the exact residual computed, so a
-    screened iteration never hides a stop; NaN fails both tests. At the cap
-    the exact residuals of the EDs still active are computed for the log.
-    The state is never written.
+    The soft-threshold v -> sign(v) * max(|v| - tau, 0) is v - clip(v, -tau,
+    tau), in three calls: np.minimum with tau, np.maximum with -tau, and a
+    subtraction from v. Where |v| > tau, clip gives +-tau and v -+ tau is
+    the same rounded float as sign(v) * (|v| - tau), since rounding to
+    nearest is symmetric; inf, NaN and tau = 0 give the same values too.
+    Where |v| <= tau both give a zero, but not always of the same sign:
+    sign(v) * 0.0 is -0.0 for negative v, and v - v is +0.0. Zeros of either
+    sign compare equal and give equal values in every later op of the solve
+    (a product with them is a zero, a sum with a nonzero is that nonzero,
+    and the stop test squares them), so no iterate or stop moves.
+
+    The stop test is screened. sub = max(|grad| - varrho, 0), in three ops,
+    is the subgradient where theta == 0 up to sign, and the sums of squares
+    of its rows bound the exact squared residuals from below in floats:
+    rounding to nearest is monotone, so |fl(g +- varrho)| >= fl(|g| -
+    varrho) entry by entry, and a sum of squares of non-negative entries
+    through the same BLAS dot on the same buffer is monotone too. With
+    varrho = 0 the residual is grad's norm and the screen is exact. The
+    screen takes no sqrt: it compares the sums of squares with
+    _squared_tol(tol), the largest double whose sqrt is <= tol. Only when
+    some row passes is the exact residual computed, so a screened iteration
+    never hides a stop; NaN fails both tests. At the cap the exact
+    residuals of the EDs still active are computed for the log. The state
+    is never written.
     """
     ids = list(ed_ids)
+    if not ids:
+        raise ValueError("ed_ids must not be empty")
     theta0 = state.theta0 if theta0 is None else theta0
     rho, varrho = state.rho, state.varrho
     # Fancy indexing copies, so these are buffers of this call's own.
@@ -248,41 +263,71 @@ def update_local(
     tau = step * varrho
     if np.any(tau < 0):
         raise ValueError(f"threshold must be non-negative, got {tau}")
-    step, tau, theta0 = (np.broadcast_to(a, theta.shape).copy() for a in (step, tau, theta0))
+    step, tau, theta0, rhos, varrhos, zeros = (
+        np.broadcast_to(a, theta.shape).copy() for a in (step, tau, theta0, rho, varrho, 0.0)
+    )
+    neg_tau = -tau
     pred = np.empty_like(X)
     grad, tmp, sub, out = (np.empty_like(theta) for _ in range(4))
     nonzero = np.empty(theta.shape, dtype=bool)
     k = len(ids)
+    sq = np.empty((k, 1, 1))
+    tol_sq = _squared_tol(tol)
+    Xt = X.transpose(0, 2, 1)
+    # With varrho = 0 grad is the subgradient, and the screen reads it.
+    rows, cols = _row_views(sub if varrho else grad)
     active = np.arange(k)
     residual = np.full(k, np.inf)
-    _local_grad(theta, X, Y, lam, rho, theta0, pred, grad, tmp)
-    for _ in range(max_iter):
-        # v = theta - step * grad; theta = sign(v) * max(|v| - tau, 0)
-        np.multiply(step, grad, out=tmp)
-        np.subtract(theta, tmp, out=tmp)
-        np.abs(tmp, out=theta)
-        theta -= tau
-        np.maximum(theta, 0.0, out=theta)
-        np.copysign(theta, tmp, out=theta)
-        _local_grad(theta, X, Y, lam, rho, theta0, pred, grad, tmp)
-        residual = _stop_residuals(theta, grad, varrho, sub, tmp, nonzero, tol)
-        if residual is None:
+    # Iteration 0 only takes the warm start's gradient.
+    for it in range(max_iter + 1):
+        if it:
+            # v = theta - step * grad; theta = v - clip(v, -tau, tau)
+            np.multiply(step, grad, out=tmp)
+            np.subtract(theta, tmp, out=tmp)
+            np.minimum(tmp, tau, out=theta)
+            np.maximum(theta, neg_tau, out=theta)
+            np.subtract(tmp, theta, out=theta)
+        # grad = smooth_grad(theta) + lam + rho * (theta - theta0), row by
+        # row the ops of EdLocalProblem.smooth_grad in the same order.
+        np.matmul(theta, X, out=pred)
+        pred -= Y
+        np.matmul(pred, Xt, out=grad)
+        grad += lam
+        np.subtract(theta, theta0, out=tmp)
+        np.multiply(tmp, rhos, out=tmp)
+        grad += tmp
+        if not it:
             continue
+        if varrho:
+            np.abs(grad, out=sub)
+            np.subtract(sub, varrhos, out=sub)
+            np.maximum(sub, zeros, out=sub)
+        np.matmul(rows, cols, out=sq)
+        # fmin skips NaN rows, so a diverged ED cannot hide another's stop.
+        if not np.fmin.reduce(sq, axis=None) <= tol_sq:
+            continue
+        residual = _stop_residuals(theta, grad, varrho, sub, tmp, nonzero)
         done = residual <= tol
-        if done.any():
-            out[active[done]] = theta[done]
-            keep = ~done
-            active = active[keep]
-            k = active.size
-            # theta0's rows are all equal, so it needs no compaction, only the slice.
-            for a in (theta, grad, X, Y, lam, step, tau):
-                a[:k] = a[keep]
-            theta, grad, X, Y, lam, step, tau, theta0, pred, tmp, sub, nonzero = (
-                a[:k]
-                for a in (theta, grad, X, Y, lam, step, tau, theta0, pred, tmp, sub, nonzero)
-            )
-            if not k:
-                break
+        if not done.any():
+            continue
+        out[active[done]] = theta[done]
+        keep = ~done
+        active = active[keep]
+        k = active.size
+        for a in (theta, grad, X, Y, lam, step, tau, neg_tau):
+            a[:k] = a[keep]
+        # Every buffer keeps its leading k rows; those not compacted above
+        # have all rows equal (theta0, rhos, varrhos, zeros) or are scratch.
+        (theta, grad, X, Y, lam, step, tau, neg_tau, theta0, rhos, varrhos, zeros,
+         pred, tmp, sub, nonzero, sq) = (
+            a[:k]
+            for a in (theta, grad, X, Y, lam, step, tau, neg_tau, theta0, rhos, varrhos, zeros,
+                      pred, tmp, sub, nonzero, sq)
+        )
+        if not k:
+            break
+        Xt = X.transpose(0, 2, 1)
+        rows, cols = _row_views(sub if varrho else grad)
     if k and max_iter:
         residual = _stop_residuals(theta, grad, varrho, sub, tmp, nonzero)
     out[active] = theta

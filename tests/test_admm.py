@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -315,7 +316,8 @@ def test_screened_bound_never_exceeds_the_exact_residual(data, varrho, k, d):
     sub, tmp = np.empty_like(grad), np.empty_like(grad)
     nonzero = np.empty(grad.shape, dtype=bool)
     with np.errstate(over="ignore"):  # squares of 1e200 entries overflow to inf
-        bound = admm._row_norms(np.maximum(np.abs(grad) - varrho, 0.0))
+        # the loop's screen: sums of squares of max(|grad| - varrho, 0), no sqrt
+        bound_sq = np.matmul(*admm._row_views(np.maximum(np.abs(grad) - varrho, 0.0))).ravel()
         exact = admm._stop_residuals(theta, grad, varrho, sub, tmp, nonzero)
         reference = admm._row_norms(np.where(
             theta != 0,
@@ -323,11 +325,72 @@ def test_screened_bound_never_exceeds_the_exact_residual(data, varrho, k, d):
             np.sign(grad) * np.maximum(np.abs(grad) - varrho, 0.0),
         ))
         assert exact.tolist() == reference.tolist()
-        assert (bound <= exact).all()
+        assert (np.sqrt(bound_sq) <= exact).all()
         # screened at any exact residual as tol, the stop test still sees it
         for tol in exact:
-            screened = admm._stop_residuals(theta, grad, varrho, sub, tmp, nonzero, tol)
-            assert screened is not None and screened.tolist() == exact.tolist()
+            assert np.fmin.reduce(bound_sq) <= admm._squared_tol(tol)
+
+
+def clip_soft_threshold(v, tau):
+    """update_local's soft-threshold: v - clip(v, -tau, tau), in its three calls."""
+    tau = np.full_like(v, tau)
+    out = np.empty_like(v)
+    np.minimum(v, tau, out=out)
+    np.maximum(out, -tau, out=out)
+    np.subtract(v, out, out=out)
+    return out
+
+
+def around(x):
+    """x and its two float neighbours."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), tau=st.one_of(st.just(0.0), st.floats(min_value=0.0)))
+def test_clip_form_soft_threshold_is_the_reference(data, tau):
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, *around(tau), *around(-tau)]
+    v = data.draw(arrays(np.float64, st.integers(1, 30), elements=st.one_of(
+        st.sampled_from(special), st.floats(allow_nan=True, allow_infinity=True),
+    )))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        np.testing.assert_array_equal(clip_soft_threshold(v, tau), soft_threshold(v, tau))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tol=st.one_of(st.floats(1e-300, 1e300), st.floats(-300, 300).map(lambda e: 10.0 ** e)))
+def test_squared_tol_screens_exactly_like_the_sqrt(tol):
+    tol_sq = admm._squared_tol(tol)
+    near = [*around(math.nextafter(tol_sq, -math.inf)), *around(math.nextafter(tol_sq, math.inf))]
+    for s in near:
+        if s >= 0:  # sums of squares are never negative
+            assert (s <= tol_sq) == (np.sqrt(s) <= tol)
+    assert math.sqrt(tol_sq) <= tol < math.sqrt(math.nextafter(tol_sq, math.inf))
+
+
+def test_squared_tol_edges():
+    assert admm._squared_tol(0.0) == 0.0
+    assert admm._squared_tol(np.inf) == np.inf
+    assert admm._squared_tol(1e200) == np.finfo(float).max
+
+
+def test_an_empty_selection_is_rejected():
+    state = solve_instance(0.2)
+    with pytest.raises(ValueError, match="ed_ids must not be empty"):
+        update_local(state, [])
+
+
+def test_a_diverged_ed_does_not_hide_another_eds_stop(caplog):
+    # ED 1's NaN step makes all its iterates NaN; ED 0 still stops where it
+    # would on its own, and only ED 1 reaches the cap
+    state = solve_instance(0.2)
+    state.kappa[1] = np.nan
+    alone = update_local(state, [0], tol=1e-9, max_iter=20_000)
+    with caplog.at_level(logging.WARNING, logger="goalrba.admm"), np.errstate(invalid="ignore"):
+        got = update_local(state, [0, 1], tol=1e-9, max_iter=20_000)
+    np.testing.assert_array_equal(got[0], alone[0])
+    assert np.isnan(got[1]).all()
+    assert [r.getMessage().split(" local")[0] for r in caplog.records] == ["ED 1"]
 
 
 @pytest.mark.parametrize("varrho", [0.2, 0.0])
@@ -354,9 +417,13 @@ def preset_state(varrho):
     return state
 
 
+@pytest.mark.parametrize("rho", [1.0, 0.5, 0.3])
 @pytest.mark.parametrize("varrho", [1e-4, 0.0])
-def test_one_stacked_solve_of_the_preset_eds_matches_the_reference(varrho):
+def test_one_stacked_solve_of_the_preset_eds_matches_the_reference(varrho, rho):
+    # rho = 1 is the preset's; a product with 1 or 0.5 is exact, so a skipped
+    # rho * (theta - theta0) shows only at 0.5 and a reordered one only at 0.3
     state = preset_state(varrho)
+    state.rho = rho
     ids = [3, 0, 4, 1, 2]
     ref = as_lists(state)
     expected = [reference_update_local(ref, j, max_iter=3000) for j in ids]
