@@ -312,6 +312,24 @@ class DrParams:
         return self.num_eds * (1e4 / 15000.0)
 
 
+def _uniform_loads(rng: np.random.Generator, shape, span: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Loads of `shape`, uniform on [lo, lo + span) per ED, as Generator.uniform draws them.
+
+    Generator.uniform(lo, hi) draws lo + (hi - lo) * u from one double u
+    per entry in C order; this is the same stream and the same arithmetic,
+    without its per-call broadcast and finiteness check, so the same bits.
+    """
+    loads = rng.random(shape)
+    loads *= span
+    loads += lo
+    return loads
+
+
+# Table entries per block of the expected-mode gather: a block's table
+# rows, 256 KiB in all, stay in cache while its draws are gathered.
+_GATHER_ENTRIES = 1 << 15
+
+
 class DrHistory:
     """Past load rows of demand response, oldest first, as a reveal log.
 
@@ -319,15 +337,29 @@ class DrHistory:
     (ids, values) pair per revealing round. The row of such a round is the
     row before it with the revealed EDs' values written in: every
     unrevealed ED carries its previous value forward. len is the row count.
+
+    The initial block is drawn on first read, from the saved generator
+    state it was due to be drawn from, so a run that never reads it (exact
+    mode) never draws it. The draw holds that state, the shape, the span
+    and xi_lo, not the workload, so a dropped workload is freed at once.
     """
 
-    def __init__(self, initial: np.ndarray):
-        initial.flags.writeable = False
-        self.initial = initial
+    def __init__(self, state: dict, shape: Tuple[int, int], span: np.ndarray, lo: np.ndarray):
+        self._initial_rows = shape[0]
+        self._draw = (state, shape, span, lo)
         self.reveals: List[Tuple[np.ndarray, np.ndarray]] = []
 
+    @cached_property
+    def initial(self) -> np.ndarray:
+        state, shape, span, lo = self._draw
+        bit_generator = np.random.PCG64()
+        bit_generator.state = state
+        block = _uniform_loads(np.random.Generator(bit_generator), shape, span, lo)
+        block.flags.writeable = False
+        return block
+
     def __len__(self) -> int:
-        return len(self.initial) + len(self.reveals)
+        return self._initial_rows + len(self.reveals)
 
 
 class DemandResponseWorkload(Workload):
@@ -337,7 +369,7 @@ class DemandResponseWorkload(Workload):
     construction; real-time reducible loads are redrawn each round. Each
     round's capacities start at xi_lo and a reveal writes the ED's true load
     in. The market's dispatch tables and base cost (the goal before any
-    reveal), and in expected mode one gain row per history row, are built
+    reveal), and in expected mode one gain column per history row, are built
     on first use and reused, since none of them changes between rounds.
     history (a DrHistory) holds the past load rows: the initial block, and
     for each revealing round only the revealed ids and loads, so a round
@@ -359,31 +391,24 @@ class DemandResponseWorkload(Workload):
         self.pi_min = params.resolved_pi_min()
         self.market = DrInstance(self.costs, self.xi_lo, self.xi_max, self.pi_min)
         # Old dataset: past real-time loads, same distribution as fresh ones.
-        # Rows are only ever appended.
-        self.history = DrHistory(self._draw_loads(size=params.history_len))
-        # dr_marginal_utilities of each history row cached so far, oldest
-        # first, and the replay row, the last of those rows, into which the
-        # next reveal is written (expected mode only).
-        self._gain_rows: List[np.ndarray] = []
+        # Rows are only ever appended. The initial block is skipped here
+        # and drawn on first read: Generator.random takes one 64-bit output
+        # per double, so advancing by its entry count leaves the stream
+        # where drawing it would.
+        shape = (params.history_len, J)
+        self.history = DrHistory(self._rng.bit_generator.state, shape, self._xi_span, self.xi_lo)
+        self._rng.bit_generator.advance(shape[0] * shape[1])
+        # dr_marginal_utilities of each history row cached so far, one
+        # column per row, oldest first, in a (J, width) table that doubles
+        # its width when full; and the replay row, the last of those rows,
+        # into which the next reveal is written (expected mode only).
+        self._gains = np.empty((J, 0))
+        self._gain_count = 0
         self._replay: Optional[np.ndarray] = None
         self.begin_round(0)
 
-    def _draw_loads(self, size: Optional[int] = None) -> np.ndarray:
-        """One row of loads, or `size` rows, uniform on [xi_lo, xi_max) per ED.
-
-        Generator.uniform(xi_lo, xi_max) draws xi_lo + (xi_max - xi_lo) * u
-        from one double u per entry in C order; this is the same stream and
-        the same arithmetic, without its per-call broadcast and finiteness
-        check, so the same bits.
-        """
-        shape = (size, self.num_eds) if size is not None else self.num_eds
-        loads = self._rng.random(shape)
-        loads *= self._xi_span
-        loads += self.xi_lo
-        return loads
-
     def begin_round(self, round_idx: int) -> None:
-        self.true_xi = self._draw_loads()
+        self.true_xi = _uniform_loads(self._rng, self.num_eds, self._xi_span, self.xi_lo)
         self.cap = self.xi_lo.copy()
         self._revealed = False
 
@@ -396,22 +421,44 @@ class DemandResponseWorkload(Workload):
         """Mean delta over per-ED history draws.
 
         Delta of ED j depends only on its own value, so the delta of a draw
-        from history row i is entry j of that row's gain row; the gain rows
+        from history row i is entry (j, i) of the gain table; the gain rows
         of rows added since the last call are computed, and the draws are
         gathered from the table. The rows of new reveals are built by
-        writing each reveal into the replay row once.
+        writing each reveal into the replay row once. The draws land in one
+        (num_samples, J) array, as a gather along the history axis would
+        lay them out, so the mean sums each ED's draws in the same order.
         """
         history = self.history
         idx = rng.integers(0, len(history), size=(num_samples, self.num_eds))
-        if not self._gain_rows:
-            initial = history.initial
-            self._gain_rows.extend(dr_marginal_utilities(self.market, row) for row in initial)
-            self._replay = initial[-1].copy()
-        for ids, values in history.reveals[len(self._gain_rows) - len(history.initial):]:
+        if self._replay is None:
+            for row in history.initial:
+                self._add_gain_row(dr_marginal_utilities(self.market, row))
+            self._replay = history.initial[-1].copy()
+        for ids, values in history.reveals[self._gain_count - len(history.initial):]:
             self._replay[ids] = values
-            self._gain_rows.append(dr_marginal_utilities(self.market, self._replay))
-        table = np.array(self._gain_rows)
-        return np.mean(np.take_along_axis(table, idx, axis=0), axis=0)
+            self._add_gain_row(dr_marginal_utilities(self.market, self._replay))
+        # Draw (s, j) is entry j * width + idx[s, j] of the flat table. The
+        # take runs over blocks of EDs, so the table rows it reads stay in
+        # cache; every index is in range, so mode="clip" only skips the check.
+        width = self._gains.shape[1]
+        idx += np.arange(0, self.num_eds * width, width)
+        table = self._gains.ravel()
+        draws = np.empty(idx.shape)
+        step = max(_GATHER_ENTRIES // width, 1)
+        for j in range(0, self.num_eds, step):
+            block = slice(j, j + step)
+            np.take(table, idx[:, block], out=draws[:, block], mode="clip")
+        return np.mean(draws, axis=0)
+
+    def _add_gain_row(self, gains: np.ndarray) -> None:
+        """Append one column to the gain table, doubling its width when full."""
+        n = self._gain_count
+        if n == self._gains.shape[1]:
+            grown = np.empty((self.num_eds, max(2 * n, len(self.history))))
+            grown[:, :n] = self._gains
+            self._gains = grown
+        self._gains[:, n] = gains
+        self._gain_count = n + 1
 
     def ingest(self, selected: Sequence[int]) -> None:
         """Reveal the selected EDs' loads and append one history row.

@@ -47,6 +47,10 @@ WORKLOADS = {
 
 POLICIES = ("channel", "utility", "hybrid")
 
+# libyaml's parser where PyYAML was built with it: the same constructor and
+# resolver as SafeLoader, so the same objects, parsed about 8x faster.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class RoundError(RuntimeError):
     """A round of a scenario failed; the original exception is its cause."""
@@ -160,7 +164,7 @@ def load_config(path) -> ScenarioConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     if not isinstance(raw, dict):

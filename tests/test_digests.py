@@ -65,6 +65,18 @@ CASES = {
             "36cba9c5a442a8b96e62175a899c92aa8e2792819f5943b1d9a967373737c422",
         ),
     ),
+    # paper scale in expected mode: the initial history block is read back
+    # from the generator, and the draws are gathered from the gain table
+    "demand_response_expected_paper": (
+        "demand_response.yaml",
+        ["params.num_eds=15000", "utility_mode=expected", "utility_samples=32", "rounds=5"],
+        (
+            "4f208d8642aae66020116f40a1102eb1b18cce50080e3e83b68ddd5209f6ad20",
+            "56258f92047ef69cea5ce588dfc4f39823bc4a8924bc2cefbffd88d57d876905",
+            "784f8b1d0e01963ba339b2bd8202cf6ad2d18cca5af3f3ce864259858be69fff",
+            "7c2c1fdade28204f0acfdb20f8c7f793afa99f45e9ba7521cba22ee9fd9cc548",
+        ),
+    ),
     "edge_learning": ("edge_learning.yaml", ["rounds=10"], (
         "56844f253de977b95e5203228f9129298461354c7d5e49a09c0bba8abd069f77",
         "0db99a529b3a9912841e124bfc355e758d9760bc38b784eb962491184ebc5c08",

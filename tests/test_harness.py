@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
+from goalrba import harness
 from goalrba.cli import main
 from goalrba.decision import DrParams, RoutingParams
 from goalrba.harness import (
@@ -362,6 +363,48 @@ def test_cli_exit_code_1_on_config_error(tmp_path):
     res = cli("run", "--config", str(path), "--out", str(tmp_path / "o.csv"))
     assert res.returncode == 1
     assert "config error" in res.stderr
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("workload: demand_response\nparams: {num_eds: [1, 2}\n", id="mismatched"),
+    pytest.param("workload: demand_response\n  rounds: 3\n", id="indented"),
+    pytest.param("workload: [\n", id="unclosed"),
+])
+def test_cli_exit_code_1_on_malformed_yaml(tmp_path, capsys, text):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    code = exit_code(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"config error: invalid YAML in {path}" in err
+
+
+YAML_SNIPPETS = [
+    "x: 1e4",  # no dot: YAML 1.1 reads a string
+    "x: 1.0e4",
+    "x: [.inf, -.inf, .nan]",
+    "x: null",
+    "x: ~",
+    "x: [[1, 2.5], [[], {}], [yes, no, off]]",
+    "x: [0.0, -0.0]",
+    "a: {b: {c: [1, -2, 0x10, 010]}}\nd: '1'\ne: 2026-10-19",
+    "- 1\n- [2, 3]\n- {k: v}",
+]
+
+
+def as_loaded(loader, text):
+    """repr of the loaded object: it tells 0.0 from -0.0 and 1 from 1.0."""
+    return repr(yaml.load(text, Loader=loader))
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("text", [
+    *(pytest.param(text, id=f"snippet{i}") for i, text in enumerate(YAML_SNIPPETS)),
+    *(pytest.param(path.read_text(), id=path.name) for path in sorted(CONFIGS.glob("*.yaml"))),
+])
+def test_libyaml_loads_the_objects_safe_loader_does(text):
+    assert harness._YAML_LOADER is yaml.CSafeLoader
+    assert as_loaded(yaml.CSafeLoader, text) == as_loaded(yaml.SafeLoader, text)
 
 
 # Hand-picked bad values: cross-field rules, and single values listed before
