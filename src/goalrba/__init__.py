@@ -8,6 +8,7 @@ making, edge learning, federated learning, and consensus ADMM.
 
 from .allocator import (
     Allocation,
+    Reports,
     channel_policy,
     exact_knapsack,
     greedy_allocate,

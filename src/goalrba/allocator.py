@@ -1,14 +1,16 @@
 """RB allocation policies over per-ED utility reports, plus a DP oracle.
 
-Reports are a record array with one row per ED (see make_reports). The
-hybrid rule sorts by utility-per-RB and fills the budget greedily; the two
-benchmark policies order by channel gain and by raw utility. The exact DP
-solver certifies the greedy suboptimality gap.
+Reports are three contiguous columns, ed_id, delta and w, with one entry
+per ED (see make_reports). The hybrid rule sorts by utility-per-RB and
+fills the budget greedily; the two benchmark policies order by channel gain
+and by raw utility. The exact DP solver certifies the greedy suboptimality
+gap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -23,20 +25,46 @@ class OracleViolationError(ValueError):
     """A heuristic value exceeded the certified optimum: allocator bug."""
 
 
-_REPORT_DTYPE = np.dtype((np.record, [("ed_id", np.int64), ("delta", float), ("w", np.int64)]))
+class Report(NamedTuple):
+    """One ED's report as Python scalars; iterating Reports yields these."""
+
+    ed_id: int
+    delta: float
+    w: int
 
 
-def make_reports(ed_id, delta, w) -> np.recarray:
+@dataclass(frozen=True, eq=False)
+class Reports:
+    """Knapsack items as three contiguous columns of one length.
+
+    ed_id and w are int64, delta float64; entry i of each belongs to one ED.
+    len() is the number of reports, and iterating yields one Report per
+    entry, in column order.
+    """
+
+    ed_id: np.ndarray
+    delta: np.ndarray
+    w: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ed_id)
+
+    def __iter__(self) -> Iterator[Report]:
+        return map(Report, self.ed_id.tolist(), self.delta.tolist(), self.w.tolist())
+
+
+def make_reports(ed_id, delta, w) -> Reports:
     """Knapsack items, one per ED: marginal utility gain delta and RB demand w.
 
-    A record array with the columns ed_id, delta and w, each input copied
-    once into one new buffer; the three must have one shape. Every delta
+    Each column is its input when that is already a contiguous array of its
+    dtype (int64 ed_id and w, float64 delta), so the reports share it, and a
+    contiguous copy otherwise; the three must have one shape. Every delta
     must be a non-negative number (NaN is rejected, since no policy could
     rank it) and every w non-negative.
     """
-    ed_id = np.asarray(ed_id, dtype=np.int64)
-    delta = np.asarray(delta, dtype=float)
-    w = np.asarray(w, dtype=np.int64)
+    ed_id = np.ascontiguousarray(ed_id, dtype=np.int64)
+    delta = np.ascontiguousarray(delta, dtype=float)
+    w = np.ascontiguousarray(w, dtype=np.int64)
     if not ed_id.shape == delta.shape == w.shape:
         raise ValueError(f"ed_id, delta and w must have one shape, got "
                          f"{ed_id.shape}, {delta.shape} and {w.shape}")
@@ -48,9 +76,7 @@ def make_reports(ed_id, delta, w) -> np.recarray:
         raise ValueError(f"delta must be non-negative, got {delta.min()}")
     if np.any(w < 0):
         raise ValueError(f"w must be non-negative, got {w.min()}")
-    reports = np.recarray(ed_id.shape, dtype=_REPORT_DTYPE)
-    reports["ed_id"], reports["delta"], reports["w"] = ed_id, delta, w
-    return reports
+    return Reports(ed_id, delta, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,8 +91,11 @@ class Allocation:
     capacity_used: int
 
 
-def allocation_value(allocation: Allocation, reports: np.recarray) -> float:
-    """Total utility gain an allocation collects from the given reports."""
+def allocation_value(allocation: Allocation, reports: Reports) -> float:
+    """Total utility gain an allocation collects from the given reports.
+
+    The delta column summed over the selected EDs' entries, in column order.
+    """
     taken = np.isin(reports.ed_id, allocation.selected)
     return sum(reports.delta[taken].tolist())
 
@@ -97,7 +126,7 @@ def _take_in_order(ids, ws, remaining: int, halt_on_overflow, picked: list) -> i
     return remaining
 
 
-def _fill_budget(reports: np.recarray, capacity: int, key, *, halt_on_overflow) -> Allocation:
+def _fill_budget(reports: Reports, capacity: int, key, *, halt_on_overflow) -> Allocation:
     """Take EDs in ascending (key, ed_id) order while their demands fit.
 
     key maps the (ed_id, delta, w) columns of the positive-demand candidates
@@ -143,7 +172,7 @@ def _fill_budget(reports: np.recarray, capacity: int, key, *, halt_on_overflow) 
     return Allocation(selected=np.sort(np.concatenate(picked)), capacity_used=capacity - remaining)
 
 
-def greedy_allocate(reports: np.recarray, capacity: int) -> Allocation:
+def greedy_allocate(reports: Reports, capacity: int) -> Allocation:
     """Hybrid rule: pick EDs by descending delta/w until the budget is used up.
 
     Halts at the first ED that does not fit. Ties broken by ascending ed_id.
@@ -162,7 +191,7 @@ def greedy_allocate(reports: np.recarray, capacity: int) -> Allocation:
     )
 
 
-def channel_policy(gains, reports: np.recarray, capacity: int) -> Allocation:
+def channel_policy(gains, reports: Reports, capacity: int) -> Allocation:
     """Throughput benchmark: grant w_j RBs in descending channel-gain order.
 
     gains is indexable by ed_id. Non-fitting EDs are skipped so the budget
@@ -174,12 +203,12 @@ def channel_policy(gains, reports: np.recarray, capacity: int) -> Allocation:
     )
 
 
-def utility_policy(reports: np.recarray, capacity: int) -> Allocation:
+def utility_policy(reports: Reports, capacity: int) -> Allocation:
     """Utility benchmark: grant w_j RBs in descending raw-delta order."""
     return _fill_budget(reports, capacity, lambda ed_id, delta, w: -delta, halt_on_overflow=False)
 
 
-def exact_knapsack(reports: np.recarray, capacity: int) -> Allocation:
+def exact_knapsack(reports: Reports, capacity: int) -> Allocation:
     """Maximum-value selection via dynamic programming over capacity.
 
     Tractability guard: the item*capacity product must stay within

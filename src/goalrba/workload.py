@@ -23,7 +23,7 @@ from typing import Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .allocator import make_reports
+from .allocator import Reports, make_reports
 from .channel import rb_bits, rb_demand
 
 MAX_ENUMERATION_EDS = 12
@@ -176,14 +176,17 @@ def collect_reports(
     mode: str = "exact",
     num_samples: int = 256,
     seed=None,
-) -> np.recarray:
+) -> Reports:
     """Pair each ED's delta with its RB demand; unreachable EDs are excluded.
 
     `channel` is the scenario's harness.ChannelConfig, which gives the
     per-RB rate at each gain (see rb_bits). mode "exact" queries the
     workload directly; "expected" averages num_samples history draws per ED
-    (deterministic given seed). Returns the reports of make_reports in
-    ascending ed_id order, negative deltas clamped to zero.
+    (deterministic given seed). Returns the Reports of make_reports in
+    ascending ed_id order, negative deltas clamped to zero. When every ED is
+    reachable (each has a positive rate or no payload), the workload's fresh
+    delta array, clamped in place, and the demand array become two of the
+    columns as they are, with no gather.
     """
     if mode not in ("exact", "expected"):
         raise ValueError(f"unknown utility mode {mode!r}")
@@ -196,9 +199,12 @@ def collect_reports(
     r_min = workload.payload_bits()
     per_rb = rb_bits(gains, channel)
     reachable = (r_min == 0) | (per_rb > 0)
-    ids = np.flatnonzero(reachable)
-    deltas, r_min, per_rb = deltas[ids], r_min[ids], per_rb[ids]
-    return make_reports(ids, np.maximum(deltas, 0.0), rb_demand(r_min, per_rb))
+    if reachable.all():
+        ids = np.arange(len(reachable))
+    else:
+        ids = np.flatnonzero(reachable)
+        deltas, r_min, per_rb = deltas[ids], r_min[ids], per_rb[ids]
+    return make_reports(ids, np.maximum(deltas, 0.0, out=deltas), rb_demand(r_min, per_rb))
 
 
 def submodular_bound_check(

@@ -173,18 +173,23 @@ def reference_update_local(state, ed_id, theta0=None, tol=1e-8, max_iter=500):
         grad = problem.smooth_grad(theta) + lam + rho * (theta - theta0)
         theta = soft_threshold(theta - step * grad, step * varrho)
         grad = problem.smooth_grad(theta) + lam + rho * (theta - theta0)
-        if varrho > 0:
-            sub = np.where(
-                theta != 0,
-                grad + varrho * np.sign(theta),
-                np.sign(grad) * np.maximum(np.abs(grad) - varrho, 0.0),
-            )
-        else:
-            sub = grad
-        residuals.append(float(np.linalg.norm(sub, "fro")))
+        residuals.append(reference_residual(theta, grad, varrho))
         if residuals[-1] <= tol:
             return theta, residuals, False
     return theta, residuals, True
+
+
+def reference_residual(theta, grad, varrho):
+    """Norm of the minimum-norm subgradient at theta, whose smooth gradient is grad."""
+    if varrho > 0:
+        sub = np.where(
+            theta != 0,
+            grad + varrho * np.sign(theta),
+            np.sign(grad) * np.maximum(np.abs(grad) - varrho, 0.0),
+        )
+    else:
+        sub = grad
+    return float(np.linalg.norm(sub, "fro"))
 
 
 def reference_run_round(state, selected, tol=1e-8, max_iter=500):
@@ -401,8 +406,19 @@ def test_batched_solve_with_no_iterations_returns_the_warm_start(varrho, caplog)
     expected = [reference_update_local(as_lists(state), j, max_iter=0)[0] for j in (2, 0)]
     np.testing.assert_array_equal(got, np.stack(expected))
     np.testing.assert_array_equal(got, np.stack([state.thetas[2], state.thetas[0]]))
-    # one warning per capped ED, in ascending id order
-    assert [r.getMessage().split(" local")[0] for r in caplog.records] == ["ED 0", "ED 2"]
+    # one warning per capped ED, in ascending id order, with the warm start's residual
+    ref = as_lists(state)
+    residuals = {}
+    for j in (0, 2):
+        theta = ref.thetas[j]
+        grad = (ref.problems[j].smooth_grad(theta) + ref.lambdas[j]
+                + ref.rho * (theta - ref.theta0))
+        residuals[j] = reference_residual(theta, grad, varrho)
+    assert all(np.isfinite(r) and r > 0 for r in residuals.values())
+    assert [r.getMessage() for r in caplog.records] == [
+        f"ED {j} local solve hit the 0-iteration cap (residual {residuals[j]:.3e})"
+        for j in (0, 2)
+    ]
 
 
 def preset_state(varrho):

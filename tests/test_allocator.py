@@ -128,8 +128,8 @@ def test_greedy_is_input_order_invariant():
     )
     base = greedy_allocate(reports, 10)
     for _ in range(10):
-        shuffled = reports.copy()
-        rng.shuffle(shuffled)
+        order = rng.permutation(len(reports))
+        shuffled = make_reports(reports.ed_id[order], reports.delta[order], reports.w[order])
         assert greedy_allocate(shuffled, 10).selected.tolist() == base.selected.tolist()
 
 
@@ -281,9 +281,11 @@ def test_array_policies_match_the_list_reference(instance):
 @settings(max_examples=300, deadline=None)
 def test_policies_read_a_strided_report_view_as_its_contiguous_copy(instance):
     ids, deltas, ws, gains, capacity = instance
-    view = make_reports(ids, deltas, ws)[::2]
-    copy = view.copy()
-    assert copy.flags.c_contiguous and (len(view) < 2 or not view.flags.c_contiguous)
+    columns = [np.array(ids, dtype=np.int64)[::2], np.array(deltas)[::2],
+               np.array(ws, dtype=np.int64)[::2]]
+    assert len(columns[0]) < 2 or not any(c.flags.c_contiguous for c in columns)
+    view = make_reports(*columns)
+    copy = make_reports(*(c.copy() for c in columns))
     gains = np.array(gains)
     for policy in (greedy_allocate, utility_policy,
                    lambda reports, c: channel_policy(gains, reports, c)):

@@ -65,17 +65,24 @@ def test_the_traced_counters_read_workload_attributes():
     assert len(edge.collected) == 6
 
 
-def test_reports_are_the_record_array_of_the_column_arrays():
-    ed_id, delta, w = np.array([4, 0, 9]), np.array([0.5, 0.0, 2.25]), np.array([3, 0, 1])
+@pytest.mark.parametrize("ed_id, delta, w", [
+    (np.array([4, 0, 9]), np.array([0.5, 0.0, 2.25]), np.array([3, 0, 1])),
+    ([4, 0, 9], [0.5, 0, 2.25], [3, 0, 1]),
+    (range(3), np.ones(3, dtype=np.float32), (1, 1, 2)),
+    (np.arange(12)[::4], np.linspace(0.0, 2.0, 9)[::3], np.arange(6, dtype=np.int32)[::-2]),
+    ([], [], []),
+], ids=["arrays", "lists", "range", "strided", "empty"])
+def test_reports_are_contiguous_columns_equal_to_the_inputs(ed_id, delta, w):
     reports = make_reports(ed_id, delta, w)
-    reference = np.rec.fromarrays([ed_id, delta, w], names=("ed_id", "delta", "w"))
-    assert type(reports) is np.recarray
-    assert reports.dtype == reference.dtype
-    assert reports.dtype.names == ("ed_id", "delta", "w")
-    assert reports.tobytes() == reference.tobytes()
-    for name in reference.dtype.names:
-        np.testing.assert_array_equal(getattr(reports, name), getattr(reference, name))
-    assert make_reports([], [], []).dtype == reference.dtype
+    for column, given, dtype in ((reports.ed_id, ed_id, np.int64),
+                                 (reports.delta, delta, np.float64),
+                                 (reports.w, w, np.int64)):
+        assert column.dtype == dtype and column.ndim == 1 and column.flags.c_contiguous
+        np.testing.assert_array_equal(column, np.asarray(given))
+        # a contiguous input of the column's dtype is the column itself
+        shared = (isinstance(given, np.ndarray) and given.flags.c_contiguous
+                  and given.dtype == dtype)
+        assert (column is given) == shared
 
 
 def test_the_report_counter_reads_the_delta_of_each_record():

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from goalrba.allocator import make_reports
+from goalrba.channel import rb_bits, rb_demand
 from goalrba.decision import (
     DemandResponseWorkload,
     DrParams,
@@ -76,7 +79,46 @@ def test_collect_reports_keeps_each_reachable_eds_own_delta_and_demand():
 def test_collect_reports_clamps_negative_deltas():
     wl = StubWorkload(deltas=[-4.0], payloads=[512.0])
     reports = collect_reports(wl, gains=[1.0], channel=ChannelConfig())
-    assert reports[0].delta == 0.0
+    assert reports.delta[0] == 0.0
+
+
+def gathered_reports(workload, gains, channel):
+    """collect_reports as a gather of the reachable EDs, whoever is reachable."""
+    deltas, r_min = workload.marginal_utilities(), workload.payload_bits()
+    per_rb = rb_bits(gains, channel)
+    ids = np.flatnonzero((r_min == 0) | (per_rb > 0))
+    return make_reports(ids, np.maximum(deltas[ids], 0.0), rb_demand(r_min[ids], per_rb[ids]))
+
+
+# Every ED reachable: a zero gain only where the payload is zero. Deltas
+# include negatives and -0.0, which are clamped; payloads include zeros.
+all_reachable = st.integers(min_value=0, max_value=40).flatmap(
+    lambda n: st.lists(
+        st.tuples(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 3.0]),
+                  st.sampled_from([0.0, 90.0, 512.0, 4096.0]),
+                  st.sampled_from([0.0, 0.25, 1.0, 7.0])).filter(lambda e: e[1] == 0 or e[2] > 0),
+        min_size=n, max_size=n,
+    )
+)
+
+
+@given(eds=all_reachable)
+@settings(max_examples=200, deadline=None)
+def test_collect_reports_of_reachable_eds_equals_the_gathering_reference(eds):
+    deltas, payloads, gains = np.array(eds, dtype=float).reshape(-1, 3).T
+    channel = ChannelConfig()
+    got = collect_reports(StubWorkload(deltas, payloads), gains, channel)
+    want = gathered_reports(StubWorkload(deltas, payloads), gains, channel)
+    assert len(got) == len(want) == len(eds)
+    for name in ("ed_id", "delta", "w"):
+        column, expected = getattr(got, name), getattr(want, name)
+        assert column.dtype == expected.dtype and column.flags.c_contiguous
+        assert column.tobytes() == expected.tobytes()
+    # iteration yields each entry of the columns as Python scalars
+    rows = list(got)
+    assert rows == list(zip(got.ed_id.tolist(), got.delta.tolist(), got.w.tolist()))
+    assert all(type(r.ed_id) is int and type(r.delta) is float and type(r.w) is int
+               for r in rows)
 
 
 def test_collect_reports_rejects_unknown_mode():
