@@ -1,7 +1,8 @@
-"""Command-line entry points: run one scenario, compare policies, verify.
+"""Command-line entry points: run one scenario, compare policies, report
+the claims over seeds, verify.
 
 Exit codes: 0 success, 1 config error (a bad flag or flag value too), 2
-runtime error, 3 verification failure.
+runtime error, 3 verification failure. `claims` exits as `run` does.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import dataclasses
 import sys
 
+from .claims import run_claims
 from .harness import (
     POLICIES,
     ConfigError,
@@ -47,6 +49,11 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--config", required=True)
     cmp_p.add_argument("--out", required=True, help="output directory")
 
+    claims_p = sub.add_parser("claims", help="each policy's claim value over seeds")
+    claims_p.add_argument("--config", required=True)
+    claims_p.add_argument("--seeds", type=int, nargs="+", default=None,
+                          help="default: the config's own seed")
+
     sub.add_parser("verify", help="run the property and oracle suites")
     return parser
 
@@ -66,6 +73,8 @@ def main(argv=None) -> int:
             if overrides:
                 config = dataclasses.replace(config, **overrides)
             emit_metrics(run_scenario(config), args.out)
+        elif args.command == "claims":
+            run_claims(config, args.seeds or [config.seed])
         else:
             run_compare(config, args.out)
     except ConfigError as exc:

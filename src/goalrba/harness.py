@@ -259,23 +259,6 @@ def run_scenario(
     return metrics
 
 
-def rounds_to_target(config: ScenarioConfig, reached: Callable[[Workload], bool]) -> int:
-    """First 1-based round after which `reached(workload)` holds, rounds+1 if none.
-
-    The run stops at that round, so the rounds after it cost nothing.
-    """
-    hit: List[int] = []
-
-    def hook(k: int, workload: Workload) -> bool:
-        if reached(workload):
-            hit.append(k + 1)
-            return True
-        return False
-
-    run_scenario(config, round_hook=hook)
-    return hit[0] if hit else config.rounds + 1
-
-
 def emit_metrics(metrics: Sequence[RoundMetrics], path) -> None:
     """Write the canonical metrics CSV: fixed header, one row per round."""
     lines = [CSV_HEADER]

@@ -17,13 +17,13 @@ import numpy as np
 from scipy.optimize import linprog
 
 from goalrba.channel import rb_bits
+from goalrba.claims import TARGETS, claim_value
 from goalrba.decision import DrInstance
 from goalrba.harness import (
     ChannelConfig,
     ScenarioConfig,
     build_workload,
     load_config,
-    rounds_to_target,
     run_scenario,
 )
 from goalrba.verification import (
@@ -82,21 +82,25 @@ def test_acceptance_2_rate_model():
     )
 
 
+def claim_pairs(name: str, seeds) -> list:
+    """(channel, hybrid) claim values of the preset at each seed."""
+    return [tuple(claim_value(preset(name, policy=policy, seed=seed))
+                  for policy in ("channel", "hybrid")) for seed in seeds]
+
+
 def test_acceptance_3_demand_response_cost_reduction():
     started = time.perf_counter()
-    means = {}
-    for policy in ("channel", "hybrid"):
-        metrics = run_scenario(preset("demand_response", policy=policy))
-        means[policy] = float(np.mean([m.goal_value for m in metrics]))
-    reduction = 1.0 - means["hybrid"] / means["channel"]
+    config = preset("demand_response")
+    [(channel, hybrid)] = claim_pairs("demand_response", [config.seed])
+    reduction = 1.0 - hybrid / channel
     elapsed = time.perf_counter() - started
-    ok = means["hybrid"] <= means["channel"] and reduction >= 0.20 and elapsed < 120.0
+    ok = hybrid <= channel and reduction >= 0.20 and elapsed < 120.0
     report(
         "acceptance-3 demand response",
         ok,
-        f"mean cost hybrid {means['hybrid']:.3f} vs channel {means['channel']:.3f} "
-        f"over 100 scenarios (J=500, binding budget); reduction {reduction:.1%} >= 20%, "
-        f"{elapsed:.1f}s < 120s",
+        f"mean cost hybrid {hybrid:.3f} vs channel {channel:.3f} over {config.rounds} "
+        f"rounds (J={build_workload(config).num_eds}, {config.channel.capacity} RBs); "
+        f"reduction {reduction:.1%} >= 20%, {elapsed:.1f}s < 120s",
     )
 
 
@@ -153,16 +157,8 @@ def test_acceptance_5_submodularity_enumeration():
 
 def test_acceptance_6_edge_learning_rounds_saved():
     started = time.perf_counter()
-    target = 0.90
-    pairs = []
-    for seed in (1, 2, 3, 4, 5):
-        rounds = {}
-        for policy in ("channel", "hybrid"):
-            rounds[policy] = rounds_to_target(
-                preset("edge_learning", policy=policy, seed=seed),
-                lambda wl: wl.test_accuracy() >= target,
-            )
-        pairs.append((rounds["channel"], rounds["hybrid"]))
+    target = TARGETS["edge_learning"]
+    pairs = claim_pairs("edge_learning", (1, 2, 3, 4, 5))
     med_channel = float(np.median([c for c, _ in pairs]))
     med_hybrid = float(np.median([h for _, h in pairs]))
     saving = 1.0 - med_hybrid / med_channel
@@ -193,16 +189,8 @@ def test_acceptance_7b_gradient_check():
 
 def test_acceptance_7c_federated_rounds():
     started = time.perf_counter()
-    target = 0.95
-    pairs = []
-    for seed in (1, 2, 3, 4, 5):
-        rounds = {}
-        for policy in ("channel", "hybrid"):
-            rounds[policy] = rounds_to_target(
-                preset("federated", policy=policy, seed=seed),
-                lambda wl: wl.test_accuracy() >= target,
-            )
-        pairs.append((rounds["channel"], rounds["hybrid"]))
+    target = TARGETS["federated"]
+    pairs = claim_pairs("federated", (1, 2, 3, 4, 5))
     med_channel = float(np.median([c for c, _ in pairs]))
     med_hybrid = float(np.median([h for _, h in pairs]))
     elapsed = time.perf_counter() - started
@@ -227,20 +215,14 @@ def test_acceptance_8ab_admm_certificate_and_dual_bound():
 
 def test_acceptance_8c_admm_rounds():
     started = time.perf_counter()
-    target = 1e-3
-    rounds = {}
-    for policy in ("channel", "hybrid"):
-        rounds[policy] = rounds_to_target(
-            preset("admm", policy=policy, seed=3),
-            lambda wl: wl.relative_gap() <= target,
-        )
+    [(channel, hybrid)] = claim_pairs("admm", [3])
     elapsed = time.perf_counter() - started
-    ok = rounds["hybrid"] <= rounds["channel"] and elapsed < 300.0
+    ok = hybrid <= channel and elapsed < 300.0
     report(
         "acceptance-8c admm rounds",
         ok,
-        f"rounds to relative gap {target:g}: hybrid {rounds['hybrid']} <= "
-        f"channel {rounds['channel']}; {elapsed:.1f}s < 300s",
+        f"rounds to relative gap {TARGETS['admm']:g}: hybrid {hybrid} <= "
+        f"channel {channel}; {elapsed:.1f}s < 300s",
     )
 
 

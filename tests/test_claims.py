@@ -1,0 +1,96 @@
+"""Claims over seeds: rounds to target, one run's claim value, `goalrba claims`."""
+
+import dataclasses
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from goalrba.claims import claim_value, rounds_to_target
+from goalrba.cli import main
+from goalrba.harness import (
+    POLICIES,
+    ChannelConfig,
+    ConfigError,
+    ScenarioConfig,
+    load_config,
+    run_scenario,
+    save_config,
+)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+DR_SMALL = ScenarioConfig(workload="demand_response", rounds=3, seed=5,
+                          params={"num_eds": 30, "pi_min": 20.0},
+                          channel=ChannelConfig(capacity=200))
+
+
+# A small edge-learning scenario whose test accuracy first reaches 0.5 after
+# a few rounds, well inside its round cap.
+EDGE_SMALL = dict(
+    workload="edge_learning", rounds=12, seed=1, channel=ChannelConfig(capacity=10),
+    params=dict(num_eds=4, num_classes=4, dim=16, hidden_dim=8, train_per_class=30,
+                test_per_class=10, batch_per_round=8, epochs_per_round=1,
+                concentrated_classes=[2, 3], bits_per_sample=136.0, lr=0.1),
+)
+
+
+def test_rounds_to_target_matches_the_full_run():
+    cfg = ScenarioConfig(**EDGE_SMALL)
+    accuracy = []
+    run_scenario(cfg, round_hook=lambda k, wl: accuracy.append(wl.test_accuracy()))
+    first_hit = next(k + 1 for k, acc in enumerate(accuracy) if acc >= 0.5)
+    assert 1 < first_hit < cfg.rounds
+    assert rounds_to_target(cfg, lambda wl: wl.test_accuracy() >= 0.5) == first_hit
+
+
+def test_rounds_to_target_is_rounds_plus_one_when_never_reached():
+    cfg = ScenarioConfig(**EDGE_SMALL)
+    assert rounds_to_target(cfg, lambda wl: False) == cfg.rounds + 1
+
+
+def test_demand_response_claim_is_the_mean_goal_value():
+    goals = [m.goal_value for m in run_scenario(DR_SMALL)]
+    assert claim_value(DR_SMALL) == float(np.mean(goals))
+
+
+@pytest.mark.parametrize("preset", sorted(p.stem for p in CONFIGS.glob("*.yaml")))
+def test_every_preset_but_routing_has_a_claim(preset):
+    cfg = dataclasses.replace(load_config(CONFIGS / f"{preset}.yaml"), rounds=1)
+    if preset == "routing":
+        with pytest.raises(ConfigError, match="workload"):
+            claim_value(cfg)
+    else:
+        assert np.isfinite(claim_value(cfg))
+
+
+def test_claims_on_routing_exits_1_naming_workload(capsys):
+    code = main(["claims", "--config", str(CONFIGS / "routing.yaml")])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "config error" in err and "workload" in err
+
+
+def test_claims_on_a_negative_seed_exits_1_naming_seed(capsys):
+    code = main(["claims", "--config", str(CONFIGS / "admm.yaml"), "--seeds", "3", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1, captured.err
+    assert "config error" in captured.err and "seed" in captured.err
+    assert captured.out == ""
+
+
+def test_claims_prints_each_seed_and_the_hybrid_tally(tmp_path, capsys):
+    path = tmp_path / "dr.yaml"
+    save_config(DR_SMALL, path)
+    code = main(["claims", "--config", str(path), "--seeds", "5", "6"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    for seed, line in zip((5, 6), lines):
+        assert line.startswith(f"demand_response seed {seed}: ")
+        assert all(f"{policy} " in line for policy in POLICIES)
+    assert lines[2].startswith("medians (mean dispatch cost): ")
+    tally = re.match(r"hybrid vs channel: wins (\d), ties (\d), losses (\d); "
+                     r"median reduction -?\d+\.\d%$", lines[3])
+    assert sum(map(int, tally.groups())) == 2
+    assert len(lines) == 4

@@ -29,7 +29,6 @@ from goalrba.harness import (
     emit_metrics,
     load_config,
     parse_metrics,
-    rounds_to_target,
     run_compare,
     run_scenario,
     save_config,
@@ -186,30 +185,6 @@ def test_truthy_round_hook_ends_the_run():
     rows = run_scenario(cfg, round_hook=hook)
     assert seen == [0, 1]
     assert rows == run_scenario(cfg)[:2]
-
-
-# A small edge-learning scenario whose test accuracy first reaches 0.5 after
-# a few rounds, well inside its round cap.
-EDGE_SMALL = dict(
-    workload="edge_learning", rounds=12, seed=1, channel=ChannelConfig(capacity=10),
-    params=dict(num_eds=4, num_classes=4, dim=16, hidden_dim=8, train_per_class=30,
-                test_per_class=10, batch_per_round=8, epochs_per_round=1,
-                concentrated_classes=[2, 3], bits_per_sample=136.0, lr=0.1),
-)
-
-
-def test_rounds_to_target_matches_the_full_run():
-    cfg = ScenarioConfig(**EDGE_SMALL)
-    accuracy = []
-    run_scenario(cfg, round_hook=lambda k, wl: accuracy.append(wl.test_accuracy()))
-    first_hit = next(k + 1 for k, acc in enumerate(accuracy) if acc >= 0.5)
-    assert 1 < first_hit < cfg.rounds
-    assert rounds_to_target(cfg, lambda wl: wl.test_accuracy() >= 0.5) == first_hit
-
-
-def test_rounds_to_target_is_rounds_plus_one_when_never_reached():
-    cfg = ScenarioConfig(**EDGE_SMALL)
-    assert rounds_to_target(cfg, lambda wl: False) == cfg.rounds + 1
 
 
 @pytest.mark.parametrize("preset", sorted(p.stem for p in CONFIGS.glob("*.yaml")))
