@@ -10,11 +10,14 @@ BENCHMARK.json names, both sides' medians and quartiles, how many pairs B
 won (ties count for neither), the change of the median, whether the gain
 rule holds for B (at least 9 wins in 10, and a median gap in B's favour
 wider than the distance between A's quartiles), and where B stands against
-the metric's regression bound. It writes nothing into either checkout
-beyond what `perfbench/run.py` itself writes there.
+the metric's regression bound. With --out PATH it also writes all of this
+as JSON to PATH: the workload, both checkouts as given, the seeds, every
+run in the order it ran (pair, seed, side, metrics) and the summary lines.
+It writes nothing into either checkout beyond what `perfbench/run.py` itself
+writes there, and PATH.
 
     python3 scripts/bench_pairs.py --a ../parent --b . --workload dr_paper \\
-        --pairs 10 --seed 971
+        --pairs 10 --seed 971 --out BENCH.json
 """
 
 from __future__ import annotations
@@ -94,11 +97,13 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    ap.add_argument("--out", type=Path, help="write the runs and the summary here as JSON")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error(f"--pairs must be at least 1, got {args.pairs}")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     runs = {"A": [], "B": []}
+    log = []
     try:
         for i in range(args.pairs):
             seed = args.seed + i
@@ -106,13 +111,22 @@ def main(argv=None) -> int:
             for side in order:
                 tree = args.a if side == "A" else args.b
                 runs[side].append(run_once(tree.resolve(), args.workload, seed))
+                log.append({"pair": i + 1, "seed": seed, "side": side,
+                            "metrics": runs[side][-1]})
                 values = "  ".join(f"{m['name']}={runs[side][-1][m['name']]:.6g}"
                                    for m in metrics)
                 print(f"pair {i + 1} seed {seed} {side}: {values}", flush=True)
     except (RunFailed, subprocess.TimeoutExpired) as exc:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         return 1
-    print("\n".join(summarize(runs["A"], runs["B"], metrics)))
+    summary = summarize(runs["A"], runs["B"], metrics)
+    print("\n".join(summary))
+    if args.out:
+        args.out.write_text(json.dumps({
+            "workload": args.workload, "a": str(args.a), "b": str(args.b),
+            "seeds": [args.seed + i for i in range(args.pairs)],
+            "runs": log, "summary": summary,
+        }, indent=1) + "\n")
     return 0
 
 

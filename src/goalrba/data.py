@@ -23,12 +23,26 @@ def make_gaussian_mixture(
     rng = np.random.default_rng(seed)
     means = rng.normal(scale=mean_scale / np.sqrt(dim), size=(num_classes, dim))
     X = rng.normal(scale=noise_scale / np.sqrt(dim), size=(num_classes * samples_per_class, dim))
-    # Means added and rows shuffled in place: no second array of the data's size.
+    # Means added in place, then rows permuted in place (X[r] = X[perm[r]]) by
+    # following each cycle of perm through a one-row buffer: the same rows as
+    # X[perm], with one row of X held beside it instead of a permuted copy.
     X.reshape(num_classes, samples_per_class, dim)[...] += means[:, None, :]
     y = np.repeat(np.arange(num_classes), samples_per_class)
     perm = rng.permutation(len(y))
-    for c in range(0, dim, 256):
-        X[:, c:c + 256] = X[perm, c:c + 256]
+    src = perm.tolist()
+    row = np.empty(dim)
+    for start in range(len(src)):
+        if src[start] < 0:
+            continue
+        row[...] = X[start]
+        r = start
+        while src[r] != start:
+            nxt = src[r]
+            X[r] = X[nxt]
+            src[r] = -1
+            r = nxt
+        X[r] = row
+        src[r] = -1
     return X, y[perm]
 
 

@@ -147,6 +147,8 @@ def _strict_dataclass(cls, raw: Dict, context: str):
                for key, value in raw.items()}
     try:
         return cls(**coerced)
+    except ConfigError:
+        raise  # it names its key; rewrapping would add one prefix per nested block
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {context} block: {exc}") from exc
 

@@ -92,3 +92,23 @@ def test_at_least_one_pair(capsys):
     with pytest.raises(SystemExit):
         bench_pairs.main(["--a", "a", "--b", "b", "--workload", "admm", "--pairs", "0",
                           "--seed", "1"])
+
+
+def test_out_writes_every_run_and_the_summary_as_json(monkeypatch, capsys, tmp_path):
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+    def fake_run(tree, workload, seed):
+        return {m["name"]: seed + (tree.name == "b") for m in metrics}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--a", "/x/a", "--b", "/x/b", "--workload", "admm",
+                             "--pairs", "2", "--seed", "7", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    written = json.loads(out.read_text())
+    assert {k: written[k] for k in ("workload", "a", "b", "seeds")} == {
+        "workload": "admm", "a": "/x/a", "b": "/x/b", "seeds": [7, 8]}
+    assert [(r["pair"], r["seed"], r["side"]) for r in written["runs"]] == [
+        (1, 7, "A"), (1, 7, "B"), (2, 8, "B"), (2, 8, "A")]
+    assert written["runs"][1]["metrics"] == {m["name"]: 8 for m in metrics}
+    assert written["summary"] == printed[-len(metrics):]

@@ -340,6 +340,23 @@ def test_cli_exit_code_1_on_config_error(tmp_path):
     assert "config error" in res.stderr
 
 
+@pytest.mark.parametrize("text, line", [
+    ("workload: edge_learning\nparams: {lr: -1.0}\n",
+     "config error: lr must be a number in (0, inf), got -1.0"),
+    ("workload: edge_learning\npolicy: bogus\n",
+     "config error: unknown policy 'bogus'; expected one of ('channel', 'utility', 'hybrid')"),
+    # an error that is not a ConfigError gets its block's name, once
+    ("workload: demand_response\nparams: {num_eds: 5, pi_min: 1000000000.0}\n",
+     "config error: invalid demand_response block: pi_min 1e+09 exceeds the worst-case "
+     "capacity num_eds * xi_lo = 5; the base scenario is infeasible"),
+])
+def test_a_config_error_is_reported_with_one_prefix(tmp_path, capsys, text, line):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+    assert capsys.readouterr().err == line + "\n"
+
+
 @pytest.mark.parametrize("text", [
     pytest.param("workload: demand_response\nparams: {num_eds: [1, 2}\n", id="mismatched"),
     pytest.param("workload: demand_response\n  rounds: 3\n", id="indented"),

@@ -1,6 +1,7 @@
 """MLP training stack: gradients, SGD, aggregation, and the two learning workloads."""
 
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -427,13 +428,28 @@ def reference_gaussian_mixture(num_classes, dim, samples_per_class, seed):
 
 
 @pytest.mark.parametrize(
-    "shape", [(10, 784, 26), (3, 7, 4), (4, 130, 9), (1, 256, 1), (2, 300, 3)]
+    "shape",
+    [(10, 784, 260), (10, 784, 26), (3, 7, 4), (4, 130, 9), (1, 256, 1), (2, 300, 3)],
 )
 def test_in_place_mixture_is_the_reference_bit_for_bit(shape):
     X, y = make_gaussian_mixture(*shape, seed=5)
     X_ref, y_ref = reference_gaussian_mixture(*shape, seed=5)
     np.testing.assert_array_equal(X, X_ref)
     np.testing.assert_array_equal(y, y_ref)
+
+
+def test_the_mixture_at_the_preset_shape_holds_little_beyond_its_data():
+    # the edge-learning preset's training set: 2600 rows of 784 doubles
+    # (16.3 MB); a permuted copy of even a 256-column block would add 5.3 MB
+    shape = (10, 784, 260)
+    make_gaussian_mixture(*shape, seed=0)  # warm-up: first-call allocations
+    tracemalloc.start()
+    try:
+        X, _ = make_gaussian_mixture(*shape, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - X.nbytes < 2**20, (peak - X.nbytes) / 2**20
 
 
 def test_split_non_iid_is_a_partition_with_holders():
