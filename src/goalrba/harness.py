@@ -9,6 +9,7 @@ whole pipeline is deterministic given (config, seed).
 from __future__ import annotations
 
 import dataclasses
+import re
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -47,9 +48,27 @@ WORKLOADS = {
 
 POLICIES = ("channel", "utility", "hybrid")
 
+
+def _exponent_floats(base):
+    """`base` with one more float resolver: a plain scalar such as `1e-3`.
+
+    PyYAML follows YAML 1.1, whose float has a dot and a sign on any
+    exponent, so `1e-3`, `1E5` and `1.0e308` would load as strings and fail
+    the field check. The subclass reads them as floats too; every other
+    scalar resolves as it does in `base`.
+    """
+    loader = type(f"Goalrba{base.__name__}", (base,), {})
+    loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?[0-9][0-9_]*(\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+        list("-+0123456789"),
+    )
+    return loader
+
+
 # libyaml's parser where PyYAML was built with it: the same constructor and
 # resolver as SafeLoader, so the same objects, parsed about 8x faster.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_LOADER = _exponent_floats(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 class RoundError(RuntimeError):
@@ -135,8 +154,6 @@ class RoundMetrics:
 
 
 def _strict_dataclass(cls, raw: Dict, context: str):
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{context} block must be a mapping")
     defaults = {f.name: f.default for f in fields(cls)}
     unknown = sorted(set(raw) - set(defaults))
     if unknown:
@@ -160,13 +177,32 @@ def build_workload(config: ScenarioConfig, seed=None) -> Workload:
     return workload_cls(params, config.seed if seed is None else seed)
 
 
+def parse_yaml(text: str):
+    """The objects a YAML document holds, as load_config reads them."""
+    return yaml.load(text, Loader=_YAML_LOADER)
+
+
+def _block(raw: Dict, name: str) -> Dict:
+    """raw[name] as a mapping: a missing or null block means the defaults."""
+    value = raw.get(name)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} block must be a mapping, got {value!r}")
+    return value
+
+
 def load_config(path) -> ScenarioConfig:
-    """Parse a YAML scenario config; unknown keys are rejected by name."""
+    """Parse a YAML scenario config; unknown keys are rejected by name.
+
+    The `channel` and `params` blocks may be missing or null, which means
+    their defaults; any other value that is not a mapping names its block.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = yaml.load(path.read_text(), Loader=_YAML_LOADER)
+        raw = parse_yaml(path.read_text())
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -174,8 +210,8 @@ def load_config(path) -> ScenarioConfig:
     if "workload" not in raw:
         raise ConfigError("config is missing the required 'workload' key")
     kwargs = dict(raw)
-    kwargs["channel"] = _strict_dataclass(ChannelConfig, raw.get("channel", {}), "channel")
-    kwargs["params"] = raw.get("params", {}) or {}
+    kwargs["channel"] = _strict_dataclass(ChannelConfig, _block(raw, "channel"), "channel")
+    kwargs["params"] = _block(raw, "params")
     return _strict_dataclass(ScenarioConfig, kwargs, "config")
 
 

@@ -345,7 +345,11 @@ class _LearningWorkload(Workload):
 
 
 class EdgeLearningWorkload(_LearningWorkload):
-    """Raw-sample selection: EDs offer batches priced by current model loss."""
+    """Raw-sample selection: EDs offer batches priced by current model loss.
+
+    Each ED's shard size and offset are int arrays; the collected rows are
+    indices into the training set, in collection order.
+    """
 
     def __init__(self, params: EdgeLearningParams, seed):
         super().__init__(params, seed)
@@ -433,7 +437,8 @@ class FederatedWorkload(_LearningWorkload):
 
     Each round's mini-batch gradients sit in one (J, P) matrix, one row per
     client, allocated once; a workload asked for utilities or an ingest
-    before any round has begun computes round 0's first.
+    before any round has begun computes round 0's first. A client left with
+    no training samples is a ConfigError naming num_eds, at construction.
     """
 
     def __init__(self, params: FederatedParams, seed):

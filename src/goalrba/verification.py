@@ -198,11 +198,11 @@ ALL_CHECKS = [
 ]
 
 
-def run_all_checks(verbose: bool = True) -> bool:
+def run_all_checks() -> bool:
+    """Run every check, print one PASS or FAIL line each; True if all pass."""
     ok_all = True
     for name, check in ALL_CHECKS:
         ok, detail = check()
         ok_all &= ok
-        if verbose:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return ok_all

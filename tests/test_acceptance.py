@@ -1,7 +1,13 @@
 """End-to-end acceptance gates.
 
 Each test checks one headline claim and prints a single pass/fail line with
-the tolerance it was judged against (run with ``pytest -s`` to see the lines).
+the tolerance it was judged against (run with ``pytest -s`` to see the lines):
+the greedy approximation floor, the hand-derivable rate values, a demand
+response cost reduction of at least 20%, the gain-equals-cost-reduction
+identity, exhaustive submodularity enumeration, the rounds saved by edge and
+federated learning, the smooth-descent inequality, a finite-difference
+gradient check, the ADMM descent certificate and dual bound, and
+byte-identical CSVs for a fixed config and seed.
 The directional workload comparisons run the desk-scale configs/ presets,
 overriding only policy and seed; rounds-to-target runs stop at the first round
 that reaches the target.

@@ -372,7 +372,7 @@ def test_cli_exit_code_1_on_malformed_yaml(tmp_path, capsys, text):
 
 
 YAML_SNIPPETS = [
-    "x: 1e4",  # no dot: YAML 1.1 reads a string
+    "x: 1e4",  # no dot: YAML 1.1 reads a string, goalrba's loader a float
     "x: 1.0e4",
     "x: [.inf, -.inf, .nan]",
     "x: null",
@@ -395,8 +395,75 @@ def as_loaded(loader, text):
     *(pytest.param(path.read_text(), id=path.name) for path in sorted(CONFIGS.glob("*.yaml"))),
 ])
 def test_libyaml_loads_the_objects_safe_loader_does(text):
-    assert harness._YAML_LOADER is yaml.CSafeLoader
+    assert issubclass(harness._YAML_LOADER, yaml.CSafeLoader)
     assert as_loaded(yaml.CSafeLoader, text) == as_loaded(yaml.SafeLoader, text)
+    assert (as_loaded(harness._YAML_LOADER, text)
+            == as_loaded(harness._exponent_floats(yaml.SafeLoader), text))
+
+
+LOADER_BASES = [
+    pytest.param(yaml.SafeLoader, id="SafeLoader"),
+    pytest.param(getattr(yaml, "CSafeLoader", None), id="CSafeLoader",
+                 marks=pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                                          reason="PyYAML built without libyaml")),
+]
+
+
+@pytest.mark.parametrize("base", LOADER_BASES)
+@pytest.mark.parametrize("text, value", [
+    ("1e-3", 1e-3), ("1.0e308", 1e308), ("-2e-1", -0.2), ("1E5", 1e5), ("+1_0e2", 1e3),
+])
+def test_an_unsigned_or_dotless_exponent_reads_as_a_float(base, text, value):
+    assert yaml.load(f"x: {text}", Loader=base)["x"] == text  # YAML 1.1: a string
+    loaded = yaml.load(f"x: {text}", Loader=harness._exponent_floats(base))["x"]
+    assert type(loaded) is float and loaded == value
+
+
+@pytest.mark.parametrize("base", LOADER_BASES)
+@pytest.mark.parametrize("text", [
+    ".inf", "-.inf", "1.5", "3", "1.0e-07", "0x1e3", "1e", "e5", "'1e3'", "1e3x", "2026-10-19",
+])
+def test_the_exponent_resolver_leaves_every_other_scalar_as_it_was(base, text):
+    snippet = f"x: {text}"
+    assert as_loaded(harness._exponent_floats(base), snippet) == as_loaded(base, snippet)
+
+
+def test_a_config_reads_an_unsigned_exponent_as_a_float(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("workload: edge_learning\nparams:\n  lr: 1e-3\n")
+    assert load_config(path).params["lr"] == 0.001
+
+
+def test_the_readme_payload_example_exits_2_naming_r_min(tmp_path, capsys):
+    # the value as the README writes it, not as yaml.safe_dump would
+    path = tmp_path / "cfg.yaml"
+    path.write_text("workload: demand_response\nrounds: 2\nparams:\n  payload_bits: 1e300\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: round 0 of demand_response failed: "
+                          "RB demand of r_min=1e+300 bits at ")
+    assert "beyond an int64 count" in err
+
+
+@pytest.mark.parametrize("block", ["channel", "params"])
+@pytest.mark.parametrize("value", ["[]", "0", "false", "''", "[1]", "text"])
+def test_a_block_that_is_not_a_mapping_exits_1_naming_it(tmp_path, capsys, block, value):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(f"workload: routing\n{block}: {value}\n")
+    with pytest.raises(ConfigError, match=f"^{block} block must be a mapping, got "):
+        load_config(path)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {block} block must be a mapping")
+
+
+@pytest.mark.parametrize("block", ["channel", "params"])
+@pytest.mark.parametrize("line", [None, "{}:", "{}: null", "{}: ~", "{}: {{}}"],
+                         ids=["missing", "empty", "null", "tilde", "mapping"])
+def test_a_missing_or_null_block_means_its_defaults(tmp_path, block, line):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("workload: routing\n" + ("" if line is None else line.format(block) + "\n"))
+    config = load_config(path)
+    assert config.channel == ChannelConfig() and dict(config.params) == {}
 
 
 # Hand-picked bad values: cross-field rules, and single values listed before
