@@ -102,30 +102,22 @@ class AdmmState:
         return out
 
 
-def make_admm_state(
-    num_eds: int = 10,
-    dim: int = 100,
-    samples_per_ed: int = 30,
-    noise_variance_slope: float = 0.015,
-    varrho: float = 0.1,
-    rho: float = 0.1,
-    sparsity: float = 0.5,
-    seed=0,
-) -> Tuple[AdmmState, np.ndarray]:
+def make_admm_state(params: AdmmParams, seed) -> Tuple[AdmmState, np.ndarray]:
     """Seeded system-identification instance; returns (state, true matrix).
 
     ED j's observation noise has variance noise_variance_slope * (j+1), so
     devices see different data quality.
     """
+    num_eds, dim, samples_per_ed = params.num_eds, params.dim, params.samples_per_ed
     rng = np.random.default_rng(seed)
     theta_true = rng.normal(size=(dim, dim))
-    theta_true[rng.random(size=(dim, dim)) < sparsity] = 0.0
+    theta_true[rng.random(size=(dim, dim)) < params.sparsity] = 0.0
     X = np.empty((num_eds, dim, samples_per_ed))
     Y = np.empty_like(X)
     for j in range(num_eds):
         X[j] = rng.normal(size=(dim, samples_per_ed))
         noise = rng.normal(
-            scale=np.sqrt(noise_variance_slope * (j + 1)), size=(dim, samples_per_ed)
+            scale=np.sqrt(params.noise_variance_slope * (j + 1)), size=(dim, samples_per_ed)
         )
         Y[j] = theta_true @ X[j] + noise
     state = AdmmState(
@@ -134,8 +126,8 @@ def make_admm_state(
         theta0=np.zeros((dim, dim)),
         thetas=np.zeros((num_eds, dim, dim)),
         lambdas=np.zeros((num_eds, dim, dim)),
-        rho=rho,
-        varrho=varrho,
+        rho=params.rho,
+        varrho=params.varrho,
     )
     return state, theta_true
 
@@ -458,16 +450,7 @@ class AdmmWorkload(Workload):
     def __init__(self, params: AdmmParams, seed):
         self.params = params
         self.num_eds = params.num_eds
-        self.state, self.theta_true = make_admm_state(
-            num_eds=params.num_eds,
-            dim=params.dim,
-            samples_per_ed=params.samples_per_ed,
-            noise_variance_slope=params.noise_variance_slope,
-            varrho=params.varrho,
-            rho=params.rho,
-            sparsity=params.sparsity,
-            seed=seed,
-        )
+        self.state, self.theta_true = make_admm_state(params, seed)
         # No change history yet: uniform positive deltas let the first-round
         # selection be driven by the budget and channel alone.
         self._deltas = np.ones(params.num_eds)

@@ -1,25 +1,19 @@
 """Command-line entry points: run one scenario, compare policies, report
 the claims over seeds, verify.
 
-Exit codes: 0 success, 1 config error (a bad flag or flag value too), 2
-runtime error, 3 verification failure. `claims` exits as `run` does.
+`run`, `compare` and `claims` read `--config` with any number of
+`--set KEY=VALUE` overrides, which `load_config` applies. Exit codes: 0
+success, 1 config error (a bad flag or override too), 2 runtime error, 3
+verification failure. `claims` exits as `run` does.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .claims import run_claims
-from .harness import (
-    POLICIES,
-    ConfigError,
-    emit_metrics,
-    load_config,
-    run_compare,
-    run_scenario,
-)
+from .harness import ConfigError, emit_metrics, load_config, run_compare, run_scenario
 from .verification import run_all_checks
 
 
@@ -36,21 +30,24 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="goalrba",
         description="Goal-oriented RB allocation scenarios and property checks.",
     )
+    config_p = argparse.ArgumentParser(add_help=False)
+    config_p.add_argument("--config", required=True)
+    config_p.add_argument("--set", dest="overrides", action="append", default=[],
+                          metavar="KEY=VALUE",
+                          help="override a config key, e.g. rounds=50 or params.lr=1e-3 "
+                               "(repeatable; the value is read as in a config)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one scenario and emit a metrics CSV")
-    run_p.add_argument("--config", required=True)
-    run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--policy", choices=POLICIES, default=None)
-    run_p.add_argument("--rounds", type=int, default=None)
+    run_p = sub.add_parser("run", parents=[config_p],
+                           help="run one scenario and emit a metrics CSV")
     run_p.add_argument("--out", required=True)
 
-    cmp_p = sub.add_parser("compare", help="run all three policies on shared seeds")
-    cmp_p.add_argument("--config", required=True)
+    cmp_p = sub.add_parser("compare", parents=[config_p],
+                           help="run all three policies on shared seeds")
     cmp_p.add_argument("--out", required=True, help="output directory")
 
-    claims_p = sub.add_parser("claims", help="each policy's claim value over seeds")
-    claims_p.add_argument("--config", required=True)
+    claims_p = sub.add_parser("claims", parents=[config_p],
+                              help="each policy's claim value over seeds")
     claims_p.add_argument("--seeds", type=int, nargs="+", default=None,
                           help="default: the config's own seed")
 
@@ -63,15 +60,8 @@ def main(argv=None) -> int:
     if args.command == "verify":
         return 0 if run_all_checks() else 3
     try:
-        config = load_config(args.config)
+        config = load_config(args.config, args.overrides)
         if args.command == "run":
-            overrides = {
-                key: getattr(args, key)
-                for key in ("seed", "policy", "rounds")
-                if getattr(args, key) is not None
-            }
-            if overrides:
-                config = dataclasses.replace(config, **overrides)
             emit_metrics(run_scenario(config), args.out)
         elif args.command == "claims":
             run_claims(config, args.seeds or [config.seed])

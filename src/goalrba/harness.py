@@ -177,11 +177,6 @@ def build_workload(config: ScenarioConfig, seed=None) -> Workload:
     return workload_cls(params, config.seed if seed is None else seed)
 
 
-def parse_yaml(text: str):
-    """The objects a YAML document holds, as load_config reads them."""
-    return yaml.load(text, Loader=_YAML_LOADER)
-
-
 def _block(raw: Dict, name: str) -> Dict:
     """raw[name] as a mapping: a missing or null block means the defaults."""
     value = raw.get(name)
@@ -192,21 +187,47 @@ def _block(raw: Dict, name: str) -> Dict:
     return value
 
 
-def load_config(path) -> ScenarioConfig:
+def _apply_override(raw: Dict, text: str) -> None:
+    """Write one `key.path=value` into raw, the value read as a config's is."""
+    key, sep, value = text.partition("=")
+    *blocks, name = key.split(".")
+    if not sep or not all([*blocks, name]):
+        raise ConfigError(f"expected key=value, got {text!r}")
+    try:
+        value = yaml.load(value, Loader=_YAML_LOADER)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"invalid YAML value in {text!r}: {exc}") from exc
+    for block in blocks:
+        raw[block] = _block(raw, block)
+        raw = raw[block]
+    raw[name] = value
+
+
+def load_config(path, overrides: Sequence[str] = ()) -> ScenarioConfig:
     """Parse a YAML scenario config; unknown keys are rejected by name.
 
     The `channel` and `params` blocks may be missing or null, which means
     their defaults; any other value that is not a mapping names its block.
+    Each override `key=value` (the CLI's `--set`) is written into the file's
+    mapping before any check. A dotted key such as `params.lr=1e-3` reaches
+    into a block as above, and the value is read by the file's YAML loader.
+    A file that cannot be read as text is a ConfigError too.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        raw = parse_yaml(path.read_text())
+        text = path.read_text()
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    try:
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
+    for override in overrides:
+        _apply_override(raw, override)
     if "workload" not in raw:
         raise ConfigError("config is missing the required 'workload' key")
     kwargs = dict(raw)

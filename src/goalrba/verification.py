@@ -14,6 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from .admm import (
+    AdmmParams,
     augmented_lagrangian,
     descent_certificate,
     make_admm_state,
@@ -119,7 +120,7 @@ def verify_gradient_finite_differences() -> Tuple[bool, str]:
     X = rng.normal(size=(9, 12))
     y = rng.integers(0, 4, size=9)
     analytic = gradient(model, X, y)
-    theta = model.get_params()
+    theta = model.params.copy()
     eps = 1e-6
     worst = 0.0
     coords = rng.choice(theta.size, size=num_coords, replace=False)
@@ -127,10 +128,10 @@ def verify_gradient_finite_differences() -> Tuple[bool, str]:
     for c in coords:
         bumped = theta.copy()
         bumped[c] += eps
-        probe.set_params(bumped)
+        probe.params[...] = bumped
         up = loss(probe, X, y)
         bumped[c] -= 2 * eps
-        probe.set_params(bumped)
+        probe.params[...] = bumped
         down = loss(probe, X, y)
         numeric = (up - down) / (2 * eps)
         scale = max(abs(analytic[c]), abs(numeric), 1e-8)
@@ -152,17 +153,11 @@ def verify_admm_certificate() -> Tuple[bool, str]:
     every ED on that footing before partial participation is asserted.
     """
     num_eds, seed, tolerance = 4, 17, ADMM_TOLERANCE
+    params = AdmmParams(num_eds=num_eds, dim=6, samples_per_ed=8,
+                        noise_variance_slope=0.01, varrho=0.0, rho=1.0)
     rng = np.random.default_rng(seed)
     for run in range(ADMM_RUNS):
-        state, _ = make_admm_state(
-            num_eds=num_eds,
-            dim=6,
-            samples_per_ed=8,
-            noise_variance_slope=0.01,
-            varrho=0.0,
-            rho=1.0,
-            seed=seed + run,
-        )
+        state, _ = make_admm_state(params, seed + run)
         scale = np.sqrt(state.kappa)[:, None, None]
         state = dataclasses.replace(state, X=state.X / scale, Y=state.Y / scale)
         state.rho = float(np.sqrt(2 * state.kappa.max()) * 1.5)

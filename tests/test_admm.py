@@ -75,7 +75,7 @@ def test_kappa_is_the_gram_spectral_norm():
     p = EdLocalProblem(Y=rng.normal(size=(6, 9)), X=X)
     assert p.kappa == pytest.approx(np.linalg.svd(X @ X.T, compute_uv=False)[0])
     # the stacked state holds each row's EdLocalProblem kappa, shared by clones
-    state, _ = make_admm_state(num_eds=3, dim=6, samples_per_ed=9, seed=0)
+    state, _ = make_admm_state(AdmmParams(num_eds=3, dim=6, samples_per_ed=9), 0)
     assert state.kappa.tolist() == [EdLocalProblem(y, x).kappa for y, x in zip(state.Y, state.X)]
     assert state.clone().kappa is state.kappa
 
@@ -96,7 +96,7 @@ def test_smooth_grad_matches_finite_differences():
 
 
 def test_consensus_update_is_the_dual_adjusted_mean():
-    state, _ = make_admm_state(num_eds=3, dim=4, samples_per_ed=6, seed=0)
+    state, _ = make_admm_state(AdmmParams(num_eds=3, dim=4, samples_per_ed=6), 0)
     state.thetas = np.stack([np.full((4, 4), float(j)) for j in range(3)])
     state.lambdas = np.stack([np.full((4, 4), 0.1 * j) for j in range(3)])
     expected = np.mean(
@@ -106,7 +106,7 @@ def test_consensus_update_is_the_dual_adjusted_mean():
 
 
 def test_consensus_is_stationary_for_the_lagrangian():
-    state, _ = make_admm_state(num_eds=4, dim=5, samples_per_ed=7, seed=3)
+    state, _ = make_admm_state(AdmmParams(num_eds=4, dim=5, samples_per_ed=7), 3)
     theta0 = update_consensus(state)
     # d/d theta0 of sum_j (-lambda_j - rho (theta_j - theta0)) vanishes
     grad = sum(-state.lambdas[j] - state.rho * (state.thetas[j] - theta0)
@@ -118,7 +118,7 @@ def test_local_update_matches_the_ridge_solution_in_smooth_mode():
     # with no l1 term the subproblem is a ridge solve:
     # theta (X X^T + rho I) = Y X^T - lambda + rho theta0
     state, _ = make_admm_state(
-        num_eds=2, dim=6, samples_per_ed=9, varrho=0.0, rho=2.0, seed=5
+        AdmmParams(num_eds=2, dim=6, samples_per_ed=9, varrho=0.0, rho=2.0), 5
     )
     rng = np.random.default_rng(7)
     state.theta0 = rng.normal(size=(6, 6))
@@ -134,7 +134,7 @@ def test_local_update_matches_the_ridge_solution_in_smooth_mode():
 
 def test_local_update_produces_sparse_copies_under_l1():
     state, _ = make_admm_state(
-        num_eds=2, dim=8, samples_per_ed=10, varrho=5.0, rho=0.5, seed=2
+        AdmmParams(num_eds=2, dim=8, samples_per_ed=10, varrho=5.0, rho=0.5), 2
     )
     theta = update_local(state, [0], tol=1e-10, max_iter=50_000)[0]
     assert np.mean(theta == 0.0) > 0.2
@@ -221,7 +221,7 @@ def reference_lagrangian(state):
 
 def solve_instance(varrho):
     state, _ = make_admm_state(
-        num_eds=4, dim=6, samples_per_ed=9, varrho=varrho, rho=0.5, seed=8
+        AdmmParams(num_eds=4, dim=6, samples_per_ed=9, varrho=varrho, rho=0.5), 8
     )
     rng = np.random.default_rng(9)
     state.theta0 = rng.normal(size=(6, 6))
@@ -271,7 +271,7 @@ def test_batched_residuals_are_the_reference_residuals(varrho):
     # tol equal to a reference residual stops that ED exactly there, so a
     # residual off by one ulp changes the iterate returned
     state, _ = make_admm_state(
-        num_eds=4, dim=20, samples_per_ed=30, varrho=varrho, rho=1.0, seed=4
+        AdmmParams(num_eds=4, dim=20, samples_per_ed=30, varrho=varrho, rho=1.0), 4
     )
     rng = np.random.default_rng(5)
     state.theta0 = rng.normal(size=(20, 20))
@@ -519,7 +519,7 @@ def test_marginal_utility_is_the_squared_move():
 
 
 def test_run_round_freezes_unselected_eds():
-    state, _ = make_admm_state(num_eds=3, dim=4, samples_per_ed=6, seed=1)
+    state, _ = make_admm_state(AdmmParams(num_eds=3, dim=4, samples_per_ed=6), 1)
     new = run_round(state, [1], tol=1e-10, max_iter=10_000)
     for j in (0, 2):
         np.testing.assert_array_equal(new.thetas[j], state.thetas[j])
@@ -530,8 +530,8 @@ def test_run_round_freezes_unselected_eds():
 
 def certificate_ready_state(seed, num_eds=3, dim=5):
     state, _ = make_admm_state(
-        num_eds=num_eds, dim=dim, samples_per_ed=8,
-        noise_variance_slope=0.01, varrho=0.0, rho=1.0, seed=seed,
+        AdmmParams(num_eds=num_eds, dim=dim, samples_per_ed=8,
+                   noise_variance_slope=0.01, varrho=0.0, rho=1.0), seed
     )
     scale = np.sqrt(state.kappa)[:, None, None]
     state = dataclasses.replace(state, X=state.X / scale, Y=state.Y / scale)
@@ -560,7 +560,7 @@ def test_descent_certificate_and_dual_bound_after_warmup():
 
 def test_descent_certificate_rejects_small_penalties():
     state, _ = make_admm_state(
-        num_eds=2, dim=4, samples_per_ed=6, varrho=0.0, rho=0.1, seed=0
+        AdmmParams(num_eds=2, dim=4, samples_per_ed=6, varrho=0.0, rho=0.1), 0
     )
     new = run_round(state, [0, 1], tol=1e-10, max_iter=10_000)
     with pytest.raises(PenaltyRegimeError):
@@ -568,7 +568,7 @@ def test_descent_certificate_rejects_small_penalties():
 
 
 def test_relative_gap_definition():
-    state, theta_true = make_admm_state(num_eds=2, dim=4, samples_per_ed=6, seed=0)
+    state, theta_true = make_admm_state(AdmmParams(num_eds=2, dim=4, samples_per_ed=6), 0)
     state.theta0 = theta_true.copy()
     assert relative_gap(state, theta_true) == 0.0
     state.theta0 = theta_true * 1.01

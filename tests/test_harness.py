@@ -324,12 +324,61 @@ def test_cli_run_roundtrip(tmp_path):
 def test_cli_run_overrides(tmp_path):
     path = write_cfg(tmp_path)
     out = tmp_path / "run.csv"
-    res = cli("run", "--config", str(path), "--seed", "9", "--policy", "channel",
-              "--rounds", "2", "--out", str(out))
+    res = cli("run", "--config", str(path), "--set", "seed=9", "--set", "policy=channel",
+              "--set", "rounds=2", "--out", str(out))
     assert res.returncode == 0, res.stderr
     rows = parse_metrics(out)
     assert len(rows) == 2
     assert rows[0].policy == "channel" and rows[0].seed == 9
+
+
+def test_cli_compare_takes_overrides(tmp_path, capsys):
+    path = write_cfg(tmp_path)
+    assert main(["compare", "--config", str(path), "--set", "rounds=2",
+                 "--out", str(tmp_path / "cmp")]) == 0, capsys.readouterr().err
+    for policy in POLICIES:
+        assert len(parse_metrics(tmp_path / "cmp" / f"{policy}.csv")) == 2
+
+
+def test_cli_claims_takes_overrides(capsys):
+    # one round never reaches the ADMM target, so each claim is rounds + 1
+    assert main(["claims", "--config", str(CONFIGS / "admm.yaml"),
+                 "--set", "rounds=1", "--set", "seed=4"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "admm seed 4: channel 2, utility 2, hybrid 2"
+
+
+@pytest.mark.parametrize("preset, text, value", [
+    ("edge_learning", "params.lr=1e-3", 0.001),
+    ("demand_response", "params.num_eds=15000", 15000),
+    ("demand_response", "rounds=25", 25),
+    ("demand_response", "utility_mode=expected", "expected"),
+    ("demand_response", "params.cost_range=[0.0, 5.0]", [0.0, 5.0]),
+    ("demand_response", "params.pi_min=null", None),
+])
+def test_an_override_reads_its_value_as_a_config_does(preset, text, value):
+    config = load_config(CONFIGS / f"{preset}.yaml", [text])
+    key = text.partition("=")[0]
+    loaded = config.params[key[len("params."):]] if "." in key else getattr(config, key)
+    assert loaded == value and type(loaded) is type(value)
+
+
+@pytest.mark.parametrize("text", ["rounds", "=3", "params..lr=1", "params.=1", "rounds=[1"])
+def test_a_malformed_override_is_a_config_error(text):
+    with pytest.raises(ConfigError, match=re.escape(repr(text))):
+        load_config(CONFIGS / "routing.yaml", [text])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda path: None, "config file not found: {}"),
+    (Path.mkdir, "cannot read config file {}: [Errno 21] Is a directory"),
+    (lambda path: path.write_bytes(b"workload: routing\n# \xff\n"),
+     "cannot read config file {}: 'utf-8' codec can't decode byte 0xff"),
+], ids=["missing", "directory", "undecodable"])
+def test_a_config_that_cannot_be_read_as_text_exits_1_naming_it(tmp_path, capsys, make, message):
+    path = tmp_path / "cfg.yaml"
+    make(path)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+    assert capsys.readouterr().err.startswith("config error: " + message.format(path))
 
 
 def test_cli_exit_code_1_on_config_error(tmp_path):
@@ -445,25 +494,51 @@ def test_the_readme_payload_example_exits_2_naming_r_min(tmp_path, capsys):
     assert "beyond an int64 count" in err
 
 
+# a key of each block of a routing config, for a dotted override into it
+BLOCK_KEYS = {"channel": "capacity", "params": "num_nodes"}
+
+
 @pytest.mark.parametrize("block", ["channel", "params"])
 @pytest.mark.parametrize("value", ["[]", "0", "false", "''", "[1]", "text"])
-def test_a_block_that_is_not_a_mapping_exits_1_naming_it(tmp_path, capsys, block, value):
+@pytest.mark.parametrize("override", [False, True], ids=["plain", "override"])
+def test_a_block_that_is_not_a_mapping_exits_1_naming_it(tmp_path, capsys, block, value,
+                                                        override):
     path = tmp_path / "cfg.yaml"
     path.write_text(f"workload: routing\n{block}: {value}\n")
+    sets = [f"{block}.{BLOCK_KEYS[block]}=5"] if override else []
     with pytest.raises(ConfigError, match=f"^{block} block must be a mapping, got "):
-        load_config(path)
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+        load_config(path, sets)
+    argv = ["run", "--config", str(path), *(a for s in sets for a in ("--set", s))]
+    assert main([*argv, "--out", str(tmp_path / "o.csv")]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {block} block must be a mapping")
+
+
+@pytest.mark.parametrize("block, value", [("params", "0"), ("channel", "[1]")])
+def test_preset_digests_rejects_an_override_into_a_block_that_is_not_a_mapping(
+        tmp_path, block, value):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(f"workload: routing\n{block}: {value}\n")
+    script = CONFIGS.parent / "scripts" / "preset_digests.py"
+    res = subprocess.run(
+        [sys.executable, str(script), str(path), "--set", f"{block}.{BLOCK_KEYS[block]}=5"],
+        capture_output=True, text=True,
+    )
+    assert res.returncode != 0 and res.stdout == ""
+    assert f"config error: {block} block must be a mapping, got {value}" in res.stderr
 
 
 @pytest.mark.parametrize("block", ["channel", "params"])
 @pytest.mark.parametrize("line", [None, "{}:", "{}: null", "{}: ~", "{}: {{}}"],
                          ids=["missing", "empty", "null", "tilde", "mapping"])
-def test_a_missing_or_null_block_means_its_defaults(tmp_path, block, line):
+@pytest.mark.parametrize("override", [False, True], ids=["defaults", "override"])
+def test_a_missing_or_null_block_means_its_defaults(tmp_path, block, line, override):
     path = tmp_path / "cfg.yaml"
     path.write_text("workload: routing\n" + ("" if line is None else line.format(block) + "\n"))
-    config = load_config(path)
-    assert config.channel == ChannelConfig() and dict(config.params) == {}
+    # an override into the block gives the block with that one key
+    values = {BLOCK_KEYS[block]: 5} if override else {}
+    config = load_config(path, [f"{block}.{key}={v}" for key, v in values.items()])
+    assert config.channel == ChannelConfig(**(values if block == "channel" else {}))
+    assert dict(config.params) == (values if block == "params" else {})
 
 
 # Hand-picked bad values: cross-field rules, and single values listed before
@@ -759,27 +834,24 @@ def exit_code(argv):
         return exc.code
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--rounds", "abc"),
-    ("--rounds", "2.5"),
-    ("--rounds", "0"),
-    ("--seed", "x"),
-    ("--seed", "-1"),
-    ("--policy", "best"),
+@pytest.mark.parametrize("override", [
+    "rounds=abc", "rounds=2.5", "rounds=0", "seed=x", "seed=-1", "policy=best",
 ])
-def test_cli_bad_flag_value_exits_1_naming_the_flag(tmp_path, capsys, flag, value):
+def test_cli_bad_override_exits_1_naming_the_key(tmp_path, capsys, override):
     path = write_cfg(tmp_path)
-    code = exit_code(["run", "--config", str(path), flag, value,
+    code = exit_code(["run", "--config", str(path), "--set", override,
                       "--out", str(tmp_path / "o.csv")])
     err = capsys.readouterr().err
     assert code == 1, err
-    assert "config error" in err and flag.lstrip("-") in err
+    assert "config error" in err and override.partition("=")[0] in err
     assert not (tmp_path / "o.csv").exists()
 
 
 def test_cli_help_exits_0(capsys):
     assert exit_code(["run", "--help"]) == 0
-    assert "--rounds" in capsys.readouterr().out
+    usage = capsys.readouterr().out
+    assert "--config" in usage and "--set" in usage and "--out" in usage
+    assert not any(flag in usage for flag in ("--seed", "--policy", "--rounds"))
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])

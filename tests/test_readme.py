@@ -5,9 +5,9 @@ for the rest of its block, and `$NAME` or `${NAME}` expands it; `#` starts
 a comment. Every other line must be one of these commands:
 
 - `goalrba ...`, parsed by the CLI's own parser, its `--config` loaded with
-  `load_config`;
+  `load_config` and the line's `--set` overrides;
 - `python3 scripts/preset_digests.py ...`, parsed by the script's parser,
-  each config loaded with the `--set` overrides applied;
+  each config loaded with `load_config` and the line's `--set` overrides;
 - `python3 scripts/<name>.py ...`, `pytest ...` or `pip install ...`.
 
 On every line, each `scripts/*.py` and `tests/*.py` path must exist. The CI
@@ -61,16 +61,16 @@ def _parse(parser, args):
         return f"rejected ({exc.code}): {stderr.getvalue().strip()}"
 
 
-def _load(path):
-    """load_config(path)'s ConfigError as a list of one problem, else []."""
+def _load(path, overrides):
+    """load_config(path, overrides)'s ConfigError as a list of one problem, else []."""
     try:
-        load_config(path)
+        load_config(path, overrides)
     except ConfigError as exc:
         return [f"config error: {exc}"]
     return []
 
 
-def problems(argv, preset_digests, tmp_path):
+def problems(argv, preset_digests):
     """What is wrong with one README command; an empty list if nothing is."""
     found = [f"no such file: {arg}" for arg in argv
              if LOCAL_SCRIPT.fullmatch(arg) and not (ROOT / arg.split("::")[0]).is_file()]
@@ -80,7 +80,7 @@ def problems(argv, preset_digests, tmp_path):
         if isinstance(parsed, str):
             return found + [parsed]
         if getattr(parsed, "config", None):
-            found += _load(ROOT / parsed.config)
+            found += _load(ROOT / parsed.config, parsed.overrides)
     elif program == "python3" and args and args[0] == "scripts/preset_digests.py":
         parsed = _parse(preset_digests._build_parser(), args[1:])
         if isinstance(parsed, str):
@@ -89,7 +89,7 @@ def problems(argv, preset_digests, tmp_path):
             if not (ROOT / config).is_file():
                 found.append(f"no such config: {config}")
                 continue
-            found += _load(preset_digests.overridden(ROOT / config, parsed.overrides, tmp_path))
+            found += _load(ROOT / config, parsed.overrides)
     elif program == "python3" and args and LOCAL_SCRIPT.fullmatch(args[0]):
         pass
     elif program == "pytest" or argv[:2] == ["pip", "install"]:
@@ -99,13 +99,13 @@ def problems(argv, preset_digests, tmp_path):
     return found
 
 
-def readme_problems(markdown, preset_digests, tmp_path):
+def readme_problems(markdown, preset_digests):
     return [f"{line.strip()} -> {problem}"
             for line, argv in commands(markdown)
-            for problem in problems(argv, preset_digests, tmp_path)]
+            for problem in problems(argv, preset_digests)]
 
 
-def test_every_readme_command_parses_and_loads_its_configs(preset_digests, tmp_path):
+def test_every_readme_command_parses_and_loads_its_configs(preset_digests):
     markdown = README.read_text()
     programs = [argv[:2] for _, argv in commands(markdown)]
     # the blocks were found: each kind of command is there
@@ -113,7 +113,7 @@ def test_every_readme_command_parses_and_loads_its_configs(preset_digests, tmp_p
                     ["goalrba", "verify"], ["python3", "scripts/preset_digests.py"],
                     ["python3", "scripts/bench_pairs.py"], ["pytest"]):
         assert any(p[:len(program)] == program for p in programs), program
-    assert readme_problems(markdown, preset_digests, tmp_path) == []
+    assert readme_problems(markdown, preset_digests) == []
 
 
 BAD_BLOCK = """
@@ -124,6 +124,7 @@ DR=configs/demand_response.yaml
 goalrba claims --config $DR --seeds 1 2      # fine
 goalrba run --config configs/missing.yaml --out out.csv
 goalrba run --config ${DR} --polcy hybrid --out out.csv
+goalrba claims --config $DR --set rounds=abc
 python3 scripts/preset_digests.py $DR --set params.num_ed=15000
 python3 scripts/no_such_script.py
 pytest tests/test_no_such_file.py -q
@@ -132,13 +133,14 @@ make all
 """
 
 
-def test_the_check_fails_on_a_missing_config_and_on_a_bad_flag(preset_digests, tmp_path):
-    found = readme_problems(BAD_BLOCK, preset_digests, tmp_path)
-    assert len(found) == 6, found
-    missing, flag, key, script, test, make = found
+def test_the_check_fails_on_a_missing_config_and_on_a_bad_flag(preset_digests):
+    found = readme_problems(BAD_BLOCK, preset_digests)
+    assert len(found) == 7, found
+    missing, flag, value, key, script, test, make = found
     assert missing.startswith("goalrba run --config configs/missing.yaml")
     assert "config error: config file not found: " in missing
     assert "rejected (1): " in flag and "--polcy" in flag
+    assert value.endswith("config error: rounds must be int, got 'abc'")
     assert "unknown key 'num_ed' in demand_response block" in key
     assert script.endswith("no such file: scripts/no_such_script.py")
     assert test.endswith("no such file: tests/test_no_such_file.py")
