@@ -71,7 +71,6 @@ class AdmmState:
     lambdas: np.ndarray
     rho: float
     varrho: float
-    round_idx: int = 0
     kappa: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -369,7 +368,6 @@ def run_round(
         new = update_local(state, selected, theta0=out.theta0, tol=tol, max_iter=max_iter)
         out.thetas[selected] = new
         out.lambdas[selected] = state.lambdas[selected] + state.rho * (new - out.theta0)
-    out.round_idx = state.round_idx + 1
     return out
 
 

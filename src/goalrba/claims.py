@@ -74,5 +74,8 @@ def run_claims(config: ScenarioConfig, seeds: Sequence[int]) -> None:
     pairs = list(zip(values["hybrid"], values["channel"]))
     wins = sum(h < c for h, c in pairs)
     ties = sum(h == c for h, c in pairs)
+    # A zero channel median has no relative reduction.
+    reduction = (f"{1 - medians['hybrid'] / medians['channel']:.1%}" if medians["channel"]
+                 else "n/a")
     print(f"hybrid vs channel: wins {wins}, ties {ties}, losses {len(pairs) - wins - ties}; "
-          f"median reduction {1 - medians['hybrid'] / medians['channel']:.1%}")
+          f"median reduction {reduction}")

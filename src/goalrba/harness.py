@@ -4,6 +4,10 @@ A scenario is (workload kind, policy, rounds, seed). Every round samples
 fresh channel gains, collects utility reports, allocates RBs under the chosen
 policy, ingests the selected EDs' data, and records one metrics row. The
 whole pipeline is deterministic given (config, seed).
+
+A config's `channel` and `params` blocks become their frozen dataclasses in
+one place, `ScenarioConfig.__post_init__`; the workload is built from that
+same `*Params` object. Metrics go one way, out to CSV.
 """
 
 from __future__ import annotations
@@ -11,10 +15,10 @@ from __future__ import annotations
 import dataclasses
 import re
 import time
-from dataclasses import dataclass, field, fields
+from collections.abc import Hashable
+from dataclasses import dataclass, fields
 from pathlib import Path
-from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 import yaml
@@ -22,18 +26,9 @@ import yaml
 from .admm import AdmmParams, AdmmWorkload
 from .allocator import channel_policy, greedy_allocate, utility_policy
 from .channel import DEFAULT_INTERVAL_RB_CAPACITY, sample_gains
-from .decision import (
-    DemandResponseWorkload,
-    DrParams,
-    RoutingParams,
-    RoutingWorkload,
-)
-from .learning import (
-    EdgeLearningParams,
-    EdgeLearningWorkload,
-    FederatedParams,
-    FederatedWorkload,
-)
+from .decision import DemandResponseWorkload, DrParams, RoutingParams, RoutingWorkload
+from .learning import (EdgeLearningParams, EdgeLearningWorkload, FederatedParams,
+                       FederatedWorkload)
 from .workload import ConfigError, Workload, check_fields, collect_reports, ranged
 
 CSV_HEADER = "round,policy,seed,throughput,utility_gain,goal_value,wall_ms"
@@ -50,14 +45,30 @@ POLICIES = ("channel", "utility", "hybrid")
 
 
 def _exponent_floats(base):
-    """`base` with one more float resolver: a plain scalar such as `1e-3`.
+    """`base` with one more float resolver, and with no key written twice.
 
     PyYAML follows YAML 1.1, whose float has a dot and a sign on any
     exponent, so `1e-3`, `1E5` and `1.0e308` would load as strings and fail
     the field check. The subclass reads them as floats too; every other
-    scalar resolves as it does in `base`.
+    scalar resolves as it does in `base`. Where PyYAML keeps the later value
+    of a key written twice in one mapping, the subclass raises ConfigError
+    naming the key and its line; a key may still override a `<<` merge's.
     """
-    loader = type(f"Goalrba{base.__name__}", (base,), {})
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if isinstance(key, Hashable):  # base rejects any other key
+                if key in seen:
+                    raise ConfigError(
+                        f"duplicate key {key!r} on line {key_node.start_mark.line + 1}")
+                seen.add(key)
+        return base.construct_mapping(self, node, deep)
+
+    loader = type(f"Goalrba{base.__name__}", (base,), {"construct_mapping": construct_mapping})
     loader.add_implicit_resolver(
         "tag:yaml.org,2002:float",
         re.compile(r"^[-+]?[0-9][0-9_]*(\.[0-9_]*)?[eE][-+]?[0-9]+$"),
@@ -100,10 +111,13 @@ class ChannelConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One runnable scenario; `params` feeds the workload's parameter block.
+    """One runnable scenario, each block held as its frozen dataclass.
 
-    `params` is kept as a read-only copy of the mapping it is given, so the
-    block checked here is the block the workload is built from.
+    `channel` and `params` may each be given as a mapping, checked key by
+    key, or as None, which means the defaults. `channel` becomes a
+    ChannelConfig and `params` the workload's `*Params`, which the workload
+    is built from. A block that already is that dataclass is kept as it is,
+    as `dataclasses.replace` hands it on.
     """
 
     workload: str
@@ -114,16 +128,15 @@ class ScenarioConfig:
     utility_samples: int = ranged(256, "[1, inf)")
     gain_normalization: str = "raw"
     measure_wall_time: bool = False
-    channel: ChannelConfig = field(default_factory=ChannelConfig)
-    params: Mapping = field(default_factory=dict)
+    channel: ChannelConfig = None
+    params: object = None  # the workload's *Params once built
 
     def __post_init__(self):
+        self._build_block("channel", ChannelConfig, "channel")
         check_fields(self)
-        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         if self.workload not in WORKLOADS:
-            raise ConfigError(
-                f"unknown workload {self.workload!r}; expected one of {sorted(WORKLOADS)}"
-            )
+            raise ConfigError(f"unknown workload {self.workload!r}; "
+                              f"expected one of {sorted(WORKLOADS)}")
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}; expected one of {POLICIES}")
         if self.utility_mode not in ("exact", "expected"):
@@ -133,11 +146,15 @@ class ScenarioConfig:
             raise ConfigError(f"utility_mode 'expected' needs a history to draw from, "
                               f"which {self.workload} does not keep")
         if self.gain_normalization not in ("raw", "per_round_max"):
-            raise ConfigError(
-                f"unknown gain normalization {self.gain_normalization!r}"
-            )
+            raise ConfigError(f"unknown gain normalization {self.gain_normalization!r}")
         # Bad params keys fail here, not when the workload is built.
-        _strict_dataclass(WORKLOADS[self.workload][0], dict(self.params), self.workload)
+        self._build_block("params", WORKLOADS[self.workload][0], self.workload)
+
+    def _build_block(self, name: str, cls, context: str) -> None:
+        """Hold block `name` as a `cls`, built from a mapping or None (see `_block`)."""
+        value = getattr(self, name)
+        if not isinstance(value, cls):
+            object.__setattr__(self, name, _strict_dataclass(cls, _block(value, name), context))
 
 
 @dataclass
@@ -172,14 +189,11 @@ def _strict_dataclass(cls, raw: Dict, context: str):
 
 def build_workload(config: ScenarioConfig, seed=None) -> Workload:
     """Instantiate the configured workload from its parameter block."""
-    params_cls, workload_cls = WORKLOADS[config.workload]
-    params = _strict_dataclass(params_cls, dict(config.params), config.workload)
-    return workload_cls(params, config.seed if seed is None else seed)
+    return WORKLOADS[config.workload][1](config.params, config.seed if seed is None else seed)
 
 
-def _block(raw: Dict, name: str) -> Dict:
-    """raw[name] as a mapping: a missing or null block means the defaults."""
-    value = raw.get(name)
+def _block(value, name: str) -> Dict:
+    """Block `name` as a mapping: a missing or null block means the defaults."""
     if value is None:
         return {}
     if not isinstance(value, dict):
@@ -198,7 +212,7 @@ def _apply_override(raw: Dict, text: str) -> None:
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML value in {text!r}: {exc}") from exc
     for block in blocks:
-        raw[block] = _block(raw, block)
+        raw[block] = _block(raw.get(block), block)
         raw = raw[block]
     raw[name] = value
 
@@ -230,22 +244,7 @@ def load_config(path, overrides: Sequence[str] = ()) -> ScenarioConfig:
         _apply_override(raw, override)
     if "workload" not in raw:
         raise ConfigError("config is missing the required 'workload' key")
-    kwargs = dict(raw)
-    kwargs["channel"] = _strict_dataclass(ChannelConfig, _block(raw, "channel"), "channel")
-    kwargs["params"] = _block(raw, "params")
-    return _strict_dataclass(ScenarioConfig, kwargs, "config")
-
-
-def config_to_dict(config: ScenarioConfig) -> Dict:
-    out = {f.name: getattr(config, f.name) for f in fields(config)}
-    out["channel"] = dataclasses.asdict(config.channel)
-    out["params"] = dict(config.params)
-    return out
-
-
-def save_config(config: ScenarioConfig, path) -> None:
-    """Serialize a config so load_config round-trips it."""
-    Path(path).write_text(yaml.safe_dump(config_to_dict(config), sort_keys=False))
+    return _strict_dataclass(ScenarioConfig, raw, "config")
 
 
 def _allocate(policy: str, gains, reports, capacity: int):
@@ -297,22 +296,11 @@ def run_scenario(
             goal_after = workload.goal_value()
         except Exception as exc:
             raise RoundError(k, config.workload, exc) from exc
-        wall_ms = (
-            int(round((time.perf_counter() - started) * 1000))
-            if config.measure_wall_time
-            else 0
-        )
-        metrics.append(
-            RoundMetrics(
-                round_idx=k,
-                policy=config.policy,
-                seed=config.seed,
-                throughput=throughput,
-                utility_gain=goal_before - goal_after,
-                goal_value=goal_after,
-                wall_ms=wall_ms,
-            )
-        )
+        wall_ms = (int(round((time.perf_counter() - started) * 1000))
+                   if config.measure_wall_time else 0)
+        metrics.append(RoundMetrics(
+            round_idx=k, policy=config.policy, seed=config.seed, throughput=throughput,
+            utility_gain=goal_before - goal_after, goal_value=goal_after, wall_ms=wall_ms))
         if round_hook is not None and round_hook(k, workload):
             break
     return metrics
@@ -324,31 +312,9 @@ def emit_metrics(metrics: Sequence[RoundMetrics], path) -> None:
     for m in metrics:
         lines.append(
             f"{m.round_idx},{m.policy},{m.seed},{m.throughput},"
-            f"{m.utility_gain!r},{m.goal_value!r},{m.wall_ms}"
+            f"{float(m.utility_gain)!r},{float(m.goal_value)!r},{m.wall_ms}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def parse_metrics(path) -> List[RoundMetrics]:
-    """Read back a metrics CSV emitted by emit_metrics."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"unexpected metrics header in {path}")
-    out = []
-    for line in lines[1:]:
-        r, policy, seed, tput, gain, goal, wall = line.split(",")
-        out.append(
-            RoundMetrics(
-                round_idx=int(r),
-                policy=policy,
-                seed=int(seed),
-                throughput=int(tput),
-                utility_gain=float(gain),
-                goal_value=float(goal),
-                wall_ms=int(wall),
-            )
-        )
-    return out
 
 
 def run_compare(config: ScenarioConfig, out_dir) -> Dict[str, List[RoundMetrics]]:

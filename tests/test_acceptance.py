@@ -20,6 +20,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import yaml
 from scipy.optimize import linprog
 
 from goalrba.channel import rb_bits
@@ -233,14 +234,10 @@ def test_acceptance_8c_admm_rounds():
 
 
 def test_acceptance_9_determinism(tmp_path):
-    from goalrba.harness import save_config
-
-    cfg = ScenarioConfig(
-        workload="demand_response", rounds=5, seed=3,
-        params={"num_eds": 40}, channel=ChannelConfig(capacity=300),
-    )
+    raw = {"workload": "demand_response", "rounds": 5, "seed": 3,
+           "params": {"num_eds": 40}, "channel": {"capacity": 300}}
     cfg_path = tmp_path / "cfg.yaml"
-    save_config(cfg, cfg_path)
+    cfg_path.write_text(yaml.safe_dump(raw))
     outs = []
     for name in ("a.csv", "b.csv"):
         out = tmp_path / name

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from goalrba.claims import claim_value, rounds_to_target
 from goalrba.cli import main
@@ -16,14 +17,13 @@ from goalrba.harness import (
     ScenarioConfig,
     load_config,
     run_scenario,
-    save_config,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-DR_SMALL = ScenarioConfig(workload="demand_response", rounds=3, seed=5,
-                          params={"num_eds": 30, "pi_min": 20.0},
-                          channel=ChannelConfig(capacity=200))
+DR_SMALL_RAW = {"workload": "demand_response", "rounds": 3, "seed": 5,
+                "params": {"num_eds": 30, "pi_min": 20.0}, "channel": {"capacity": 200}}
+DR_SMALL = ScenarioConfig(**DR_SMALL_RAW)
 
 
 # A small edge-learning scenario whose test accuracy first reaches 0.5 after
@@ -82,7 +82,7 @@ def test_claims_on_a_negative_seed_exits_1_naming_seed(capsys):
 
 def test_claims_prints_each_seed_and_the_hybrid_tally(tmp_path, capsys):
     path = tmp_path / "dr.yaml"
-    save_config(DR_SMALL, path)
+    path.write_text(yaml.safe_dump(DR_SMALL_RAW))
     code = main(["claims", "--config", str(path), "--seeds", "5", "6"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
@@ -94,3 +94,14 @@ def test_claims_prints_each_seed_and_the_hybrid_tally(tmp_path, capsys):
                      r"median reduction -?\d+\.\d%$", lines[3])
     assert sum(map(int, tally.groups())) == 2
     assert len(lines) == 4
+
+
+def test_claims_with_a_zero_channel_median_prints_no_reduction(capsys):
+    # pi_min 0 asks for no reduction, so every dispatch costs 0
+    code = main(["claims", "--config", str(CONFIGS / "demand_response.yaml"),
+                 "--set", "params.pi_min=0", "--set", "rounds=3"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    lines = captured.out.splitlines()
+    assert lines[1] == "medians (mean dispatch cost): channel 0.000, utility 0.000, hybrid 0.000"
+    assert lines[2] == "hybrid vs channel: wins 0, ties 1, losses 0; median reduction n/a"

@@ -14,7 +14,8 @@ import yaml
 
 from goalrba import harness
 from goalrba.cli import main
-from goalrba.decision import DrParams, RoutingParams
+from goalrba.admm import AdmmParams
+from goalrba.decision import DrParams, RoutingParams, RoutingWorkload
 from goalrba.harness import (
     CSV_HEADER,
     POLICIES,
@@ -25,38 +26,37 @@ from goalrba.harness import (
     RoundMetrics,
     ScenarioConfig,
     build_workload,
-    config_to_dict,
     emit_metrics,
     load_config,
-    parse_metrics,
     run_compare,
     run_scenario,
-    save_config,
 )
 from goalrba.learning import EdgeLearningParams, FederatedParams
 from goalrba.verification import ADMM_RUNS, ADMM_TOLERANCE
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-DR_SMALL = dict(workload="demand_response", rounds=3, seed=5,
-                params={"num_eds": 30, "pi_min": 20.0})
+
+def small_raw(**overrides):
+    """A small demand-response config as the plain dict a YAML file holds."""
+    return {"workload": "demand_response", "rounds": 3, "seed": 5,
+            "channel": {"capacity": 200}, "params": {"num_eds": 30, "pi_min": 20.0},
+            **overrides}
 
 
 def small_config(**overrides):
-    merged = {**DR_SMALL, **overrides}
-    channel = merged.pop("channel", ChannelConfig(capacity=200))
-    return ScenarioConfig(channel=channel, **merged)
+    return ScenarioConfig(**small_raw(**overrides))
 
 
 def test_config_yaml_round_trip(tmp_path):
-    cfg = small_config(policy="utility", utility_mode="expected", utility_samples=32)
+    raw = small_raw(policy="utility", utility_mode="expected", utility_samples=32)
     path = tmp_path / "scenario.yaml"
-    save_config(cfg, path)
-    assert load_config(path) == cfg
+    path.write_text(yaml.safe_dump(raw))
+    assert load_config(path) == ScenarioConfig(**raw)
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
-    raw = config_to_dict(small_config())
+    raw = small_raw()
     raw["capactiy"] = 5
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(raw))
@@ -65,7 +65,7 @@ def test_load_config_rejects_unknown_keys(tmp_path):
 
 
 def test_load_config_rejects_unknown_nested_keys(tmp_path):
-    raw = config_to_dict(small_config())
+    raw = small_raw()
     raw["channel"]["bandwidth"] = 1.0
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(raw))
@@ -87,7 +87,7 @@ def test_config_validation():
 
 
 def test_unknown_param_field_rejected_at_load(tmp_path):
-    raw = config_to_dict(small_config())
+    raw = small_raw()
     raw["params"]["no_such_field"] = 1
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(raw))
@@ -103,11 +103,11 @@ def test_metrics_csv_round_trip(tmp_path):
     ]
     path = tmp_path / "m.csv"
     emit_metrics(metrics, path)
-    assert parse_metrics(path) == metrics
-    lines = path.read_text().splitlines()
-    assert lines[0] == "round,policy,seed,throughput,utility_gain,goal_value,wall_ms"
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 4
+    assert CSV_HEADER == "round,policy,seed,throughput,utility_gain,goal_value,wall_ms"
+    assert path.read_text() == (f"{CSV_HEADER}\n"
+                                "0,hybrid,5,12,3.25,81.0625,0\n"
+                                "1,hybrid,5,0,0.0,81.0625,0\n"
+                                "2,hybrid,5,9,1e-17,0.30000000000000004,0\n")
 
 
 def test_empty_metrics_emit_header_only(tmp_path):
@@ -116,11 +116,23 @@ def test_empty_metrics_emit_header_only(tmp_path):
     assert path.read_text() == CSV_HEADER + "\n"
 
 
-def test_parse_metrics_rejects_foreign_files(tmp_path):
-    path = tmp_path / "m.csv"
-    path.write_text("round,policy\n0,hybrid\n")
-    with pytest.raises(ValueError):
-        parse_metrics(path)
+class NumpyGoalRouting(RoutingWorkload):
+    """Routing whose goal value is a numpy float, which a `-> float` allows."""
+
+    def goal_value(self):
+        return np.float64(super().goal_value())
+
+
+def test_the_csv_writes_numpy_floats_as_plain_floats(tmp_path):
+    cfg = ScenarioConfig(workload="routing", rounds=3, seed=2)
+    seed = np.random.SeedSequence(cfg.seed).spawn(3)[0]  # the seed run_scenario gives
+    rows = run_scenario(cfg, workload=NumpyGoalRouting(cfg.params, seed))
+    assert all(type(m.goal_value) is np.float64 for m in rows)
+    emit_metrics(rows, tmp_path / "numpy.csv")
+    emit_metrics(run_scenario(cfg), tmp_path / "plain.csv")
+    text = (tmp_path / "numpy.csv").read_text()
+    assert "np.float64" not in text
+    assert text == (tmp_path / "plain.csv").read_text()
 
 
 def test_run_scenario_deterministic_bytes(tmp_path):
@@ -207,9 +219,10 @@ def test_run_compare_writes_three_csvs_and_a_summary(tmp_path):
     cfg = small_config(gain_normalization="per_round_max")
     results = run_compare(cfg, tmp_path)
     assert set(results) == {"channel", "utility", "hybrid"}
-    for policy in results:
-        parsed = parse_metrics(tmp_path / f"{policy}.csv")
-        assert [m.policy for m in parsed] == [policy] * cfg.rounds
+    for policy, rows in results.items():
+        assert [m.policy for m in rows] == [policy] * cfg.rounds
+        emit_metrics(rows, tmp_path / "rows.csv")
+        assert (tmp_path / f"{policy}.csv").read_text() == (tmp_path / "rows.csv").read_text()
     summary = (tmp_path / "summary.csv").read_text().splitlines()
     assert summary[0] == "round,policy,utility_gain,relative_gain"
     assert len(summary) == 1 + 3 * cfg.rounds
@@ -258,15 +271,43 @@ def test_a_config_built_in_python_checks_its_params_block(params, key):
 def test_a_config_params_block_stays_as_checked():
     params = {"num_eds": 30, "pi_min": 20.0}
     cfg = ScenarioConfig(workload="demand_response", params=params)
-    with pytest.raises(TypeError):
-        cfg.params["num_eds"] = -3
-    # the config holds its own copy, not the caller's dict
+    assert cfg.params == DrParams(num_eds=30, pi_min=20.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.params.num_eds = -3
+    # the config holds its own object, not the caller's dict
     params["num_eds"] = -3
-    assert dict(cfg.params) == {"num_eds": 30, "pi_min": 20.0}
+    assert cfg.params.num_eds == 30
     assert build_workload(cfg).num_eds == 30
-    # replace and the YAML round trip take and give plain mappings
-    assert dict(dataclasses.replace(cfg, params={"num_eds": 40}).params) == {"num_eds": 40}
-    assert config_to_dict(cfg)["params"] == {"num_eds": 30, "pi_min": 20.0}
+    # replace takes a plain mapping and builds it anew
+    assert dataclasses.replace(cfg, params={"num_eds": 40}).params == DrParams(num_eds=40)
+
+
+def test_a_loaded_config_holds_each_block_as_its_dataclass():
+    for preset in sorted(CONFIGS.glob("*.yaml")):
+        cfg = load_config(preset)
+        assert type(cfg.params) is WORKLOADS[cfg.workload][0]
+        assert type(cfg.channel) is ChannelConfig
+
+
+def test_the_workload_and_replace_share_the_built_params():
+    cfg = load_config(CONFIGS / "routing.yaml")
+    assert build_workload(cfg).params is cfg.params
+    moved = dataclasses.replace(cfg, seed=4)
+    assert moved.params is cfg.params and moved.channel is cfg.channel
+
+
+def test_a_config_built_in_python_takes_a_block_as_a_mapping_or_none():
+    cfg = ScenarioConfig(workload="routing", channel={"capacity": 3})
+    assert cfg.channel == ChannelConfig(capacity=3)
+    assert cfg.params == RoutingParams()
+    assert ScenarioConfig(workload="routing", channel=None) == ScenarioConfig(workload="routing")
+
+
+def test_another_workloads_params_name_the_params_block():
+    with pytest.raises(ConfigError, match="^params block must be a mapping, got AdmmParams"):
+        ScenarioConfig(workload="routing", params=AdmmParams())
+    with pytest.raises(ConfigError, match="^channel block must be a mapping, got RoutingParams"):
+        ScenarioConfig(workload="routing", channel=RoutingParams())
 
 
 def test_round_failures_carry_round_context():
@@ -307,10 +348,16 @@ def cli(*args, cwd=None):
 
 
 def write_cfg(tmp_path, **overrides):
-    cfg = small_config(**overrides)
     path = tmp_path / "cfg.yaml"
-    save_config(cfg, path)
+    path.write_text(yaml.safe_dump(small_raw(**overrides)))
     return path
+
+
+def assert_emits(path, config):
+    """The file at `path` is the metrics CSV of one run of `config`."""
+    expected = path.with_name("expected.csv")
+    emit_metrics(run_scenario(config), expected)
+    assert path.read_text() == expected.read_text()
 
 
 def test_cli_run_roundtrip(tmp_path):
@@ -318,7 +365,7 @@ def test_cli_run_roundtrip(tmp_path):
     out = tmp_path / "run.csv"
     res = cli("run", "--config", str(path), "--out", str(out))
     assert res.returncode == 0, res.stderr
-    assert len(parse_metrics(out)) == 3
+    assert_emits(out, small_config())
 
 
 def test_cli_run_overrides(tmp_path):
@@ -327,9 +374,7 @@ def test_cli_run_overrides(tmp_path):
     res = cli("run", "--config", str(path), "--set", "seed=9", "--set", "policy=channel",
               "--set", "rounds=2", "--out", str(out))
     assert res.returncode == 0, res.stderr
-    rows = parse_metrics(out)
-    assert len(rows) == 2
-    assert rows[0].policy == "channel" and rows[0].seed == 9
+    assert_emits(out, small_config(seed=9, policy="channel", rounds=2))
 
 
 def test_cli_compare_takes_overrides(tmp_path, capsys):
@@ -337,7 +382,7 @@ def test_cli_compare_takes_overrides(tmp_path, capsys):
     assert main(["compare", "--config", str(path), "--set", "rounds=2",
                  "--out", str(tmp_path / "cmp")]) == 0, capsys.readouterr().err
     for policy in POLICIES:
-        assert len(parse_metrics(tmp_path / "cmp" / f"{policy}.csv")) == 2
+        assert_emits(tmp_path / "cmp" / f"{policy}.csv", small_config(rounds=2, policy=policy))
 
 
 def test_cli_claims_takes_overrides(capsys):
@@ -352,13 +397,14 @@ def test_cli_claims_takes_overrides(capsys):
     ("demand_response", "params.num_eds=15000", 15000),
     ("demand_response", "rounds=25", 25),
     ("demand_response", "utility_mode=expected", "expected"),
-    ("demand_response", "params.cost_range=[0.0, 5.0]", [0.0, 5.0]),
+    ("demand_response", "params.cost_range=[0.0, 5.0]", (0.0, 5.0)),  # a tuple field
     ("demand_response", "params.pi_min=null", None),
 ])
 def test_an_override_reads_its_value_as_a_config_does(preset, text, value):
     config = load_config(CONFIGS / f"{preset}.yaml", [text])
     key = text.partition("=")[0]
-    loaded = config.params[key[len("params."):]] if "." in key else getattr(config, key)
+    block, _, name = key.rpartition(".")
+    loaded = getattr(getattr(config, block) if block else config, name)
     assert loaded == value and type(loaded) is type(value)
 
 
@@ -480,7 +526,36 @@ def test_the_exponent_resolver_leaves_every_other_scalar_as_it_was(base, text):
 def test_a_config_reads_an_unsigned_exponent_as_a_float(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text("workload: edge_learning\nparams:\n  lr: 1e-3\n")
-    assert load_config(path).params["lr"] == 0.001
+    assert load_config(path).params.lr == 0.001
+
+
+@pytest.mark.parametrize("text, key, line", [
+    ("workload: routing\nrounds: 2\nrounds: 3\n", "rounds", 3),
+    ("workload: routing\nchannel:\n  capacity: 5\n  capacity: 6\n", "capacity", 4),
+    ("workload: routing\nparams:\n  num_nodes: 5\n  edge_prob: 0.5\n  num_nodes: 6\n",
+     "num_nodes", 5),
+], ids=["top", "channel", "params"])
+def test_a_key_written_twice_exits_1_naming_it(tmp_path, capsys, text, key, line):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: duplicate key {key!r} on line {line}\n"
+    assert not out.exists()
+
+
+def test_an_override_value_with_a_key_written_twice_is_a_config_error():
+    with pytest.raises(ConfigError, match="^duplicate key 'num_nodes' on line 1$"):
+        load_config(CONFIGS / "routing.yaml", ["params={num_nodes: 5, num_nodes: 6}"])
+
+
+@pytest.mark.parametrize("base", LOADER_BASES)
+def test_a_key_may_override_a_merge_but_not_itself(base):
+    loader = harness._exponent_floats(base)
+    merged = "a: &a {x: 1, y: 2}\nb:\n  <<: *a\n  x: 3\n"
+    assert yaml.load(merged, Loader=loader) == {"a": {"x": 1, "y": 2}, "b": {"x": 3, "y": 2}}
+    with pytest.raises(ConfigError, match="^duplicate key 'x' on line 5$"):
+        yaml.load(merged + "  x: 4\n", Loader=loader)
 
 
 def test_the_readme_payload_example_exits_2_naming_r_min(tmp_path, capsys):
@@ -538,7 +613,7 @@ def test_a_missing_or_null_block_means_its_defaults(tmp_path, block, line, overr
     values = {BLOCK_KEYS[block]: 5} if override else {}
     config = load_config(path, [f"{block}.{key}={v}" for key, v in values.items()])
     assert config.channel == ChannelConfig(**(values if block == "channel" else {}))
-    assert dict(config.params) == (values if block == "params" else {})
+    assert config.params == RoutingParams(**(values if block == "params" else {}))
 
 
 # Hand-picked bad values: cross-field rules, and single values listed before
@@ -644,10 +719,10 @@ def assert_exit_1_names_the_key(tmp_path, capsys, key, value, block):
     config to that workload with default params and sets the key there
     (at the top level if it is a config key).
     """
-    raw = config_to_dict(small_config())
+    raw = small_raw()
     if block in WORKLOADS:
         raw["workload"], raw["params"] = block, {}
-        block = None if key in raw else "params"
+        block = None if key in {f.name for f in dataclasses.fields(ScenarioConfig)} else "params"
     (raw[block] if block else raw)[key] = value
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(raw))
@@ -858,7 +933,7 @@ def test_cli_help_exits_0(capsys):
 def test_cli_exit_code_1_on_a_federated_client_without_samples(tmp_path, capsys, command):
     # the config validates, but 6 training samples cannot reach 10 clients;
     # building the workload fails, before any round
-    raw = config_to_dict(small_config())
+    raw = small_raw()
     raw["workload"] = "federated"
     raw["params"] = {"num_eds": 10, "num_classes": 2, "train_per_class": 3,
                      "concentrated_classes": []}

@@ -729,7 +729,7 @@ def loss_calls_per_round(monkeypatch, epochs):
     """Calls of ``loss`` in each of three edge-learning rounds; checks the last goal."""
     config = load_config(CONFIGS / "edge_learning.yaml")
     config = dataclasses.replace(
-        config, rounds=3, params={**config.params, "epochs_per_round": epochs})
+        config, rounds=3, params=dataclasses.replace(config.params, epochs_per_round=epochs))
     real_loss = learning.loss
     calls = []
     monkeypatch.setattr(learning, "loss", lambda *a: calls.append(1) or real_loss(*a))
