@@ -58,10 +58,11 @@ def split_non_iid(
     concentration: float = 0.95,
     seed=0,
 ) -> List[np.ndarray]:
-    """Partition sample indices across EDs with two classes held by two EDs.
+    """Partition sample indices across EDs, each concentrated class on an ED of its own.
 
-    Each class in concentrated_classes lands mostly (by `concentration`) on a
-    single dedicated ED; everything else is spread uniformly.
+    concentrated_classes may hold any number of classes, none included. Each
+    lands mostly (by `concentration`) on its holder, counted from the last ED
+    down; everything else is dealt out evenly.
     """
     rng = np.random.default_rng(seed)
     y = np.asarray(y)

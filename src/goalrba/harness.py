@@ -307,14 +307,16 @@ def run_scenario(
 
 
 def emit_metrics(metrics: Sequence[RoundMetrics], path) -> None:
-    """Write the canonical metrics CSV: fixed header, one row per round."""
+    """Write the canonical metrics CSV, its directory made if missing: one row per round."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [CSV_HEADER]
     for m in metrics:
         lines.append(
             f"{m.round_idx},{m.policy},{m.seed},{m.throughput},"
             f"{float(m.utility_gain)!r},{float(m.goal_value)!r},{m.wall_ms}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
 
 
 def run_compare(config: ScenarioConfig, out_dir) -> Dict[str, List[RoundMetrics]]:
@@ -340,6 +342,6 @@ def run_compare(config: ScenarioConfig, out_dir) -> Dict[str, List[RoundMetrics]
                 rel = gain / round_max if round_max > 0 else 0.0
             else:
                 rel = gain
-            lines.append(f"{k},{policy},{gain!r},{rel!r}")
+            lines.append(f"{k},{policy},{float(gain)!r},{float(rel)!r}")
     (out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
     return results

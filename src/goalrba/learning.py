@@ -17,7 +17,8 @@ one matrix it allocates once.
 Both learning workloads share one goal, the mean training loss, memoised per
 model state: ``ingest`` is the only method that changes the model, and it
 drops the memo before it trains, so each round's goal before ingest reuses
-the previous round's goal after it.
+the previous round's goal after it. ``ingest`` also holds the one divergence
+check: a goal that is not finite after training raises DivergenceError.
 """
 
 from __future__ import annotations
@@ -32,9 +33,6 @@ from . import data as datasets
 from .workload import ConfigError, Workload, check_fields, ranged
 
 _PROB_FLOOR = 1e-12
-# A logit bound at or below this proves the loss finite: float64 overflows
-# above 1.7e308, and the rounding in the forward is about 1e-13 relative.
-_LOGIT_LIMIT = 1e300
 
 
 class DivergenceError(RuntimeError):
@@ -119,30 +117,6 @@ def loss(model: Mlp, X: np.ndarray, y: np.ndarray) -> float:
     return float(per_sample_loss(model, X, y).mean())
 
 
-def _abs_max(a: np.ndarray) -> float:
-    """max|a| without an |a| temporary; NaN if a holds a NaN."""
-    return float(np.maximum(a.max(), -a.min()))
-
-
-def input_scale(X: np.ndarray) -> float:
-    """Bound on the l1 norm of every row of X: columns times max|X|."""
-    return X.shape[1] * _abs_max(X)
-
-
-def logit_bound(model: Mlp, x_scale: float) -> float:
-    """Bound on |hidden pre-activation| and |logit| for rows of l1 norm <= x_scale.
-
-    |pre| <= x_scale * max|W1| + max|b1| = h, and
-    |logit| <= hidden_dim * max|W2| * h + max|b2|; the larger of the two is
-    returned, because a tiny W2 can keep the logit bound finite over a
-    hidden unit that overflows. It is NaN when any weight or x_scale is NaN,
-    and inf when one is infinite or the product overflows.
-    """
-    hidden = x_scale * _abs_max(model.W1) + _abs_max(model.b1)
-    logits = model.hidden_dim * _abs_max(model.W2) * hidden + _abs_max(model.b2)
-    return float(np.maximum(hidden, logits))
-
-
 def gradient(
     model: Mlp, X: np.ndarray, y: np.ndarray, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -177,7 +151,6 @@ def sgd_train(
     lr: float = 0.01,
     momentum: float = 0.9,
     seed=0,
-    x_scale: Optional[float] = None,
     rows: Optional[np.ndarray] = None,
 ) -> Mlp:
     """Mini-batch SGD with momentum, in place; returns the model.
@@ -186,14 +159,8 @@ def sgd_train(
     default); each minibatch is gathered straight from X, so SGD sees the
     bits it would see on the gathered ``X[rows]``.
 
-    After each epoch the training loss must be finite, or DivergenceError
-    names it. ``logit_bound`` settles that from the weights alone: a bound at
-    most ``_LOGIT_LIMIT`` keeps every logit, and so every per-sample loss,
-    finite. Only when the bound fails (a NaN or inf weight, or a huge one)
-    does the ``loss`` forward over the training set run to decide.
-    ``x_scale`` must bound the l1 norm of every row in ``rows``, as
-    ``input_scale(X[rows])`` does; that is computed here when the caller
-    does not keep it.
+    It only trains: a step that drives the weights to NaN goes on quietly,
+    and the learning workloads' ``ingest`` checks the goal it leaves.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=int))
@@ -205,8 +172,6 @@ def sgd_train(
     rng = np.random.default_rng(seed)
     velocity = np.zeros(model.num_params)
     grad = np.empty(model.num_params)
-    if x_scale is None:
-        x_scale = input_scale(X[rows])
     for _ in range(epochs):
         order = rows[rng.permutation(len(rows))]
         for start in range(0, len(rows), batch_size):
@@ -219,10 +184,6 @@ def sgd_train(
             grad *= lr
             velocity -= grad
             model.params += velocity
-        if not logit_bound(model, x_scale) <= _LOGIT_LIMIT:
-            epoch_loss = loss(model, X[rows], y[rows])
-            if not np.isfinite(epoch_loss):
-                raise DivergenceError(f"divergence: training loss is {epoch_loss}")
     return model
 
 
@@ -297,7 +258,9 @@ class _LearningWorkload(Workload):
 
     The goal is the model's mean training loss, memoised per model state.
     Only ``ingest`` changes the model, and it drops the memo before
-    ``_train`` runs, so a failed ingest leaves no stale value.
+    ``_train`` runs, so a failed ingest leaves no stale value. It then reads
+    the new goal, which the round loop reuses, and raises DivergenceError
+    when that goal is not finite.
     """
 
     _goal: Optional[float] = None
@@ -334,6 +297,9 @@ class _LearningWorkload(Workload):
     def ingest(self, selected: Sequence[int]) -> None:
         self._goal = None
         self._train(selected)
+        goal = self.goal_value()
+        if not np.isfinite(goal):
+            raise DivergenceError(f"divergence: training loss is {goal}")
 
     def goal_value(self) -> float:
         if self._goal is None:
@@ -361,10 +327,6 @@ class EdgeLearningWorkload(_LearningWorkload):
         # Indices into the training set of the collected rows, in collection
         # order; SGD trains on them.
         self.collected: List[int] = []
-        # input_scale of the collected rows, kept as rows arrive: the largest
-        # input_scale of the appended blocks is exactly it, and np.maximum
-        # keeps a NaN.
-        self._x_scale = -np.inf
 
     def _offered(self, ed_id: int) -> np.ndarray:
         start = self._offsets[ed_id]
@@ -380,15 +342,10 @@ class EdgeLearningWorkload(_LearningWorkload):
         return out
 
     def _train(self, selected: Sequence[int]) -> None:
-        added = []
         for ed_id in selected:
             idx = self._offered(ed_id)
-            added.extend(idx.tolist())
+            self.collected.extend(idx.tolist())
             self._offsets[ed_id] += len(idx)
-        self.collected.extend(added)
-        if added:
-            new_scale = input_scale(self.X_train[added])
-            self._x_scale = float(np.maximum(self._x_scale, new_scale))
         if self.collected:
             sgd_train(
                 self.model,
@@ -399,7 +356,6 @@ class EdgeLearningWorkload(_LearningWorkload):
                 lr=self.params.lr,
                 momentum=self.params.momentum,
                 seed=self._train_rng.integers(2**32),
-                x_scale=self._x_scale,
                 rows=np.array(self.collected),
             )
 

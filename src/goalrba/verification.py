@@ -46,7 +46,7 @@ ADMM_TOLERANCE = 1e-9
 
 
 def verify_greedy_guarantee() -> Tuple[bool, str]:
-    """Greedy-vs-DP ratio stays at or above 1 - eta when all w_j <= eta*J."""
+    """Greedy-vs-DP ratio stays at or above 1 - eta when all w_j <= eta * capacity."""
     num_instances, capacity, eta = GREEDY_INSTANCES, 60, GREEDY_ETA
     max_w = max(int(eta * capacity), 1)
     rng = np.random.default_rng(2024)

@@ -123,16 +123,20 @@ class NumpyGoalRouting(RoutingWorkload):
         return np.float64(super().goal_value())
 
 
-def test_the_csv_writes_numpy_floats_as_plain_floats(tmp_path):
-    cfg = ScenarioConfig(workload="routing", rounds=3, seed=2)
-    seed = np.random.SeedSequence(cfg.seed).spawn(3)[0]  # the seed run_scenario gives
-    rows = run_scenario(cfg, workload=NumpyGoalRouting(cfg.params, seed))
-    assert all(type(m.goal_value) is np.float64 for m in rows)
-    emit_metrics(rows, tmp_path / "numpy.csv")
-    emit_metrics(run_scenario(cfg), tmp_path / "plain.csv")
-    text = (tmp_path / "numpy.csv").read_text()
-    assert "np.float64" not in text
-    assert text == (tmp_path / "plain.csv").read_text()
+@pytest.mark.parametrize("normalization", ["raw", "per_round_max"])
+def test_the_csvs_write_numpy_floats_as_plain_floats(tmp_path, monkeypatch, normalization):
+    cfg = ScenarioConfig(workload="routing", rounds=3, seed=2, gain_normalization=normalization)
+    for name in ("plain", "numpy"):
+        if name == "numpy":
+            monkeypatch.setitem(WORKLOADS, "routing", (RoutingParams, NumpyGoalRouting))
+        rows = run_scenario(cfg)
+        assert {type(m.goal_value) for m in rows} == {np.float64 if name == "numpy" else float}
+        run_compare(cfg, tmp_path / name)
+        emit_metrics(rows, tmp_path / name / "run.csv")
+    for csv in ("run.csv", "summary.csv", *(f"{policy}.csv" for policy in POLICIES)):
+        text = (tmp_path / "numpy" / csv).read_text()
+        assert "np.float64" not in text
+        assert text == (tmp_path / "plain" / csv).read_text()
 
 
 def test_run_scenario_deterministic_bytes(tmp_path):
@@ -976,6 +980,14 @@ def test_cli_verify_exits_zero():
     admm = [line for line in res.stdout.splitlines() if "admm_certificate" in line]
     assert admm == [f"[PASS] admm_certificate: certificate, dual bound, and monotone descent "
                     f"over {ADMM_RUNS} runs at tolerance {ADMM_TOLERANCE:g}"]
+
+
+def test_cli_run_creates_the_directory_of_its_out(tmp_path):
+    path = write_cfg(tmp_path, rounds=2)
+    out = tmp_path / "new" / "dir" / "out.csv"
+    res = cli("run", "--config", str(path), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert_emits(out, small_config(rounds=2))
 
 
 def test_cli_compare_writes_a_directory(tmp_path):

@@ -11,7 +11,9 @@ a comment. Every other line must be one of these commands:
 - `python3 scripts/<name>.py ...`, `pytest ...` or `pip install ...`.
 
 On every line, each `scripts/*.py` and `tests/*.py` path must exist. The CI
-workflow is checked here too: it runs ROADMAP's tier-1 command.
+workflow is checked here too: it runs ROADMAP's tier-1 command, and each
+line of its "Installed entry point" step is a `goalrba` command that passes
+the same check, with `$RUNNER_TEMP` set to a temporary directory.
 """
 
 import contextlib
@@ -28,6 +30,7 @@ from goalrba.harness import ConfigError, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 ASSIGNMENT = re.compile(r"[A-Za-z_]\w*=\S*")
 VARIABLE = re.compile(r"\$(?:\{(\w+)\}|(\w+))")
@@ -155,11 +158,15 @@ def test_a_variable_holds_only_within_its_block():
         list(commands(first + "\n```sh\ngoalrba claims --config $DR\n```\n"))
 
 
+def workflow_job():
+    [job] = yaml.safe_load(WORKFLOW.read_text())["jobs"].values()
+    return job
+
+
 def test_ci_runs_the_roadmap_tier1_command():
     roadmap = (ROOT / "ROADMAP.md").read_text()
     [tier1] = re.findall(r"^\*\*Tier-1 verify:\*\* `(.+)`$", roadmap, re.M)
-    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
-    [job] = workflow["jobs"].values()
+    job = workflow_job()
     floor = re.search(r'requires-python = ">=(\d+\.\d+)"',
                       (ROOT / "pyproject.toml").read_text())[1]
     assert job["strategy"]["matrix"]["python-version"] == [floor, "3.11"]
@@ -167,3 +174,23 @@ def test_ci_runs_the_roadmap_tier1_command():
     assert 'pip install -e ".[test]"' in runs[0]["run"]
     assert runs[-1]["run"] == tier1
     assert runs[-1]["env"] == {"OPENBLAS_NUM_THREADS": "1"}
+
+
+def step_as_sh_block(script, runner_temp):
+    """A workflow step's script as an sh block that sets RUNNER_TEMP first."""
+    return f"```sh\nRUNNER_TEMP={runner_temp}\n{script}```\n"
+
+
+def test_the_ci_entry_point_commands_parse_and_load_their_configs(tmp_path, preset_digests):
+    [step] = [step for step in workflow_job()["steps"]
+              if step.get("name") == "Installed entry point"]
+    block = step_as_sh_block(step["run"], tmp_path)
+    programs = [argv[:2] for _, argv in commands(block)]
+    assert {program for program, _ in programs} == {"goalrba"}
+    assert {command for _, command in programs} == {"run", "compare", "claims", "verify"}
+    assert readme_problems(block, preset_digests) == []
+    # a bad override in a copy of the step fails the check
+    bad = step["run"].replace("--set rounds=2", "--set rounds=abc", 1)
+    assert bad != step["run"]
+    [found] = readme_problems(step_as_sh_block(bad, tmp_path), preset_digests)
+    assert found.endswith("config error: rounds must be int, got 'abc'")
