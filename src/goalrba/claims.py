@@ -57,7 +57,7 @@ def claim_value(config: ScenarioConfig) -> float:
 
 
 def run_claims(config: ScenarioConfig, seeds: Sequence[int]) -> None:
-    """Print every policy's claim value per seed, the medians, and hybrid vs channel."""
+    """Print every policy's claim value per seed, the medians, and hybrid vs each baseline."""
     # Every seed is checked before the first run starts.
     runs = [dataclasses.replace(config, seed=seed) for seed in seeds]
     spec = ".3f" if config.workload == "demand_response" else "g"
@@ -71,11 +71,12 @@ def run_claims(config: ScenarioConfig, seeds: Sequence[int]) -> None:
     what = ("mean dispatch cost" if config.workload == "demand_response"
             else f"rounds to target {TARGETS[config.workload]:g}")
     print(f"medians ({what}): " + ", ".join(f"{p} {medians[p]:{spec}}" for p in POLICIES))
-    pairs = list(zip(values["hybrid"], values["channel"]))
-    wins = sum(h < c for h, c in pairs)
-    ties = sum(h == c for h, c in pairs)
-    # A zero channel median has no relative reduction.
-    reduction = (f"{1 - medians['hybrid'] / medians['channel']:.1%}" if medians["channel"]
-                 else "n/a")
-    print(f"hybrid vs channel: wins {wins}, ties {ties}, losses {len(pairs) - wins - ties}; "
-          f"median reduction {reduction}")
+    for baseline in ("channel", "utility"):
+        pairs = list(zip(values["hybrid"], values[baseline]))
+        wins = sum(h < b for h, b in pairs)
+        ties = sum(h == b for h, b in pairs)
+        # A zero baseline median has no relative reduction.
+        reduction = (f"{1 - medians['hybrid'] / medians[baseline]:.1%}" if medians[baseline]
+                     else "n/a")
+        print(f"hybrid vs {baseline}: wins {wins}, ties {ties}, "
+              f"losses {len(pairs) - wins - ties}; median reduction {reduction}")

@@ -126,7 +126,6 @@ class ScenarioConfig:
     seed: int = ranged(0, "[0, inf)")
     utility_mode: str = "exact"
     utility_samples: int = ranged(256, "[1, inf)")
-    gain_normalization: str = "raw"
     measure_wall_time: bool = False
     channel: ChannelConfig = None
     params: object = None  # the workload's *Params once built
@@ -145,8 +144,6 @@ class ScenarioConfig:
         if self.utility_mode == "expected" and sampler is Workload.expected_marginal_utilities:
             raise ConfigError(f"utility_mode 'expected' needs a history to draw from, "
                               f"which {self.workload} does not keep")
-        if self.gain_normalization not in ("raw", "per_round_max"):
-            raise ConfigError(f"unknown gain normalization {self.gain_normalization!r}")
         # Bad params keys fail here, not when the workload is built.
         self._build_block("params", WORKLOADS[self.workload][0], self.workload)
 
@@ -322,9 +319,8 @@ def emit_metrics(metrics: Sequence[RoundMetrics], path) -> None:
 def run_compare(config: ScenarioConfig, out_dir) -> Dict[str, List[RoundMetrics]]:
     """Run all three policies on shared seeds; emit one CSV per policy.
 
-    Also writes summary.csv with per-round utility gains; when the config
-    asks for per_round_max normalization, a relative_gain column scales each
-    round by the best policy's gain that round.
+    Also writes summary.csv: each round's utility gain under each policy,
+    one row per (round, policy).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -333,15 +329,9 @@ def run_compare(config: ScenarioConfig, out_dir) -> Dict[str, List[RoundMetrics]
         run_cfg = dataclasses.replace(config, policy=policy)
         results[policy] = run_scenario(run_cfg)
         emit_metrics(results[policy], out_dir / f"{policy}.csv")
-    lines = ["round,policy,utility_gain,relative_gain"]
+    lines = ["round,policy,utility_gain"]
     for k in range(config.rounds):
-        round_max = max(results[p][k].utility_gain for p in POLICIES)
         for policy in POLICIES:
-            gain = results[policy][k].utility_gain
-            if config.gain_normalization == "per_round_max":
-                rel = gain / round_max if round_max > 0 else 0.0
-            else:
-                rel = gain
-            lines.append(f"{k},{policy},{float(gain)!r},{float(rel)!r}")
+            lines.append(f"{k},{policy},{float(results[policy][k].utility_gain)!r}")
     (out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
     return results

@@ -7,8 +7,8 @@ loads or travel times never raise the robust decision cost, but the ADMM
 augmented Lagrangian is non-increasing only in the certificate regime
 rho/2 > kappa_j/rho (see AdmmWorkload), and the admm preset lies outside it.
 The helpers here pair those gains with RB demands, estimate gains by Monte
-Carlo when exact values would be non-causal, and enumerate the
-diminishing-returns bound on small subsets. The config dataclasses of every
+Carlo when exact values would be non-causal, and check the
+diminishing-returns bound on one subset. The config dataclasses of every
 workload are checked here too: `check_fields` holds each field to its
 annotated type and to the range `ranged` declares on it.
 """
@@ -25,13 +25,6 @@ import numpy as np
 
 from .allocator import Reports, make_reports
 from .channel import rb_bits, rb_demand
-
-MAX_ENUMERATION_EDS = 12
-
-
-class EnumerationScaleError(ValueError):
-    """Subset enumeration requested beyond the tractable size."""
-
 
 class ConfigError(ValueError):
     """Malformed scenario configuration."""
@@ -215,14 +208,12 @@ def submodular_bound_check(
 ) -> Tuple[float, float, bool]:
     """Check that the joint gain of a subset is bounded by its summed deltas.
 
-    Returns (lhs, rhs, holds) where lhs re-solves the goal with all subset
-    data added and rhs sums singleton gains.
+    Returns (lhs, rhs, holds) where lhs re-solves the goal once with all
+    subset data added (joint_gain) and rhs sums singleton gains, so a
+    subset of any size costs one re-solve; verify_submodularity sizes its
+    enumeration.
     """
     subset = list(ed_subset)
-    if len(subset) > MAX_ENUMERATION_EDS:
-        raise EnumerationScaleError(
-            f"enumeration scale: subset of {len(subset)} exceeds {MAX_ENUMERATION_EDS}"
-        )
     if not subset:
         return 0.0, 0.0, True
     lhs = workload.joint_gain(subset)

@@ -90,10 +90,11 @@ def test_claims_prints_each_seed_and_the_hybrid_tally(tmp_path, capsys):
         assert line.startswith(f"demand_response seed {seed}: ")
         assert all(f"{policy} " in line for policy in POLICIES)
     assert lines[2].startswith("medians (mean dispatch cost): ")
-    tally = re.match(r"hybrid vs channel: wins (\d), ties (\d), losses (\d); "
-                     r"median reduction -?\d+\.\d%$", lines[3])
-    assert sum(map(int, tally.groups())) == 2
-    assert len(lines) == 4
+    for baseline, line in zip(("channel", "utility"), lines[3:]):
+        tally = re.match(rf"hybrid vs {baseline}: wins (\d), ties (\d), losses (\d); "
+                         r"median reduction -?\d+\.\d%$", line)
+        assert sum(map(int, tally.groups())) == 2
+    assert len(lines) == 5
 
 
 def test_claims_with_a_zero_channel_median_prints_no_reduction(capsys):
@@ -104,4 +105,5 @@ def test_claims_with_a_zero_channel_median_prints_no_reduction(capsys):
     assert code == 0, captured.err
     lines = captured.out.splitlines()
     assert lines[1] == "medians (mean dispatch cost): channel 0.000, utility 0.000, hybrid 0.000"
-    assert lines[2] == "hybrid vs channel: wins 0, ties 1, losses 0; median reduction n/a"
+    assert lines[2:] == [f"hybrid vs {baseline}: wins 0, ties 1, losses 0; median reduction n/a"
+                         for baseline in ("channel", "utility")]

@@ -1,6 +1,7 @@
 """Robust load shedding and routing: LP oracle agreement, marginal identities."""
 
 import dataclasses
+import functools
 import gc
 import heapq
 import subprocess
@@ -847,6 +848,40 @@ def test_routing_workload_marginals_are_the_reference_re_solves():
         assert wl.goal_value() == reference_solve_routing(*args, times)
 
 
+def seeded_routing(num_nodes):
+    return RoutingWorkload(RoutingParams(num_nodes=num_nodes), seed=num_nodes)
+
+
+@functools.cache
+def routing_reference_gains(num_nodes):
+    """The reference gain of each road of seeded_routing(num_nodes) at each
+    of its history values, (J, history_len), by per-ED re-solve; read-only."""
+    wl = seeded_routing(num_nodes)
+    args = (wl.roads, wl.source, wl.destination)
+    table = np.array([[routing_marginal_utility(*args, road, float(v)) for v in wl.history[:, j]]
+                      for j, road in enumerate(sorted(wl.roads))])
+    table.flags.writeable = False
+    return table
+
+
+@pytest.mark.parametrize("num_samples", [1, 7, 9, 129, 256])
+@pytest.mark.parametrize("num_nodes", [2, 5, 12, 30])
+def test_routing_reveal_solve_is_the_per_ed_reference_bit_for_bit(num_nodes, num_samples):
+    # 7, 9, 129 and 256 samples lie on both sides of numpy's 8-way unrolled
+    # and 128-element blocked pairwise sums, which the mean of each ED's
+    # draws must take as the per-ED mean does
+    wl, table = seeded_routing(num_nodes), routing_reference_gains(num_nodes)
+    args = (wl.roads, wl.source, wl.destination)
+    assert wl.marginal_utilities().tolist() == [
+        routing_marginal_utility(*args, road, float(wl.true_tau[j]))
+        for j, road in enumerate(sorted(wl.roads))]
+    sampled = wl.expected_marginal_utilities(num_samples, np.random.default_rng(num_samples))
+    # the draws run over ED 0's samples, then ED 1's, and so on
+    draws = np.random.default_rng(num_samples).integers(
+        0, len(wl.history), size=(wl.num_eds, num_samples))
+    assert sampled.tolist() == [np.mean([table[j, i] for i in row]) for j, row in enumerate(draws)]
+
+
 def test_routing_workload_solves_its_base_path_once(monkeypatch):
     wl = RoutingWorkload(RoutingParams(num_nodes=10), seed=3)
     calls = []
@@ -865,8 +900,9 @@ def test_routing_workload_solves_its_base_path_once(monkeypatch):
     assert wl.marginal_utilities().tolist() == deltas.tolist()
     wl.expected_marginal_utilities(3, np.random.default_rng(0))
     wl.joint_gain([0, 1])
+    # expected mode: every ED's three draws in one batch
     assert [c.shape for c in calls[2:]] == (
-        [(wl.num_eds, wl.num_eds)] + [(3, wl.num_eds)] * wl.num_eds + [(wl.num_eds,)]
+        [(wl.num_eds, wl.num_eds), (3 * wl.num_eds, wl.num_eds), (wl.num_eds,)]
     )
     # each delta is the per-ED re-solve of base and revealed paths
     args = (wl.roads, wl.source, wl.destination)

@@ -21,27 +21,27 @@ CASES = {
     "admm": ("admm.yaml", ["rounds=20"], (
         "d47ee80bb8899b1905711037e174b927c7a519818de3bc5ee6d2b47bfbe9b93b",
         "57207936a447660eecd174860991e40931a126adec16e10b7d330ef915505d34",
-        "4445e8d214029585cda6d6e3434e1fc713eb168ff332a47a7cba7c57242b158d",
+        "fd608b88202859034f042be6583f05e429a347c8d1d7fdba9bc9e2000ce76ad6",
         "ff10c5229e5fec125756c5acbbdc7a030e5645dbccae6d1c7181155aeeb8e615",
     )),
     # every local solve stops at the iteration cap, every round
     "admm_capped": ("admm.yaml", ["rounds=10", "params.solver_cap=40"], (
         "3ef52a46ee76942f169867fadd302cb5023feff1e6277a98f57fad6c4a046936",
         "501c445aa542009d5ffc3083a6dbf9b2d375fbdc8dfe41905abff2f4171bbd8c",
-        "3f91c65ab17818a531469b872913e2b64a1e4a5fb835fc8706506bf410bb2aa0",
+        "9e3770738177451e042550636cc143caaa8c38174915954bc044523fa2236eb4",
         "603b196fdc7484a10f03b298b038ebf3179d47b5b083e5391d2726974917db3c",
     )),
     "demand_response": ("demand_response.yaml", [], (
         "66c96032cf2c7118a1fdbf3821f2dd6c83b4ae2201257efd67251274bb55bb57",
         "299a1d0a175f10ac67eb0aed8de02007d2883826a29d6f60b53c007d8f78e5fa",
-        "44625cc4482042ede653f5c8e0c3a6b9971e583b7b2c97eae88a9304594f7217",
+        "9b2e85a6dbe25b3900375151fe41897b1efabf6c247b5545a2171cf6fbacf0ac",
         "825caf70d7f7360834f44556282fea738afa678f0f6df92be773753565fe0465",
     )),
     # paper scale, J = 15000
     "demand_response_paper": ("demand_response.yaml", ["rounds=10", "params.num_eds=15000"], (
         "01a95eb29a299260ce693fb7dbe0970a60a12861753ba7115484eb01f39ee01e",
         "f268d4f813591c7619ad772883544b4a2bcffb3c6333f917e7c4b3344b4adeae",
-        "dadac1f3e3a9b66a92dd31c942bcd68fa301b102714ffde5938263ad602d5595",
+        "cc1cfbeb31476f529e2bcb7ae129a2db559c43d23c746670be882ca4d5b97685",
         "be22b08c52199ace526773033cbf19de9eef90b8e6f9ae95d96cbfeb3b1ab8a6",
     )),
     "demand_response_expected": (
@@ -50,7 +50,7 @@ CASES = {
         (
             "6d1455b8f37027a70095cd757a7c9808f0838049fecb58334add253f35a1b06b",
             "e6697ead04be99b1248b51a3bbb6ade11ec817c6b8c5df18ee3adb72aefedcd1",
-            "d84d0f42432aeae380dee935ff16957e65628d22b69735afb20ca9f24dcf6c53",
+            "7ca7905d03df9533ce9ecc554cf582fac87c7847c1230380cc5bafdab9eb73fe",
             "7d897e639361cd061a2ac11abbd4bf191a4bfcfcb4365abbbed7d80112634629",
         ),
     ),
@@ -61,7 +61,7 @@ CASES = {
         (
             "c46c98f03eb102fe13e5194582d151602b02b4f6bd16af9992b748b1cfd21713",
             "6ac4af7303501295acd9fea8ebb9c4ff95e962158a4fb734125b34b287bf5d75",
-            "3e9697c5f737477b59e9165041acbf4aa9fa47026d9fa97483b23ea0ae133f77",
+            "162f4856f1b5f4fee0ddebd313fe51b2343824903ce68d30c9a6de43349e4de3",
             "36cba9c5a442a8b96e62175a899c92aa8e2792819f5943b1d9a967373737c422",
         ),
     ),
@@ -73,26 +73,26 @@ CASES = {
         (
             "4f208d8642aae66020116f40a1102eb1b18cce50080e3e83b68ddd5209f6ad20",
             "56258f92047ef69cea5ce588dfc4f39823bc4a8924bc2cefbffd88d57d876905",
-            "784f8b1d0e01963ba339b2bd8202cf6ad2d18cca5af3f3ce864259858be69fff",
+            "a286ff5672c459a2ea8e83dd940901d2c3822590aef96963a7b9f7469eb0d98e",
             "7c2c1fdade28204f0acfdb20f8c7f793afa99f45e9ba7521cba22ee9fd9cc548",
         ),
     ),
     "edge_learning": ("edge_learning.yaml", ["rounds=10"], (
         "56844f253de977b95e5203228f9129298461354c7d5e49a09c0bba8abd069f77",
         "0db99a529b3a9912841e124bfc355e758d9760bc38b784eb962491184ebc5c08",
-        "00e8f96c8a40d93ae7481cc228918db35c018f01b5c12ff9718885e1d65738c5",
+        "c602ba062c0692c800c47afc89baac351938fe8992ff78431269d7e06a88c2e7",
         "3bf217afd7216c7c6b4a7a7219e94f5cb32d292c618094132aabd84378f631fb",
     )),
     "federated": ("federated.yaml", ["rounds=10"], (
         "98fb675dfcfe557dd9669d150f988f90e7303fb19d822f887ccd65bb7e65ca19",
         "53f379fff4abb70a30535059680491b650b63108cf60fb640c840379828b2bdd",
-        "b188f87fb346b85b6559e367bf49b7012e8f9f8149773b940c675002717605c0",
+        "97e0d140bc239187812764521c97d1ddf11311f880ececaaca73167598d9d0be",
         "b53122af7d6475954c54ed8dad386ebc16004f06e1d3833d71c9c781c42dfcaa",
     )),
     "routing": ("routing.yaml", [], (
         "e1cb114c313961751f343d545205f5267a141cce7a944b479cefe2e73d800415",
         "f8da8f4d13263e8ec4dae1dcacb8507c4d070909961035e713cf1a99fcd9a71e",
-        "e15710e976d4fb4dd38da42e1f4b5aae8d81def91ca468fa5fe7fa8d7735e78d",
+        "f1097eec0a1065c97bbfcf346a22b3716ba0513c339e45d7adb1ebc65bab3ed2",
         "cfa6c62b386d58574009298641e0e61bb7bd4b7bd394412c245ab66a540c16f7",
     )),
     "routing_expected": (
@@ -101,7 +101,7 @@ CASES = {
         (
             "e1cb114c313961751f343d545205f5267a141cce7a944b479cefe2e73d800415",
             "7a679444d388dbd262afd298347cf74e2f4d1d13443202de40da0c07537a44db",
-            "18ff9afd3c1eca44acabfb7c64cc66158b71c75d816ec4c65cf59811d470f6b4",
+            "4566e151efa73339608972bf7045521f234ce2557a821c4842ac29fbf3bd28e6",
             "cfa6c62b386d58574009298641e0e61bb7bd4b7bd394412c245ab66a540c16f7",
         ),
     ),

@@ -14,12 +14,7 @@ from goalrba.decision import (
     solve_routing,
 )
 from goalrba.harness import ChannelConfig
-from goalrba.workload import (
-    EnumerationScaleError,
-    Workload,
-    collect_reports,
-    submodular_bound_check,
-)
+from goalrba.workload import Workload, collect_reports, submodular_bound_check
 
 
 class StubWorkload(Workload):
@@ -209,9 +204,3 @@ def test_submodular_bound_on_the_decision_workload():
 def test_submodular_bound_empty_subset():
     wl = DemandResponseWorkload(DrParams(num_eds=4, pi_min=3.0), seed=0)
     assert submodular_bound_check(wl, []) == (0.0, 0.0, True)
-
-
-def test_submodular_enumeration_scale_guard():
-    wl = DemandResponseWorkload(DrParams(num_eds=20, pi_min=10.0), seed=0)
-    with pytest.raises(EnumerationScaleError):
-        submodular_bound_check(wl, list(range(13)))
