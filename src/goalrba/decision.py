@@ -245,9 +245,7 @@ def solve_routing(instance: RoutingInstance, times) -> Union[float, np.ndarray]:
     of such rows, (B, E); the result is a float or a (B,) array. One pass in
     node order, a topological order here, settles every node (Cormen et al.,
     Introduction to Algorithms, sec. 24.2) from the same sums and minima
-    that Dijkstra forms, so the result is the same float. The pass reads
-    the batch road by road, each road's B times contiguous: a batch that is
-    the transpose of a C-ordered (E, B) array is read without a copy.
+    that Dijkstra forms, so the result is the same float.
     """
     rows = np.atleast_2d(np.asarray(times, dtype=float))
     inside = (instance.lo - 1e-9 <= rows) & (rows <= instance.hi + 1e-9)
@@ -255,12 +253,11 @@ def solve_routing(instance: RoutingInstance, times) -> Union[float, np.ndarray]:
         b, i = np.unravel_index(np.argmin(inside), inside.shape)
         road = (int(instance.tail[i]), int(instance.head[i]))
         raise ValueError(f"time {rows[b, i]} for road {road} outside support")
-    by_road = np.ascontiguousarray(rows.T)
-    dist = np.full((instance.num_nodes, len(rows)), np.inf)
-    dist[instance.source] = 0.0
+    dist = np.full((len(rows), instance.num_nodes), np.inf)
+    dist[:, instance.source] = 0.0
     for n, into, tails in instance.incoming:
-        dist[n] = np.min(dist[tails] + by_road[into], axis=0)
-    time = dist[instance.destination]
+        dist[:, n] = np.min(dist[:, tails] + rows[:, into], axis=1)
+    time = dist[:, instance.destination]
     if np.any(np.isinf(time)):
         raise NoPathError(f"no path from {instance.source} to {instance.destination}")
     return time if np.ndim(times) == 2 else float(time[0])
@@ -516,8 +513,7 @@ class RoutingWorkload(Workload):
     ED i measures road i of the network's sorted road order. Each round's
     road times start at tau_hi and a reveal writes the road's true time in.
     With nothing revealed every road sits at tau_hi, so the base path's time
-    is solved once, on first use. Both marginal utilities are gains of
-    single reveals, one batched solve per call (_reveal_gains).
+    is solved once, on first use.
     """
 
     def __init__(self, params: RoutingParams, seed):
@@ -558,34 +554,29 @@ class RoutingWorkload(Workload):
         self.true_tau = self._rng.uniform(self.network.lo, self.network.hi)
         self.times = self.network.hi.copy()
 
-    def _reveal_gains(self, values: np.ndarray) -> np.ndarray:
-        """Gain of each road revealed alone at each of its values, shape (J, S).
-
-        values is (J, S): S times of road j in row j. One solve takes the
-        J * S rows, row (j, s) with road j at values[j, s] and every other
-        road at tau_hi; a gain is max(base time - time, 0). The rows are
-        built road by road, as solve_routing reads them.
-        """
-        J, S = values.shape
-        by_road = np.repeat(self.network.hi[:, None], J * S, axis=1)
-        by_road[np.repeat(np.arange(J), S), np.arange(J * S)] = values.ravel()
-        gains = np.maximum(self.base_time - solve_routing(self.network, by_road.T), 0.0)
-        return gains.reshape(J, S)
-
     def marginal_utilities(self) -> np.ndarray:
-        return self._reveal_gains(self.true_tau[:, None])[:, 0]
+        """Each road revealed alone at its true time: one row per ED, one solve."""
+        rows = np.tile(self.network.hi, (self.num_eds, 1))
+        np.fill_diagonal(rows, self.true_tau)
+        return np.maximum(self.base_time - solve_routing(self.network, rows), 0.0)
 
     def expected_marginal_utilities(
         self, num_samples: int, rng: np.random.Generator
     ) -> np.ndarray:
         """Mean delta of each road revealed alone at times drawn from history.
 
-        Draws num_samples history rows for ED 0, then ED 1, and so on, as
-        one (J, num_samples) array of row indices.
+        Draws num_samples history rows for ED 0, then ED 1, and so on; each
+        ED's draws are solved as one batch.
         """
+        base, hi = self.base_time, self.network.hi
         draws = rng.integers(0, len(self.history), size=(self.num_eds, num_samples))
-        values = self.history[draws, np.arange(self.num_eds)[:, None]]
-        return self._reveal_gains(values).mean(axis=1)
+        rows = np.tile(hi, (num_samples, 1))
+        out = np.empty(self.num_eds)
+        for j in range(self.num_eds):
+            rows[:, j] = self.history[draws[j], j]
+            out[j] = np.mean(np.maximum(base - solve_routing(self.network, rows), 0.0))
+            rows[:, j] = hi[j]
+        return out
 
     def ingest(self, selected: Sequence[int]) -> None:
         self.times[selected] = self.true_tau[selected]

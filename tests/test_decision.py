@@ -900,9 +900,8 @@ def test_routing_workload_solves_its_base_path_once(monkeypatch):
     assert wl.marginal_utilities().tolist() == deltas.tolist()
     wl.expected_marginal_utilities(3, np.random.default_rng(0))
     wl.joint_gain([0, 1])
-    # expected mode: every ED's three draws in one batch
     assert [c.shape for c in calls[2:]] == (
-        [(wl.num_eds, wl.num_eds), (3 * wl.num_eds, wl.num_eds), (wl.num_eds,)]
+        [(wl.num_eds, wl.num_eds)] + [(3, wl.num_eds)] * wl.num_eds + [(wl.num_eds,)]
     )
     # each delta is the per-ED re-solve of base and revealed paths
     args = (wl.roads, wl.source, wl.destination)
