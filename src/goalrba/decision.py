@@ -316,11 +316,6 @@ def _uniform_loads(rng: np.random.Generator, shape, span: np.ndarray, lo: np.nda
     return loads
 
 
-# Table entries per block of the expected-mode gather: a block's table
-# rows, 256 KiB in all, stay in cache while its draws are gathered.
-_GATHER_ENTRIES = 1 << 15
-
-
 class DrHistory:
     """Past load rows of demand response, oldest first, as a reveal log.
 
@@ -366,9 +361,9 @@ class DemandResponseWorkload(Workload):
     on first use and reused, since none of them changes between rounds.
     history (a DrHistory) holds the past load rows: the initial block, and
     for each revealing round only the revealed ids and loads, so a round
-    adds O(selected) entries, not a J-length row. Expected mode is the only
+    adds O(selected) entries, not a J-length row. history_gains is the only
     reader of the rows: it replays the reveals on one row of its own, each
-    reveal once, in order.
+    reveal once, in order, and the base Workload draws from its table.
     """
 
     def __init__(self, params: DrParams, seed):
@@ -408,26 +403,15 @@ class DemandResponseWorkload(Workload):
     def marginal_utilities(self) -> np.ndarray:
         return dr_marginal_utilities(self.market, self.true_xi)
 
-    def expected_marginal_utilities(
-        self, num_samples: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Mean delta over per-ED history draws.
+    def history_gains(self) -> np.ndarray:
+        """The gain table, one column per history row, as a read-only view.
 
-        Delta of ED j depends only on its own value, so the delta of a draw
-        from history row i is entry (j, i) of the gain table; the gain rows
-        of rows added since the last call are computed, and the draws are
-        gathered from the table. The rows of new reveals are built by
-        writing each reveal into the replay row once. The draws land in one
-        (num_samples, J) array, as a gather along the history axis would
-        lay them out, so the mean sums each ED's draws in the same order.
-
-        At num_eds 15000 with 256 samples, a round of a 40-round hybrid run
-        takes about 60 ms (2-core box, one BLAS thread); a gather along the
-        history axis of a row-major table took 98 to 120 ms, and solving
-        every draw again about 545 ms.
+        Delta of ED j depends only on its own value, so one column serves
+        every draw of a row. The columns of rows added since the last call
+        are computed first, each from the replay row with one more reveal
+        written in.
         """
         history = self.history
-        idx = rng.integers(0, len(history), size=(num_samples, self.num_eds))
         if self._replay is None:
             for row in history.initial:
                 self._add_gain_row(dr_marginal_utilities(self.market, row))
@@ -435,18 +419,9 @@ class DemandResponseWorkload(Workload):
         for ids, values in history.reveals[self._gain_count - len(history.initial):]:
             self._replay[ids] = values
             self._add_gain_row(dr_marginal_utilities(self.market, self._replay))
-        # Draw (s, j) is entry j * width + idx[s, j] of the flat table. The
-        # take runs over blocks of EDs, so the table rows it reads stay in
-        # cache; every index is in range, so mode="clip" only skips the check.
-        width = self._gains.shape[1]
-        idx += np.arange(0, self.num_eds * width, width)
-        table = self._gains.ravel()
-        draws = np.empty(idx.shape)
-        step = max(_GATHER_ENTRIES // width, 1)
-        for j in range(0, self.num_eds, step):
-            block = slice(j, j + step)
-            np.take(table, idx[:, block], out=draws[:, block], mode="clip")
-        return np.mean(draws, axis=0)
+        table = self._gains[:, : self._gain_count]
+        table.flags.writeable = False
+        return table
 
     def _add_gain_row(self, gains: np.ndarray) -> None:
         """Append one column to the gain table, doubling its width when full."""
@@ -513,7 +488,8 @@ class RoutingWorkload(Workload):
     ED i measures road i of the network's sorted road order. Each round's
     road times start at tau_hi and a reveal writes the road's true time in.
     With nothing revealed every road sits at tau_hi, so the base path's time
-    is solved once, on first use.
+    is solved once, on first use. The history of road times is fixed, so
+    its gain table is too: it is solved once, on first use in expected mode.
     """
 
     def __init__(self, params: RoutingParams, seed):
@@ -555,28 +531,23 @@ class RoutingWorkload(Workload):
         self.times = self.network.hi.copy()
 
     def marginal_utilities(self) -> np.ndarray:
-        """Each road revealed alone at its true time: one row per ED, one solve."""
+        return self._reveal_gains(self.true_tau)
+
+    def _reveal_gains(self, values: np.ndarray) -> np.ndarray:
+        """Each road revealed alone at values[j]: one row per ED, one solve."""
         rows = np.tile(self.network.hi, (self.num_eds, 1))
-        np.fill_diagonal(rows, self.true_tau)
+        np.fill_diagonal(rows, values)
         return np.maximum(self.base_time - solve_routing(self.network, rows), 0.0)
 
-    def expected_marginal_utilities(
-        self, num_samples: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Mean delta of each road revealed alone at times drawn from history.
+    @cached_property
+    def _history_table(self) -> np.ndarray:
+        table = np.stack([self._reveal_gains(row) for row in self.history], axis=1)
+        table.flags.writeable = False
+        return table
 
-        Draws num_samples history rows for ED 0, then ED 1, and so on; each
-        ED's draws are solved as one batch.
-        """
-        base, hi = self.base_time, self.network.hi
-        draws = rng.integers(0, len(self.history), size=(self.num_eds, num_samples))
-        rows = np.tile(hi, (num_samples, 1))
-        out = np.empty(self.num_eds)
-        for j in range(self.num_eds):
-            rows[:, j] = self.history[draws[j], j]
-            out[j] = np.mean(np.maximum(base - solve_routing(self.network, rows), 0.0))
-            rows[:, j] = hi[j]
-        return out
+    def history_gains(self) -> np.ndarray:
+        """Gain table of the fixed history, one solve per history row."""
+        return self._history_table
 
     def ingest(self, selected: Sequence[int]) -> None:
         self.times[selected] = self.true_tau[selected]

@@ -140,8 +140,8 @@ class ScenarioConfig:
             raise ConfigError(f"unknown policy {self.policy!r}; expected one of {POLICIES}")
         if self.utility_mode not in ("exact", "expected"):
             raise ConfigError(f"unknown utility mode {self.utility_mode!r}")
-        sampler = WORKLOADS[self.workload][1].expected_marginal_utilities
-        if self.utility_mode == "expected" and sampler is Workload.expected_marginal_utilities:
+        table = WORKLOADS[self.workload][1].history_gains
+        if self.utility_mode == "expected" and table is Workload.history_gains:
             raise ConfigError(f"utility_mode 'expected' needs a history to draw from, "
                               f"which {self.workload} does not keep")
         # Bad params keys fail here, not when the workload is built.

@@ -6,11 +6,13 @@ lower is better. Adding data is not guaranteed to lower the goal: revealed
 loads or travel times never raise the robust decision cost, but the ADMM
 augmented Lagrangian is non-increasing only in the certificate regime
 rho/2 > kappa_j/rho (see AdmmWorkload), and the admm preset lies outside it.
-The helpers here pair those gains with RB demands, estimate gains by Monte
-Carlo when exact values would be non-causal, and check the
-diminishing-returns bound on one subset. The config dataclasses of every
-workload are checked here too: `check_fields` holds each field to its
-annotated type and to the range `ranged` declares on it.
+The helpers here pair those gains with RB demands and check the
+diminishing-returns bound on one subset. Where exact gains would be
+non-causal, Workload.expected_marginal_utilities, the one estimator of
+utility_mode: expected, averages draws from a workload's history_gains.
+The config dataclasses of every workload are checked here too:
+`check_fields` holds each field to its annotated type and to the range
+`ranged` declares on it.
 """
 
 from __future__ import annotations
@@ -113,8 +115,10 @@ class Workload(abc.ABC):
     Per-ED quantities (marginal_utilities, expected_marginal_utilities,
     payload_bits) are float arrays of length num_eds indexed by ED id. Each
     call returns a fresh array that the caller may keep and modify. The
-    `selected` that ingest and throughput take holds ED ids, ascending and
-    distinct, as an array (Allocation.selected, in a run) or a list.
+    (num_eds, rows) table of history_gains is not fresh: it is read-only,
+    and the workload may hand out the same table again. The `selected` that
+    ingest and throughput take holds ED ids, ascending and distinct, as an
+    array (Allocation.selected, in a run) or a list.
     """
 
     num_eds: int
@@ -142,17 +146,32 @@ class Workload(abc.ABC):
         """Transmitted units for the metrics row; default is ED count."""
         return len(selected)
 
+    def history_gains(self) -> np.ndarray:
+        """Read-only (num_eds, rows) table: entry (j, i) is ED j's delta,
+        revealed alone, at its value in history row i.
+
+        A workload supports utility_mode: expected by overriding this
+        method; each ED's delta must depend on its own value alone.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} does not support sampled marginal utilities"
+        )
+
     def expected_marginal_utilities(
         self, num_samples: int, rng: np.random.Generator
     ) -> np.ndarray:
         """Per-ED Monte Carlo mean of delta over num_samples history draws.
 
-        All draws come from rng. A workload supports utility_mode: expected
-        by overriding this method.
+        All draws come from rng, ED-major: num_samples history rows for
+        ED 0, then for ED 1, and so on. Each draw's delta is read from
+        history_gains, and each ED's draws are summed as np.mean sums one
+        contiguous row.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support sampled marginal utilities"
-        )
+        if num_samples < 1:
+            raise ValueError(f"num_samples must be at least 1, got {num_samples}")
+        table = self.history_gains()
+        idx = rng.integers(0, table.shape[1], size=(self.num_eds, num_samples))
+        return np.take_along_axis(table, idx, axis=1).mean(axis=1)
 
     def joint_gain(self, subset: Sequence[int]) -> float:
         """C(z_old) - C(z_old with the subset's data added), without ingesting."""
@@ -183,8 +202,6 @@ def collect_reports(
     """
     if mode not in ("exact", "expected"):
         raise ValueError(f"unknown utility mode {mode!r}")
-    if mode == "expected" and num_samples < 1:
-        raise ValueError(f"num_samples must be at least 1, got {num_samples}")
     if mode == "exact":
         deltas = workload.marginal_utilities()
     else:

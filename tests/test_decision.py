@@ -584,15 +584,19 @@ def test_history_rows_equal_the_vstack_construction():
 
 
 def reference_expected_marginals(wl, num_samples, rng, history=None):
-    """Per-sample re-solve: gather S draws from history, solve each.
+    """Per-sample re-solve: S history draws for each ED, solve each.
 
-    history defaults to the workload's own rows, stacked.
+    The draws run ED-major, over ED 0's samples, then ED 1's, and so on;
+    sample s solves every ED at its s-th draw, and each ED's S deltas are
+    averaged as one contiguous row. history defaults to the workload's own
+    rows, stacked.
     """
     history = history_rows(wl.history) if history is None else history
-    idx = rng.integers(0, len(history), size=(num_samples, wl.num_eds))
-    draws = np.take_along_axis(history, idx, axis=0)
+    idx = rng.integers(0, len(history), size=(wl.num_eds, num_samples))
+    draws = np.take_along_axis(history, idx.T, axis=0)
     inst = DrInstance(wl.costs, wl.xi_lo, wl.xi_max, wl.pi_min)
-    return np.mean([dr_marginal_utilities(inst, draws[s]) for s in range(num_samples)], axis=0)
+    deltas = np.array([dr_marginal_utilities(inst, draws[s]) for s in range(num_samples)])
+    return np.array([np.mean(row) for row in np.ascontiguousarray(deltas.T)])
 
 
 def test_expected_marginals_from_the_gain_table_equal_per_sample_re_solves():
@@ -864,6 +868,17 @@ def routing_reference_gains(num_nodes):
     return table
 
 
+def seeded_dr(num_nodes):
+    """A demand-response workload sized by num_nodes, with two revealing
+    rounds behind it, so its gain table holds replayed rows too."""
+    wl = DemandResponseWorkload(
+        DrParams(num_eds=10 * num_nodes, pi_min=6.0 * num_nodes, history_len=5), seed=num_nodes)
+    for k in range(2):
+        wl.ingest(np.arange(k, wl.num_eds, 3))
+        wl.begin_round(k + 1)
+    return wl
+
+
 @pytest.mark.parametrize("num_samples", [1, 7, 9, 129, 256])
 @pytest.mark.parametrize("num_nodes", [2, 5, 12, 30])
 def test_routing_reveal_solve_is_the_per_ed_reference_bit_for_bit(num_nodes, num_samples):
@@ -875,11 +890,32 @@ def test_routing_reveal_solve_is_the_per_ed_reference_bit_for_bit(num_nodes, num
     assert wl.marginal_utilities().tolist() == [
         routing_marginal_utility(*args, road, float(wl.true_tau[j]))
         for j, road in enumerate(sorted(wl.roads))]
-    sampled = wl.expected_marginal_utilities(num_samples, np.random.default_rng(num_samples))
-    # the draws run over ED 0's samples, then ED 1's, and so on
-    draws = np.random.default_rng(num_samples).integers(
-        0, len(wl.history), size=(wl.num_eds, num_samples))
-    assert sampled.tolist() == [np.mean([table[j, i] for i in row]) for j, row in enumerate(draws)]
+    np.testing.assert_array_equal(wl.history_gains(), table)
+    # both workloads' estimates are, per ED, the mean of its draws from
+    # its gain table; the draws run over ED 0's samples, then ED 1's, and
+    # so on
+    for workload in (wl, seeded_dr(num_nodes)):
+        sampled = workload.expected_marginal_utilities(
+            num_samples, np.random.default_rng(num_samples))
+        gains = workload.history_gains()
+        assert gains.shape == (workload.num_eds, len(workload.history))
+        draws = np.random.default_rng(num_samples).integers(
+            0, len(workload.history), size=(workload.num_eds, num_samples))
+        assert sampled.tolist() == [np.mean(gains[j, row]) for j, row in enumerate(draws)]
+
+
+def test_a_routing_expected_call_stays_small_at_num_nodes_30():
+    # one single-reveal batch of (J, J) times per history row, never one
+    # batch of every draw, which would hold J * J * 256 floats (63 MB)
+    wl = seeded_routing(30)
+    wl.marginal_utilities()
+    tracemalloc.start()
+    try:
+        wl.expected_marginal_utilities(256, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_routing_workload_solves_its_base_path_once(monkeypatch):
@@ -898,10 +934,13 @@ def test_routing_workload_solves_its_base_path_once(monkeypatch):
     assert [c.shape for c in calls] == [(wl.num_eds,), (wl.num_eds, wl.num_eds)]
     np.testing.assert_array_equal(calls[0], wl.network.hi)
     assert wl.marginal_utilities().tolist() == deltas.tolist()
+    # the first expected call solves the history's gain table, one
+    # single-reveal batch per history row; a second call solves nothing
     wl.expected_marginal_utilities(3, np.random.default_rng(0))
+    wl.expected_marginal_utilities(5, np.random.default_rng(1))
     wl.joint_gain([0, 1])
     assert [c.shape for c in calls[2:]] == (
-        [(wl.num_eds, wl.num_eds)] + [(3, wl.num_eds)] * wl.num_eds + [(wl.num_eds,)]
+        [(wl.num_eds, wl.num_eds)] * (1 + len(wl.history)) + [(wl.num_eds,)]
     )
     # each delta is the per-ED re-solve of base and revealed paths
     args = (wl.roads, wl.source, wl.destination)

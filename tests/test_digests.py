@@ -49,9 +49,9 @@ CASES = {
         ["rounds=5", "utility_mode=expected", "utility_samples=32"],
         (
             "6d1455b8f37027a70095cd757a7c9808f0838049fecb58334add253f35a1b06b",
-            "e6697ead04be99b1248b51a3bbb6ade11ec817c6b8c5df18ee3adb72aefedcd1",
-            "7ca7905d03df9533ce9ecc554cf582fac87c7847c1230380cc5bafdab9eb73fe",
-            "7d897e639361cd061a2ac11abbd4bf191a4bfcfcb4365abbbed7d80112634629",
+            "553092f5bb8f81b619f7d3cf93bf5d46fdb73b3444ed3adaf90215557fe65180",
+            "37ffd8a8ecbcf7ace2244bdefa244a942206df57181ceaa64c1967742e747d5b",
+            "34d7207ae3f11d72491a94d24259d011159ed8dda76224713882f899eff152c2",
         ),
     ),
     # 30 rounds of reveals: expected mode replays many history rows
@@ -60,9 +60,9 @@ CASES = {
         ["rounds=30", "utility_mode=expected", "utility_samples=8"],
         (
             "c46c98f03eb102fe13e5194582d151602b02b4f6bd16af9992b748b1cfd21713",
-            "6ac4af7303501295acd9fea8ebb9c4ff95e962158a4fb734125b34b287bf5d75",
-            "162f4856f1b5f4fee0ddebd313fe51b2343824903ce68d30c9a6de43349e4de3",
-            "36cba9c5a442a8b96e62175a899c92aa8e2792819f5943b1d9a967373737c422",
+            "dcb500c2a7f0e06f7a67dc646a1a276dfefc57b62c6b5eca2160749df2694a97",
+            "31209e5c87c7a336bb2bf8533a56c1d959b264664cff21ea802c88ffcb2977ba",
+            "83c7854576e0f71d41df3b83f7c50fd056787ea2c50a9e78a071fb726dd2570a",
         ),
     ),
     # paper scale in expected mode: the initial history block is read back
@@ -72,9 +72,9 @@ CASES = {
         ["params.num_eds=15000", "utility_mode=expected", "utility_samples=32", "rounds=5"],
         (
             "4f208d8642aae66020116f40a1102eb1b18cce50080e3e83b68ddd5209f6ad20",
-            "56258f92047ef69cea5ce588dfc4f39823bc4a8924bc2cefbffd88d57d876905",
-            "a286ff5672c459a2ea8e83dd940901d2c3822590aef96963a7b9f7469eb0d98e",
-            "7c2c1fdade28204f0acfdb20f8c7f793afa99f45e9ba7521cba22ee9fd9cc548",
+            "288baa38811b30ecd22c8b445f2dfe38b621d087884730d05bbb0a8ca3821513",
+            "2860527c2520fcb54eaea3cc0eda0eb77f66bd21ec8b5f9859c7abcffe67d0f0",
+            "7667cb7b85a15ee8ed6565c3ae36c348a2df0db0b6db0fa3b3107d57d8e1fb7b",
         ),
     ),
     "edge_learning": ("edge_learning.yaml", ["rounds=10"], (

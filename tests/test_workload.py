@@ -155,15 +155,34 @@ def test_expected_marginal_utility_converges_to_the_mean():
             assert est[k] == d[0]
 
 
-@pytest.mark.parametrize("make", [
+HISTORY_WORKLOADS = pytest.mark.parametrize("make", [
     lambda: DemandResponseWorkload(DrParams(num_eds=6, pi_min=3.0), seed=0),
     lambda: RoutingWorkload(RoutingParams(num_nodes=5), seed=0),
 ], ids=["demand_response", "routing"])
-def test_expected_mode_needs_at_least_one_sample(make):
+
+
+@HISTORY_WORKLOADS
+@pytest.mark.parametrize("via", ["direct", "collect_reports"])
+def test_expected_mode_needs_at_least_one_sample(make, via):
     workload = make()
     gains = np.ones(workload.num_eds)
     with pytest.raises(ValueError, match="num_samples must be at least 1"):
-        collect_reports(workload, gains, ChannelConfig(), mode="expected", num_samples=0, seed=1)
+        if via == "direct":
+            workload.expected_marginal_utilities(0, np.random.default_rng(1))
+        else:
+            collect_reports(workload, gains, ChannelConfig(), mode="expected", num_samples=0,
+                            seed=1)
+
+
+@HISTORY_WORKLOADS
+def test_history_gains_are_read_only(make):
+    workload = make()
+    table = workload.history_gains()
+    kept = table.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1.0
+    workload.expected_marginal_utilities(8, np.random.default_rng(0))
+    assert workload.history_gains().tobytes() == kept.tobytes()
 
 
 def test_throughput_default_counts_selected():
@@ -188,6 +207,8 @@ def test_expected_marginals_unimplemented_by_default():
         def payload_bits(self):
             return np.ones(1)
 
+    with pytest.raises(NotImplementedError):
+        Bare().history_gains()
     with pytest.raises(NotImplementedError):
         Bare().expected_marginal_utilities(4, np.random.default_rng(0))
     with pytest.raises(NotImplementedError):
