@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .workload import Workload, check_fields, ranged
+from .workload import ConfigError, Workload, check_fields, ranged
 
 logger = logging.getLogger(__name__)
 
@@ -171,12 +171,10 @@ def _squared_tol(tol):
 def _stop_residuals(theta, grad, varrho, sub, tmp, nonzero):
     """Each row's minimum-norm subgradient residual; sub, tmp, nonzero are scratch.
 
-    The subgradient is grad where varrho is 0; otherwise, where theta != 0,
-    grad + varrho * sign(theta), and elsewhere grad soft-thresholded at
-    varrho, sign(grad) * max(|grad| - varrho, 0).
+    The subgradient is grad + varrho * sign(theta) where theta != 0, and
+    elsewhere sign(grad) * max(|grad| - varrho, 0); at varrho 0 it is grad
+    up to the sign of its zeros.
     """
-    if varrho == 0:
-        return _row_norms(grad)
     np.abs(grad, out=sub)
     sub -= varrho
     np.maximum(sub, 0.0, out=sub)
@@ -235,9 +233,9 @@ def update_local(
     of its rows bound the exact squared residuals from below in floats:
     rounding to nearest is monotone, so |fl(g +- varrho)| >= fl(|g| -
     varrho) entry by entry, and a sum of squares of non-negative entries
-    through the same BLAS dot on the same buffer is monotone too. With
-    varrho = 0 the residual is grad's norm and the screen is exact. The
-    screen takes no sqrt: it compares the sums of squares with
+    through the same BLAS dot on the same buffer is monotone too. At
+    varrho 0 the screen reads |grad|, whose squares are grad's, so it is
+    exact. The screen takes no sqrt: it compares the sums of squares with
     _squared_tol(tol), the largest double whose sqrt is <= tol. Only when
     some row passes is the exact residual computed, so a screened iteration
     never hides a stop; NaN fails both tests. At the cap the exact
@@ -266,8 +264,7 @@ def update_local(
     sq = np.empty((k, 1, 1))
     tol_sq = _squared_tol(tol)
     Xt = X.transpose(0, 2, 1)
-    # With varrho = 0 grad is the subgradient, and the screen reads it.
-    rows, cols = _row_views(sub if varrho else grad)
+    rows, cols = _row_views(sub)
     active = np.arange(k)
     residual = np.full(k, np.inf)
     # Iteration 0 only takes the warm start's gradient.
@@ -290,10 +287,9 @@ def update_local(
         grad += tmp
         if not it:
             continue
-        if varrho:
-            np.abs(grad, out=sub)
-            np.subtract(sub, varrhos, out=sub)
-            np.maximum(sub, zeros, out=sub)
+        np.abs(grad, out=sub)
+        np.subtract(sub, varrhos, out=sub)
+        np.maximum(sub, zeros, out=sub)
         np.matmul(rows, cols, out=sq)
         # fmin skips NaN rows, so a diverged ED cannot hide another's stop.
         if not np.fmin.reduce(sq, axis=None) <= tol_sq:
@@ -319,7 +315,7 @@ def update_local(
         if not k:
             break
         Xt = X.transpose(0, 2, 1)
-        rows, cols = _row_views(sub if varrho else grad)
+        rows, cols = _row_views(sub)
     if k:
         residual = _stop_residuals(theta, grad, varrho, sub, tmp, nonzero)
     out[active] = theta
@@ -441,6 +437,7 @@ class AdmmWorkload(Workload):
     in 196 of its 200 rounds at seed 3. The goal is memoised per state:
     only ``ingest`` replaces the state, and it drops the memo with it, so
     each round's goal before ingest reuses the last round's goal after it.
+    An all-zero drawn true matrix is a ConfigError, at construction.
     """
 
     _goal: Optional[float] = None
@@ -449,6 +446,10 @@ class AdmmWorkload(Workload):
         self.params = params
         self.num_eds = params.num_eds
         self.state, self.theta_true = make_admm_state(params, seed)
+        if not self.theta_true.any():
+            raise ConfigError(
+                f"sparsity = {params.sparsity} with dim = {params.dim} draws a true matrix "
+                f"with no nonzero entry; the relative gap needs one")
         # No change history yet: uniform positive deltas let the first-round
         # selection be driven by the budget and channel alone.
         self._deltas = np.ones(params.num_eds)

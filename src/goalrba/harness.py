@@ -184,9 +184,16 @@ def _strict_dataclass(cls, raw: Dict, context: str):
         raise ConfigError(f"invalid {context} block: {exc}") from exc
 
 
+def _seed_streams(seed: int):
+    """A run's three independent seeds: the workload's, the channel gains', the MC draws'."""
+    return np.random.SeedSequence(seed).spawn(3)
+
+
 def build_workload(config: ScenarioConfig, seed=None) -> Workload:
-    """Instantiate the configured workload from its parameter block."""
-    return WORKLOADS[config.workload][1](config.params, config.seed if seed is None else seed)
+    """The configured workload, by default seeded as run_scenario seeds the one it builds."""
+    if seed is None:
+        seed = _seed_streams(config.seed)[0]
+    return WORKLOADS[config.workload][1](config.params, seed)
 
 
 def _block(value, name: str) -> Dict:
@@ -260,15 +267,17 @@ def run_scenario(
 ) -> List[RoundMetrics]:
     """Run the per-round loop and return one metrics row per round.
 
+    A round's deltas are the workload's marginal_utilities, or with
+    utility_mode "expected" its expected_marginal_utilities from the run's
+    Monte Carlo stream.
     round_hook, when given, is called after each round's ingest with
     (round_idx, workload); it exists for per-round probes such as test
     accuracy and does not affect the metrics. A truthy return value ends
     the run after that round, and the rows so far are returned.
     """
-    seq = np.random.SeedSequence(config.seed)
-    workload_seed, gains_seed, mc_seed = seq.spawn(3)
+    _, gains_seed, mc_seed = _seed_streams(config.seed)
     if workload is None:
-        workload = build_workload(config, seed=workload_seed)
+        workload = build_workload(config)
     gains_rng = np.random.default_rng(gains_seed)
     mc_rng = np.random.default_rng(mc_seed)
     capacity = config.channel.capacity
@@ -278,14 +287,11 @@ def run_scenario(
         workload.begin_round(k)
         gains = sample_gains(gains_rng, workload.num_eds)
         try:
-            reports = collect_reports(
-                workload,
-                gains,
-                config.channel,
-                mode=config.utility_mode,
-                num_samples=config.utility_samples,
-                seed=mc_rng,
-            )
+            if config.utility_mode == "exact":
+                deltas = workload.marginal_utilities()
+            else:
+                deltas = workload.expected_marginal_utilities(config.utility_samples, mc_rng)
+            reports = collect_reports(workload, deltas, gains, config.channel)
             allocation = _allocate(config.policy, gains, reports, capacity)
             goal_before = workload.goal_value()
             throughput = workload.throughput(allocation.selected)

@@ -50,9 +50,6 @@ class Mlp:
     def __init__(self, input_dim: int = 784, hidden_dim: int = 64,
                  output_dim: int = 10, seed=0):
         rng = np.random.default_rng(seed)
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
-        self.output_dim = output_dim
         shapes = ((input_dim, hidden_dim), (hidden_dim,), (hidden_dim, output_dim), (output_dim,))
         ends = np.cumsum([int(np.prod(shape)) for shape in shapes]).tolist()
         self._layout = tuple(zip([0] + ends[:-1], ends, shapes))

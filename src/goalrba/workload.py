@@ -6,10 +6,10 @@ lower is better. Adding data is not guaranteed to lower the goal: revealed
 loads or travel times never raise the robust decision cost, but the ADMM
 augmented Lagrangian is non-increasing only in the certificate regime
 rho/2 > kappa_j/rho (see AdmmWorkload), and the admm preset lies outside it.
-The helpers here pair those gains with RB demands and check the
-diminishing-returns bound on one subset. Where exact gains would be
-non-causal, Workload.expected_marginal_utilities, the one estimator of
-utility_mode: expected, averages draws from a workload's history_gains.
+The helpers here pair a round's gains, from either estimator, with RB
+demands and check the diminishing-returns bound on one subset. Where exact
+gains would be non-causal, Workload.expected_marginal_utilities, the one
+estimator of utility_mode: expected, averages draws from history_gains.
 The config dataclasses of every workload are checked here too:
 `check_fields` holds each field to its annotated type and to the range
 `ranged` declares on it.
@@ -180,32 +180,18 @@ class Workload(abc.ABC):
         )
 
 
-def collect_reports(
-    workload: Workload,
-    gains,
-    channel,
-    *,
-    mode: str = "exact",
-    num_samples: int = 256,
-    seed=None,
-) -> Reports:
+def collect_reports(workload: Workload, deltas: np.ndarray, gains, channel) -> Reports:
     """Pair each ED's delta with its RB demand; unreachable EDs are excluded.
 
-    `channel` is the scenario's harness.ChannelConfig, which gives the
-    per-RB rate at each gain (see rb_bits). mode "exact" queries the
-    workload directly; "expected" averages num_samples history draws per ED
-    (deterministic given seed). Returns the Reports of make_reports in
-    ascending ed_id order, negative deltas clamped to zero. When every ED is
-    reachable (each has a positive rate or no payload), the workload's fresh
-    delta array, clamped in place, and the demand array become two of the
-    columns as they are, with no gather.
+    `deltas` is the round's per-ED estimate, a fresh float array from
+    marginal_utilities or expected_marginal_utilities (the round loop picks
+    one by utility_mode). `channel` is the scenario's harness.ChannelConfig,
+    which gives the per-RB rate at each gain (see rb_bits). Returns the
+    Reports of make_reports in ascending ed_id order, negative deltas
+    clamped to zero. When every ED is reachable (each has a positive rate or
+    no payload), `deltas`, clamped in place, and the demand array become two
+    of the columns as they are, with no gather.
     """
-    if mode not in ("exact", "expected"):
-        raise ValueError(f"unknown utility mode {mode!r}")
-    if mode == "exact":
-        deltas = workload.marginal_utilities()
-    else:
-        deltas = workload.expected_marginal_utilities(num_samples, np.random.default_rng(seed))
     r_min = workload.payload_bits()
     per_rb = rb_bits(gains, channel)
     reachable = (r_min == 0) | (per_rb > 0)

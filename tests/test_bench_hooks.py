@@ -91,10 +91,11 @@ def test_the_report_counter_reads_the_delta_of_each_record():
     wl = DemandResponseWorkload(DrParams(num_eds=40, pi_min=20.0), seed=5)
     gains = np.linspace(0.0, 3.0, 40)
     gains[7] = 0.0
-    reports = collect_reports(wl, gains, harness.ChannelConfig())
+    reports = collect_reports(wl, wl.marginal_utilities(), gains, harness.ChannelConfig())
     assert all(isinstance(r.delta, float) and r.w >= 0 for r in reports)
     tracer = tracing.Tracer()
-    counted = tracer._count_reports(collect_reports)(wl, gains, harness.ChannelConfig())
+    counted = tracer._count_reports(collect_reports)(wl, wl.marginal_utilities(), gains,
+                                                     harness.ChannelConfig())
     assert tracer.counts["workload.reports"] == len(counted) == 38
     assert tracer.counts["workload.unreachable"] == 2
     assert tracer.counts["allocator.candidates"] == np.count_nonzero(reports.delta > 0) > 0

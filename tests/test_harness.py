@@ -201,12 +201,17 @@ def test_truthy_round_hook_ends_the_run():
 
 
 @pytest.mark.parametrize("preset", sorted(p.stem for p in CONFIGS.glob("*.yaml")))
-def test_presets_load_and_run(preset):
-    cfg = load_config(CONFIGS / f"{preset}.yaml")
+def test_presets_load_and_run(preset, tmp_path):
+    cfg = dataclasses.replace(load_config(CONFIGS / f"{preset}.yaml"), rounds=2)
     assert cfg.workload == preset
-    rows = run_scenario(dataclasses.replace(cfg, rounds=2))
+    rows = run_scenario(cfg)
     assert [m.round_idx for m in rows] == [0, 1]
     assert all(np.isfinite(m.goal_value) for m in rows)
+    # build_workload seeds as run_scenario does, so handing its workload
+    # over writes the same bytes
+    emit_metrics(rows, tmp_path / "built.csv")
+    emit_metrics(run_scenario(cfg, workload=build_workload(cfg)), tmp_path / "handed.csv")
+    assert (tmp_path / "built.csv").read_bytes() == (tmp_path / "handed.csv").read_bytes()
 
 
 def test_expected_mode_runs_and_stays_deterministic():
@@ -230,11 +235,16 @@ def test_run_compare_writes_three_csvs_and_a_summary(tmp_path):
         for k in range(cfg.rounds) for policy in POLICIES]
 
 
-def test_wall_time_flag_populates_the_column():
-    rows = run_scenario(small_config(measure_wall_time=True, rounds=2))
-    assert all(m.wall_ms >= 0 for m in rows)
-    rows = run_scenario(small_config(rounds=2))
-    assert all(m.wall_ms == 0 for m in rows)
+def test_wall_time_flag_populates_the_column(tmp_path):
+    timed, plain = tmp_path / "timed.csv", tmp_path / "plain.csv"
+    emit_metrics(run_scenario(small_config(measure_wall_time=True, rounds=2)), timed)
+    emit_metrics(run_scenario(small_config(rounds=2)), plain)
+    timed_rows = [line.rsplit(",", 1) for line in timed.read_text().splitlines()]
+    plain_rows = [line.rsplit(",", 1) for line in plain.read_text().splitlines()]
+    assert [r[0] for r in timed_rows] == [r[0] for r in plain_rows]
+    assert timed_rows[0][1] == plain_rows[0][1] == "wall_ms"
+    assert all(re.fullmatch(r"\d+", r[1]) for r in timed_rows[1:])
+    assert [r[1] for r in plain_rows[1:]] == ["0", "0"]
 
 
 def test_infeasible_workload_fails_at_load(tmp_path):
@@ -943,6 +953,25 @@ def test_cli_exit_code_1_on_a_federated_client_without_samples(tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == 1, err
     assert "config error" in err and re.search(r"num_eds = 10 leaves client \d+ ", err)
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "claims"])
+@pytest.mark.parametrize("overrides", [
+    ["params.sparsity=1"],
+    ["params.dim=1", "params.sparsity=0.9"],
+], ids=["sparsity_1", "dim_1"])
+def test_cli_exit_code_1_on_an_all_zero_admm_true_matrix(tmp_path, capsys, command, overrides):
+    # the config validates, but the drawn true matrix has no nonzero entry,
+    # so no relative gap can be taken; building the workload fails
+    argv = [command, "--config", str(CONFIGS / "admm.yaml"), "--set", "rounds=3"]
+    argv += [arg for override in overrides for arg in ("--set", override)]
+    if command != "claims":
+        argv += ["--out", str(tmp_path / "out")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith("config error: sparsity = ") and "dim = " in err
+    assert "no nonzero entry" in err
 
 
 def test_cli_exit_code_2_on_runtime_error(tmp_path):

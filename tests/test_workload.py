@@ -41,13 +41,15 @@ class StubWorkload(Workload):
 
 def test_collect_reports_pairs_delta_with_demand():
     wl = StubWorkload(deltas=[2.0, 3.0], payloads=[512.0, 90.0])
-    reports = collect_reports(wl, gains=[1.0, 1.0], channel=ChannelConfig())
+    reports = collect_reports(wl, wl.marginal_utilities(), gains=[1.0, 1.0],
+                              channel=ChannelConfig())
     assert [(r.ed_id, r.delta, r.w) for r in reports] == [(0, 2.0, 6), (1, 3.0, 1)]
 
 
 def test_collect_reports_drops_unreachable_eds():
     wl = StubWorkload(deltas=[2.0, 3.0], payloads=[512.0, 512.0])
-    reports = collect_reports(wl, gains=[0.0, 1.0], channel=ChannelConfig())
+    reports = collect_reports(wl, wl.marginal_utilities(), gains=[0.0, 1.0],
+                              channel=ChannelConfig())
     assert [r.ed_id for r in reports] == [1]
 
 
@@ -56,7 +58,8 @@ def test_collect_reports_rejects_a_nan_gain_instead_of_dropping_its_ed():
     # unreachable, without a word.
     wl = StubWorkload(deltas=[1.0, 2.0, 3.0, 4.0], payloads=[512.0] * 4)
     with pytest.raises(ValueError, match="gain must not be NaN, got NaN at index 1"):
-        collect_reports(wl, gains=[1.0, np.nan, 2.0, 0.5], channel=ChannelConfig())
+        collect_reports(wl, wl.marginal_utilities(), gains=[1.0, np.nan, 2.0, 0.5],
+                        channel=ChannelConfig())
 
 
 def test_collect_reports_keeps_each_reachable_eds_own_delta_and_demand():
@@ -64,16 +67,18 @@ def test_collect_reports_keeps_each_reachable_eds_own_delta_and_demand():
     # unreachable: the rest keep their own delta and demand.
     wl = StubWorkload(deltas=[2.0, -1.0, 3.0, 4.0], payloads=[512.0, 0.0, 512.0, 90.0])
     channel = ChannelConfig()
-    every = collect_reports(wl, gains=[1.0, 0.0, 3.0, 1.0], channel=channel)
+    every = collect_reports(wl, wl.marginal_utilities(), gains=[1.0, 0.0, 3.0, 1.0],
+                            channel=channel)
     assert [(r.ed_id, r.delta, r.w) for r in every] == [
         (0, 2.0, 6), (1, 0.0, 0), (2, 3.0, 3), (3, 4.0, 1)]
-    some = collect_reports(wl, gains=[1.0, 0.0, 0.0, 1.0], channel=channel)
+    some = collect_reports(wl, wl.marginal_utilities(), gains=[1.0, 0.0, 0.0, 1.0],
+                           channel=channel)
     assert [(r.ed_id, r.delta, r.w) for r in some] == [(0, 2.0, 6), (1, 0.0, 0), (3, 4.0, 1)]
 
 
 def test_collect_reports_clamps_negative_deltas():
     wl = StubWorkload(deltas=[-4.0], payloads=[512.0])
-    reports = collect_reports(wl, gains=[1.0], channel=ChannelConfig())
+    reports = collect_reports(wl, wl.marginal_utilities(), gains=[1.0], channel=ChannelConfig())
     assert reports.delta[0] == 0.0
 
 
@@ -102,7 +107,8 @@ all_reachable = st.integers(min_value=0, max_value=40).flatmap(
 def test_collect_reports_of_reachable_eds_equals_the_gathering_reference(eds):
     deltas, payloads, gains = np.array(eds, dtype=float).reshape(-1, 3).T
     channel = ChannelConfig()
-    got = collect_reports(StubWorkload(deltas, payloads), gains, channel)
+    workload = StubWorkload(deltas, payloads)
+    got = collect_reports(workload, workload.marginal_utilities(), gains, channel)
     want = gathered_reports(StubWorkload(deltas, payloads), gains, channel)
     assert len(got) == len(want) == len(eds)
     for name in ("ed_id", "delta", "w"):
@@ -116,21 +122,13 @@ def test_collect_reports_of_reachable_eds_equals_the_gathering_reference(eds):
                for r in rows)
 
 
-def test_collect_reports_rejects_unknown_mode():
-    wl = StubWorkload(deltas=[1.0], payloads=[512.0])
-    with pytest.raises(ValueError):
-        collect_reports(wl, gains=[1.0], channel=ChannelConfig(), mode="oracle")
-
-
 def test_expected_mode_is_deterministic_given_seed():
     wl = RoutingWorkload(RoutingParams(num_nodes=8), seed=2)
-    gains = np.ones(wl.num_eds)
-    kwargs = dict(gains=gains, channel=ChannelConfig(), mode="expected", num_samples=64)
-    a = collect_reports(wl, seed=11, **kwargs)
-    b = collect_reports(wl, seed=11, **kwargs)
-    assert [(r.ed_id, r.delta) for r in a] == [(r.ed_id, r.delta) for r in b]
-    c = collect_reports(wl, seed=12, **kwargs)
-    assert [r.delta for r in a] != [r.delta for r in c]
+    a = wl.expected_marginal_utilities(64, np.random.default_rng(11))
+    b = wl.expected_marginal_utilities(64, np.random.default_rng(11))
+    assert a.tobytes() == b.tobytes()
+    c = wl.expected_marginal_utilities(64, np.random.default_rng(12))
+    assert a.tolist() != c.tolist()
 
 
 def test_expected_marginal_utility_converges_to_the_mean():
@@ -162,16 +160,9 @@ HISTORY_WORKLOADS = pytest.mark.parametrize("make", [
 
 
 @HISTORY_WORKLOADS
-@pytest.mark.parametrize("via", ["direct", "collect_reports"])
-def test_expected_mode_needs_at_least_one_sample(make, via):
-    workload = make()
-    gains = np.ones(workload.num_eds)
+def test_expected_mode_needs_at_least_one_sample(make):
     with pytest.raises(ValueError, match="num_samples must be at least 1"):
-        if via == "direct":
-            workload.expected_marginal_utilities(0, np.random.default_rng(1))
-        else:
-            collect_reports(workload, gains, ChannelConfig(), mode="expected", num_samples=0,
-                            seed=1)
+        make().expected_marginal_utilities(0, np.random.default_rng(1))
 
 
 @HISTORY_WORKLOADS
