@@ -1,16 +1,16 @@
-"""Data-driven decision workloads: robust load shedding and vehicle routing.
+"""Data-driven decision workload: robust load shedding for demand response.
 
-Both goals are robust min-max costs: unknown ED data is replaced by its worst
-case over the empirical support (lower bound for reducible load, upper bound
-for travel time). Marginal utility of an ED is the cost drop from revealing
-its real-time value alone.
+The goal is a robust min-max cost: each unknown ED's reducible load is
+replaced by its worst case over the empirical support, its lower bound.
+Marginal utility of an ED is the cost drop from revealing its real-time
+value alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,10 +19,6 @@ from .workload import ConfigError, Workload, check_fields, ranged
 
 class InfeasibleDrError(ValueError):
     """Insufficient shedding capacity: worst-case supply below the threshold."""
-
-
-class NoPathError(ValueError):
-    """No path from source to destination in the road network."""
 
 
 @dataclass(frozen=True)
@@ -208,59 +204,6 @@ def dr_marginal_utilities(instance: DrInstance, values: np.ndarray) -> np.ndarra
     )
     gains[tables.order[:T]] = np.where(active, np.maximum(base_cost - new_cost, 0.0), 0.0)
     return gains
-
-
-class RoutingInstance:
-    """Robust shortest-path instance over a road network in node order.
-
-    roads: map (m, n) -> (tau_lo, tau_hi) travel-time support, each road
-    running from a lower node m to a higher node n. Read once into arrays in
-    sorted road order: road i runs tail[i] -> head[i] within [lo[i], hi[i]].
-    """
-
-    def __init__(self, roads: Dict[Tuple[int, int], Tuple[float, float]], source, destination):
-        if source == destination:
-            raise ValueError("source and destination must differ")
-        keys = sorted(roads)
-        self.source, self.destination = source, destination
-        self.tail, self.head = np.array(keys, dtype=np.intp).reshape(-1, 2).T
-        self.lo, self.hi = np.array([roads[r] for r in keys], dtype=float).reshape(-1, 2).T
-        bad = (self.lo < 0) | (self.lo > self.hi)
-        if np.any(bad):
-            raise ValueError(f"road {keys[np.argmax(bad)]} support must satisfy 0 <= lo <= hi")
-        backward = (self.tail < 0) | (self.tail >= self.head)
-        if np.any(backward) or min(source, destination) < 0:
-            raise ValueError("every road must run from a node m >= 0 to a higher node")
-        self.num_nodes = max(source, destination, *self.head) + 1
-        # (node, its incoming roads, their tails) for each node after source
-        # up to destination that has incoming roads, in node order.
-        into = [(n, np.flatnonzero(self.head == n)) for n in range(source + 1, destination + 1)]
-        self.incoming = [(n, r, self.tail[r]) for n, r in into if len(r)]
-
-
-def solve_routing(instance: RoutingInstance, times) -> Union[float, np.ndarray]:
-    """Robust source->destination travel time at the given road times.
-
-    times is one time per road within its support, shape (E,), or a batch
-    of such rows, (B, E); the result is a float or a (B,) array. One pass in
-    node order, a topological order here, settles every node (Cormen et al.,
-    Introduction to Algorithms, sec. 24.2) from the same sums and minima
-    that Dijkstra forms, so the result is the same float.
-    """
-    rows = np.atleast_2d(np.asarray(times, dtype=float))
-    inside = (instance.lo - 1e-9 <= rows) & (rows <= instance.hi + 1e-9)
-    if not np.all(inside):
-        b, i = np.unravel_index(np.argmin(inside), inside.shape)
-        road = (int(instance.tail[i]), int(instance.head[i]))
-        raise ValueError(f"time {rows[b, i]} for road {road} outside support")
-    dist = np.full((len(rows), instance.num_nodes), np.inf)
-    dist[:, instance.source] = 0.0
-    for n, into, tails in instance.incoming:
-        dist[:, n] = np.min(dist[:, tails] + rows[:, into], axis=1)
-    time = dist[:, instance.destination]
-    if np.any(np.isinf(time)):
-        raise NoPathError(f"no path from {instance.source} to {instance.destination}")
-    return time if np.ndim(times) == 2 else float(time[0])
 
 
 def _check_range(name: str, value) -> None:
@@ -465,101 +408,3 @@ class DemandResponseWorkload(Workload):
         cap = self.xi_lo.copy()
         cap[ids] = self.true_xi[ids]
         return self.market.base_cost - solve_dr(self.market, cap)[0]
-
-
-@dataclass(frozen=True)
-class RoutingParams:
-    """Scenario generator parameters for robust vehicle routing."""
-
-    num_nodes: int = ranged(12, "[2, inf)")
-    edge_prob: float = ranged(0.35, "[0, 1]")
-    tau_range: Tuple[float, float] = ranged((1.0, 10.0), "[0, inf)")
-    history_len: int = ranged(64, "[1, inf)")
-    payload_bits: float = ranged(512.0, "[0, inf)")
-
-    def __post_init__(self):
-        check_fields(self)
-        _check_range("tau_range", self.tau_range)
-
-
-class RoutingWorkload(Workload):
-    """Robust routing: one ED measures one road; reveals shorten the path.
-
-    ED i measures road i of the network's sorted road order. Each round's
-    road times start at tau_hi and a reveal writes the road's true time in.
-    With nothing revealed every road sits at tau_hi, so the base path's time
-    is solved once, on first use. The history of road times is fixed, so
-    its gain table is too: it is solved once, on first use in expected mode.
-    """
-
-    def __init__(self, params: RoutingParams, seed):
-        self.params = params
-        self._rng = np.random.default_rng(seed)
-        self.roads: Dict[Tuple[int, int], Tuple[float, float]] = {}
-        self.source, self.destination = 0, params.num_nodes - 1
-        self._build_network()
-        self.network = RoutingInstance(self.roads, self.source, self.destination)
-        self.num_eds = len(self.roads)
-        self.history = self._rng.uniform(
-            self.network.lo, self.network.hi, size=(params.history_len, self.num_eds)
-        )
-        self.begin_round(0)
-
-    def _build_network(self) -> None:
-        n = self.params.num_nodes
-        # Backbone path guarantees reachability; extra edges add alternatives.
-        for m in range(n - 1):
-            self._add_road(m, m + 1)
-        for m in range(n):
-            for k in range(m + 1, n):
-                if k != m + 1 and self._rng.random() < self.params.edge_prob:
-                    self._add_road(m, k)
-
-    def _add_road(self, m: int, n: int) -> None:
-        lo_t, hi_t = self.params.tau_range
-        lo = self._rng.uniform(lo_t, hi_t)
-        hi = self._rng.uniform(lo, hi_t)
-        self.roads[(m, n)] = (lo, max(hi, lo))
-
-    @cached_property
-    def base_time(self) -> float:
-        """Travel time of the base (nothing revealed) path, solved once."""
-        return solve_routing(self.network, self.network.hi)
-
-    def begin_round(self, round_idx: int) -> None:
-        self.true_tau = self._rng.uniform(self.network.lo, self.network.hi)
-        self.times = self.network.hi.copy()
-
-    def marginal_utilities(self) -> np.ndarray:
-        return self._reveal_gains(self.true_tau)
-
-    def _reveal_gains(self, values: np.ndarray) -> np.ndarray:
-        """Each road revealed alone at values[j]: one row per ED, one solve."""
-        rows = np.tile(self.network.hi, (self.num_eds, 1))
-        np.fill_diagonal(rows, values)
-        return np.maximum(self.base_time - solve_routing(self.network, rows), 0.0)
-
-    @cached_property
-    def _history_table(self) -> np.ndarray:
-        table = np.stack([self._reveal_gains(row) for row in self.history], axis=1)
-        table.flags.writeable = False
-        return table
-
-    def history_gains(self) -> np.ndarray:
-        """Gain table of the fixed history, one solve per history row."""
-        return self._history_table
-
-    def ingest(self, selected: Sequence[int]) -> None:
-        self.times[selected] = self.true_tau[selected]
-
-    def goal_value(self) -> float:
-        return solve_routing(self.network, self.times)
-
-    def payload_bits(self) -> np.ndarray:
-        return np.full(self.num_eds, self.params.payload_bits)
-
-    def joint_gain(self, subset: Sequence[int]) -> float:
-        ids = np.fromiter(subset, dtype=np.intp)
-        times = self.network.hi.copy()
-        times[ids] = self.true_tau[ids]
-        return self.base_time - solve_routing(self.network, times)

@@ -26,7 +26,7 @@ import yaml
 from .admm import AdmmParams, AdmmWorkload
 from .allocator import channel_policy, greedy_allocate, utility_policy
 from .channel import DEFAULT_INTERVAL_RB_CAPACITY, sample_gains
-from .decision import DemandResponseWorkload, DrParams, RoutingParams, RoutingWorkload
+from .decision import DemandResponseWorkload, DrParams
 from .learning import (EdgeLearningParams, EdgeLearningWorkload, FederatedParams,
                        FederatedWorkload)
 from .workload import ConfigError, Workload, check_fields, collect_reports, ranged
@@ -35,7 +35,6 @@ CSV_HEADER = "round,policy,seed,throughput,utility_gain,goal_value,wall_ms"
 
 WORKLOADS = {
     "demand_response": (DrParams, DemandResponseWorkload),
-    "routing": (RoutingParams, RoutingWorkload),
     "edge_learning": (EdgeLearningParams, EdgeLearningWorkload),
     "federated": (FederatedParams, FederatedWorkload),
     "admm": (AdmmParams, AdmmWorkload),

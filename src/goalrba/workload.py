@@ -3,8 +3,8 @@
 Every application workload exposes per-ED marginal utility gains against its
 current dataset, ingests the data of selected EDs, and reports a goal value,
 lower is better. Adding data is not guaranteed to lower the goal: revealed
-loads or travel times never raise the robust decision cost, but the ADMM
-augmented Lagrangian is non-increasing only in the certificate regime
+loads never raise the robust dispatch cost, but the ADMM augmented
+Lagrangian is non-increasing only in the certificate regime
 rho/2 > kappa_j/rho (see AdmmWorkload), and the admm preset lies outside it.
 The helpers here pair a round's gains, from either estimator, with RB
 demands and check the diminishing-returns bound on one subset. Where exact

@@ -1,9 +1,7 @@
-"""Robust load shedding and routing: LP oracle agreement, marginal identities."""
+"""Robust load shedding: LP oracle agreement, marginal identities."""
 
 import dataclasses
-import functools
 import gc
-import heapq
 import subprocess
 import sys
 import tracemalloc
@@ -21,13 +19,8 @@ from goalrba.decision import (
     DrInstance,
     DrParams,
     InfeasibleDrError,
-    NoPathError,
-    RoutingInstance,
-    RoutingWorkload,
-    RoutingParams,
     dr_marginal_utilities,
     solve_dr,
-    solve_routing,
 )
 from goalrba.harness import ChannelConfig, ScenarioConfig, build_workload, load_config, run_scenario
 
@@ -107,36 +100,6 @@ def reference_dr_marginal_utilities(instance: DrInstance, values) -> np.ndarray:
 def assert_same_bits(actual, expected):
     np.testing.assert_array_equal(actual, expected)
     np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
-
-
-def reference_solve_routing(roads, source, destination, times) -> float:
-    """Dijkstra over the road dict, the algorithm the forward pass replaced;
-    times[i] is the time of the i-th road in sorted order."""
-    out = {}
-    for (m, n), t in zip(sorted(roads), times):
-        out.setdefault(m, []).append((n, float(t)))
-    dist, heap, done = {source: 0.0}, [(0.0, source)], set()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u == destination:
-            return d
-        if u in done:
-            continue
-        done.add(u)
-        for v, w in out.get(u, ()):
-            if v not in dist or d + w < dist[v]:
-                dist[v] = d + w
-                heapq.heappush(heap, (dist[v], v))
-    raise NoPathError(f"no path from {source} to {destination}")
-
-
-def routing_marginal_utility(roads, source, destination, road, value) -> float:
-    """Reference re-solve: robust travel time with every road at tau_hi
-    minus the time with only road revealed at value."""
-    hi = [roads[r][1] for r in sorted(roads)]
-    revealed = [value if r == road else roads[r][1] for r in sorted(roads)]
-    base = reference_solve_routing(roads, source, destination, hi)
-    return max(base - reference_solve_routing(roads, source, destination, revealed), 0.0)
 
 
 def lp_reference(instance: DrInstance, cap) -> float:
@@ -727,152 +690,11 @@ def test_default_requirement_scales_with_fleet_size():
     assert DrParams(num_eds=500).resolved_pi_min() == pytest.approx(1e4 / 30)
 
 
-def test_routing_hand_graph():
-    # detour 0 -> 1 -> 3 at revealed fast times beats the direct road, which
-    # sits at its pessimistic 20 while unobserved
-    roads = {(0, 1): (1.0, 4.0), (1, 3): (1.0, 4.0), (0, 3): (3.0, 20.0)}
-    inst = RoutingInstance(roads, source=0, destination=3)
-    # sorted road order: (0, 1), (0, 3), (1, 3)
-    assert solve_routing(inst, [1.0, 20.0, 1.0]) == pytest.approx(2.0)
-    assert solve_routing(inst, inst.hi) == pytest.approx(8.0)
-
-
-def test_routing_marginal_utility_hand_values():
-    roads = {(0, 1): (1.0, 9.0), (1, 2): (1.0, 9.0), (0, 2): (5.0, 5.0)}
-    assert solve_routing(RoutingInstance(roads, source=0, destination=2),
-                         [9.0, 5.0, 9.0]) == pytest.approx(5.0)
-    # knowing (0,1)=1 alone does not beat the safe road: 1 + 9 > 5
-    assert routing_marginal_utility(roads, 0, 2, (0, 1), 1.0) == pytest.approx(0.0)
-    # a shortcut road drops the robust time from 5 to 2 on its own
-    shortcut = {(0, 2): (2.0, 9.0), (0, 1): (1.0, 1.0), (1, 2): (4.0, 4.0)}
-    assert routing_marginal_utility(shortcut, 0, 2, (0, 2), 2.0) == pytest.approx(3.0)
-
-
-def test_routing_no_path():
-    inst = RoutingInstance({(0, 1): (1.0, 2.0)}, source=0, destination=2)
-    with pytest.raises(NoPathError):
-        solve_routing(inst, [2.0])
-    backwards = RoutingInstance({(0, 1): (1.0, 2.0)}, source=1, destination=0)
-    with pytest.raises(NoPathError):
-        solve_routing(backwards, [[2.0], [1.0]])
-
-
-def test_routing_instance_validation():
-    with pytest.raises(ValueError):
-        RoutingInstance({(0, 1): (1.0, 2.0)}, source=0, destination=0)
-    with pytest.raises(ValueError):
-        RoutingInstance({(0, 1): (3.0, 2.0)}, source=0, destination=1)
-    for road in [(1, 0), (1, 1), (-1, 1)]:
-        with pytest.raises(ValueError, match="higher node"):
-            RoutingInstance({(0, 1): (1.0, 2.0), road: (1.0, 2.0)}, 0, 1)
-    inst = RoutingInstance({(0, 1): (1.0, 2.0), (1, 2): (0.0, 1.0)}, 0, 2)
-    with pytest.raises(ValueError, match=r"time 5.0 for road \(0, 1\) outside support"):
-        solve_routing(inst, [5.0, 1.0])
-    with pytest.raises(ValueError, match=r"for road \(1, 2\) outside support"):
-        solve_routing(inst, [[1.0, 1.0], [1.0, -2e-9]])
-    # the tolerance admits a time 1e-9 beyond either end
-    assert solve_routing(inst, [2.0 + 1e-9, -1e-9]) == 2.0
-
-
-TIMES = st.sampled_from([0.0, 0.1, 0.2, 0.3, 1 / 3, 0.7, 1.0]) | st.floats(0.0, 10.0)
-
-
-@st.composite
-def routing_cases(draw):
-    """Random node-ordered networks with zero-length roads, equal-time ties
-    (times from a small grid), a batch of time rows, and source and
-    destination in either order, so some destinations are unreachable."""
-    n = draw(st.integers(2, 7))
-    roads = {}
-    for road in [(m, k) for m in range(n) for k in range(m + 1, n)]:
-        if draw(st.booleans()):
-            roads[road] = tuple(sorted((draw(TIMES), draw(TIMES))))
-    source, destination = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
-                                        unique=True))
-    if draw(st.integers(0, 3)):  # mostly forward, where a path can exist
-        source, destination = sorted((source, destination))
-    keys, rows = sorted(roads), draw(st.integers(1, 4))
-    times = np.array([
-        [draw(st.sampled_from([roads[r][0], roads[r][1], 0.5 * (roads[r][0] + roads[r][1])]))
-         for r in keys]
-        for _ in range(rows)
-    ]).reshape(rows, len(keys))
-    return roads, source, destination, times
-
-
-@given(case=routing_cases(), backward=st.sampled_from([None, (1, 0), (1, 1)]))
-@settings(max_examples=400, deadline=None)
-def test_forward_pass_is_dijkstra_bit_for_bit(case, backward):
-    roads, source, destination, times = case
-    if backward:
-        with pytest.raises(ValueError, match="higher node"):
-            RoutingInstance({**roads, backward: (0.0, 1.0)}, source, destination)
-    inst = RoutingInstance(roads, source, destination)
-    try:
-        expected = [reference_solve_routing(roads, source, destination, row) for row in times]
-    except NoPathError:
-        with pytest.raises(NoPathError):
-            solve_routing(inst, times)
-        with pytest.raises(NoPathError):
-            solve_routing(inst, times[0])
-        return
-    batch = solve_routing(inst, times)
-    assert batch.shape == (len(times),)
-    assert batch.tolist() == expected
-    assert [solve_routing(inst, row) for row in times] == expected
-
-
-ROUTING_PRESET = Path(__file__).resolve().parents[1] / "configs" / "routing.yaml"
-
-
-def test_routing_workload_marginals_are_the_reference_re_solves():
-    cfg = load_config(ROUTING_PRESET)
-    wl = build_workload(cfg, seed=cfg.seed)
-    args = (wl.roads, wl.source, wl.destination)
-    roads = sorted(wl.roads)
-    selection = np.random.default_rng(0)
-    for k in range(10):
-        wl.begin_round(k)
-        deltas = wl.marginal_utilities()
-        assert deltas.tolist() == [
-            routing_marginal_utility(*args, road, float(wl.true_tau[j]))
-            for j, road in enumerate(roads)
-        ]
-        sampled = wl.expected_marginal_utilities(16, np.random.default_rng(k))
-        rng = np.random.default_rng(k)
-        expected = []
-        for j, road in enumerate(roads):
-            draws = [float(wl.history[rng.integers(0, len(wl.history)), j]) for _ in range(16)]
-            expected.append(np.mean([routing_marginal_utility(*args, road, v) for v in draws]))
-        assert sampled.tolist() == expected
-        selected = sorted(selection.choice(wl.num_eds, size=k % 4, replace=False))
-        wl.ingest(selected)
-        times = [float(wl.true_tau[j]) if j in selected else wl.roads[r][1]
-                 for j, r in enumerate(roads)]
-        assert wl.goal_value() == reference_solve_routing(*args, times)
-
-
-def seeded_routing(num_nodes):
-    return RoutingWorkload(RoutingParams(num_nodes=num_nodes), seed=num_nodes)
-
-
-@functools.cache
-def routing_reference_gains(num_nodes):
-    """The reference gain of each road of seeded_routing(num_nodes) at each
-    of its history values, (J, history_len), by per-ED re-solve; read-only."""
-    wl = seeded_routing(num_nodes)
-    args = (wl.roads, wl.source, wl.destination)
-    table = np.array([[routing_marginal_utility(*args, road, float(v)) for v in wl.history[:, j]]
-                      for j, road in enumerate(sorted(wl.roads))])
-    table.flags.writeable = False
-    return table
-
-
-def seeded_dr(num_nodes):
-    """A demand-response workload sized by num_nodes, with two revealing
-    rounds behind it, so its gain table holds replayed rows too."""
+def seeded_dr(scale):
+    """A demand-response workload sized by scale, with two revealing rounds
+    behind it, so its gain table holds replayed rows too."""
     wl = DemandResponseWorkload(
-        DrParams(num_eds=10 * num_nodes, pi_min=6.0 * num_nodes, history_len=5), seed=num_nodes)
+        DrParams(num_eds=10 * scale, pi_min=6.0 * scale, history_len=5), seed=scale)
     for k in range(2):
         wl.ingest(np.arange(k, wl.num_eds, 3))
         wl.begin_round(k + 1)
@@ -880,76 +702,22 @@ def seeded_dr(num_nodes):
 
 
 @pytest.mark.parametrize("num_samples", [1, 7, 9, 129, 256])
-@pytest.mark.parametrize("num_nodes", [2, 5, 12, 30])
-def test_routing_reveal_solve_is_the_per_ed_reference_bit_for_bit(num_nodes, num_samples):
+@pytest.mark.parametrize("scale", [2, 5, 12, 30])
+def test_expected_estimate_is_each_eds_mean_of_its_table_draws(scale, num_samples):
     # 7, 9, 129 and 256 samples lie on both sides of numpy's 8-way unrolled
     # and 128-element blocked pairwise sums, which the mean of each ED's
-    # draws must take as the per-ED mean does
-    wl, table = seeded_routing(num_nodes), routing_reference_gains(num_nodes)
-    args = (wl.roads, wl.source, wl.destination)
-    assert wl.marginal_utilities().tolist() == [
-        routing_marginal_utility(*args, road, float(wl.true_tau[j]))
-        for j, road in enumerate(sorted(wl.roads))]
-    np.testing.assert_array_equal(wl.history_gains(), table)
-    # both workloads' estimates are, per ED, the mean of its draws from
-    # its gain table; the draws run over ED 0's samples, then ED 1's, and
-    # so on
-    for workload in (wl, seeded_dr(num_nodes)):
-        sampled = workload.expected_marginal_utilities(
-            num_samples, np.random.default_rng(num_samples))
-        gains = workload.history_gains()
-        assert gains.shape == (workload.num_eds, len(workload.history))
-        draws = np.random.default_rng(num_samples).integers(
-            0, len(workload.history), size=(workload.num_eds, num_samples))
-        assert sampled.tolist() == [np.mean(gains[j, row]) for j, row in enumerate(draws)]
-
-
-def test_a_routing_expected_call_stays_small_at_num_nodes_30():
-    # one single-reveal batch of (J, J) times per history row, never one
-    # batch of every draw, which would hold J * J * 256 floats (63 MB)
-    wl = seeded_routing(30)
-    wl.marginal_utilities()
-    tracemalloc.start()
-    try:
-        wl.expected_marginal_utilities(256, np.random.default_rng(0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20, peak
-
-
-def test_routing_workload_solves_its_base_path_once(monkeypatch):
-    wl = RoutingWorkload(RoutingParams(num_nodes=10), seed=3)
-    calls = []
-    solve = decision.solve_routing
-
-    def counting(instance, times):
-        calls.append(np.array(times))
-        return solve(instance, times)
-
-    monkeypatch.setattr(decision, "solve_routing", counting)
-    wl.ingest([0])  # the base stays all tau_hi whatever has been revealed
-    deltas = wl.marginal_utilities()
-    # one base solve, then every ED's single-reveal row in one batch
-    assert [c.shape for c in calls] == [(wl.num_eds,), (wl.num_eds, wl.num_eds)]
-    np.testing.assert_array_equal(calls[0], wl.network.hi)
-    assert wl.marginal_utilities().tolist() == deltas.tolist()
-    # the first expected call solves the history's gain table, one
-    # single-reveal batch per history row; a second call solves nothing
-    wl.expected_marginal_utilities(3, np.random.default_rng(0))
-    wl.expected_marginal_utilities(5, np.random.default_rng(1))
-    wl.joint_gain([0, 1])
-    assert [c.shape for c in calls[2:]] == (
-        [(wl.num_eds, wl.num_eds)] * (1 + len(wl.history)) + [(wl.num_eds,)]
-    )
-    # each delta is the per-ED re-solve of base and revealed paths
-    args = (wl.roads, wl.source, wl.destination)
-    for j, road in enumerate(sorted(wl.roads)):
-        assert deltas[j] == routing_marginal_utility(*args, road, float(wl.true_tau[j]))
+    # draws must take as the per-ED mean does; the draws run over ED 0's
+    # samples, then ED 1's, and so on
+    workload = seeded_dr(scale)
+    sampled = workload.expected_marginal_utilities(num_samples, np.random.default_rng(num_samples))
+    gains = workload.history_gains()
+    assert gains.shape == (workload.num_eds, len(workload.history))
+    draws = np.random.default_rng(num_samples).integers(
+        0, len(workload.history), size=(workload.num_eds, num_samples))
+    assert sampled.tolist() == [np.mean(gains[j, row]) for j, row in enumerate(draws)]
 
 
 def test_import_needs_no_package_beyond_numpy_and_yaml():
-    # routing's graph library was the one other runtime dependency
     code = (
         "import sys, numpy, yaml; before = set(sys.modules); import goalrba; "
         "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
@@ -957,13 +725,3 @@ def test_import_needs_no_package_beyond_numpy_and_yaml():
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "['goalrba']"
-
-
-def test_routing_workload_rounds_are_consistent():
-    wl = RoutingWorkload(RoutingParams(num_nodes=10), seed=3)
-    wl.begin_round(0)
-    before = wl.goal_value()
-    deltas = wl.marginal_utilities()
-    assert all(d >= -1e-12 for d in deltas)
-    wl.ingest([0, 1])
-    assert wl.goal_value() <= before + 1e-9

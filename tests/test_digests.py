@@ -89,22 +89,6 @@ CASES = {
         "97e0d140bc239187812764521c97d1ddf11311f880ececaaca73167598d9d0be",
         "b53122af7d6475954c54ed8dad386ebc16004f06e1d3833d71c9c781c42dfcaa",
     )),
-    "routing": ("routing.yaml", [], (
-        "e1cb114c313961751f343d545205f5267a141cce7a944b479cefe2e73d800415",
-        "f8da8f4d13263e8ec4dae1dcacb8507c4d070909961035e713cf1a99fcd9a71e",
-        "f1097eec0a1065c97bbfcf346a22b3716ba0513c339e45d7adb1ebc65bab3ed2",
-        "cfa6c62b386d58574009298641e0e61bb7bd4b7bd394412c245ab66a540c16f7",
-    )),
-    "routing_expected": (
-        "routing.yaml",
-        ["utility_mode=expected", "utility_samples=16"],
-        (
-            "e1cb114c313961751f343d545205f5267a141cce7a944b479cefe2e73d800415",
-            "7a679444d388dbd262afd298347cf74e2f4d1d13443202de40da0c07537a44db",
-            "4566e151efa73339608972bf7045521f234ce2557a821c4842ac29fbf3bd28e6",
-            "cfa6c62b386d58574009298641e0e61bb7bd4b7bd394412c245ab66a540c16f7",
-        ),
-    ),
 }
 
 

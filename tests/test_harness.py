@@ -15,7 +15,7 @@ import yaml
 from goalrba import harness
 from goalrba.cli import main
 from goalrba.admm import AdmmParams
-from goalrba.decision import DrParams, RoutingParams, RoutingWorkload
+from goalrba.decision import DemandResponseWorkload, DrParams
 from goalrba.harness import (
     CSV_HEADER,
     POLICIES,
@@ -114,18 +114,18 @@ def test_empty_metrics_emit_header_only(tmp_path):
     assert path.read_text() == CSV_HEADER + "\n"
 
 
-class NumpyGoalRouting(RoutingWorkload):
-    """Routing whose goal value is a numpy float, which a `-> float` allows."""
+class NumpyGoalDr(DemandResponseWorkload):
+    """Demand response whose goal value is a numpy float, which a `-> float` allows."""
 
     def goal_value(self):
         return np.float64(super().goal_value())
 
 
 def test_the_csvs_write_numpy_floats_as_plain_floats(tmp_path, monkeypatch):
-    cfg = ScenarioConfig(workload="routing", rounds=3, seed=2)
+    cfg = small_config()
     for name in ("plain", "numpy"):
         if name == "numpy":
-            monkeypatch.setitem(WORKLOADS, "routing", (RoutingParams, NumpyGoalRouting))
+            monkeypatch.setitem(WORKLOADS, "demand_response", (DrParams, NumpyGoalDr))
         rows = run_scenario(cfg)
         assert {type(m.goal_value) for m in rows} == {np.float64 if name == "numpy" else float}
         run_compare(cfg, tmp_path / name)
@@ -300,24 +300,25 @@ def test_a_loaded_config_holds_each_block_as_its_dataclass():
 
 
 def test_the_workload_and_replace_share_the_built_params():
-    cfg = load_config(CONFIGS / "routing.yaml")
+    cfg = load_config(CONFIGS / "demand_response.yaml")
     assert build_workload(cfg).params is cfg.params
     moved = dataclasses.replace(cfg, seed=4)
     assert moved.params is cfg.params and moved.channel is cfg.channel
 
 
 def test_a_config_built_in_python_takes_a_block_as_a_mapping_or_none():
-    cfg = ScenarioConfig(workload="routing", channel={"capacity": 3})
+    cfg = ScenarioConfig(workload="demand_response", channel={"capacity": 3})
     assert cfg.channel == ChannelConfig(capacity=3)
-    assert cfg.params == RoutingParams()
-    assert ScenarioConfig(workload="routing", channel=None) == ScenarioConfig(workload="routing")
+    assert cfg.params == DrParams()
+    assert (ScenarioConfig(workload="demand_response", channel=None)
+            == ScenarioConfig(workload="demand_response"))
 
 
 def test_another_workloads_params_name_the_params_block():
     with pytest.raises(ConfigError, match="^params block must be a mapping, got AdmmParams"):
-        ScenarioConfig(workload="routing", params=AdmmParams())
-    with pytest.raises(ConfigError, match="^channel block must be a mapping, got RoutingParams"):
-        ScenarioConfig(workload="routing", channel=RoutingParams())
+        ScenarioConfig(workload="demand_response", params=AdmmParams())
+    with pytest.raises(ConfigError, match="^channel block must be a mapping, got DrParams"):
+        ScenarioConfig(workload="demand_response", channel=DrParams())
 
 
 def test_round_failures_carry_round_context():
@@ -421,13 +422,13 @@ def test_an_override_reads_its_value_as_a_config_does(preset, text, value):
 @pytest.mark.parametrize("text", ["rounds", "=3", "params..lr=1", "params.=1", "rounds=[1"])
 def test_a_malformed_override_is_a_config_error(text):
     with pytest.raises(ConfigError, match=re.escape(repr(text))):
-        load_config(CONFIGS / "routing.yaml", [text])
+        load_config(CONFIGS / "demand_response.yaml", [text])
 
 
 @pytest.mark.parametrize("make, message", [
     (lambda path: None, "config file not found: {}"),
     (Path.mkdir, "cannot read config file {}: [Errno 21] Is a directory"),
-    (lambda path: path.write_bytes(b"workload: routing\n# \xff\n"),
+    (lambda path: path.write_bytes(b"workload: demand_response\n# \xff\n"),
      "cannot read config file {}: 'utf-8' codec can't decode byte 0xff"),
 ], ids=["missing", "directory", "undecodable"])
 def test_a_config_that_cannot_be_read_as_text_exits_1_naming_it(tmp_path, capsys, make, message):
@@ -540,10 +541,10 @@ def test_a_config_reads_an_unsigned_exponent_as_a_float(tmp_path):
 
 
 @pytest.mark.parametrize("text, key, line", [
-    ("workload: routing\nrounds: 2\nrounds: 3\n", "rounds", 3),
-    ("workload: routing\nchannel:\n  capacity: 5\n  capacity: 6\n", "capacity", 4),
-    ("workload: routing\nparams:\n  num_nodes: 5\n  edge_prob: 0.5\n  num_nodes: 6\n",
-     "num_nodes", 5),
+    ("workload: demand_response\nrounds: 2\nrounds: 3\n", "rounds", 3),
+    ("workload: demand_response\nchannel:\n  capacity: 5\n  capacity: 6\n", "capacity", 4),
+    ("workload: demand_response\nparams:\n  num_eds: 5\n  pi_min: 1.0\n  num_eds: 6\n",
+     "num_eds", 5),
 ], ids=["top", "channel", "params"])
 def test_a_key_written_twice_exits_1_naming_it(tmp_path, capsys, text, key, line):
     path = tmp_path / "cfg.yaml"
@@ -555,8 +556,8 @@ def test_a_key_written_twice_exits_1_naming_it(tmp_path, capsys, text, key, line
 
 
 def test_an_override_value_with_a_key_written_twice_is_a_config_error():
-    with pytest.raises(ConfigError, match="^duplicate key 'num_nodes' on line 1$"):
-        load_config(CONFIGS / "routing.yaml", ["params={num_nodes: 5, num_nodes: 6}"])
+    with pytest.raises(ConfigError, match="^duplicate key 'num_eds' on line 1$"):
+        load_config(CONFIGS / "demand_response.yaml", ["params={num_eds: 5, num_eds: 6}"])
 
 
 @pytest.mark.parametrize("base", LOADER_BASES)
@@ -579,8 +580,8 @@ def test_the_readme_payload_example_exits_2_naming_r_min(tmp_path, capsys):
     assert "beyond an int64 count" in err
 
 
-# a key of each block of a routing config, for a dotted override into it
-BLOCK_KEYS = {"channel": "capacity", "params": "num_nodes"}
+# a key of each block of a demand-response config, for a dotted override into it
+BLOCK_KEYS = {"channel": "capacity", "params": "num_eds"}
 
 
 @pytest.mark.parametrize("block", ["channel", "params"])
@@ -589,7 +590,7 @@ BLOCK_KEYS = {"channel": "capacity", "params": "num_nodes"}
 def test_a_block_that_is_not_a_mapping_exits_1_naming_it(tmp_path, capsys, block, value,
                                                         override):
     path = tmp_path / "cfg.yaml"
-    path.write_text(f"workload: routing\n{block}: {value}\n")
+    path.write_text(f"workload: demand_response\n{block}: {value}\n")
     sets = [f"{block}.{BLOCK_KEYS[block]}=5"] if override else []
     with pytest.raises(ConfigError, match=f"^{block} block must be a mapping, got "):
         load_config(path, sets)
@@ -602,7 +603,7 @@ def test_a_block_that_is_not_a_mapping_exits_1_naming_it(tmp_path, capsys, block
 def test_preset_digests_rejects_an_override_into_a_block_that_is_not_a_mapping(
         tmp_path, block, value):
     path = tmp_path / "cfg.yaml"
-    path.write_text(f"workload: routing\n{block}: {value}\n")
+    path.write_text(f"workload: demand_response\n{block}: {value}\n")
     script = CONFIGS.parent / "scripts" / "preset_digests.py"
     res = subprocess.run(
         [sys.executable, str(script), str(path), "--set", f"{block}.{BLOCK_KEYS[block]}=5"],
@@ -618,12 +619,13 @@ def test_preset_digests_rejects_an_override_into_a_block_that_is_not_a_mapping(
 @pytest.mark.parametrize("override", [False, True], ids=["defaults", "override"])
 def test_a_missing_or_null_block_means_its_defaults(tmp_path, block, line, override):
     path = tmp_path / "cfg.yaml"
-    path.write_text("workload: routing\n" + ("" if line is None else line.format(block) + "\n"))
+    path.write_text("workload: demand_response\n"
+                    + ("" if line is None else line.format(block) + "\n"))
     # an override into the block gives the block with that one key
     values = {BLOCK_KEYS[block]: 5} if override else {}
     config = load_config(path, [f"{block}.{key}={v}" for key, v in values.items()])
     assert config.channel == ChannelConfig(**(values if block == "channel" else {}))
-    assert config.params == RoutingParams(**(values if block == "params" else {}))
+    assert config.params == DrParams(**(values if block == "params" else {}))
 
 
 # Hand-picked bad values: cross-field rules, and single values listed before
@@ -642,7 +644,7 @@ def test_a_missing_or_null_block_means_its_defaults(tmp_path, block, line, overr
     ("payload_bits", -1.0, "params"),
     ("history_len", 0, "params"),
     # A workload name as the block: the key goes in that workload's params.
-    ("payload_bits", -1.0, "routing"),
+    ("payload_bits", -1.0, "demand_response"),
     ("bits_per_sample", -1.0, "edge_learning"),
     ("bits_per_weight", -1.0, "federated"),
     ("bits_per_entry", -1.0, "admm"),
@@ -663,19 +665,13 @@ def test_a_missing_or_null_block_means_its_defaults(tmp_path, block, line, overr
     ("cost_range", [5.0, 1.0], "params"),
     ("cost_range", 5.0, "params"),
     ("xi_max_range", [30.0, 1.0], "params"),
+    ("xi_max_range", [1.0], "params"),
     ("xi_max_range", ["a", 1.0], "params"),
     # hi - lo is -0.0, which Generator.uniform rejects though 0.0 <= -0.0
     ("xi_max_range", [0.0, -0.0], "params"),
     ("cost_range", [0.0, -0.0], "params"),
     ("xi_lo", -1.0, "params"),
     ("pi_min", -5.0, "params"),
-    ("tau_range", [-1.0, 10.0], "routing"),
-    ("tau_range", [10.0, 1.0], "routing"),
-    ("tau_range", [1.0], "routing"),
-    ("tau_range", [0.0, -0.0], "routing"),
-    ("edge_prob", 1.5, "routing"),
-    ("edge_prob", -0.1, "routing"),
-    ("history_len", 0, "routing"),
     ("sparsity", 1.5, "admm"),
     ("sparsity", -0.5, "admm"),
     ("solver_tol", 0.0, "admm"),
@@ -857,10 +853,8 @@ def test_numpy_scalars_pass_the_field_check():
     (FederatedParams, {"lr": 5.0}, "lr"),
     (DrParams, {"cost_range": (5.0, 1.0)}, "cost_range"),
     (DrParams, {"xi_max_range": (30.0, 1.0)}, "xi_max_range"),
-    (RoutingParams, {"tau_range": (10.0, 1.0)}, "tau_range"),
     (DrParams, {"xi_max_range": (0.0, -0.0)}, "xi_max_range"),
     (DrParams, {"cost_range": (0.0, -0.0)}, "cost_range"),
-    (RoutingParams, {"tau_range": (0.0, -0.0)}, "tau_range"),
     (EdgeLearningParams, {"concentrated_classes": (3, 3)}, "concentrated_classes"),
     (EdgeLearningParams, {"concentrated_classes": (6, 10)}, "concentrated_classes"),
     (FederatedParams, {"num_eds": 1}, "concentrated_classes"),
@@ -893,16 +887,16 @@ def test_the_scan_finds_an_undeclared_range():
 
 def test_every_numeric_config_field_declares_its_range():
     classes = [cls for cls, _ in CONFIG_BLOCKS]
-    assert len(classes) == 7
+    assert len(classes) == 6
     assert undeclared_ranges(classes) == []
 
 
 def test_a_config_is_frozen_so_its_field_check_holds_for_its_life():
-    cfg = ScenarioConfig(workload="routing")
+    cfg = ScenarioConfig(workload="demand_response")
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.rounds = 2.5
     for cls, _ in CONFIG_BLOCKS:
-        config = cls(**({"workload": "routing"} if cls is ScenarioConfig else {}))
+        config = cls(**({"workload": "demand_response"} if cls is ScenarioConfig else {}))
         name = dataclasses.fields(cls)[0].name
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(config, name, getattr(config, name))
@@ -1052,11 +1046,12 @@ def test_preset_digests_imports_its_own_checkout(tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     script = CONFIGS.parent / "scripts" / "preset_digests.py"
     res = subprocess.run(
-        [sys.executable, str(script), str(CONFIGS / "routing.yaml")],
+        [sys.executable, str(script), str(CONFIGS / "demand_response.yaml"), "--set", "rounds=2"],
         capture_output=True, text=True, cwd=tmp_path, env=env,
     )
     assert res.returncode == 0, res.stderr
     lines = [line.split() for line in res.stdout.splitlines()]
     assert [name for _, name, _ in lines] == [
         "channel.csv", "hybrid.csv", "summary.csv", "utility.csv"]
-    assert all(config == "routing.yaml" and len(digest) == 64 for config, _, digest in lines)
+    assert all(config == "demand_response.yaml" and len(digest) == 64
+               for config, _, digest in lines)

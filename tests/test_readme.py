@@ -188,13 +188,15 @@ def test_the_ci_entry_point_commands_parse_and_load_their_configs(tmp_path, pres
     programs = [argv[:2] for _, argv in commands(block)]
     assert {program for program, _ in programs} == {"goalrba"}
     assert {command for _, command in programs} == {"run", "compare", "claims", "verify"}
-    # routing's reveal solve runs in both utility modes, and demand
-    # response's gain table in expected mode
-    expected = ["--set", "rounds=2", "--set", "utility_mode=expected", "--set", "utility_samples=4"]
-    assert [argv[2:] for _, argv in commands(block) if argv[1] == "compare"] == [
-        ["--config", "configs/routing.yaml", "--set", "rounds=2", "--out", f"{tmp_path}/cmp"],
-        ["--config", "configs/routing.yaml", *expected, "--out", f"{tmp_path}/exp"],
-        ["--config", "configs/demand_response.yaml", *expected, "--out", f"{tmp_path}/dr_exp"]]
+    # demand response runs once, and compares in both utility modes, the
+    # expected one through its gain table
+    small = ["--config", "configs/demand_response.yaml", "--set", "rounds=2",
+             "--set", "params.num_eds=50"]
+    expected = ["--set", "utility_mode=expected", "--set", "utility_samples=4"]
+    assert [argv[1:] for _, argv in commands(block) if argv[1] in ("run", "compare")] == [
+        ["run", *small, "--out", f"{tmp_path}/r.csv"],
+        ["compare", *small, "--out", f"{tmp_path}/cmp"],
+        ["compare", *small, *expected, "--out", f"{tmp_path}/exp"]]
     assert readme_problems(block, preset_digests) == []
     # a bad override in a copy of the step fails the check
     bad = step["run"].replace("--set rounds=2", "--set rounds=abc", 1)

@@ -6,13 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from goalrba.allocator import make_reports
 from goalrba.channel import rb_bits, rb_demand
-from goalrba.decision import (
-    DemandResponseWorkload,
-    DrParams,
-    RoutingParams,
-    RoutingWorkload,
-    solve_routing,
-)
+from goalrba.decision import DemandResponseWorkload, DrParams, solve_dr
 from goalrba.harness import ChannelConfig
 from goalrba.workload import Workload, collect_reports, submodular_bound_check
 
@@ -123,7 +117,7 @@ def test_collect_reports_of_reachable_eds_equals_the_gathering_reference(eds):
 
 
 def test_expected_mode_is_deterministic_given_seed():
-    wl = RoutingWorkload(RoutingParams(num_nodes=8), seed=2)
+    wl = DemandResponseWorkload(DrParams(num_eds=8, pi_min=3.0), seed=2)
     a = wl.expected_marginal_utilities(64, np.random.default_rng(11))
     b = wl.expected_marginal_utilities(64, np.random.default_rng(11))
     assert a.tobytes() == b.tobytes()
@@ -133,16 +127,17 @@ def test_expected_mode_is_deterministic_given_seed():
 
 def test_expected_marginal_utility_converges_to_the_mean():
     # the Monte Carlo mean of one ED tends to the mean, over history rows,
-    # of its road revealed alone at that row's time
-    wl = RoutingWorkload(RoutingParams(num_nodes=6, history_len=32), seed=4)
-    hi = wl.network.hi
-    base = solve_routing(wl.network, hi)
-    rows = np.tile(hi, (len(wl.history), 1))
+    # of its load revealed alone at that row's value
+    wl = DemandResponseWorkload(DrParams(num_eds=6, history_len=32, pi_min=3.0), seed=4)
+    base = solve_dr(wl.market)[0]
     deltas = []
     for j in range(wl.num_eds):
-        rows[:, j] = wl.history[:, j]
-        deltas.append(np.maximum(base - solve_routing(wl.network, rows), 0.0))
-        rows[:, j] = hi[j]
+        cap = wl.xi_lo.copy()
+        gains = []
+        for value in wl.history.initial[:, j]:
+            cap[j] = value
+            gains.append(max(base - solve_dr(wl.market, cap)[0], 0.0))
+        deltas.append(np.array(gains))
     j = int(np.argmax([d.std() for d in deltas]))
     assert deltas[j].std() > 0
     est = wl.expected_marginal_utilities(4000, np.random.default_rng(3))
@@ -153,10 +148,22 @@ def test_expected_marginal_utility_converges_to_the_mean():
             assert est[k] == d[0]
 
 
+class FixedHistoryWorkload(StubWorkload):
+    """A stub that hands out the same read-only gain table on every call."""
+
+    def __init__(self, table):
+        super().__init__(deltas=[0.0] * len(table), payloads=[1.0] * len(table))
+        self.table = np.array(table, dtype=float)
+        self.table.flags.writeable = False
+
+    def history_gains(self):
+        return self.table
+
+
 HISTORY_WORKLOADS = pytest.mark.parametrize("make", [
     lambda: DemandResponseWorkload(DrParams(num_eds=6, pi_min=3.0), seed=0),
-    lambda: RoutingWorkload(RoutingParams(num_nodes=5), seed=0),
-], ids=["demand_response", "routing"])
+    lambda: FixedHistoryWorkload([[0.0, 1.0, 2.0], [3.0, 0.5, 0.0]]),
+], ids=["demand_response", "fixed_table"])
 
 
 @HISTORY_WORKLOADS
