@@ -717,6 +717,58 @@ def test_expected_estimate_is_each_eds_mean_of_its_table_draws(scale, num_sample
     assert sampled.tolist() == [np.mean(gains[j, row]) for j, row in enumerate(draws)]
 
 
+@pytest.mark.parametrize("scale", [2, 5, 12, 30])
+def test_the_gain_table_is_the_per_ed_re_solve_of_each_history_row(scale):
+    # the replayed columns too: each is the reference's bits at its row,
+    # and within 1e-9 of re-solving the market with that ED alone revealed
+    wl = seeded_dr(scale)
+    assert_same_bits(wl.marginal_utilities(),
+                     reference_dr_marginal_utilities(wl.market, wl.true_xi))
+    table, rows = wl.history_gains(), history_rows(wl.history)
+    assert table.shape == (wl.num_eds, len(rows)) == (10 * scale, 5 + 2)
+    for column, row in zip(table.T, rows):
+        assert_same_bits(column, reference_dr_marginal_utilities(wl.market, row))
+        assert column.tolist() == pytest.approx(
+            [dr_marginal_utility(wl.market, j, v) for j, v in enumerate(row)], abs=1e-9)
+
+
+SUBSETS = {"none": [], "first": [0], "last": [39], "every_third": list(range(0, 40, 3)),
+           "all": list(range(40))}
+
+
+@pytest.mark.parametrize("subset", list(SUBSETS.values()), ids=list(SUBSETS))
+def test_joint_gain_is_the_goal_drop_of_ingesting_the_subset_without_ingesting(subset):
+    wl = DemandResponseWorkload(DrParams(num_eds=40, pi_min=30.0), seed=5)
+    wl.begin_round(1)
+    before, deltas = wl.goal_value(), wl.marginal_utilities()
+    gain = wl.joint_gain(subset)
+    # nothing was revealed: goal, gains and history are as they were
+    assert wl.goal_value() == before
+    assert_same_bits(wl.marginal_utilities(), deltas)
+    assert len(wl.history) == 64
+    if len(subset) == 1:
+        assert gain == pytest.approx(deltas[subset[0]], abs=1e-9)
+    wl.ingest(subset)
+    assert gain == before - wl.goal_value() >= -1e-9
+
+
+@pytest.mark.parametrize("field", ["cost_range", "xi_max_range"])
+@pytest.mark.parametrize("span", [(1.0, 1.0), (0.0, 0.0), (-0.0, 0.0), (-0.0, -0.0)],
+                         ids=["ones", "zeros", "minus_zero_to_zero", "minus_zeros"])
+def test_a_range_whose_span_is_plus_zero_builds_and_draws(field, span):
+    # hi - lo is +0.0 for each, so Generator.uniform takes it; only a span
+    # of -0.0 or less is refused
+    params = DrParams(**{field: span})
+    assert not np.signbit(span[1] - span[0])
+    wl = DemandResponseWorkload(params, seed=1)
+    wl.begin_round(1)
+    if field == "cost_range":
+        np.testing.assert_array_equal(wl.costs, span[0])
+    else:  # xi_max is raised to xi_lo
+        np.testing.assert_array_equal(wl.xi_max, max(span[0], params.xi_lo))
+    assert np.isfinite(wl.marginal_utilities()).all()
+
+
 def test_import_needs_no_package_beyond_numpy_and_yaml():
     code = (
         "import sys, numpy, yaml; before = set(sys.modules); import goalrba; "

@@ -214,6 +214,44 @@ def test_presets_load_and_run(preset, tmp_path):
     assert (tmp_path / "built.csv").read_bytes() == (tmp_path / "handed.csv").read_bytes()
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("preset, mode", [
+    *((p.stem, "exact") for p in sorted(CONFIGS.glob("*.yaml"))),
+    ("demand_response", "expected"),
+])
+def test_every_policy_hands_the_workload_an_ascending_selection_that_fits(
+        monkeypatch, preset, mode, policy):
+    cfg = dataclasses.replace(load_config(CONFIGS / f"{preset}.yaml"), rounds=3,
+                              policy=policy, utility_mode=mode, utility_samples=16)
+    allocations = []
+    allocate = harness._allocate
+
+    def recording(policy, gains, reports, capacity):
+        allocation = allocate(policy, gains, reports, capacity)
+        allocations.append((reports, allocation))
+        return allocation
+
+    monkeypatch.setattr(harness, "_allocate", recording)
+    wl, ingested = build_workload(cfg), []
+    ingest = wl.ingest
+
+    def recording_ingest(selected):
+        ingested.append(selected)
+        ingest(selected)
+
+    wl.ingest = recording_ingest
+    rows = run_scenario(cfg, workload=wl)
+    assert len(rows) == len(allocations) == len(ingested) == 3
+    for (reports, allocation), selected in zip(allocations, ingested):
+        assert selected is allocation.selected and selected.dtype == np.int64
+        assert np.all(np.diff(selected) > 0)
+        # every selected ED reported, and their RB demands fit the channel
+        taken = np.isin(reports.ed_id, selected)
+        assert taken.sum() == len(selected)
+        assert allocation.capacity_used == reports.w[taken].sum() <= cfg.channel.capacity
+    assert any(len(selected) for selected in ingested)
+
+
 def test_expected_mode_runs_and_stays_deterministic():
     cfg = small_config(utility_mode="expected", utility_samples=16)
     a = run_scenario(cfg)
@@ -444,6 +482,26 @@ def test_cli_exit_code_1_on_config_error(tmp_path):
     res = cli("run", "--config", str(path), "--out", str(tmp_path / "o.csv"))
     assert res.returncode == 1
     assert "config error" in res.stderr
+
+
+@pytest.mark.parametrize("command, source", [
+    ("run", "file"), ("compare", "file"), ("run", "override"), ("compare", "override"),
+    ("claims", "override"),
+])
+def test_a_config_naming_the_removed_routing_workload_exits_1(tmp_path, capsys, command,
+                                                               source):
+    if source == "file":
+        path, sets = tmp_path / "routing.yaml", []
+        path.write_text("workload: routing\n")
+    else:
+        path, sets = CONFIGS / "demand_response.yaml", ["--set", "workload=routing"]
+    argv = [command, "--config", str(path), *sets]
+    code = main(argv if command == "claims" else [*argv, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert ("config error: unknown workload 'routing'; expected one of "
+            "['admm', 'demand_response', 'edge_learning', 'federated']") in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text, line", [

@@ -1,5 +1,7 @@
 """Workload contract plumbing: report collection and the diminishing-returns check."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from goalrba.allocator import make_reports
 from goalrba.channel import rb_bits, rb_demand
 from goalrba.decision import DemandResponseWorkload, DrParams, solve_dr
-from goalrba.harness import ChannelConfig
+from goalrba.harness import ChannelConfig, build_workload, load_config
 from goalrba.workload import Workload, collect_reports, submodular_bound_check
 
 
@@ -181,6 +183,81 @@ def test_history_gains_are_read_only(make):
         table[0, 0] = 1.0
     workload.expected_marginal_utilities(8, np.random.default_rng(0))
     assert workload.history_gains().tobytes() == kept.tobytes()
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+PRESETS = pytest.mark.parametrize("preset", sorted(p.stem for p in CONFIGS.glob("*.yaml")))
+
+
+def preset_workload(preset):
+    """The preset's workload, seeded as its runs seed it."""
+    return build_workload(load_config(CONFIGS / f"{preset}.yaml"))
+
+
+def play_rounds(workload, rounds=3, as_list=False):
+    """Play rounds of two reveals each; return each round's gains, payloads
+    and goals before and after its ingest, as bytes and floats."""
+    rng = np.random.default_rng(0)
+    played = []
+    for k in range(rounds):
+        workload.begin_round(k)
+        deltas, payloads, before = (workload.marginal_utilities(), workload.payload_bits(),
+                                    workload.goal_value())
+        selected = np.sort(rng.choice(workload.num_eds, size=2, replace=False))
+        workload.ingest(selected.tolist() if as_list else selected)
+        played.append((deltas.tobytes(), payloads.tobytes(), before, workload.goal_value()))
+    return played
+
+
+@pytest.mark.parametrize("method", ["marginal_utilities", "payload_bits"])
+@PRESETS
+def test_per_ed_arrays_are_fresh_float_arrays_of_length_num_eds(preset, method):
+    workload = preset_workload(preset)
+    workload.ingest([0, 1])
+    first = getattr(workload, method)()
+    assert first.dtype == np.float64 and first.shape == (workload.num_eds,)
+    kept = first.copy()
+    first[:] = -7.0  # the caller may modify what it was handed
+    assert getattr(workload, method)().tobytes() == kept.tobytes()
+
+
+def test_expected_marginals_are_a_fresh_float_array_of_length_num_eds():
+    workload = preset_workload("demand_response")
+    first = workload.expected_marginal_utilities(8, np.random.default_rng(0))
+    assert first.dtype == np.float64 and first.shape == (workload.num_eds,)
+    kept = first.copy()
+    first[:] = -7.0
+    again = workload.expected_marginal_utilities(8, np.random.default_rng(0))
+    assert again.tobytes() == kept.tobytes()
+
+
+@PRESETS
+def test_asking_for_the_gains_leaves_the_workload_as_it_was(preset):
+    # marginal_utilities is side-effect free: a workload asked for its gains
+    # before every ingest plays the same rounds as one asked once a round
+    asked, once = preset_workload(preset), preset_workload(preset)
+    original = asked.marginal_utilities
+
+    def twice():
+        original()
+        assert asked.goal_value() == asked.goal_value()
+        return original()
+
+    asked.marginal_utilities = twice
+    assert play_rounds(asked) == play_rounds(once)
+
+
+@PRESETS
+def test_a_workload_replays_its_rounds_given_its_seed(preset):
+    first, second = play_rounds(preset_workload(preset)), play_rounds(preset_workload(preset))
+    assert first == second
+    assert len({deltas for deltas, *_ in first}) == 3  # each round's gains are its own
+
+
+@PRESETS
+def test_ingest_takes_the_selection_as_an_array_or_a_list_alike(preset):
+    assert (play_rounds(preset_workload(preset), as_list=True)
+            == play_rounds(preset_workload(preset)))
 
 
 def test_throughput_default_counts_selected():
