@@ -297,16 +297,17 @@ class DemandResponseWorkload(Workload):
     """Emergency demand response: each round is a fresh shedding scenario.
 
     The market (costs, per-ED maximum reductions, pi_min) is fixed at
-    construction; real-time reducible loads are redrawn each round. Each
-    round's capacities start at xi_lo and a reveal writes the ED's true load
-    in. The market's dispatch tables and base cost (the goal before any
-    reveal), and in expected mode one gain column per history row, are built
-    on first use and reused, since none of them changes between rounds.
-    history (a DrHistory) holds the past load rows: the initial block, and
-    for each revealing round only the revealed ids and loads, so a round
-    adds O(selected) entries, not a J-length row. history_gains is the only
-    reader of the rows: it replays the reveals on one row of its own, each
-    reveal once, in order, and the base Workload draws from its table.
+    construction; each begin_round() draws fresh real-time reducible loads,
+    and a build draws none. Each round's capacities start at xi_lo and a
+    reveal writes the ED's true load in. The market's dispatch tables and
+    base cost (the goal before any reveal), and in expected mode one gain
+    column per history row, are built on first use and reused, since none of
+    them changes between rounds. history (a DrHistory) holds the past load
+    rows: the initial block, and for each revealing round only the revealed
+    ids and loads, so a round adds O(selected) entries, not a J-length row.
+    history_gains is the only reader of the rows: it replays the reveals on
+    one row of its own, each reveal once, in order, and the base Workload
+    draws from its table.
     """
 
     def __init__(self, params: DrParams, seed):
@@ -325,10 +326,12 @@ class DemandResponseWorkload(Workload):
         # Rows are only ever appended. The initial block is skipped here
         # and drawn on first read: Generator.random takes one 64-bit output
         # per double, so advancing by its entry count leaves the stream
-        # where drawing it would.
+        # where drawing it would. The advance also skips one row of J loads,
+        # which every recorded run drew and discarded at build, so the
+        # first begin_round() draws the loads those runs' round 0 drew.
         shape = (params.history_len, J)
         self.history = DrHistory(self._rng.bit_generator.state, shape, self._xi_span, self.xi_lo)
-        self._rng.bit_generator.advance(shape[0] * shape[1])
+        self._rng.bit_generator.advance(shape[0] * shape[1] + J)
         # dr_marginal_utilities of each history row cached so far, one
         # column per row, oldest first, in a (J, width) table that doubles
         # its width when full; and the replay row, the last of those rows,
@@ -336,9 +339,8 @@ class DemandResponseWorkload(Workload):
         self._gains = np.empty((J, 0))
         self._gain_count = 0
         self._replay: Optional[np.ndarray] = None
-        self.begin_round(0)
 
-    def begin_round(self, round_idx: int) -> None:
+    def begin_round(self) -> None:
         self.true_xi = _uniform_loads(self._rng, self.num_eds, self._xi_span, self.xi_lo)
         self.cap = self.xi_lo.copy()
         self._revealed = False
@@ -404,6 +406,7 @@ class DemandResponseWorkload(Workload):
         return np.full(self.num_eds, self.params.payload_bits)
 
     def joint_gain(self, subset: Sequence[int]) -> float:
+        """C(z_old) - C(z_old with the subset's loads revealed), without ingesting."""
         ids = np.fromiter(subset, dtype=np.intp)
         cap = self.xi_lo.copy()
         cap[ids] = self.true_xi[ids]

@@ -266,6 +266,8 @@ def run_scenario(
 ) -> List[RoundMetrics]:
     """Run the per-round loop and return one metrics row per round.
 
+    Each round begins with workload.begin_round(), which no workload calls
+    on itself, and any step of a round that fails raises RoundError naming it.
     A round's deltas are the workload's marginal_utilities, or with
     utility_mode "expected" its expected_marginal_utilities from the run's
     Monte Carlo stream.
@@ -283,9 +285,9 @@ def run_scenario(
     metrics: List[RoundMetrics] = []
     for k in range(config.rounds):
         started = time.perf_counter()
-        workload.begin_round(k)
-        gains = sample_gains(gains_rng, workload.num_eds)
         try:
+            workload.begin_round()
+            gains = sample_gains(gains_rng, workload.num_eds)
             if config.utility_mode == "exact":
                 deltas = workload.marginal_utilities()
             else:

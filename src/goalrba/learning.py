@@ -392,8 +392,9 @@ class FederatedWorkload(_LearningWorkload):
     """Gradient-norm client selection with partial aggregation per round.
 
     Each round's mini-batch gradients sit in one (J, P) matrix, one row per
-    client, allocated once; a workload asked for utilities or an ingest
-    before any round has begun computes round 0's first. A client left with
+    client, allocated once and NaN until begin_round() overwrites every row:
+    utilities or an ingest asked for before the first round fail loudly,
+    in make_reports or as a DivergenceError. A client left with
     no training samples is a ConfigError naming num_eds, at construction.
     """
 
@@ -421,10 +422,9 @@ class FederatedWorkload(_LearningWorkload):
                 ]
         self.counts = np.array([len(s) for s in self.shards], dtype=float)
         self._batch_rng = np.random.default_rng(batch_seed)
-        self.gradients = np.empty((self.num_eds, self.model.num_params))
-        self._have_gradients = False
+        self.gradients = np.full((self.num_eds, self.model.num_params), np.nan)
 
-    def begin_round(self, round_idx: int) -> None:
+    def begin_round(self) -> None:
         """Write each client's gradient on a batch drawn from its shard into its row."""
         batch_size = self.params.batch_size
         for shard, row in zip(self.shards, self.gradients):
@@ -433,25 +433,18 @@ class FederatedWorkload(_LearningWorkload):
                 rng = np.random.default_rng(seed)
                 shard = shard[rng.choice(len(shard), size=batch_size, replace=False)]
             gradient(self.model, self.X_train[shard], self.y_train[shard], out=row)
-        self._have_gradients = True
-
-    def _round_gradients(self) -> np.ndarray:
-        if not self._have_gradients:
-            self.begin_round(0)
-        return self.gradients
 
     def marginal_utilities(self) -> np.ndarray:
         """eta*(1 - kappa*eta/2)*||d_j g_j / d_total||^2 of each client j."""
-        scaled = (self.counts / self.counts.sum())[:, None] * self._round_gradients()
+        scaled = (self.counts / self.counts.sum())[:, None] * self.gradients
         eta, kappa = self.params.lr, self.params.kappa
         return eta * (1 - kappa * eta / 2) * np.array([np.dot(row, row) for row in scaled])
 
     def _train(self, selected: Sequence[int]) -> None:
         """Step by the sample-count-weighted mean of the selected clients' gradients."""
-        gradients = self._round_gradients()
         if len(selected):
             counts = self.counts[selected]
-            step = (counts[:, None] * gradients[selected]).sum(axis=0) / counts.sum()
+            step = (counts[:, None] * self.gradients[selected]).sum(axis=0) / counts.sum()
             self.model.params -= self.params.lr * step
 
     def payload_bits(self) -> np.ndarray:

@@ -77,7 +77,7 @@ def verify_submodularity() -> Tuple[bool, str]:
     for i in range(num_instances):
         params = DrParams(num_eds=num_eds, pi_min=num_eds * 0.66, history_len=8)
         workload = DemandResponseWorkload(params, seed=seed + i)
-        workload.begin_round(0)
+        workload.begin_round()
         for mask in range(1, 2**num_eds):
             subset = [j for j in range(num_eds) if mask >> j & 1]
             lhs, rhs, holds = submodular_bound_check(

@@ -112,6 +112,12 @@ def check_fields(config) -> None:
 class Workload(abc.ABC):
     """Pluggable CPS goal: produces per-ED gains, ingests data, reports C(z).
 
+    Lifecycle: build the workload; then, each round, run_scenario calls
+    begin_round(), the deltas (marginal_utilities or
+    expected_marginal_utilities), payload_bits, goal_value, throughput,
+    ingest and goal_value again. Nothing is valid before the first
+    begin_round(), and no workload calls it on itself.
+
     Per-ED quantities (marginal_utilities, expected_marginal_utilities,
     payload_bits) are float arrays of length num_eds indexed by ED id. Each
     call returns a fresh array that the caller may keep and modify. The
@@ -123,8 +129,8 @@ class Workload(abc.ABC):
 
     num_eds: int
 
-    def begin_round(self, round_idx: int) -> None:
-        """Advance to a new scheduling round (draw fresh data if applicable)."""
+    def begin_round(self) -> None:
+        """Start the next scheduling round (draw fresh data if applicable)."""
 
     @abc.abstractmethod
     def marginal_utilities(self) -> np.ndarray:
@@ -173,12 +179,6 @@ class Workload(abc.ABC):
         idx = rng.integers(0, table.shape[1], size=(self.num_eds, num_samples))
         return np.take_along_axis(table, idx, axis=1).mean(axis=1)
 
-    def joint_gain(self, subset: Sequence[int]) -> float:
-        """C(z_old) - C(z_old with the subset's data added), without ingesting."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support joint-gain evaluation"
-        )
-
 
 def collect_reports(workload: Workload, deltas: np.ndarray, gains, channel) -> Reports:
     """Pair each ED's delta with its RB demand; unreachable EDs are excluded.
@@ -212,9 +212,9 @@ def submodular_bound_check(
     """Check that the joint gain of a subset is bounded by its summed deltas.
 
     Returns (lhs, rhs, holds) where lhs re-solves the goal once with all
-    subset data added (joint_gain) and rhs sums singleton gains, so a
-    subset of any size costs one re-solve; verify_submodularity sizes its
-    enumeration.
+    subset data added (workload.joint_gain, which only
+    DemandResponseWorkload has) and rhs sums singleton gains, so a subset of
+    any size costs one re-solve; verify_submodularity sizes its enumeration.
     """
     subset = list(ed_subset)
     if not subset:

@@ -338,6 +338,7 @@ def test_head_takes_every_tie_at_its_last_key():
 def test_policies_match_the_list_reference_on_a_paper_scale_market():
     # demand response at J=15000: about 10,000 paid candidates for 1000 RBs
     wl = DemandResponseWorkload(DrParams(num_eds=15000), seed=3)
+    wl.begin_round()
     gains = sample_gains(np.random.default_rng(4), wl.num_eds)
     reports = collect_reports(wl, wl.marginal_utilities(), gains, ChannelConfig(capacity=1000))
     assert np.count_nonzero((reports.delta > 0) & (reports.w > 0)) > 5000

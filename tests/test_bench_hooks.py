@@ -89,6 +89,7 @@ def test_the_report_counter_reads_the_delta_of_each_record():
     # Tracer._count_reports iterates the reports and reads `r.delta`, so
     # collect_reports must hand back records with attribute access.
     wl = DemandResponseWorkload(DrParams(num_eds=40, pi_min=20.0), seed=5)
+    wl.begin_round()
     gains = np.linspace(0.0, 3.0, 40)
     gains[7] = 0.0
     reports = collect_reports(wl, wl.marginal_utilities(), gains, harness.ChannelConfig())

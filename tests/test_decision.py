@@ -361,7 +361,7 @@ def test_window_count_is_the_left_search_bit_for_bit(case):
 def test_dispatch_order_marginals_are_the_ed_order_ones_at_paper_scale():
     wl = DemandResponseWorkload(DrParams(num_eds=15000), seed=1)
     for k in range(20):
-        wl.begin_round(k)
+        wl.begin_round()
         fast = wl.marginal_utilities()
         assert_same_bits(fast, reference_dr_marginal_utilities(wl.market, wl.true_xi))
         assert np.count_nonzero(fast) > 5000
@@ -380,7 +380,7 @@ def test_revealing_a_load_never_hurts(seed):
 
 def test_workload_round_flow_and_prop_identity():
     wl = DemandResponseWorkload(DrParams(num_eds=40, pi_min=30.0), seed=9)
-    wl.begin_round(0)
+    wl.begin_round()
     before = wl.goal_value()
     deltas = wl.marginal_utilities()
     wl.ingest([3, 17])
@@ -393,10 +393,11 @@ def test_workload_round_flow_and_prop_identity():
 
 def test_workload_redraws_each_round():
     wl = DemandResponseWorkload(DrParams(num_eds=30, pi_min=20.0), seed=2)
+    wl.begin_round()
     first = np.array(wl.true_xi)
     wl.ingest([0])
     assert wl.cap[0] == first[0] and np.array_equal(wl.cap[1:], wl.xi_lo[1:])
-    wl.begin_round(1)
+    wl.begin_round()
     np.testing.assert_array_equal(wl.cap, wl.xi_lo)
     assert not np.array_equal(first, wl.true_xi)
 
@@ -423,18 +424,21 @@ def test_load_draws_are_generator_uniform_bit_for_bit(seed, num_eds, xi_lo, xi_m
     lo = np.full(num_eds, xi_lo)
     hi = np.maximum(rng.uniform(*params.xi_max_range, size=num_eds), xi_lo)
     block = rng.uniform(lo, hi, size=(history_len, num_eds))
-    assert_same_bits(wl.true_xi, rng.uniform(lo, hi, size=num_eds))
-    # the workload skipped the block, to the same generator state
+    rng.uniform(lo, hi, size=num_eds)  # the load row builds once drew and discarded
+    # the workload skipped the block and that row, to the same generator state
     assert "initial" not in vars(wl.history)
     assert len(wl.history) == history_len
     assert wl._rng.bit_generator.state == rng.bit_generator.state
     # drawn on first read, it is the eager block, and the stream stays put
     assert_same_bits(wl.history.initial, block)
     assert wl._rng.bit_generator.state == rng.bit_generator.state
+    # the first round draws the next row
+    wl.begin_round()
+    assert_same_bits(wl.true_xi, rng.uniform(lo, hi, size=num_eds))
     # and the draws that follow: one more history block, then one row
     assert_same_bits(decision._uniform_loads(wl._rng, (history_len, num_eds), wl._xi_span, lo),
                      rng.uniform(lo, hi, size=(history_len, num_eds)))
-    wl.begin_round(1)
+    wl.begin_round()
     assert_same_bits(wl.true_xi, rng.uniform(lo, hi, size=num_eds))
     assert wl._rng.bit_generator.state == rng.bit_generator.state
 
@@ -494,10 +498,10 @@ def test_the_initial_history_block_is_read_only():
 def test_history_rows_carry_unrevealed_eds_forward():
     wl = DemandResponseWorkload(DrParams(num_eds=6, pi_min=3.0, history_len=4), seed=3)
     initial = wl.history.initial
-    wl.begin_round(0)
+    wl.begin_round()
     first_xi = wl.true_xi.copy()
     wl.ingest([1, 4])
-    wl.begin_round(1)
+    wl.begin_round()
     second_xi = wl.true_xi.copy()
     wl.ingest([0, 2])
     history = history_rows(wl.history)
@@ -512,7 +516,7 @@ def test_history_rows_carry_unrevealed_eds_forward():
     np.testing.assert_array_equal(row2[[1, 4]], first_xi[[1, 4]])
     np.testing.assert_array_equal(row2[[3, 5]], initial[-1, [3, 5]])
     # a round that reveals nothing appends no row
-    wl.begin_round(2)
+    wl.begin_round()
     wl.ingest([])
     assert len(wl.history) == 6
 
@@ -536,7 +540,7 @@ def test_history_rows_equal_the_vstack_construction():
     rng = np.random.default_rng(0)
     rounds = []
     for k in range(8):
-        wl.begin_round(k)
+        wl.begin_round()
         selected = [] if k == 3 else sorted(rng.choice(9, size=int(rng.integers(1, 9)), replace=False))
         rounds.append((wl.true_xi.copy(), selected))
         wl.ingest(selected)
@@ -566,7 +570,7 @@ def test_expected_marginals_from_the_gain_table_equal_per_sample_re_solves():
     wl = DemandResponseWorkload(DrParams(num_eds=50, pi_min=30.0, history_len=2), seed=6)
     rng = np.random.default_rng(1)
     for k in range(24):
-        wl.begin_round(k)
+        wl.begin_round()
         fast = wl.expected_marginal_utilities(16, np.random.default_rng(k))
         slow = reference_expected_marginals(wl, 16, np.random.default_rng(k))
         np.testing.assert_array_equal(fast, slow)
@@ -584,8 +588,8 @@ def test_expected_marginals_do_not_depend_on_how_often_they_are_asked_for():
     rng = np.random.default_rng(2)
     rounds = []
     for k in range(15):
-        every.begin_round(k)
-        third.begin_round(k)
+        every.begin_round()
+        third.begin_round()
         asked = every.expected_marginal_utilities(8, np.random.default_rng(k))
         if k % 3 == 2:
             got = third.expected_marginal_utilities(8, np.random.default_rng(k))
@@ -609,19 +613,20 @@ def test_exact_rounds_grow_the_history_by_their_reveals_alone():
     rng = np.random.default_rng(0)
     selections = [np.sort(rng.choice(J, size=revealed, replace=False)) for _ in range(rounds)]
     # the market's caches are built before the count starts
+    wl.begin_round()
     wl.marginal_utilities()
     wl.goal_value()
     tracemalloc.start()
     try:
         # each round's loads and capacities replace the last round's; the
         # first ones are drawn under the trace, so the count sees them freed
-        wl.begin_round(0)
+        wl.begin_round()
         before = tracemalloc.get_traced_memory()[0]
         for k, selected in enumerate(selections):
             wl.marginal_utilities()
             wl.ingest(selected)
             wl.goal_value()
-            wl.begin_round(k + 1)
+            wl.begin_round()
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -671,7 +676,7 @@ def test_goal_before_a_reveal_is_the_base_cost_solved_once(monkeypatch):
     wl = DemandResponseWorkload(DrParams(num_eds=40, pi_min=30.0), seed=9)
     base = solve(wl.market, wl.xi_lo.copy())[0]
     for k in range(3):
-        wl.begin_round(k)
+        wl.begin_round()
         assert wl.goal_value() == base
         wl.ingest([])  # reveals nothing
         assert wl.goal_value() == base
@@ -695,9 +700,10 @@ def seeded_dr(scale):
     behind it, so its gain table holds replayed rows too."""
     wl = DemandResponseWorkload(
         DrParams(num_eds=10 * scale, pi_min=6.0 * scale, history_len=5), seed=scale)
+    wl.begin_round()
     for k in range(2):
         wl.ingest(np.arange(k, wl.num_eds, 3))
-        wl.begin_round(k + 1)
+        wl.begin_round()
     return wl
 
 
@@ -739,7 +745,7 @@ SUBSETS = {"none": [], "first": [0], "last": [39], "every_third": list(range(0, 
 @pytest.mark.parametrize("subset", list(SUBSETS.values()), ids=list(SUBSETS))
 def test_joint_gain_is_the_goal_drop_of_ingesting_the_subset_without_ingesting(subset):
     wl = DemandResponseWorkload(DrParams(num_eds=40, pi_min=30.0), seed=5)
-    wl.begin_round(1)
+    wl.begin_round()
     before, deltas = wl.goal_value(), wl.marginal_utilities()
     gain = wl.joint_gain(subset)
     # nothing was revealed: goal, gains and history are as they were
@@ -761,7 +767,7 @@ def test_a_range_whose_span_is_plus_zero_builds_and_draws(field, span):
     params = DrParams(**{field: span})
     assert not np.signbit(span[1] - span[0])
     wl = DemandResponseWorkload(params, seed=1)
-    wl.begin_round(1)
+    wl.begin_round()
     if field == "cost_range":
         np.testing.assert_array_equal(wl.costs, span[0])
     else:  # xi_max is raised to xi_lo
@@ -771,7 +777,7 @@ def test_a_range_whose_span_is_plus_zero_builds_and_draws(field, span):
 
 def test_import_needs_no_package_beyond_numpy_and_yaml():
     code = (
-        "import sys, numpy, yaml; before = set(sys.modules); import goalrba; "
+        "import sys, numpy, yaml; before = set(sys.modules); import goalrba.cli; "
         "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
         "print(sorted(new - set(sys.stdlib_module_names)))"
     )

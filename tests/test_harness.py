@@ -33,6 +33,7 @@ from goalrba.harness import (
 )
 from goalrba.learning import EdgeLearningParams, FederatedParams
 from goalrba.verification import ADMM_RUNS, ADMM_TOLERANCE
+from goalrba.workload import Workload
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -384,6 +385,62 @@ def test_round_failures_keep_an_index_error_as_the_cause():
         run_scenario(cfg, workload=wl)
     assert (info.value.round_idx, info.value.workload) == (0, "demand_response")
     assert isinstance(info.value.__cause__, IndexError)
+
+
+class RecordingWorkload(Workload):
+    """Three EDs with fixed gains and goal; records the name of each call."""
+
+    num_eds = 3
+
+    def __init__(self):
+        self.calls = []
+        self.begin_args = []
+
+    def begin_round(self, *args):
+        self.calls.append("begin_round")
+        self.begin_args.append(args)
+
+    def marginal_utilities(self):
+        self.calls.append("marginal_utilities")
+        return np.array([3.0, 2.0, 1.0])
+
+    def payload_bits(self):
+        self.calls.append("payload_bits")
+        return np.full(3, 512.0)
+
+    def goal_value(self):
+        self.calls.append("goal_value")
+        return 1.0
+
+    def throughput(self, selected):
+        self.calls.append("throughput")
+        return len(selected)
+
+    def ingest(self, selected):
+        self.calls.append("ingest")
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_each_round_begins_once_with_no_argument_before_the_workload_is_read(policy):
+    wl = RecordingWorkload()
+    rows = run_scenario(small_config(rounds=3, policy=policy), workload=wl)
+    assert len(rows) == 3
+    assert wl.calls == 3 * ["begin_round", "marginal_utilities", "payload_bits", "goal_value",
+                            "throughput", "ingest", "goal_value"]
+    assert wl.begin_args == [(), (), ()]
+
+
+def test_a_round_whose_begin_round_fails_raises_round_error():
+    class FailsOnThirdRound(RecordingWorkload):
+        def begin_round(self, *args):
+            super().begin_round(*args)
+            if len(self.begin_args) == 3:
+                raise KeyError("probe")
+
+    with pytest.raises(RoundError, match="round 2 of demand_response failed") as info:
+        run_scenario(small_config(rounds=5), workload=FailsOnThirdRound())
+    assert (info.value.round_idx, info.value.workload) == (2, "demand_response")
+    assert isinstance(info.value.__cause__, KeyError)
 
 
 # --- CLI ---------------------------------------------------------------

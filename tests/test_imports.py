@@ -1,8 +1,7 @@
 """Every module uses each name it imports.
 
-Scans src/goalrba (except the re-exports of __init__.py), scripts and tests
-with the stdlib ast module: a name bound by an import must be read somewhere
-in the same module.
+Scans src/goalrba, scripts and tests with the stdlib ast module: a name
+bound by an import must be read somewhere in the same module.
 """
 
 import ast
@@ -10,7 +9,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(
-    [p for p in (ROOT / "src" / "goalrba").glob("*.py") if p.name != "__init__.py"]
+    list((ROOT / "src" / "goalrba").glob("*.py"))
     + list((ROOT / "scripts").glob("*.py"))
     + list((ROOT / "tests").glob("*.py"))
 )

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from goalrba import learning
 from goalrba.data import make_gaussian_mixture, split_non_iid
-from goalrba.harness import build_workload, load_config, run_scenario
+from goalrba.harness import ChannelConfig, build_workload, load_config, run_scenario
 from goalrba.learning import (
     DivergenceError,
     EdgeLearningParams,
@@ -24,7 +24,7 @@ from goalrba.learning import (
     per_sample_loss,
     sgd_train,
 )
-from goalrba.workload import ConfigError
+from goalrba.workload import ConfigError, collect_reports
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -244,8 +244,8 @@ def small_federated_workload(**overrides):
 
 
 def planted_gradients(wl, rows, counts):
-    """Begin round 0, then overwrite the gradient rows and the client counts."""
-    wl.begin_round(0)
+    """Begin a round, then overwrite the gradient rows and the client counts."""
+    wl.begin_round()
     wl.gradients[...] = 0.0
     for j, row in enumerate(rows):
         wl.gradients[j, : len(row)] = row
@@ -290,9 +290,20 @@ def test_federated_gradients_are_one_matrix_allocated_once():
     matrix = wl.gradients
     assert matrix.shape == (wl.num_eds, wl.model.num_params)
     for k in range(3):
-        wl.begin_round(k)
+        wl.begin_round()
         wl.ingest([0, 2])
         assert wl.gradients is matrix
+
+
+def test_a_federated_workload_read_before_its_first_round_fails_loudly():
+    # the gradient matrix is NaN until begin_round() writes every row, so a
+    # round that skips it cannot pass for one
+    wl = small_federated_workload()
+    gains = np.ones(wl.num_eds)
+    with pytest.raises(ValueError, match="delta must not be NaN"):
+        collect_reports(wl, wl.marginal_utilities(), gains, ChannelConfig())
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="training loss is nan"):
+        wl.ingest([0, 1])
 
 
 def test_a_client_without_samples_is_a_config_error():
@@ -424,14 +435,14 @@ def test_edge_divergence_raises_in_ingest():
 def test_federated_divergence_raises_in_the_round_it_happens():
     # lr < 2/kappa validates; the first aggregation step overflows the weights
     wl = small_federated_workload(lr=1e300, kappa=1e-305)
-    wl.begin_round(0)
+    wl.begin_round()
     with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="training loss is nan"):
         wl.ingest([0, 1])
 
 
 def test_federated_workload_descent_logging():
     wl = small_federated_workload()
-    wl.begin_round(0)
+    wl.begin_round()
     before = wl.goal_value()
     wl.ingest([0, 1, 2, 3])
     after = wl.goal_value()
@@ -517,8 +528,8 @@ class EdgeReference:
     def __init__(self, wl):
         self.wl = wl
 
-    def begin_round(self, k):
-        self.wl.begin_round(k)
+    def begin_round(self):
+        self.wl.begin_round()
 
     def marginal_utilities(self):
         return self.wl.marginal_utilities()
@@ -537,7 +548,7 @@ class FederatedReference:
         self.wl = wl
         self.grads = None
 
-    def begin_round(self, k):
+    def begin_round(self):
         wl, p = self.wl, self.wl.params
         self.grads = [
             local_gradient(wl.model, wl.X_train, wl.y_train, batch_size=p.batch_size,
@@ -600,8 +611,8 @@ def test_learning_rounds_match_the_reference_on_the_preset(preset, rounds, refer
     wl, ref = build_workload(config), reference(build_workload(config))
     rng = np.random.default_rng(0)
     for k in range(rounds):
-        wl.begin_round(k)
-        ref.begin_round(k)
+        wl.begin_round()
+        ref.begin_round()
         np.testing.assert_array_equal(wl.marginal_utilities(), ref.marginal_utilities())
         ref.check_round(wl)
         selected = [] if k == 3 else sorted(

@@ -200,7 +200,7 @@ def play_rounds(workload, rounds=3, as_list=False):
     rng = np.random.default_rng(0)
     played = []
     for k in range(rounds):
-        workload.begin_round(k)
+        workload.begin_round()
         deltas, payloads, before = (workload.marginal_utilities(), workload.payload_bits(),
                                     workload.goal_value())
         selected = np.sort(rng.choice(workload.num_eds, size=2, replace=False))
@@ -213,6 +213,7 @@ def play_rounds(workload, rounds=3, as_list=False):
 @PRESETS
 def test_per_ed_arrays_are_fresh_float_arrays_of_length_num_eds(preset, method):
     workload = preset_workload(preset)
+    workload.begin_round()
     workload.ingest([0, 1])
     first = getattr(workload, method)()
     assert first.dtype == np.float64 and first.shape == (workload.num_eds,)
@@ -286,12 +287,11 @@ def test_expected_marginals_unimplemented_by_default():
         Bare().history_gains()
     with pytest.raises(NotImplementedError):
         Bare().expected_marginal_utilities(4, np.random.default_rng(0))
-    with pytest.raises(NotImplementedError):
-        Bare().joint_gain([0])
 
 
 def test_submodular_bound_on_the_decision_workload():
     wl = DemandResponseWorkload(DrParams(num_eds=8, pi_min=5.5), seed=1)
+    wl.begin_round()
     lhs, rhs, holds = submodular_bound_check(wl, list(range(8)))
     assert holds
     assert lhs <= rhs + 1e-9
