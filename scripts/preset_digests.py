@@ -3,9 +3,9 @@
 
 Runs `goalrba compare` on each given config (default: every configs/*.yaml
 preset) into a temporary directory and prints `<config> <file> <sha256>`.
-BLAS is pinned to one thread before numpy loads, because the last digits of
-some results depend on the thread count. Run it on two checkouts and diff
-the output to check that a change keeps the metrics CSVs byte-identical:
+BLAS runs at one thread, because importing goalrba pins it before numpy
+loads. Run it on two checkouts and diff the output to check that a change
+keeps the metrics CSVs byte-identical:
 
     python3 scripts/preset_digests.py > digests.txt
     python3 scripts/preset_digests.py my_config.yaml
@@ -20,19 +20,15 @@ A dotted key reaches into a block, and `--set params.lr=1e-3` sets a float:
 
 import argparse
 import hashlib
-import os
 import sys
 import tempfile
 from pathlib import Path
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
 
 ROOT = Path(__file__).resolve().parents[1]
 # This checkout's package, ahead of any installed goalrba.
 sys.path.insert(0, str(ROOT / "src"))
 
-from goalrba.cli import main as goalrba_main  # noqa: E402  (loads numpy)
+from goalrba.cli import main as goalrba_main  # noqa: E402  (pins BLAS, then loads numpy)
 
 CONFIGS = ROOT / "configs"
 

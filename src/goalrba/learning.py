@@ -313,6 +313,13 @@ class _LearningWorkload(Workload):
 class EdgeLearningWorkload(_LearningWorkload):
     """Raw-sample selection: EDs offer batches priced by current model loss.
 
+    An ED's delta is the summed per-sample training loss of the batch it
+    offers, under the current model. It is a proxy for the drop in training
+    loss, the goal, once the batch is trained on. It is not a proxy for
+    test accuracy, which the rounds-to-target claim and acceptance-6 count:
+    there the channel-blind `utility` policy beats `hybrid` (README,
+    Experiments).
+
     Each ED's shard size and offset are int arrays; the collected rows are
     indices into the training set, in collection order.
     """

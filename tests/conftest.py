@@ -2,6 +2,9 @@
 
 pyproject.toml puts src/ on the test process's path; child processes see
 only PYTHONPATH, so a bare `pytest` from a fresh checkout needs it set.
+
+goalrba is imported here, before any test module loads numpy, so that its
+BLAS pin holds in the test process as well; subprocesses inherit the pin.
 """
 
 import importlib.util
@@ -14,23 +17,22 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+importlib.import_module("goalrba")
 
 
 @pytest.fixture(scope="session")
 def preset_digests():
-    """scripts/preset_digests.py as a module, with os.environ and sys.path as they were.
+    """scripts/preset_digests.py as a module, with sys.path as it was.
 
-    Loading the script pins BLAS to one thread in os.environ; the CLI tests'
-    subprocesses must not inherit that pin from this process.
+    Loading the script puts this checkout's src/ first on sys.path, and
+    imports the goalrba CLI, whose package pins BLAS to one thread.
     """
-    environ, path = dict(os.environ), list(sys.path)
+    path = list(sys.path)
     spec = importlib.util.spec_from_file_location(
         "preset_digests", ROOT / "scripts" / "preset_digests.py")
     module = importlib.util.module_from_spec(spec)
     try:
         spec.loader.exec_module(module)
     finally:
-        os.environ.clear()
-        os.environ.update(environ)
         sys.path[:] = path
     return module

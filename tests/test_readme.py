@@ -169,11 +169,10 @@ def test_ci_runs_the_roadmap_tier1_command():
     job = workflow_job()
     floor = re.search(r'requires-python = ">=(\d+\.\d+)"',
                       (ROOT / "pyproject.toml").read_text())[1]
-    assert job["strategy"]["matrix"]["python-version"] == [floor, "3.11"]
+    assert job["strategy"]["matrix"]["python-version"] == [floor]
     runs = [step for step in job["steps"] if "run" in step]
-    assert 'pip install -e ".[test]"' in runs[0]["run"]
+    assert 'pip install -c constraints.txt -e ".[test]"' in runs[0]["run"]
     assert runs[-1]["run"] == tier1
-    assert runs[-1]["env"] == {"OPENBLAS_NUM_THREADS": "1"}
 
 
 def step_as_sh_block(script, runner_temp):
