@@ -4,7 +4,8 @@ the claims over seeds, verify.
 `run`, `compare` and `claims` read `--config` with any number of
 `--set KEY=VALUE` overrides, which `load_config` applies. Exit codes: 0
 success, 1 config error (a bad flag or override too), 2 runtime error, 3
-verification failure. `claims` exits as `run` does.
+verification failure. `claims` exits as `run` does, and so does `verify`
+on a check that raises.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "verify":
-        return 0 if run_all_checks() else 3
     try:
+        if args.command == "verify":
+            return 0 if run_all_checks() else 3
         config = load_config(args.config, args.overrides)
         if args.command == "run":
             emit_metrics(run_scenario(config), args.out)

@@ -1,9 +1,11 @@
 """Property and oracle suites runnable from the CLI `verify` command.
 
-Each check returns (ok, detail). They are the same routines the acceptance
-tests assert on, and neither caller passes them a setting, so the CLI and
-the test suite cannot drift apart; the acceptance lines quote the constants
-below.
+Each check returns (ok, detail). The detail line states what the check
+covered and every range and tolerance its code compares against, each built
+from a constant below. They are the same routines the acceptance tests
+assert on: neither caller passes them a setting, and each gate prints its
+check's line as `goalrba verify` does, so the CLI and the test suite cannot
+drift apart.
 """
 
 from __future__ import annotations
@@ -29,17 +31,20 @@ from .allocator import (
 )
 from .decision import DemandResponseWorkload, DrParams
 from .learning import Mlp, descent_bound_check, gradient, loss
-from .workload import submodular_bound_check
 
 
-# Each check's one setting; its acceptance line quotes it.
+# Each check's settings; its detail line states them.
 GREEDY_INSTANCES = 200
+GREEDY_CAPACITY = 60
 GREEDY_ETA = 0.25
 SUBMODULAR_INSTANCES = 20
 SUBMODULAR_EDS = 10
 SUBMODULAR_TOLERANCE = 1e-9
 DESCENT_DRAWS = 100
+DESCENT_STEP_FLOOR = 1e-4
 DESCENT_TOLERANCE = 1e-10
+DESCENT_EQUALITY_TOL = 1e-8
+GRADIENT_EPS = 1e-6
 GRADIENT_REL_TOL = 1e-4
 ADMM_RUNS = 50
 ADMM_TOLERANCE = 1e-9
@@ -47,7 +52,7 @@ ADMM_TOLERANCE = 1e-9
 
 def verify_greedy_guarantee() -> Tuple[bool, str]:
     """Greedy-vs-DP ratio stays at or above 1 - eta when all w_j <= eta * capacity."""
-    num_instances, capacity, eta = GREEDY_INSTANCES, 60, GREEDY_ETA
+    num_instances, capacity, eta = GREEDY_INSTANCES, GREEDY_CAPACITY, GREEDY_ETA
     max_w = max(int(eta * capacity), 1)
     rng = np.random.default_rng(2024)
     worst = 1.0
@@ -66,29 +71,36 @@ def verify_greedy_guarantee() -> Tuple[bool, str]:
         )
         worst = min(worst, ratio)
         if ratio < 1 - eta:
-            return False, f"ratio {ratio:.4f} below {1 - eta} on a seeded instance"
-    return True, f"worst ratio {worst:.4f} over {num_instances} instances (floor {1 - eta})"
+            return False, f"ratio {ratio:.4f} below {1 - eta:g} on a seeded instance"
+    return True, (f"worst ratio {worst:.4f} over {num_instances} instances with "
+                  f"w_j <= {eta:g} * capacity {capacity} (floor {1 - eta:g})")
 
 
 def verify_submodularity() -> Tuple[bool, str]:
-    """Joint gain never beats summed singleton gains, all subsets enumerated."""
+    """Joint gain never beats summed singleton gains, all subsets enumerated.
+
+    Each subset's joint gain is one `solve_dr` re-solve with all its data
+    revealed (DemandResponseWorkload.joint_gain); the singleton gains are
+    the round's marginal_utilities, read once per instance.
+    """
     num_instances, num_eds, seed = SUBMODULAR_INSTANCES, SUBMODULAR_EDS, 7
     worst_slack = np.inf
     for i in range(num_instances):
         params = DrParams(num_eds=num_eds, pi_min=num_eds * 0.66, history_len=8)
         workload = DemandResponseWorkload(params, seed=seed + i)
         workload.begin_round()
+        deltas = workload.marginal_utilities()
         for mask in range(1, 2**num_eds):
             subset = [j for j in range(num_eds) if mask >> j & 1]
-            lhs, rhs, holds = submodular_bound_check(
-                workload, subset, tolerance=SUBMODULAR_TOLERANCE)
-            worst_slack = min(worst_slack, rhs - lhs)
-            if not holds:
-                return False, (
-                    f"violation on instance {i}, subset {subset}: "
-                    f"lhs {lhs:.6g} > rhs {rhs:.6g}"
-                )
-    return True, f"all subsets hold; tightest slack {worst_slack:.3e}"
+            joint = workload.joint_gain(subset)
+            summed = float(sum(deltas[j] for j in subset))
+            worst_slack = min(worst_slack, summed - joint)
+            if not joint <= summed + SUBMODULAR_TOLERANCE:
+                return False, (f"violation on instance {i}, subset {subset}: "
+                               f"joint {joint:.6g} > summed {summed:.6g}")
+    return True, (f"every nonempty subset of {num_eds} EDs on {num_instances} instances, "
+                  f"joint gain re-solved by solve_dr, holds at tolerance {SUBMODULAR_TOLERANCE:g}; "
+                  f"tightest slack {worst_slack:.3e}")
 
 
 def verify_lemma_descent() -> Tuple[bool, str]:
@@ -96,7 +108,7 @@ def verify_lemma_descent() -> Tuple[bool, str]:
     rng = np.random.default_rng(11)
     for _ in range(DESCENT_DRAWS):
         kappa = float(rng.uniform(0.1, 5.0))
-        eta = float(rng.uniform(1e-4, 2.0 / kappa))
+        eta = float(rng.uniform(DESCENT_STEP_FLOOR, 2.0 / kappa))
         theta = rng.normal(size=8)
         g = kappa * theta
         theta_next = theta - eta * g
@@ -107,9 +119,11 @@ def verify_lemma_descent() -> Tuple[bool, str]:
         )
         if not holds:
             return False, f"bound violated at kappa={kappa:.3f}, eta={eta:.4f}"
-        if abs((l_after - l_before) - bound) > 1e-8 * max(1.0, abs(bound)):
+        if abs((l_after - l_before) - bound) > DESCENT_EQUALITY_TOL * max(1.0, abs(bound)):
             return False, f"quadratic case should bind exactly, gap {l_after - l_before - bound}"
-    return True, f"bound holds with equality on {DESCENT_DRAWS} quadratic draws"
+    return True, (f"bound holds on {DESCENT_DRAWS} quadratic draws, eta uniform on "
+                  f"[{DESCENT_STEP_FLOOR:g}, 2/kappa), at tolerance {DESCENT_TOLERANCE:g}, "
+                  f"with equality within {DESCENT_EQUALITY_TOL:g} relative to max(1, |bound|)")
 
 
 def verify_gradient_finite_differences() -> Tuple[bool, str]:
@@ -121,7 +135,7 @@ def verify_gradient_finite_differences() -> Tuple[bool, str]:
     y = rng.integers(0, 4, size=9)
     analytic = gradient(model, X, y)
     theta = model.params.copy()
-    eps = 1e-6
+    eps = GRADIENT_EPS
     worst = 0.0
     coords = rng.choice(theta.size, size=num_coords, replace=False)
     probe = Mlp(input_dim=12, hidden_dim=7, output_dim=4)
@@ -137,8 +151,9 @@ def verify_gradient_finite_differences() -> Tuple[bool, str]:
         scale = max(abs(analytic[c]), abs(numeric), 1e-8)
         worst = max(worst, abs(analytic[c] - numeric) / scale)
     if worst > GRADIENT_REL_TOL:
-        return False, f"finite-difference mismatch {worst:.2e} above {GRADIENT_REL_TOL}"
-    return True, f"worst relative mismatch {worst:.2e} over {num_coords} coordinates"
+        return False, f"finite-difference mismatch {worst:.2e} above {GRADIENT_REL_TOL:g}"
+    return True, (f"worst relative mismatch {worst:.2e} over {num_coords} coordinates, "
+                  f"central differences at eps {eps:g}, tolerance {GRADIENT_REL_TOL:g} relative")
 
 
 def verify_admm_certificate() -> Tuple[bool, str]:

@@ -6,10 +6,10 @@ lower is better. Adding data is not guaranteed to lower the goal: revealed
 loads never raise the robust dispatch cost, but the ADMM augmented
 Lagrangian is non-increasing only in the certificate regime
 rho/2 > kappa_j/rho (see AdmmWorkload), and the admm preset lies outside it.
-The helpers here pair a round's gains, from either estimator, with RB
-demands and check the diminishing-returns bound on one subset. Where exact
-gains would be non-causal, Workload.expected_marginal_utilities, the one
-estimator of utility_mode: expected, averages draws from history_gains.
+`collect_reports` pairs a round's gains, from either estimator, with RB
+demands. Where exact gains would be non-causal,
+Workload.expected_marginal_utilities, the one estimator of utility_mode:
+expected, averages draws from history_gains.
 The config dataclasses of every workload are checked here too:
 `check_fields` holds each field to its annotated type and to the range
 `ranged` declares on it.
@@ -21,7 +21,7 @@ import abc
 import functools
 import numbers
 from dataclasses import dataclass, field, fields
-from typing import Sequence, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -202,24 +202,3 @@ def collect_reports(workload: Workload, deltas: np.ndarray, gains, channel) -> R
         deltas, r_min, per_rb = deltas[ids], r_min[ids], per_rb[ids]
     return make_reports(ids, np.maximum(deltas, 0.0, out=deltas), rb_demand(r_min, per_rb))
 
-
-def submodular_bound_check(
-    workload: Workload,
-    ed_subset: Sequence[int],
-    *,
-    tolerance: float = 1e-9,
-) -> Tuple[float, float, bool]:
-    """Check that the joint gain of a subset is bounded by its summed deltas.
-
-    Returns (lhs, rhs, holds) where lhs re-solves the goal once with all
-    subset data added (workload.joint_gain, which only
-    DemandResponseWorkload has) and rhs sums singleton gains, so a subset of
-    any size costs one re-solve; verify_submodularity sizes its enumeration.
-    """
-    subset = list(ed_subset)
-    if not subset:
-        return 0.0, 0.0, True
-    lhs = workload.joint_gain(subset)
-    deltas = workload.marginal_utilities()
-    rhs = float(sum(deltas[j] for j in subset))
-    return lhs, rhs, lhs <= rhs + tolerance

@@ -8,6 +8,9 @@ identity, exhaustive submodularity enumeration, the rounds saved by edge and
 federated learning, the smooth-descent inequality, a finite-difference
 gradient check, the ADMM descent certificate and dual bound, and
 byte-identical CSVs for a fixed config and seed.
+Acceptance-1, 5, 7a, 7b and 8ab assert a `goalrba verify` check and print
+that check's own line, which states every range and tolerance its code
+compares against; acceptance-1 appends only its wall-clock bound.
 The directional workload comparisons run the desk-scale configs/ presets,
 overriding only policy and seed; rounds-to-target runs stop at the first round
 that reaches the target.
@@ -34,13 +37,6 @@ from goalrba.harness import (
     run_scenario,
 )
 from goalrba.verification import (
-    DESCENT_TOLERANCE,
-    GRADIENT_REL_TOL,
-    GREEDY_ETA,
-    GREEDY_INSTANCES,
-    SUBMODULAR_EDS,
-    SUBMODULAR_INSTANCES,
-    SUBMODULAR_TOLERANCE,
     verify_admm_certificate,
     verify_gradient_finite_differences,
     verify_greedy_guarantee,
@@ -68,12 +64,7 @@ def test_acceptance_1_greedy_guarantee():
     ok, detail = verify_greedy_guarantee()
     elapsed = time.perf_counter() - started
     ok = ok and elapsed < 10.0
-    report(
-        "acceptance-1 greedy guarantee",
-        ok,
-        f"{detail}; tolerance ratio >= {1 - GREEDY_ETA} on all {GREEDY_INSTANCES} instances, "
-        f"{elapsed:.2f}s < 10s",
-    )
+    report("acceptance-1 greedy guarantee", ok, f"{detail}; {elapsed:.2f}s < 10s")
 
 
 def test_acceptance_2_rate_model():
@@ -137,8 +128,7 @@ def test_acceptance_4_gain_equals_cost_reduction():
 
     def hook(rnd, wl):
         # after ingest: wl.cap holds exactly this round's revealed loads
-        market = DrInstance(wl.costs, wl.xi_lo, wl.xi_max, wl.pi_min)
-        recomputed.append(lp_cost(market, wl.xi_lo) - lp_cost(market, wl.cap))
+        recomputed.append(lp_cost(wl.market, wl.xi_lo) - lp_cost(wl.market, wl.cap))
 
     metrics = run_scenario(cfg, workload=workload, round_hook=hook)
     worst = max(
@@ -153,13 +143,7 @@ def test_acceptance_4_gain_equals_cost_reduction():
 
 
 def test_acceptance_5_submodularity_enumeration():
-    ok, detail = verify_submodularity()
-    report(
-        "acceptance-5 submodularity",
-        ok,
-        f"{detail}; exhaustive LP re-solves over all 2^{SUBMODULAR_EDS} subsets on "
-        f"{SUBMODULAR_INSTANCES} instances, tolerance {SUBMODULAR_TOLERANCE:g}",
-    )
+    report("acceptance-5 submodularity", *verify_submodularity())
 
 
 def test_acceptance_6_edge_learning_rounds_saved():
@@ -181,17 +165,11 @@ def test_acceptance_6_edge_learning_rounds_saved():
 
 
 def test_acceptance_7a_descent_inequality():
-    ok, detail = verify_lemma_descent()
-    report(
-        "acceptance-7a descent inequality",
-        ok,
-        f"{detail}; tolerance {DESCENT_TOLERANCE:g}, step sizes drawn from (0, 2/kappa]",
-    )
+    report("acceptance-7a descent inequality", *verify_lemma_descent())
 
 
 def test_acceptance_7b_gradient_check():
-    ok, detail = verify_gradient_finite_differences()
-    report("acceptance-7b gradient check", ok, f"{detail}; tolerance {GRADIENT_REL_TOL:g} relative")
+    report("acceptance-7b gradient check", *verify_gradient_finite_differences())
 
 
 def test_acceptance_7c_federated_rounds():
@@ -211,13 +189,7 @@ def test_acceptance_7c_federated_rounds():
 
 
 def test_acceptance_8ab_admm_certificate_and_dual_bound():
-    ok, detail = verify_admm_certificate()
-    report(
-        "acceptance-8ab admm certificate",
-        ok,
-        f"{detail}; per-round descent certificate and consecutive-dual bound, "
-        "as `goalrba verify` checks them",
-    )
+    report("acceptance-8ab admm certificate", *verify_admm_certificate())
 
 
 def test_acceptance_8c_admm_rounds():

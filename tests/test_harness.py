@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from goalrba import harness
+from goalrba import harness, verification
 from goalrba.cli import main
 from goalrba.admm import AdmmParams
 from goalrba.decision import DemandResponseWorkload, DrParams
@@ -32,7 +32,23 @@ from goalrba.harness import (
     run_scenario,
 )
 from goalrba.learning import EdgeLearningParams, FederatedParams
-from goalrba.verification import ADMM_RUNS, ADMM_TOLERANCE
+from goalrba.verification import (
+    ADMM_RUNS,
+    ADMM_TOLERANCE,
+    ALL_CHECKS,
+    DESCENT_DRAWS,
+    DESCENT_EQUALITY_TOL,
+    DESCENT_STEP_FLOOR,
+    DESCENT_TOLERANCE,
+    GRADIENT_EPS,
+    GRADIENT_REL_TOL,
+    GREEDY_CAPACITY,
+    GREEDY_ETA,
+    GREEDY_INSTANCES,
+    SUBMODULAR_EDS,
+    SUBMODULAR_INSTANCES,
+    SUBMODULAR_TOLERANCE,
+)
 from goalrba.workload import Workload
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -1128,6 +1144,17 @@ def test_cli_exit_code_2_on_an_rb_demand_beyond_int64(tmp_path):
     assert "bits per RB" in res.stderr and "-9223372036854775808" not in res.stderr
 
 
+# Every count, range and tolerance each check compares against, by check.
+CHECK_CONSTANTS = {
+    "greedy_guarantee": (GREEDY_INSTANCES, GREEDY_ETA, GREEDY_CAPACITY, 1 - GREEDY_ETA),
+    "submodularity": (SUBMODULAR_EDS, SUBMODULAR_INSTANCES, SUBMODULAR_TOLERANCE),
+    "lemma_descent": (DESCENT_DRAWS, DESCENT_STEP_FLOOR, DESCENT_TOLERANCE,
+                      DESCENT_EQUALITY_TOL),
+    "gradient_fd": (GRADIENT_EPS, GRADIENT_REL_TOL),
+    "admm_certificate": (ADMM_RUNS, ADMM_TOLERANCE),
+}
+
+
 def test_cli_verify_exits_zero():
     res = cli("verify")
     assert res.returncode == 0, res.stdout + res.stderr
@@ -1136,6 +1163,27 @@ def test_cli_verify_exits_zero():
     admm = [line for line in res.stdout.splitlines() if "admm_certificate" in line]
     assert admm == [f"[PASS] admm_certificate: certificate, dual bound, and monotone descent "
                     f"over {ADMM_RUNS} runs at tolerance {ADMM_TOLERANCE:g}"]
+
+
+def test_verify_prints_one_line_per_check_stating_its_constants(capsys):
+    assert main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = [name for name, _ in ALL_CHECKS]
+    assert list(CHECK_CONSTANTS) == names
+    assert [line.split(":")[0] for line in lines] == [f"[PASS] {name}" for name in names]
+    for name, line in zip(names, lines):
+        for constant in CHECK_CONSTANTS[name]:
+            assert f"{constant:g}" in line, (name, constant, line)
+
+
+def test_verify_exits_2_on_a_check_that_raises(monkeypatch, capsys):
+    def raising():
+        raise RuntimeError("check blew up")
+
+    monkeypatch.setattr(verification, "ALL_CHECKS", [("raising", raising)])
+    assert main(["verify"]) == 2
+    err = capsys.readouterr().err
+    assert err == "runtime error: check blew up\n"
 
 
 def test_cli_run_creates_the_directory_of_its_out(tmp_path):

@@ -10,7 +10,7 @@ from goalrba.allocator import make_reports
 from goalrba.channel import rb_bits, rb_demand
 from goalrba.decision import DemandResponseWorkload, DrParams, solve_dr
 from goalrba.harness import ChannelConfig, build_workload, load_config
-from goalrba.workload import Workload, collect_reports, submodular_bound_check
+from goalrba.workload import Workload, collect_reports
 
 
 class StubWorkload(Workload):
@@ -287,16 +287,3 @@ def test_expected_marginals_unimplemented_by_default():
         Bare().history_gains()
     with pytest.raises(NotImplementedError):
         Bare().expected_marginal_utilities(4, np.random.default_rng(0))
-
-
-def test_submodular_bound_on_the_decision_workload():
-    wl = DemandResponseWorkload(DrParams(num_eds=8, pi_min=5.5), seed=1)
-    wl.begin_round()
-    lhs, rhs, holds = submodular_bound_check(wl, list(range(8)))
-    assert holds
-    assert lhs <= rhs + 1e-9
-
-
-def test_submodular_bound_empty_subset():
-    wl = DemandResponseWorkload(DrParams(num_eds=4, pi_min=3.0), seed=0)
-    assert submodular_bound_check(wl, []) == (0.0, 0.0, True)
