@@ -16,8 +16,15 @@ run in the order it ran (pair, seed, side, metrics) and the summary lines.
 It writes nothing into either checkout beyond what `perfbench/run.py` itself
 writes there, and PATH.
 
+With --control DIR, a second copy of A, every pair also runs DIR, and the
+three sides take turns: A, B, control in the first pair, then B, control,
+A, then control, A, B, and so on. Beside each metric's line for B it prints
+the same line for the control against A: an A/A comparison in the same
+session, which shows how far two copies of one tree read apart. --out
+writes those lines too.
+
     python3 scripts/bench_pairs.py --a ../parent --b . --workload dr_paper \\
-        --pairs 10 --seed 971 --out BENCH.json
+        --pairs 10 --seed 971 --control ../parent2 --out BENCH.json
 """
 
 from __future__ import annotations
@@ -58,16 +65,17 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
-def summarize(a_runs, b_runs, metrics) -> list:
+def summarize(a_runs, b_runs, metrics, name="B") -> list:
     """One line per metric of BENCHMARK.json's end_to_end list.
 
-    a_runs and b_runs hold one {metric: value} dict per pair, in pair order.
+    a_runs and b_runs hold one {metric: value} dict per pair, in pair order;
+    `name` is what the lines call the side of b_runs.
     """
     lines = []
     for metric in metrics:
-        name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
-        a = np.array([run[name] for run in a_runs])
-        b = np.array([run[name] for run in b_runs])
+        sign = 1.0 if metric["better"] == "higher" else -1.0
+        a = np.array([run[metric["name"]] for run in a_runs])
+        b = np.array([run[metric["name"]] for run in b_runs])
         (a_q1, a_med, a_q3), (b_q1, b_med, b_q3) = (np.percentile(x, [25, 50, 75]) for x in (a, b))
         wins = int(np.count_nonzero(sign * (b - a) > 0))
         gap = sign * (b_med - a_med)
@@ -81,9 +89,10 @@ def summarize(a_runs, b_runs, metrics) -> list:
         else:
             verdict = "within bound"
         lines.append(
-            f"{name} ({metric['unit']}, {metric['better']} is better): "
-            f"A {a_med:.6g} [{a_q1:.6g}, {a_q3:.6g}]  B {b_med:.6g} [{b_q1:.6g}, {b_q3:.6g}]  "
-            f"B wins {wins}/{len(a)}  change {(b_med - a_med) / abs(a_med):+.1%}  "
+            f"{metric['name']} ({metric['unit']}, {metric['better']} is better): "
+            f"A {a_med:.6g} [{a_q1:.6g}, {a_q3:.6g}]  "
+            f"{name} {b_med:.6g} [{b_q1:.6g}, {b_q3:.6g}]  "
+            f"{name} wins {wins}/{len(a)}  change {(b_med - a_med) / abs(a_med):+.1%}  "
             f"gain rule {'holds' if holds else 'fails'}  "
             f"bound {metric['bound']:.0%}: {verdict}"
         )
@@ -97,20 +106,26 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    ap.add_argument("--control", type=Path,
+                    help="a second copy of A, run in every pair as an A/A control")
     ap.add_argument("--out", type=Path, help="write the runs and the summary here as JSON")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error(f"--pairs must be at least 1, got {args.pairs}")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    runs = {"A": [], "B": []}
+    trees = {"A": args.a, "B": args.b}
+    if args.control is not None:
+        trees["control"] = args.control
+    sides = list(trees)
+    runs = {side: [] for side in sides}
     log = []
     try:
         for i in range(args.pairs):
             seed = args.seed + i
-            order = ("A", "B") if i % 2 == 0 else ("B", "A")
-            for side in order:
-                tree = args.a if side == "A" else args.b
-                runs[side].append(run_once(tree.resolve(), args.workload, seed))
+            # Each side leads in turn: A, B (, control), then B (, control), A, ...
+            shift = i % len(sides)
+            for side in sides[shift:] + sides[:shift]:
+                runs[side].append(run_once(trees[side].resolve(), args.workload, seed))
                 log.append({"pair": i + 1, "seed": seed, "side": side,
                             "metrics": runs[side][-1]})
                 values = "  ".join(f"{m['name']}={runs[side][-1][m['name']]:.6g}"
@@ -120,13 +135,18 @@ def main(argv=None) -> int:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         return 1
     summary = summarize(runs["A"], runs["B"], metrics)
-    print("\n".join(summary))
+    record = {"workload": args.workload, "a": str(args.a), "b": str(args.b),
+              "seeds": [args.seed + i for i in range(args.pairs)], "runs": log,
+              "summary": summary}
+    if args.control is None:
+        print("\n".join(summary))
+    else:
+        control = summarize(runs["A"], runs["control"], metrics, name="control")
+        for b_line, control_line in zip(summary, control):
+            print(f"{b_line}\n  A/A {control_line}")
+        record.update(control=str(args.control), control_summary=control)
     if args.out:
-        args.out.write_text(json.dumps({
-            "workload": args.workload, "a": str(args.a), "b": str(args.b),
-            "seeds": [args.seed + i for i in range(args.pairs)],
-            "runs": log, "summary": summary,
-        }, indent=1) + "\n")
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 

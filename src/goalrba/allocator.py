@@ -68,13 +68,13 @@ def make_reports(ed_id, delta, w) -> Reports:
     if not ed_id.shape == delta.shape == w.shape:
         raise ValueError(f"ed_id, delta and w must have one shape, got "
                          f"{ed_id.shape}, {delta.shape} and {w.shape}")
-    # NaN fails the comparison too.
-    if not np.all(delta >= 0):
+    # NaN fails the comparison too, as the minimum of an array holding one.
+    if not delta.min(initial=np.inf) >= 0:
         nan = np.isnan(delta)
         if nan.any():
             raise ValueError(f"delta must not be NaN, got NaN for ED {ed_id[nan][0]}")
         raise ValueError(f"delta must be non-negative, got {delta.min()}")
-    if np.any(w < 0):
+    if w.min(initial=0) < 0:
         raise ValueError(f"w must be non-negative, got {w.min()}")
     return Reports(ed_id, delta, w)
 
@@ -126,14 +126,19 @@ def _take_in_order(ids, ws, remaining: int, halt_on_overflow, picked: list) -> i
     return remaining
 
 
+def _negated(keys: np.ndarray) -> np.ndarray:
+    """keys, a fresh array, negated in place: they then sort descending."""
+    return np.negative(keys, out=keys)
+
+
 def _fill_budget(reports: Reports, capacity: int, key, *, halt_on_overflow) -> Allocation:
     """Take EDs in ascending (key, ed_id) order while their demands fit.
 
-    key maps the (ed_id, delta, w) columns of the positive-demand candidates
-    to sort keys. Zero-delta EDs consume budget for no gain and are never
-    selected; zero-demand EDs with a gain ride free. At the first ED that
-    does not fit, halting mode stops; otherwise later EDs that still fit are
-    taken.
+    key maps the report positions of the positive-demand candidates, an
+    ascending index array, to a fresh array of their sort keys. Zero-delta
+    EDs consume budget for no gain and are never selected; zero-demand EDs
+    with a gain ride free. At the first ED that does not fit, halting mode
+    stops; otherwise later EDs that still fit are taken.
 
     Only the head of the order is sorted: every positive-demand ED takes at
     least one RB, so at most capacity of them fit and a halting fill stops
@@ -143,31 +148,35 @@ def _fill_budget(reports: Reports, capacity: int, key, *, halt_on_overflow) -> A
     the non-halting fill goes on with the later EDs that fit what is left.
     """
     _check_capacity(capacity)
-    ed_id, delta, w = reports.ed_id, reports.delta, reports.w
-    live = delta > 0
-    paid = np.flatnonzero(live & (w > 0))
-    ed_id_p, w_p = ed_id[paid], w[paid]
-    keys = key(ed_id_p, delta[paid], w_p)
+    ed_id, w = reports.ed_id, reports.w
+    live = reports.delta > 0
+    paid_mask = w > 0
+    paid_mask &= live
+    paid = np.flatnonzero(paid_mask)
+    keys = key(paid)
 
     def in_order(part):
-        """Ids and demands of the candidates at positions part, in order."""
-        order = part[np.lexsort((ed_id_p[part], keys[part]))]
-        return ed_id_p[order], w_p[order]
+        """Ids and demands of the candidates at positions part of paid, in order."""
+        at = paid[part]
+        order = at[np.lexsort((ed_id[at], keys[part]))]
+        return ed_id[order], w[order]
 
-    head, tail = np.arange(len(keys)), None
+    head, in_head = slice(None), None
     if len(keys) > capacity + 1:
         v = np.partition(keys, capacity)[capacity]
         # NaN sorts last: a NaN v leaves every key in the head, and a NaN
         # key after a number v goes to the tail.
         if not np.isnan(v):
             in_head = keys <= v
-            head, tail = np.flatnonzero(in_head), ~in_head
-    picked = [ed_id[live & (w == 0)]]
+            head = np.flatnonzero(in_head)
+    # w is never negative, so the live EDs that do not pay ride free.
+    free = len(paid) < np.count_nonzero(live)
+    picked = [ed_id[live & ~paid_mask] if free else ed_id[:0]]
     remaining = _take_in_order(*in_order(head), capacity, halt_on_overflow, picked)
-    if tail is not None and not halt_on_overflow and remaining > 0:
+    if in_head is not None and not halt_on_overflow and remaining > 0:
         # The budget only shrinks: a later ED that needs more than is left
         # now can never fit.
-        later = np.flatnonzero(tail & (w_p <= remaining))
+        later = np.flatnonzero((w[paid] <= remaining) & ~in_head)
         remaining = _take_in_order(*in_order(later), remaining, False, picked)
     return Allocation(selected=np.sort(np.concatenate(picked)), capacity_used=capacity - remaining)
 
@@ -186,9 +195,13 @@ def greedy_allocate(reports: Reports, capacity: int) -> Allocation:
     selects {1, 2}. The fix moves the benchmark's recorded reference
     output, so it waits for a change that re-records it.
     """
-    return _fill_budget(
-        reports, capacity, lambda ed_id, delta, w: -(delta / w), halt_on_overflow=True
-    )
+
+    def density(paid):
+        keys = reports.delta[paid]
+        keys /= reports.w[paid]
+        return _negated(keys)
+
+    return _fill_budget(reports, capacity, density, halt_on_overflow=True)
 
 
 def channel_policy(gains, reports: Reports, capacity: int) -> Allocation:
@@ -198,14 +211,14 @@ def channel_policy(gains, reports: Reports, capacity: int) -> Allocation:
     serves as many EDs as the ordering allows.
     """
     gains = np.asarray(gains, dtype=float)
-    return _fill_budget(
-        reports, capacity, lambda ed_id, delta, w: -gains[ed_id], halt_on_overflow=False
-    )
+    return _fill_budget(reports, capacity, lambda paid: _negated(gains[reports.ed_id[paid]]),
+                        halt_on_overflow=False)
 
 
 def utility_policy(reports: Reports, capacity: int) -> Allocation:
     """Utility benchmark: grant w_j RBs in descending raw-delta order."""
-    return _fill_budget(reports, capacity, lambda ed_id, delta, w: -delta, halt_on_overflow=False)
+    return _fill_budget(reports, capacity, lambda paid: _negated(reports.delta[paid]),
+                        halt_on_overflow=False)
 
 
 def exact_knapsack(reports: Reports, capacity: int) -> Allocation:

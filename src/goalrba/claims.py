@@ -9,6 +9,7 @@ to reach its target. The acceptance tests call `claim_value` and quote
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable, List, Sequence
 
 import numpy as np
@@ -52,8 +53,25 @@ def claim_value(config: ScenarioConfig) -> float:
     return rounds_to_target(config, lambda wl: wl.test_accuracy() >= target)
 
 
+def sign_test_p(wins: int, losses: int) -> float:
+    """Exact two-sided sign test of wins against losses, ties dropped.
+
+    Twice the binomial tail at p = 1/2 of the smaller count, over the
+    wins + losses seeds that do not tie, and at most 1 (Conover, "Practical
+    Nonparametric Statistics", 1999, section 3.4). With every seed tied it
+    is 1.
+    """
+    n = wins + losses
+    tail = sum(math.comb(n, k) for k in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2**n)
+
+
 def run_claims(config: ScenarioConfig, seeds: Sequence[int]) -> None:
-    """Print every policy's claim value per seed, the medians, and hybrid vs each baseline."""
+    """Print every policy's claim value per seed, the medians, and hybrid vs each baseline.
+
+    Each baseline's line gives hybrid's wins, ties and losses, the median
+    reduction and the sign test p-value of the wins against the losses.
+    """
     # Every seed is checked before the first run starts.
     runs = [dataclasses.replace(config, seed=seed) for seed in seeds]
     spec = ".3f" if config.workload == "demand_response" else "g"
@@ -71,8 +89,9 @@ def run_claims(config: ScenarioConfig, seeds: Sequence[int]) -> None:
         pairs = list(zip(values["hybrid"], values[baseline]))
         wins = sum(h < b for h, b in pairs)
         ties = sum(h == b for h, b in pairs)
+        losses = len(pairs) - wins - ties
         # A zero baseline median has no relative reduction.
         reduction = (f"{1 - medians['hybrid'] / medians[baseline]:.1%}" if medians[baseline]
                      else "n/a")
-        print(f"hybrid vs {baseline}: wins {wins}, ties {ties}, "
-              f"losses {len(pairs) - wins - ties}; median reduction {reduction}")
+        print(f"hybrid vs {baseline}: wins {wins}, ties {ties}, losses {losses}; "
+              f"median reduction {reduction}; sign test p {sign_test_p(wins, losses):.4g}")

@@ -119,15 +119,19 @@ def solve_dr(instance: DrInstance, cap: Optional[np.ndarray] = None) -> Tuple[fl
     The remaining requirement is one left fold of subtractions over the
     capacities in dispatch order; the ED at which it first reaches zero
     takes what was left, and every ED before it takes its full capacity.
+    The fold stops soon after that ED, since no later entry is read.
     """
     if cap is None:
         cap = instance.xi_lo
     else:
         cap = np.asarray(cap, dtype=float)
-        inside = (instance.xi_lo - 1e-9 <= cap) & (cap <= instance.xi_hi + 1e-9)
-        if not np.all(inside):
-            j = int(np.argmin(inside))
-            raise ValueError(f"revealed value {cap[j]} for ED {j} outside support")
+        # xi_lo - 1e-9 rounds to at most xi_lo, and xi_hi + 1e-9 to at least
+        # xi_hi, so only a cap outside [xi_lo, xi_hi] needs the tolerance.
+        if not ((instance.xi_lo <= cap).all() and (cap <= instance.xi_hi).all()):
+            inside = (instance.xi_lo - 1e-9 <= cap) & (cap <= instance.xi_hi + 1e-9)
+            if not inside.all():
+                j = int(np.argmin(inside))
+                raise ValueError(f"revealed value {cap[j]} for ED {j} outside support")
     J = instance.num_eds
     if instance.pi_min == 0:
         return 0.0, np.zeros(J)
@@ -136,16 +140,27 @@ def solve_dr(instance: DrInstance, cap: Optional[np.ndarray] = None) -> Tuple[fl
             f"insufficient shedding capacity: {cap.sum():.6g} < {instance.pi_min:.6g}"
         )
     order = instance.tables.order
-    take = cap[order]
-    remaining = np.subtract.accumulate(np.concatenate(([instance.pi_min], take)))
-    met = remaining[1:] <= 0
-    T = int(np.argmax(met))
-    if met[T]:
-        take = take[: T + 1]
-        take[T] = remaining[T]
+    # remaining[k] is the requirement left before the k-th ED in dispatch
+    # order. The fold runs in chunks that double in length and stops with
+    # the chunk in which the requirement first reaches zero, at the T-th ED.
+    remaining = np.empty(J + 1)
+    remaining[0] = instance.pi_min
+    T, start, size = J, 0, 1024
+    while start < J:
+        stop = min(start + size, J)
+        remaining[start + 1 : stop + 1] = cap[order[start:stop]]
+        np.subtract.accumulate(remaining[start : stop + 1], out=remaining[start : stop + 1])
+        met = remaining[start + 1 : stop + 1] <= 0
+        k = int(np.argmax(met))
+        if met[k]:
+            T = start + k
+            break
+        start, size = stop, 2 * size
     # The full-length pi keeps the bits of costs @ pi.
     pi = np.zeros(J)
-    pi[order[: len(take)]] = take
+    pi[order[:T]] = cap[order[:T]]
+    if T < J:
+        pi[order[T]] = remaining[T]
     return float(instance.costs @ pi), pi
 
 
@@ -177,16 +192,22 @@ def dr_marginal_utilities(instance: DrInstance, values: np.ndarray) -> np.ndarra
     T = instance.base_crossing
     base_cost = float(CP[T] + c[T] * (need - P[T]))
 
+    order, lo, c_head = tables.order[:T], tables.lo[:T], c[:T]
     # fmax, unlike maximum, turns a NaN into 0, which leaves its ED inactive.
-    da = np.fmax(values[tables.order[:T]] - tables.lo[:T], 0.0)
-    active = da > 0
-    if not np.any(active):
+    da = values[order]
+    da -= lo
+    np.fmax(da, 0.0, out=da)
+    # need - da - 1e-12 falls as da grows, so the largest da gives the
+    # smallest needle.
+    da_max = da.max(initial=0.0)
+    if not da_max > 0:
         return gains
     # Each ED's new crossing point; every needle lies at or below
     # need - 1e-12, so every search ends at or before position T, and none
     # starts before the smallest needle's.
-    needles = need - da - 1e-12
-    start = int(np.searchsorted(P[1:], needles.min(), side="left"))
+    needles = np.subtract(need, da)
+    needles -= 1e-12
+    start = int(np.searchsorted(P[1:], need - da_max - 1e-12, side="left"))
     window = P[1 + start : T + 1]
     if len(window) < 256:
         # A left search is the count of window entries below the needle;
@@ -195,14 +216,25 @@ def dr_marginal_utilities(instance: DrInstance, values: np.ndarray) -> np.ndarra
     else:
         below = np.searchsorted(window, needles, side="left")
     q = np.arange(T)
-    Tp = np.maximum(q, np.add(below, start, dtype=np.intp))
-    prev_P, prev_CP = P[Tp], CP[Tp]
-    new_cost = np.where(
-        Tp == q,
-        instance.stay_costs,
-        prev_CP + c[:T] * da + c[Tp] * (need - prev_P - da),
-    )
-    gains[tables.order[:T]] = np.where(active, np.maximum(base_cost - new_cost, 0.0), 0.0)
+    Tp = np.add(below, start, dtype=np.intp)
+    np.maximum(q, Tp, out=Tp)
+    # The cost of the new crossing, prev_CP + c*da + c[Tp]*(need - prev_P - da),
+    # term by term in that order, in two arrays.
+    cost = np.take(CP, Tp)
+    term = np.multiply(c_head, da)
+    cost += term
+    np.take(P, Tp, out=term)
+    np.subtract(need, term, out=term)
+    term -= da
+    term *= c[Tp]
+    cost += term
+    np.copyto(cost, instance.stay_costs, where=Tp == q)
+    # The gain, base_cost - cost and at least 0, and 0 for an inactive ED.
+    np.subtract(base_cost, cost, out=cost)
+    np.maximum(cost, 0.0, out=cost)
+    if not da.min() > 0:
+        cost[da <= 0] = 0.0
+    gains[order] = cost
     return gains
 
 
@@ -246,14 +278,16 @@ class DrParams:
         return self.num_eds * (1e4 / 15000.0)
 
 
-def _uniform_loads(rng: np.random.Generator, shape, span: np.ndarray, lo: np.ndarray) -> np.ndarray:
+def _uniform_loads(rng: np.random.Generator, shape, span: np.ndarray, lo: np.ndarray,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """Loads of `shape`, uniform on [lo, lo + span) per ED, as Generator.uniform draws them.
 
     Generator.uniform(lo, hi) draws lo + (hi - lo) * u from one double u
     per entry in C order; this is the same stream and the same arithmetic,
     without its per-call broadcast and finiteness check, so the same bits.
+    The loads are written into `out`, an array of `shape`, when it is given.
     """
-    loads = rng.random(shape)
+    loads = rng.random(shape, out=out)
     loads *= span
     loads += lo
     return loads
@@ -339,10 +373,21 @@ class DemandResponseWorkload(Workload):
         self._gains = np.empty((J, 0))
         self._gain_count = 0
         self._replay: Optional[np.ndarray] = None
+        # This round's true loads and capacities (see begin_round).
+        self.true_xi: Optional[np.ndarray] = None
+        self.cap: Optional[np.ndarray] = None
 
     def begin_round(self) -> None:
-        self.true_xi = _uniform_loads(self._rng, self.num_eds, self._xi_span, self.xi_lo)
-        self.cap = self.xi_lo.copy()
+        """Draw the round's loads into true_xi and reset cap to xi_lo.
+
+        Both are round state: arrays built by the first begin_round() and
+        written again by every later one, so a caller that keeps either
+        across rounds keeps a copy.
+        """
+        if self.cap is None:
+            self.true_xi, self.cap = np.empty(self.num_eds), self.xi_lo.copy()
+        _uniform_loads(self._rng, self.num_eds, self._xi_span, self.xi_lo, out=self.true_xi)
+        np.copyto(self.cap, self.xi_lo)
         self._revealed = False
 
     def marginal_utilities(self) -> np.ndarray:

@@ -128,6 +128,8 @@ class Workload(abc.ABC):
     """
 
     num_eds: int
+    # collect_reports' column buffers for this workload's run (see there)
+    _report_buffers = None
 
     def begin_round(self) -> None:
         """Start the next scheduling round (draw fresh data if applicable)."""
@@ -180,6 +182,20 @@ class Workload(abc.ABC):
         return np.take_along_axis(table, idx, axis=1).mean(axis=1)
 
 
+class _ReportBuffers:
+    """The columns collect_reports writes for one workload, built on its first call.
+
+    ed_id is a read-only arange, the ids of a round in which every ED is
+    reachable; per_rb holds the round's rates and w its demands.
+    """
+
+    def __init__(self, num_eds: int):
+        self.ed_id = np.arange(num_eds)
+        self.ed_id.flags.writeable = False
+        self.per_rb = np.empty(num_eds)
+        self.w = np.empty(num_eds, dtype=np.int64)
+
+
 def collect_reports(workload: Workload, deltas: np.ndarray, gains, channel) -> Reports:
     """Pair each ED's delta with its RB demand; unreachable EDs are excluded.
 
@@ -188,17 +204,24 @@ def collect_reports(workload: Workload, deltas: np.ndarray, gains, channel) -> R
     one by utility_mode). `channel` is the scenario's harness.ChannelConfig,
     which gives the per-RB rate at each gain (see rb_bits). Returns the
     Reports of make_reports in ascending ed_id order, negative deltas
-    clamped to zero. When every ED is reachable (each has a positive rate or
-    no payload), `deltas`, clamped in place, and the demand array become two
-    of the columns as they are, with no gather.
+    clamped to zero. `deltas`, clamped in place, is the delta column when
+    every ED is reachable (each has a positive rate or no payload), and a
+    gather of it otherwise. The w column, and the ed_id column when every
+    ED is reachable, are buffers the workload holds for the whole run: they
+    stay valid until the next collect_reports on the same workload, which
+    writes them again.
     """
     r_min = workload.payload_bits()
-    per_rb = rb_bits(gains, channel)
-    reachable = (r_min == 0) | (per_rb > 0)
-    if reachable.all():
-        ids = np.arange(len(reachable))
-    else:
-        ids = np.flatnonzero(reachable)
-        deltas, r_min, per_rb = deltas[ids], r_min[ids], per_rb[ids]
-    return make_reports(ids, np.maximum(deltas, 0.0, out=deltas), rb_demand(r_min, per_rb))
-
+    buffers = workload._report_buffers
+    if buffers is None or len(buffers.ed_id) != len(r_min):
+        buffers = workload._report_buffers = _ReportBuffers(len(r_min))
+    per_rb = rb_bits(gains, channel, out=buffers.per_rb)
+    ids = buffers.ed_id
+    # A positive rate reaches any payload: only a zero rate needs the mask.
+    if not per_rb.min(initial=np.inf) > 0:
+        reachable = (r_min == 0) | (per_rb > 0)
+        if not reachable.all():
+            ids = np.flatnonzero(reachable)
+            deltas, r_min, per_rb = deltas[ids], r_min[ids], per_rb[ids]
+    w = rb_demand(r_min, per_rb, out=buffers.w[: len(ids)])
+    return make_reports(ids, np.maximum(deltas, 0.0, out=deltas), w)

@@ -112,3 +112,33 @@ def test_out_writes_every_run_and_the_summary_as_json(monkeypatch, capsys, tmp_p
         (1, 7, "A"), (1, 7, "B"), (2, 8, "B"), (2, 8, "A")]
     assert written["runs"][1]["metrics"] == {m["name"]: 8 for m in metrics}
     assert written["summary"] == printed[-len(metrics):]
+
+
+def test_a_control_runs_in_every_pair_and_reads_beside_b(monkeypatch, capsys, tmp_path):
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    calls = []
+
+    def fake_run(tree, workload, seed):
+        calls.append((tree.name, seed))
+        # B reads 10% above A on every metric; the control reads as A does
+        return {m["name"]: 100.0 + seed + 10.0 * (tree.name == "b") for m in metrics}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--a", "/x/a", "--b", "/x/b", "--control", "/x/c",
+                             "--workload", "dr_paper", "--pairs", "4", "--seed", "0",
+                             "--out", str(out)]) == 0
+    # the three sides take turns at leading a pair
+    assert calls == [("a", 0), ("b", 0), ("c", 0), ("b", 1), ("c", 1), ("a", 1),
+                     ("c", 2), ("a", 2), ("b", 2), ("a", 3), ("b", 3), ("c", 3)]
+    printed = capsys.readouterr().out.splitlines()[-2 * len(metrics):]
+    written = json.loads(out.read_text())
+    assert written["control"] == "/x/c"
+    assert [r["side"] for r in written["runs"][:3]] == ["A", "B", "control"]
+    # each metric's B line, then the control's line against A beside it
+    assert printed[0::2] == written["summary"]
+    assert printed[1::2] == ["  A/A " + line for line in written["control_summary"]]
+    rate = written["control_summary"][0]
+    assert rate.startswith("rounds_per_s ") and "control wins 0/4" in rate
+    assert "change +0.0%" in rate and "gain rule fails" in rate
+    assert "B wins 4/4" in written["summary"][0]

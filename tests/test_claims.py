@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from goalrba.claims import claim_value, rounds_to_target
+from goalrba.claims import claim_value, rounds_to_target, sign_test_p
 from goalrba.cli import main
 from goalrba.harness import (
     POLICIES,
@@ -89,8 +89,10 @@ def test_claims_prints_each_seed_and_the_hybrid_tally(tmp_path, capsys):
     assert lines[2].startswith("medians (mean dispatch cost): ")
     for baseline, line in zip(("channel", "utility"), lines[3:]):
         tally = re.match(rf"hybrid vs {baseline}: wins (\d), ties (\d), losses (\d); "
-                         r"median reduction -?\d+\.\d%$", line)
-        assert sum(map(int, tally.groups())) == 2
+                         r"median reduction -?\d+\.\d%; sign test p (\S+)$", line)
+        wins, ties, losses = map(int, tally.groups()[:3])
+        assert wins + ties + losses == 2
+        assert float(tally[4]) == pytest.approx(sign_test_p(wins, losses), rel=1e-3)
     assert len(lines) == 5
 
 
@@ -102,5 +104,17 @@ def test_claims_with_a_zero_channel_median_prints_no_reduction(capsys):
     assert code == 0, captured.err
     lines = captured.out.splitlines()
     assert lines[1] == "medians (mean dispatch cost): channel 0.000, utility 0.000, hybrid 0.000"
-    assert lines[2:] == [f"hybrid vs {baseline}: wins 0, ties 1, losses 0; median reduction n/a"
-                         for baseline in ("channel", "utility")]
+    assert lines[2:] == [f"hybrid vs {baseline}: wins 0, ties 1, losses 0; median reduction n/a; "
+                         f"sign test p 1" for baseline in ("channel", "utility")]
+
+
+@pytest.mark.parametrize("wins, losses, p", [
+    (10, 0, 0.001953125),  # 10/0/0: twice 1/1024
+    (0, 10, 0.001953125),
+    (3, 1, 0.625),  # 3/6/1, the six ties dropped: twice 5/16
+    (0, 0, 1.0),  # every seed tied
+    (5, 5, 1.0),  # twice a tail past one half, capped
+    (7, 2, 0.1796875),  # twice 46/512
+])
+def test_sign_test_hand_values(wins, losses, p):
+    assert sign_test_p(wins, losses) == p

@@ -402,6 +402,19 @@ def test_workload_redraws_each_round():
     assert not np.array_equal(first, wl.true_xi)
 
 
+def test_consecutive_rounds_write_the_same_load_and_capacity_arrays():
+    # true_xi and cap are round state: the first begin_round() builds them,
+    # and each later one writes the new round's loads and xi_lo into them
+    wl = DemandResponseWorkload(DrParams(num_eds=30, pi_min=20.0), seed=2)
+    wl.begin_round()
+    true_xi, cap, first = wl.true_xi, wl.cap, wl.true_xi.copy()
+    wl.ingest([0, 3])
+    wl.begin_round()
+    assert np.shares_memory(wl.true_xi, true_xi) and np.shares_memory(wl.cap, cap)
+    assert not np.array_equal(wl.true_xi, first)
+    np.testing.assert_array_equal(wl.cap, wl.xi_lo)
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     num_eds=st.integers(min_value=1, max_value=300),

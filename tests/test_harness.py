@@ -15,6 +15,7 @@ import yaml
 from goalrba import harness, verification
 from goalrba.cli import main
 from goalrba.admm import AdmmParams
+from goalrba.allocator import make_reports
 from goalrba.decision import DemandResponseWorkload, DrParams
 from goalrba.harness import (
     CSV_HEADER,
@@ -245,7 +246,9 @@ def test_every_policy_hands_the_workload_an_ascending_selection_that_fits(
 
     def recording(policy, gains, reports, capacity):
         allocation = allocate(policy, gains, reports, capacity)
-        allocations.append((reports, allocation))
+        # the columns are valid until the next round's collect_reports
+        kept = make_reports(reports.ed_id.copy(), reports.delta.copy(), reports.w.copy())
+        allocations.append((kept, allocation))
         return allocation
 
     monkeypatch.setattr(harness, "_allocate", recording)

@@ -72,6 +72,24 @@ def test_collect_reports_keeps_each_reachable_eds_own_delta_and_demand():
     assert [(r.ed_id, r.delta, r.w) for r in some] == [(0, 2.0, 6), (1, 0.0, 0), (3, 4.0, 1)]
 
 
+def test_consecutive_rounds_write_the_same_report_buffers():
+    # The w column, and the ed_id column when every ED is reachable, are the
+    # workload's own buffers, valid until its next collect_reports, which
+    # writes them again; the delta column is each round's fresh deltas.
+    wl = DemandResponseWorkload(DrParams(num_eds=50, pi_min=30.0), seed=1)
+    rng = np.random.default_rng(0)
+    rounds = []
+    for _ in range(2):
+        wl.begin_round()
+        gains = rng.uniform(0.5, 2.0, wl.num_eds)
+        rounds.append(collect_reports(wl, wl.marginal_utilities(), gains, ChannelConfig()))
+    first, second = rounds
+    assert np.shares_memory(first.w, second.w) and np.shares_memory(first.ed_id, second.ed_id)
+    assert not np.shares_memory(first.delta, second.delta)
+    assert not second.ed_id.flags.writeable
+    np.testing.assert_array_equal(second.ed_id, np.arange(wl.num_eds))
+
+
 def test_collect_reports_clamps_negative_deltas():
     wl = StubWorkload(deltas=[-4.0], payloads=[512.0])
     reports = collect_reports(wl, wl.marginal_utilities(), gains=[1.0], channel=ChannelConfig())
